@@ -10,7 +10,7 @@ strictly positive probability vectors p and q over the same alphabet:
 and the chain  lin_wong <= hh <= csiszar / 2  holds.  The gap hh - lin_wong
 is itself enclosed two-sidedly: the lower bound collects the kernel's kink
 jumps at the mixture ratios (zero for differentiable kernels), the upper
-bound its left slopes at the raw ratios.
+bound its slope increase across each cell between 1 and the raw ratio.
 
 Counting measure on a finite alphabet only; zero weights are rejected
 because q_i/p_i and the per-atom mean degenerate there.
@@ -237,17 +237,27 @@ def hh_gap_bounds(kernel: DivergenceKernel, p: DiscreteDistribution,
                   q: DiscreteDistribution) -> Enclosure:
     """Certified enclosure of  hh - lin_wong.
 
+    Atom i contributes p_i times the midpoint-rule remainder of the kernel's
+    mean over the cell between 1 and r_i = q_i/p_i, whose length is
+    |q_i - p_i| / p_i:
+
     lower = (1/8) sum [f'+(m_i) - f'-(m_i)] |q_i - p_i|,  m_i = (p_i+q_i)/(2 p_i)
-    upper = (1/8) sum [f'-(q_i/p_i) - f'+(1)] (q_i - p_i)
+    upper = (1/8) sum [f'-(x1) - f'+(x0)] |q_i - p_i|  on the cell [x0, x1],
+            that is [1, r_i] when q_i >= p_i and [r_i, 1] when q_i < p_i.
 
     The lower bound is >= 0 and vanishes for differentiable kernels.
     """
     _require_same_length(p, q)
+    d_minus_one = kernel.dminus(1.0)
     d_plus_one = kernel.dplus(1.0)
     lo_terms = []
     hi_terms = []
     for pi, qi in zip(p, q):
         mid = (pi + qi) / (2.0 * pi)
         lo_terms.append((kernel.dplus(mid) - kernel.dminus(mid)) * abs(qi - pi))
-        hi_terms.append((kernel.dminus(qi / pi) - d_plus_one) * (qi - pi))
+        r = qi / pi
+        if qi >= pi:
+            hi_terms.append((kernel.dminus(r) - d_plus_one) * (qi - pi))
+        else:
+            hi_terms.append((d_minus_one - kernel.dplus(r)) * (pi - qi))
     return Enclosure(0.125 * xsum(lo_terms), 0.125 * xsum(hi_terms))

@@ -9,6 +9,7 @@ rejected everywhere.
 """
 
 import math
+from collections.abc import Sized
 
 from .errors import ExtendedArithmeticError
 
@@ -48,10 +49,15 @@ def xsum(terms):
 
     Uses compensated summation when all terms are finite; falls back to
     checked left-to-right accumulation as soon as an infinity appears.
+    Sized collections (lists, arrays) are summed without a copy.
     """
-    items = [ensure_extended(t) for t in terms]
-    if all(math.isfinite(t) for t in items):
-        return math.fsum(items)
+    items = terms if isinstance(terms, Sized) else list(terms)
+    try:
+        total = math.fsum(items)
+    except ValueError:  # inf + -inf: let the checked path raise
+        total = math.nan
+    if math.isfinite(total):
+        return total
     total = 0.0
     for t in items:
         total = xadd(total, t)

@@ -3,21 +3,26 @@
 A tagged partition a = x0 < ... < xn = b with tags xi_i in [x_i, x_i+1]
 defines the Riemann sum  sum h_i f(xi_i).  For convex f the remainder
 integral - sum is sandwiched cell by cell by the pointwise bounds, which
-yields computable two-sided certificates; with midpoint tags the
-remainder is nonnegative and the certificate width contracts like 1/n^2
-under uniform refinement, which drives the adaptive integrator.
+yields computable two-sided certificates.  With midpoint tags the
+remainder is nonnegative and each cell's share of the certificate width,
+(1/8) h^2 [f'-(x_i+1) - f'+(x_i) - f'+(m_i) + f'-(m_i)], is known locally.
+The adaptive integrator uses it as an error indicator: starting from the
+domain ends and the known kinks, it bisects the cell of widest enclosure
+until the total width meets the tolerance.
 
-Per-cell terms are summed left to right, so results are reproducible bit
-for bit.
+Per-cell terms are summed in node order with math.fsum, so results are
+reproducible bit for bit.
 """
 
 from __future__ import annotations
 
+import heapq
+from array import array
 from dataclasses import dataclass
 
 from .convex_core import ConvexFunction, Interval
 from .errors import BudgetExceededError, DomainError, PartitionError, UnboundedSlopeError
-from .extreal import xadd, xmul, xsub, xsum
+from .extreal import INF, ensure_extended, xadd, xmul, xsub, xsum
 from .pointwise import Enclosure
 
 DEFAULT_MAX_CELLS = 2**20
@@ -199,29 +204,178 @@ def midpoint_rule(f: ConvexFunction, n: int) -> QuadratureResult:
 
 def integrate_adaptive(f: ConvexFunction, tol: float,
                        max_cells: int = DEFAULT_MAX_CELLS) -> QuadratureResult:
-    """Certified integration by uniform doubling of the midpoint rule.
+    """Certified integration by global adaptive bisection of the midpoint rule.
 
-    Doubles n starting at 1 until the remainder-enclosure width is <= tol.
+    The first nodes are the domain ends and the interior ``f.kinks``.  Each
+    cell carries its midpoint-rule remainder enclosure
+        [(1/8) h^2 (f'+(m) - f'-(m)),  (1/8) h^2 (f'-(x1) - f'+(x0))],
+    and the cell whose enclosure is widest (ties: the one created first) is
+    bisected until the total width is <= tol.  A split evaluates f and both
+    slopes at the two new midpoints only: the children inherit the parent's
+    endpoint slopes, and the parent's midpoint slopes become their inner
+    endpoint slopes.  A running sum of the cell widths only decides when
+    to test; the test is the returned result's own remainder width, summed
+    cell by cell in node order, so results are reproducible bit for bit.
+
     The returned result satisfies
-        integral in [estimate + remainder.lo, estimate + remainder.hi].
-    Requires finite endpoint slopes (otherwise the width never becomes
-    finite).  Raises BudgetExceededError carrying the best result when
-    max_cells is exhausted.
+        integral in [estimate + remainder.lo, estimate + remainder.hi]
+    on a (generally non-uniform) midpoint partition.  Requires finite
+    endpoint slopes (otherwise the width never becomes finite).  Raises
+    DomainError when max_cells < 1, and BudgetExceededError carrying the
+    best result when max_cells cells, or the floating-point resolution,
+    are exhausted.  With more kinks than fit in max_cells cells, an evenly
+    strided subset of them seeds the partition.
     """
     if not tol > 0.0:
         raise DomainError("tolerance must be positive")
-    if not f.endpoint_slopes().both_finite:
+    if max_cells < 1:
+        raise DomainError(f"max_cells must be at least 1, got {max_cells}")
+    slopes = f.endpoint_slopes()
+    if not slopes.both_finite:
         raise UnboundedSlopeError(
             "certified width cannot converge with an infinite endpoint slope"
         )
-    n = 1
-    result = None
-    while n <= max_cells:
-        result = midpoint_rule(f, n)
-        if result.width <= tol:
-            return result
-        n *= 2
+    lo, hi = f.domain.lo, f.domain.hi
+    kinks = sorted({float(k) for k in f.kinks if lo < k < hi})
+    if len(kinks) >= max_cells:
+        stride = len(kinks) / max_cells
+        kinks = [kinks[int((i + 1) * stride)] for i in range(max_cells - 1)]
+    nodes = [lo, *kinks, hi]
+    lefts = [None, *(f.left_derivative(k) for k in kinks), slopes.at_hi]
+    rights = [slopes.at_lo, *(f.right_derivative(k) for k in kinks), None]
+    if any(not u < 0.5 * (u + v) < v for u, v in zip(nodes, nodes[1:])):
+        raise PartitionError("a cell is too narrow to have an interior midpoint")
+
+    # Every midpoint below is strictly interior, so the oracles are called
+    # without the domain checks; a NaN is caught when the terms are summed.
+    value = f.fn
+    dminus = f.dminus or f.left_derivative
+    dplus = f.dplus or f.right_derivative
+
+    def midpoint(x0, x1, dp0, dm1):
+        """f, f'- and f'+ at the midpoint of [x0, x1], and the cell's width."""
+        m = 0.5 * (x0 + x1)
+        dmm = dminus(m)
+        dpm = dplus(m)
+        h = x1 - x0
+        h2 = h * h
+        w = 0.125 * h2 * (dm1 - dp0) - 0.125 * h2 * (dpm - dmm)
+        if w != w:  # a NaN slope, or inf - inf after an overflow
+            ensure_extended(dmm)
+            ensure_extended(dpm)
+            w = INF
+        return value(m), dmm, dpm, w
+
+    # A split keeps the left child in the parent's slot and appends the
+    # right child.
+    cells = _Cells()
+    x0s, x1s, dp0s, dm1s = cells.x0, cells.x1, cells.dp0, cells.dm1
+    fms, dmms, dpms, nxt = cells.fm, cells.dmm, cells.dpm, cells.nxt
+    heap = []  # (-width, slot): the widest cell first, ties to the older slot
+    running = 0.0  # sum of the finite cell widths; it only triggers the stop test
+    unbounded = 0  # cells of infinite width
+    for i in range(len(nodes) - 1):
+        x0, x1, dp0, dm1 = nodes[i], nodes[i + 1], rights[i], lefts[i + 1]
+        fm, dmm, dpm, w = midpoint(x0, x1, dp0, dm1)
+        cells.append(x0, x1, dp0, dm1, fm, dmm, dpm, i + 1 if i + 2 < len(nodes) else -1)
+        if w == INF:
+            unbounded += 1
+        else:
+            running += w
+        if w > 0.0:
+            heapq.heappush(heap, (-w, i))
+
+    while True:
+        if not unbounded and running <= tol:
+            result = cells.result()
+            if result.width <= tol:
+                return result
+            running = result.width
+        if len(nxt) >= max_cells or not heap:
+            break
+        neg_w, i = heap[0]
+        x0, x1 = x0s[i], x1s[i]
+        m = 0.5 * (x0 + x1)
+        if not x0 < 0.5 * (x0 + m) < m < 0.5 * (m + x1) < x1:
+            heapq.heappop(heap)  # too narrow to bisect in floating point
+            continue
+        dm1, dmm, dpm = dm1s[i], dmms[i], dpms[i]
+        fl, dml, dpl, wl = midpoint(x0, m, dp0s[i], dmm)
+        fr, dmr, dpr, wr = midpoint(m, x1, dpm, dm1)
+        j = len(nxt)
+        cells.append(m, x1, dpm, dm1, fr, dmr, dpr, nxt[i])
+        x1s[i], dm1s[i], fms[i], dmms[i], dpms[i], nxt[i] = m, dmm, fl, dml, dpl, j
+        if neg_w == -INF:
+            unbounded -= 1
+        else:
+            running += neg_w
+        for w in (wl, wr):
+            if w == INF:
+                unbounded += 1
+            else:
+                running += w
+        if wl > 0.0:
+            heapq.heapreplace(heap, (-wl, i))
+        else:
+            heapq.heappop(heap)
+        if wr > 0.0:
+            heapq.heappush(heap, (-wr, j))
+
+    del heap  # free the queue before the result's node arrays are built
+    best = cells.result()
     raise BudgetExceededError(
-        f"enclosure width {result.width:.3e} > tol {tol:.3e} after {result.cells} cells",
-        best=result,
+        f"enclosure width {best.width:.3e} > tol {tol:.3e} after {best.cells} cells",
+        best=best,
     )
+
+
+class _Cells:
+    """The adaptive integrator's cells, one slot each in parallel arrays.
+
+    A slot holds the nodes x0 < x1, the endpoint slopes f'+(x0) and
+    f'-(x1), f, f'- and f'+ at the midpoint, and the slot of the next cell
+    in node order (-1 after the last).  Slot 0 always starts at the lower
+    end of the domain.
+    """
+
+    __slots__ = ("x0", "x1", "dp0", "dm1", "fm", "dmm", "dpm", "nxt")
+
+    def __init__(self):
+        for name in self.__slots__[:-1]:
+            setattr(self, name, array("d"))
+        self.nxt = array("q")
+
+    def append(self, x0, x1, dp0, dm1, fm, dmm, dpm, nxt):
+        self.x0.append(x0)
+        self.x1.append(x1)
+        self.dp0.append(dp0)
+        self.dm1.append(dm1)
+        self.fm.append(fm)
+        self.dmm.append(dmm)
+        self.dpm.append(dpm)
+        self.nxt.append(nxt)
+
+    def result(self) -> QuadratureResult:
+        """The midpoint rule on the cells, summed in node order.
+
+        The per-cell terms are those of midpoint_rule.
+        """
+        x0s, x1s, fms, nxt = self.x0, self.x1, self.fm, self.nxt
+        dp0s, dm1s, dmms, dpms = self.dp0, self.dm1, self.dmm, self.dpm
+        nodes, tags = array("d"), array("d")
+        values, lo_terms, hi_terms = array("d"), array("d"), array("d")
+        i = 0
+        while i >= 0:
+            x0, x1 = x0s[i], x1s[i]
+            h = x1 - x0
+            h2 = h * h
+            nodes.append(x0)
+            tags.append(0.5 * (x0 + x1))
+            values.append(h * fms[i])
+            lo_terms.append(0.125 * h2 * (dpms[i] - dmms[i]))
+            hi_terms.append(0.125 * h2 * (dm1s[i] - dp0s[i]))
+            i = nxt[i]
+        nodes.append(x1)
+        remainder = Enclosure(xsum(lo_terms), xsum(hi_terms))
+        return QuadratureResult(estimate=xsum(values), remainder=remainder,
+                                cells=len(tags), partition=Partition(nodes, tags))

@@ -172,6 +172,14 @@ def test_exit_code_budget_exceeded(capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_exit_code_nonpositive_max_cells(capsys):
+    for cells in ("0", "-1"):
+        code = run(["integrate", "--fn", "exp(t)", "--a", "0", "--b", "1",
+                    "--max-cells", cells])
+        assert code == 2
+        assert "max_cells" in capsys.readouterr().err
+
+
 def test_exit_code_unbounded_slope(capsys):
     assert run(["integrate", "--fn=-sqrt(t)", "--a", "0", "--b", "1"]) == 2
 

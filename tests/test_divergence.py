@@ -119,6 +119,24 @@ def test_gap_bounds_worked_cases():
     assert hh_gap_bounds(kl_kernel(), P, P).as_tuple() == (0.0, 0.0)
 
 
+def test_gap_upper_bound_uses_cell_slopes_below_one():
+    # tv is affine on each cell between 1 and q_i/p_i, so the gap is 0 and
+    # the sharp bound is [0, 0]; the atom with q_i < p_i lives on [r, 1]
+    tv = total_variation_kernel()
+    assert hh_gap_bounds(tv, P, Q).as_tuple() == (0.0, 0.0)
+    true_gap = hh_divergence(tv, P, Q) - lin_wong_divergence(tv, P, Q)
+    assert true_gap == 0.0
+
+    # the worked cases against their true gaps, now with q_i < p_i atoms
+    # on both sides: swapping p and q mirrors every cell
+    for kernel in (chi_square_kernel(), shifted_abs_kernel(), tv):
+        for p, q in ((P, Q), (Q, P)):
+            enc = hh_gap_bounds(kernel, p, q)
+            gap = hh_divergence(kernel, p, q) - lin_wong_divergence(kernel, p, q)
+            assert enc.contains(gap, slack=1e-15)
+    assert hh_gap_bounds(chi_square_kernel(), Q, P).lo == 0.0
+
+
 def test_differentiable_kernels_have_zero_lower_gap():
     rng = random.Random(17)
     for kernel in (chi_square_kernel(), kl_kernel(), reverse_kl_kernel()):
@@ -130,16 +148,20 @@ def test_differentiable_kernels_have_zero_lower_gap():
 
 
 def test_upper_bound_shift_invariance():
-    # subtracting f'+(1) * sum(q - p) changes nothing for normalized weights
+    # sum(q - p) = 0, so the slopes at 1 enter only through their jump there
     rng = random.Random(19)
     for kernel in ALL_KERNELS:
+        jump_at_one = kernel.dplus(1.0) - kernel.dminus(1.0)
         for _ in range(15):
             size = rng.randint(2, 10)
             p = random_distribution(rng, size)
             q = random_distribution(rng, size)
             with_shift = hh_gap_bounds(kernel, p, q).hi
-            raw = 0.125 * math.fsum(
-                kernel.dminus(qi / pi) * (qi - pi) for pi, qi in zip(p, q)
+            inner = [kernel.dminus(qi / pi) if qi >= pi else kernel.dplus(qi / pi)
+                     for pi, qi in zip(p, q)]
+            raw = 0.125 * (
+                math.fsum(d * (qi - pi) for d, pi, qi in zip(inner, p, q))
+                - jump_at_one * math.fsum(pi - qi for pi, qi in zip(p, q) if qi < pi)
             )
             assert with_shift == pytest.approx(raw, abs=1e-12 * max(1.0, abs(raw)))
 

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from convex_enclose import catalog
-from convex_enclose.convex_core import Interval
+from convex_enclose.convex_core import ConvexFunction, Interval
 from convex_enclose.errors import (
     BudgetExceededError,
     DomainError,
@@ -241,3 +241,150 @@ def test_integrate_adaptive_errors():
     assert best is not None
     assert best.cells == 16
     assert best.integral_bounds.contains(math.e - 1.0)
+
+
+def _counted(f):
+    """A copy of f whose value and slope oracle calls are counted."""
+    calls = {"fn": 0, "slope": 0}
+
+    def counting(key, oracle):
+        def wrapped(t):
+            calls[key] += 1
+            return oracle(t)
+        return wrapped
+
+    g = ConvexFunction(domain=f.domain, fn=counting("fn", f.fn),
+                       dminus=counting("slope", f.dminus), dplus=counting("slope", f.dplus),
+                       kinks=f.kinks, name=f.name)
+    return g, calls
+
+
+def _ramps(centers, interval):
+    """sum of max(0, t - c): piecewise linear with a kink at every center."""
+    return ConvexFunction(
+        domain=interval,
+        fn=lambda t: math.fsum(max(0.0, t - c) for c in centers),
+        dminus=lambda t: float(sum(c < t for c in centers)),
+        dplus=lambda t: float(sum(c <= t for c in centers)),
+        kinks=tuple(centers),
+    )
+
+
+@pytest.mark.parametrize("f, tol, ceiling", [
+    (catalog.exponential(UNIT), 1e-8, 5000),
+    (catalog.abs_shift(0.3, UNIT), 1e-8, 2),
+    (catalog.neg_sqrt(Interval(1e-6, 1.0)), 1e-6, 600),
+    (catalog.power(-2.0, Interval(0.05, 4.0)), 1e-6, 16000),
+])
+def test_integrate_adaptive_cell_ceilings(f, tol, ceiling):
+    res = integrate_adaptive(f, tol)
+    assert res.width <= tol
+    assert res.cells <= ceiling
+    assert res.integral_bounds.contains(reference_integral(f).value, slack=1e-10)
+
+
+def test_integrate_adaptive_is_deterministic():
+    for f, tol in ((catalog.t_log_t(Interval(0.5, 2.0)), 1e-8),
+                   (catalog.power(-1.0, Interval(0.1, 3.0)), 1e-7),
+                   (catalog.shifted_square(0.2, UNIT), 1e-8)):
+        first = integrate_adaptive(f, tol)
+        second = integrate_adaptive(f, tol)
+        assert (first.estimate, first.remainder, first.cells) == \
+            (second.estimate, second.remainder, second.cells)
+        assert first.partition == second.partition
+
+
+def test_integrate_adaptive_containment_fuzz():
+    rng = random.Random(71)
+    for _ in range(50):
+        f = random_convex_case(rng, finite_slopes=True)
+        assert f.endpoint_slopes().both_finite
+        tol = 1e-7
+        res = integrate_adaptive(f, tol)
+        assert res.width <= tol
+        exact = reference_integral(f).value
+        assert res.integral_bounds.contains(exact, slack=1e-10 * max(1.0, abs(exact)))
+
+
+def test_integrate_adaptive_partition_is_valid():
+    f = catalog.power(-1.0, Interval(0.1, 3.0))
+    res = integrate_adaptive(f, 1e-6)
+    part = res.partition
+    assert part == Partition(part.nodes, part.tags)  # passes validation again
+    assert part.spans(f.domain)
+    assert part.cells == res.cells
+    assert part.tags == tuple(0.5 * (u + v) for u, v in zip(part.nodes, part.nodes[1:]))
+    assert len(set(part.widths)) > 1  # refined where the slope changes fastest
+    assert res.estimate == riemann_sum(f, part)
+    general = remainder_enclosure(f, part)
+    assert res.remainder.lo == pytest.approx(general.lo, rel=1e-12)
+    assert res.remainder.hi == pytest.approx(general.hi, rel=1e-12)
+
+
+def test_integrate_adaptive_seeds_kinks():
+    for f in (catalog.abs_shift(0.3, UNIT), catalog.hinge(0.7, Interval(-1.0, 2.0))):
+        res = integrate_adaptive(f, 1e-9)
+        assert f.kinks and set(f.kinks) <= set(res.partition.nodes)
+        assert res.cells == 2
+        assert res.width == 0.0
+    # a kink that is not seeded costs cells
+    unseeded = ConvexFunction(domain=UNIT, fn=lambda t: abs(t - 0.3),
+                              dminus=lambda t: -1.0 if t <= 0.3 else 1.0,
+                              dplus=lambda t: 1.0 if t >= 0.3 else -1.0)
+    assert integrate_adaptive(unseeded, 1e-9).cells > 2
+
+
+def test_integrate_adaptive_reuses_slopes():
+    # every cell is evaluated once at its midpoint (f and both slopes); the
+    # only other slopes are the two endpoint ones and both sides of each kink
+    for f in (catalog.exponential(UNIT), catalog.abs_shift(0.3, UNIT).scaled(2.0),
+              catalog.t_log_t(Interval(0.5, 2.0))):
+        g, calls = _counted(f)
+        res = integrate_adaptive(g, 1e-8)
+        seeded = len(f.kinks) + 1
+        assert calls["fn"] == 2 * res.cells - seeded
+        assert calls["slope"] == 2 * calls["fn"] + 2 + 2 * len(f.kinks)
+
+
+def test_integrate_adaptive_floating_point_resolution():
+    one_ulp = Interval(1.0, math.nextafter(1.0, 2.0))
+    with pytest.raises(PartitionError):
+        integrate_adaptive(catalog.exponential(one_ulp), 1e-30)
+    # two ulps: one cell, which cannot be bisected any further
+    two_ulps = Interval(1.0, math.nextafter(math.nextafter(1.0, 2.0), 2.0))
+    with pytest.raises(BudgetExceededError) as exc_info:
+        integrate_adaptive(catalog.exponential(two_ulps), 1e-300)
+    assert exc_info.value.best.cells == 1
+
+
+def test_integrate_adaptive_max_cells():
+    for bad in (0, -1):
+        with pytest.raises(DomainError):
+            integrate_adaptive(catalog.exponential(UNIT), 1e-6, max_cells=bad)
+    res = integrate_adaptive(catalog.exponential(UNIT), 0.25, max_cells=1)
+    assert res.cells == 1
+    with pytest.raises(BudgetExceededError) as exc_info:
+        integrate_adaptive(catalog.exponential(UNIT), 1e-6, max_cells=1)
+    assert exc_info.value.best.cells == 1
+
+    ramps = _ramps([0.05 + 0.1 * k for k in range(9)], UNIT)
+    res = integrate_adaptive(ramps, 1e-12, max_cells=10)
+    assert res.cells == 10
+    assert res.width == 0.0
+    for cap in (1, 4, 9):
+        with pytest.raises(BudgetExceededError) as exc_info:
+            integrate_adaptive(ramps, 1e-12, max_cells=cap)
+        best = exc_info.value.best
+        assert best.cells == cap
+        assert best.partition.spans(ramps.domain)
+        assert best.integral_bounds.contains(reference_integral(ramps).value, slack=1e-12)
+
+    # the first cells' widths overflow to inf; they are split first
+    huge = catalog.exponential(Interval(0.0, 709.0))
+    for cap, top in ((2, INF), (16, 8.5e307)):
+        with pytest.raises(BudgetExceededError) as exc_info:
+            integrate_adaptive(huge, 1e-3, max_cells=cap)
+        best = exc_info.value.best
+        assert best.cells == cap
+        assert best.integral_bounds.hi <= top
+        assert best.integral_bounds.contains(math.expm1(709.0))
