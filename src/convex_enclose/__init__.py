@@ -18,24 +18,17 @@ from .convex_core import (
 from .divergence import (
     KERNELS,
     DiscreteDistribution,
-    DivergenceKernel,
     HHSandwich,
-    chi_square_kernel,
     csiszar_divergence,
     hh_divergence,
     hh_gap_bounds,
     hh_sandwich,
     kernel_by_name,
-    kl_kernel,
     lin_wong_divergence,
-    reverse_kl_kernel,
-    shifted_abs_kernel,
-    total_variation_kernel,
 )
 from .errors import (
     BudgetExceededError,
     ConvexEncloseError,
-    DegenerateSlopesError,
     DomainError,
     ExpressionError,
     ExtendedArithmeticError,
@@ -74,12 +67,10 @@ from .pointwise import (
     Enclosure,
     best_evaluation_point,
     classical_ostrowski_bound,
-    differentiable_lower,
     hh_refinement,
     ostrowski_enclosure,
     ostrowski_lower,
     ostrowski_upper,
-    quadratic_form_upper,
     window_enclosure,
 )
 from .probability import (
@@ -98,11 +89,9 @@ from .quadrature import (
     DEFAULT_MAX_CELLS,
     Partition,
     QuadratureResult,
-    differentiable_lower_form,
     integrate_adaptive,
     midpoint_rule,
     remainder_enclosure,
-    remainder_upper_by_node,
     riemann_sum,
 )
 

@@ -7,7 +7,8 @@ round-trips are exact; infinities appear as the strings "inf"/"-inf"
 
 Exit codes: 0 success, 2 invalid input (parse failure, non-convex
 function, bad distribution, domain violations), 3 numerical failure
-(budget exceeded, oracle failure, internal inconsistency).
+(budget exceeded, oracle failure, internal inconsistency, floating-point
+overflow or division by zero).
 """
 
 from __future__ import annotations
@@ -70,6 +71,7 @@ _NUMERICAL_ERRORS = (
     OracleFailureError,
     InternalInconsistencyError,
     ExtendedArithmeticError,
+    ArithmeticError,
 )
 
 

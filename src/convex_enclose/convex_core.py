@@ -85,20 +85,18 @@ class EndpointSlopes:
         return math.isfinite(self.at_lo) and math.isfinite(self.at_hi)
 
 
-def _one_sided_quotient_limit(fn, t, span, limit, sign):
-    """Limit of one-sided difference quotients of a convex function.
+def _one_sided_limit(g, t, span, limit, sign):
+    """Limit of a monotone g(s) as s tends to t from the side of ``limit``.
 
-    For convex f the quotient (f(t + h) - f(t)) / h is nondecreasing in h,
-    so shrinking h approaches the one-sided derivative monotonically.
-    Steps are halved from span/16 and stop when successive quotients
-    stabilize, when their differences start growing again after nearly
-    stabilizing (the floating-point noise floor), or after 40 halvings.
-    Divergent sequences (a vertical tangent) run the full 40 halvings and
-    return a quotient of large magnitude.
+    g is a difference quotient (f(s) - f(t)) / (s - t) of a convex f, or a
+    monotone density.  Steps are halved from span/16 and stop when
+    successive values stabilize, when their differences start growing
+    again after nearly stabilizing (the floating-point noise floor), or
+    after 40 halvings.  Divergent sequences (a vertical tangent) run the
+    full 40 halvings and return a value of large magnitude.
     """
-    f0 = fn(t)
     h = min(span / 16.0, abs(limit - t))
-    prev_q = None
+    prev = None
     prev_d = None
     for _ in range(_MAX_HALVINGS + 1):
         s = t + sign * h
@@ -106,18 +104,18 @@ def _one_sided_quotient_limit(fn, t, span, limit, sign):
             s = limit
         if s == t:
             break
-        q = (fn(s) - f0) / (s - t)
-        if prev_q is not None:
-            d = abs(q - prev_q)
-            scale = max(1.0, abs(q))
+        v = g(s)
+        if prev is not None:
+            d = abs(v - prev)
+            scale = max(1.0, abs(v))
             if d <= _CONVERGENCE_ABS * scale:
-                return q
+                return v
             if prev_d is not None and d > prev_d and prev_d <= _NOISE_FLOOR_REL * scale:
-                return prev_q
+                return prev
             prev_d = d
-        prev_q = q
+        prev = v
         h *= 0.5
-    return prev_q
+    return prev
 
 
 @dataclass(frozen=True)
@@ -165,9 +163,7 @@ class ConvexFunction:
             raise DomainError(f"t={t} outside domain [{self.domain.lo}, {self.domain.hi}]")
         if self.dplus is not None:
             return ensure_extended(self.dplus(t))
-        return ensure_extended(
-            _one_sided_quotient_limit(self.fn, t, self.domain.width, self.domain.hi, +1)
-        )
+        return ensure_extended(self._sampled_slope(t, self.domain.hi, +1))
 
     def left_derivative(self, t: float) -> float:
         """f'-(t) for t in (lo, hi]; may be +inf at t = hi."""
@@ -177,9 +173,14 @@ class ConvexFunction:
             raise DomainError(f"t={t} outside domain [{self.domain.lo}, {self.domain.hi}]")
         if self.dminus is not None:
             return ensure_extended(self.dminus(t))
-        return ensure_extended(
-            _one_sided_quotient_limit(self.fn, t, self.domain.width, self.domain.lo, -1)
-        )
+        return ensure_extended(self._sampled_slope(t, self.domain.lo, -1))
+
+    def _sampled_slope(self, t: float, limit: float, sign: int) -> float:
+        """Limit of the difference quotients at t towards ``limit``."""
+        fn = self.fn
+        f0 = fn(t)
+        return _one_sided_limit(lambda s: (fn(s) - f0) / (s - t), t, self.domain.width,
+                                limit, sign)
 
     def endpoint_slopes(self) -> EndpointSlopes:
         return EndpointSlopes(

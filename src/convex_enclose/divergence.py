@@ -1,7 +1,8 @@
 """Divergences of finite discrete distributions built from convex kernels.
 
-A normalized convex kernel f (f(1) = 0) on the positive axis induces, for
-strictly positive probability vectors p and q over the same alphabet:
+A kernel is a ConvexFunction f on the positive axis with f(1) = 0.  For
+strictly positive probability vectors p and q over the same alphabet it
+induces
 
   csiszar:   sum p_i f(q_i / p_i)
   lin_wong:  sum p_i f((p_i + q_i) / (2 p_i))        (kernel at the mixture)
@@ -12,6 +13,10 @@ is itself enclosed two-sidedly: the lower bound collects the kernel's kink
 jumps at the mixture ratios (zero for differentiable kernels), the upper
 bound its slope increase across each cell between 1 and the raw ratio.
 
+KERNELS holds the named kernels, catalog functions on POSITIVE_AXIS.  A
+custom kernel is any ConvexFunction whose domain holds 1 and every q_i/p_i;
+without an antiderivative its per-atom means come from certified quadrature.
+
 Counting measure on a finite alphabet only; zero weights are rejected
 because q_i/p_i and the per-atom mean degenerate there.
 """
@@ -19,9 +24,10 @@ because q_i/p_i and the per-atom mean degenerate there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+import sys
+from dataclasses import dataclass, replace
 
+from . import catalog
 from .convex_core import ConvexFunction, Interval
 from .errors import InternalInconsistencyError, InvalidDistributionError
 from .extreal import xsum
@@ -64,147 +70,66 @@ def _require_same_length(p: DiscreteDistribution, q: DiscreteDistribution):
         )
 
 
-@dataclass(frozen=True)
-class DivergenceKernel:
-    """Convex kernel on (0, inf), normalized so fn(1) == 0.
-
-    The optional antiderivative gives closed-form per-atom means; kernels
-    without one fall back to certified quadrature.
-    """
-
-    name: str
-    fn: Callable[[float], float] = field(repr=False)
-    dminus: Callable[[float], float] = field(repr=False)
-    dplus: Callable[[float], float] = field(repr=False)
-    antiderivative: Optional[Callable[[float], float]] = field(default=None, repr=False)
-    kinks: tuple = ()
-
-    def __post_init__(self):
-        if abs(self.fn(1.0)) > 1e-12:
-            raise ValueError(f"kernel {self.name!r} must vanish at 1")
-
-    def on_interval(self, lo: float, hi: float) -> ConvexFunction:
-        """The kernel as a ConvexFunction on [lo, hi] in (0, inf)."""
-        return ConvexFunction(
-            domain=Interval(lo, hi),
-            fn=self.fn,
-            dminus=self.dminus,
-            dplus=self.dplus,
-            antiderivative=self.antiderivative,
-            kinks=tuple(k for k in self.kinks if lo < k < hi),
-            name=self.name,
-        )
-
-    def mean_from_one(self, r: float) -> float:
-        """(1/(r-1)) * integral of the kernel from 1 to r; 0 at r = 1."""
-        if r == 1.0:
-            return 0.0
-        if self.antiderivative is not None:
-            return (self.antiderivative(r) - self.antiderivative(1.0)) / (r - 1.0)
-        lo, hi = (1.0, r) if r > 1.0 else (r, 1.0)
-        result = integrate_adaptive(self.on_interval(lo, hi), tol=_INNER_TOL)
-        integral = result.estimate + 0.5 * (result.remainder.lo + result.remainder.hi)
-        signed = integral if r > 1.0 else -integral
-        return signed / (r - 1.0)
-
-
-def chi_square_kernel() -> DivergenceKernel:
-    """(t - 1)^2."""
-    return DivergenceKernel(
-        name="chi2",
-        fn=lambda t: (t - 1.0) ** 2,
-        dminus=lambda t: 2.0 * (t - 1.0),
-        dplus=lambda t: 2.0 * (t - 1.0),
-        antiderivative=lambda t: (t - 1.0) ** 3 / 3.0,
-    )
-
-
-def kl_kernel() -> DivergenceKernel:
-    """t ln t."""
-    return DivergenceKernel(
-        name="kl",
-        fn=lambda t: t * math.log(t),
-        dminus=lambda t: math.log(t) + 1.0,
-        dplus=lambda t: math.log(t) + 1.0,
-        antiderivative=lambda t: 0.5 * t * t * math.log(t) - 0.25 * t * t,
-    )
-
-
-def total_variation_kernel() -> DivergenceKernel:
-    """|t - 1|."""
-    return DivergenceKernel(
-        name="tv",
-        fn=lambda t: abs(t - 1.0),
-        dminus=lambda t: -1.0 if t <= 1.0 else 1.0,
-        dplus=lambda t: 1.0 if t >= 1.0 else -1.0,
-        antiderivative=lambda t: 0.5 * (t - 1.0) * abs(t - 1.0),
-        kinks=(1.0,),
-    )
-
-
-def reverse_kl_kernel() -> DivergenceKernel:
-    """-ln t + t - 1."""
-    return DivergenceKernel(
-        name="reverse_kl",
-        fn=lambda t: -math.log(t) + t - 1.0,
-        dminus=lambda t: 1.0 - 1.0 / t,
-        dplus=lambda t: 1.0 - 1.0 / t,
-        antiderivative=lambda t: 0.5 * t * t - t * math.log(t),
-    )
-
-
-def shifted_abs_kernel() -> DivergenceKernel:
-    """|t - 5/4| - 1/4 (kinked and sign-changing, yet normalized)."""
-    return DivergenceKernel(
-        name="shifted_abs",
-        fn=lambda t: abs(t - 1.25) - 0.25,
-        dminus=lambda t: -1.0 if t <= 1.25 else 1.0,
-        dplus=lambda t: 1.0 if t >= 1.25 else -1.0,
-        antiderivative=lambda t: 0.5 * (t - 1.25) * abs(t - 1.25) - 0.25 * t,
-        kinks=(1.25,),
-    )
-
+POSITIVE_AXIS = Interval(math.ulp(0.0), sys.float_info.max)
 
 KERNELS = {
-    "chi2": chi_square_kernel,
-    "kl": kl_kernel,
-    "tv": total_variation_kernel,
-    "reverse_kl": reverse_kl_kernel,
-    "shifted_abs": shifted_abs_kernel,
+    name: replace(f, name=name)
+    for name, f in (
+        ("chi2", catalog.shifted_square(1.0, POSITIVE_AXIS)),  # (t - 1)^2
+        ("kl", catalog.t_log_t(POSITIVE_AXIS)),  # t ln t
+        ("tv", catalog.abs_shift(1.0, POSITIVE_AXIS)),  # |t - 1|
+        ("reverse_kl", catalog.neg_log(POSITIVE_AXIS).add_affine(-1.0, 1.0)),  # -ln t + t - 1
+        # |t - 5/4| - 1/4: kinked and sign-changing, yet normalized
+        ("shifted_abs", catalog.abs_shift(1.25, POSITIVE_AXIS).add_affine(-0.25, 0.0)),
+    )
 }
 
 
-def kernel_by_name(name: str) -> DivergenceKernel:
+def kernel_by_name(name: str) -> ConvexFunction:
     try:
-        return KERNELS[name]()
+        return KERNELS[name]
     except KeyError:
         raise ValueError(f"unknown kernel {name!r}; choose from {sorted(KERNELS)}") from None
 
 
-def csiszar_divergence(kernel: DivergenceKernel, p: DiscreteDistribution,
+def csiszar_divergence(kernel: ConvexFunction, p: DiscreteDistribution,
                        q: DiscreteDistribution) -> float:
     """sum p_i f(q_i / p_i)."""
     _require_same_length(p, q)
     return math.fsum(pi * kernel.fn(qi / pi) for pi, qi in zip(p, q))
 
 
-def lin_wong_divergence(kernel: DivergenceKernel, p: DiscreteDistribution,
+def lin_wong_divergence(kernel: ConvexFunction, p: DiscreteDistribution,
                         q: DiscreteDistribution) -> float:
     """The kernel divergence of p against the even mixture (p + q)/2."""
     _require_same_length(p, q)
     return math.fsum(pi * kernel.fn((pi + qi) / (2.0 * pi)) for pi, qi in zip(p, q))
 
 
-def hh_divergence(kernel: DivergenceKernel, p: DiscreteDistribution,
+def hh_divergence(kernel: ConvexFunction, p: DiscreteDistribution,
                   q: DiscreteDistribution) -> float:
     """sum p_i * (integral mean of the kernel between 1 and q_i/p_i).
 
     Atoms with q_i = p_i contribute their limit 0 (the inner mean tends
-    to f(1) = 0).  Inner integrals use the kernel's closed form when
+    to f(1) = 0).  Inner integrals use the kernel's antiderivative when
     available, else certified quadrature at tolerance 1e-12.
     """
     _require_same_length(p, q)
-    return math.fsum(pi * kernel.mean_from_one(qi / pi) for pi, qi in zip(p, q))
+    anti = kernel.antiderivative
+    at_one = None if anti is None else anti(1.0)
+
+    def mean_from_one(r):
+        if r == 1.0:
+            return 0.0
+        if anti is not None:
+            return (anti(r) - at_one) / (r - 1.0)
+        lo, hi = (1.0, r) if r > 1.0 else (r, 1.0)
+        result = integrate_adaptive(replace(kernel, domain=Interval(lo, hi)), tol=_INNER_TOL)
+        integral = result.estimate + 0.5 * (result.remainder.lo + result.remainder.hi)
+        signed = integral if r > 1.0 else -integral
+        return signed / (r - 1.0)
+
+    return math.fsum(pi * mean_from_one(qi / pi) for pi, qi in zip(p, q))
 
 
 @dataclass(frozen=True)
@@ -214,13 +139,16 @@ class HHSandwich:
     half_csiszar: float
 
 
-def hh_sandwich(kernel: DivergenceKernel, p: DiscreteDistribution,
+def hh_sandwich(kernel: ConvexFunction, p: DiscreteDistribution,
                 q: DiscreteDistribution) -> HHSandwich:
     """The ordered triple  lin_wong <= hh <= csiszar / 2  (asserted).
 
-    A violation beyond numerical slack means the kernel is not convex or
-    not normalized and raises InternalInconsistencyError.
+    Raises ValueError when the kernel does not vanish at 1.  A violation
+    beyond numerical slack means the kernel is not convex and raises
+    InternalInconsistencyError.
     """
+    if abs(kernel.fn(1.0)) > 1e-12:
+        raise ValueError(f"kernel {kernel.name!r} must vanish at 1")
     lw = lin_wong_divergence(kernel, p, q)
     hh = hh_divergence(kernel, p, q)
     half = 0.5 * csiszar_divergence(kernel, p, q)
@@ -233,7 +161,7 @@ def hh_sandwich(kernel: DivergenceKernel, p: DiscreteDistribution,
     return HHSandwich(lin_wong=lw, hh=hh, half_csiszar=half)
 
 
-def hh_gap_bounds(kernel: DivergenceKernel, p: DiscreteDistribution,
+def hh_gap_bounds(kernel: ConvexFunction, p: DiscreteDistribution,
                   q: DiscreteDistribution) -> Enclosure:
     """Certified enclosure of  hh - lin_wong.
 
@@ -245,19 +173,22 @@ def hh_gap_bounds(kernel: DivergenceKernel, p: DiscreteDistribution,
     upper = (1/8) sum [f'-(x1) - f'+(x0)] |q_i - p_i|  on the cell [x0, x1],
             that is [1, r_i] when q_i >= p_i and [r_i, 1] when q_i < p_i.
 
-    The lower bound is >= 0 and vanishes for differentiable kernels.
+    The lower bound is >= 0 and vanishes for differentiable kernels.  A
+    kernel without closed-form slopes gets sampled ones.
     """
     _require_same_length(p, q)
-    d_minus_one = kernel.dminus(1.0)
-    d_plus_one = kernel.dplus(1.0)
+    dminus = kernel.dminus or kernel.left_derivative
+    dplus = kernel.dplus or kernel.right_derivative
+    d_minus_one = dminus(1.0)
+    d_plus_one = dplus(1.0)
     lo_terms = []
     hi_terms = []
     for pi, qi in zip(p, q):
         mid = (pi + qi) / (2.0 * pi)
-        lo_terms.append((kernel.dplus(mid) - kernel.dminus(mid)) * abs(qi - pi))
+        lo_terms.append((dplus(mid) - dminus(mid)) * abs(qi - pi))
         r = qi / pi
         if qi >= pi:
-            hi_terms.append((kernel.dminus(r) - d_plus_one) * (qi - pi))
+            hi_terms.append((dminus(r) - d_plus_one) * (qi - pi))
         else:
-            hi_terms.append((d_minus_one - kernel.dplus(r)) * (pi - qi))
+            hi_terms.append((d_minus_one - dplus(r)) * (pi - qi))
     return Enclosure(0.125 * xsum(lo_terms), 0.125 * xsum(hi_terms))

@@ -17,10 +17,6 @@ class NotDifferentiableError(ConvexEncloseError):
     """Left and right derivatives disagree where a two-sided one is needed."""
 
 
-class DegenerateSlopesError(ConvexEncloseError):
-    """The endpoint slopes coincide, so the quadratic form is undefined."""
-
-
 class UnboundedSlopeError(ConvexEncloseError):
     """An endpoint slope is infinite where a finite one is required."""
 

@@ -102,6 +102,8 @@ def special_means(a: float, b: float, p: float) -> SpecialMeans:
     a = float(a)
     b = float(b)
     p = float(p)
+    if not all(map(math.isfinite, (a, b, p))):
+        raise DomainError("special means need finite a, b and p")
     if not 0.0 < a < b:
         raise DomainError("special means need 0 < a < b")
     if p == -1.0 or p == 0.0:

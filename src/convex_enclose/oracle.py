@@ -9,6 +9,7 @@ containment tests against it are non-circular.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -20,6 +21,7 @@ ADAPTIVE_SIMPSON = "adaptive-simpson"
 
 _MAX_DEPTH = 60
 _DEFAULT_REL = 1e-13
+_ROUNDING_REL = 64.0 * sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -47,8 +49,11 @@ def _adaptive(fn, a, b, fa, fm, fb, whole, tol, floor, depth):
     delta = left + right - whole
     if abs(delta) <= 15.0 * tol:
         return left + right + delta / 15.0, abs(delta) / 15.0
-    if depth <= 0:
+    if depth <= 0 or not math.isfinite(delta):
         raise OracleFailureError(f"adaptive Simpson did not converge on [{a}, {b}]")
+    if abs(delta) <= _ROUNDING_REL * (abs(left) + abs(right)):
+        # only rounding noise is left; refining would split down to the depth limit
+        return left + right + delta / 15.0, abs(delta) / 15.0
     # the child tolerance never drops below the rounding floor, else
     # integrable endpoint singularities would recurse without limit
     child_tol = max(0.5 * tol, floor)
@@ -131,7 +136,7 @@ def brute_force_hh(kernel, p, q, tol: float = 1e-12) -> float:
         if r == 1.0:
             continue
         lo, hi = (1.0, r) if r > 1.0 else (r, 1.0)
-        piece = reference_integral(kernel.on_interval(lo, hi), tol=tol, method=ADAPTIVE_SIMPSON)
+        piece = reference_integral(kernel, Interval(lo, hi), tol=tol, method=ADAPTIVE_SIMPSON)
         signed = piece.value if r > 1.0 else -piece.value
         terms.append(pi * signed / (r - 1.0))
     return math.fsum(terms)

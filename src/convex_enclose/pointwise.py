@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 from .convex_core import ConvexFunction
 from .errors import (
-    DegenerateSlopesError,
     DomainError,
     InternalInconsistencyError,
     UnboundedSlopeError,
@@ -118,16 +117,6 @@ def hh_refinement(f: ConvexFunction) -> Enclosure:
     return Enclosure(lo, hi)
 
 
-def differentiable_lower(f: ConvexFunction, x: float) -> float:
-    """Lower bound ((a+b)/2 - x) * f'(x) for the mean gap mean(f) - f(x).
-
-    Requires f differentiable at x (left and right slopes agree)."""
-    if not f.domain.strictly_contains(x):
-        raise DomainError("requires a strictly interior x")
-    d = f.derivative(x)
-    return (f.domain.midpoint - x) * d
-
-
 def window_enclosure(f: ConvexFunction, x: float, h: float) -> Enclosure:
     """Enclosure of  integral over [x-h/2, x+h/2]  -  h * f(x).
 
@@ -150,27 +139,6 @@ def window_enclosure(f: ConvexFunction, x: float, h: float) -> Enclosure:
     hi_slope = xsub(f.left_derivative(w_hi), f.right_derivative(w_lo))
     hi = INF if math.isinf(hi_slope) else 0.125 * h * h * hi_slope
     return Enclosure(lo, hi)
-
-
-def quadratic_form_upper(f: ConvexFunction, x: float) -> float:
-    """The endpoint-slope upper bound rewritten as a quadratic in x.
-
-    With A = f'+(a), B = f'-(b), x0 = (bB - aA)/(B - A), returns
-    (1/2)(B - A)[(x - x0)^2 - AB (b-a)^2 / (B-A)^2], which equals
-    ostrowski_upper identically.  Requires finite A != B.
-    """
-    if not f.domain.contains(x):
-        raise DomainError(f"x={x} outside domain")
-    slopes = f.endpoint_slopes()
-    if not slopes.both_finite:
-        raise UnboundedSlopeError("quadratic form needs finite endpoint slopes")
-    a_slope, b_slope = slopes.at_lo, slopes.at_hi
-    if b_slope == a_slope:
-        raise DegenerateSlopesError("endpoint slopes coincide (affine case); use ostrowski_upper")
-    a, b = f.domain.lo, f.domain.hi
-    spread = b_slope - a_slope
-    x0 = (b * b_slope - a * a_slope) / spread
-    return 0.5 * spread * ((x - x0) ** 2 - a_slope * b_slope * (b - a) ** 2 / spread**2)
 
 
 def best_evaluation_point(f: ConvexFunction):

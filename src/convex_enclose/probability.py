@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .convex_core import ConvexFunction, Interval, _one_sided_quotient_limit
+from .convex_core import ConvexFunction, Interval, _one_sided_limit
 from .errors import DomainError, InconsistentModelError
 from .extreal import INF, xsub
 from .oracle import integrate_callable, reference_integral
@@ -181,12 +181,12 @@ def model_from_density(fn, a: float, b: float, tol: float = 1e-10,
     def density_left(t):
         if t == sup.lo:
             raise DomainError("no left limit at the lower endpoint")
-        return _one_sided_value_limit(fn, t, span, sup.lo, -1)
+        return _one_sided_limit(fn, t, span, sup.lo, -1)
 
     def density_right(t):
         if t == sup.hi:
             raise DomainError("no right limit at the upper endpoint")
-        return _one_sided_value_limit(fn, t, span, sup.hi, +1)
+        return _one_sided_limit(fn, t, span, sup.hi, +1)
 
     def cdf_fn(x):
         if x == sup.lo:
@@ -202,32 +202,6 @@ def model_from_density(fn, a: float, b: float, tol: float = 1e-10,
         support=sup, density=fn, density_left=density_left, density_right=density_right,
         cdf=cdf, expectation=expectation, name=name or "sampled density",
     ))
-
-
-def _one_sided_value_limit(fn, t, span, limit, sign):
-    # One-sided limits of a monotone function: the quotient machinery on
-    # raw values instead of difference quotients.
-    h = min(span / 16.0, abs(limit - t))
-    prev = None
-    prev_d = None
-    for _ in range(41):
-        s = t + sign * h
-        if (sign > 0 and s > limit) or (sign < 0 and s < limit):
-            s = limit
-        if s == t:
-            break
-        v = fn(s)
-        if prev is not None:
-            d = abs(v - prev)
-            scale = max(1.0, abs(v))
-            if d <= 1e-9 * scale:
-                return v
-            if prev_d is not None and d > prev_d and prev_d <= 1e-6 * scale:
-                return prev
-            prev_d = d
-        prev = v
-        h *= 0.5
-    return prev
 
 
 def cdf_gap_enclosure(m: RandomVariableModel, x: float) -> Enclosure:

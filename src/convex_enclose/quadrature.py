@@ -143,45 +143,6 @@ def remainder_enclosure(f: ConvexFunction, partition: Partition) -> Enclosure:
     return Enclosure(xmul(0.5, xsum(lo_terms)), xmul(0.5, xsum(hi_terms)))
 
 
-def remainder_upper_by_node(f: ConvexFunction, partition: Partition) -> float:
-    """The upper remainder bound regrouped by node instead of by cell.
-
-    Algebraically identical to remainder_enclosure's upper bound; exposed
-    so the regrouping can be verified numerically.
-    """
-    _require_spanning(f, partition)
-    nodes, tags = partition.nodes, partition.tags
-    a, b = nodes[0], nodes[-1]
-    terms = []
-    w_last = (b - tags[-1]) ** 2
-    if w_last > 0.0:
-        terms.append(xmul(w_last, f.left_derivative(b)))
-    for i in range(1, len(nodes) - 1):
-        w_in = (nodes[i] - tags[i - 1]) ** 2
-        if w_in > 0.0:
-            terms.append(xmul(w_in, f.left_derivative(nodes[i])))
-        w_out = (tags[i] - nodes[i]) ** 2
-        if w_out > 0.0:
-            terms.append(xmul(-w_out, f.right_derivative(nodes[i])))
-    w_first = (tags[0] - a) ** 2
-    if w_first > 0.0:
-        terms.append(xmul(-w_first, f.right_derivative(a)))
-    return xmul(0.5, xsum(terms))
-
-
-def differentiable_lower_form(f: ConvexFunction, partition: Partition) -> float:
-    """Lower remainder bound  sum ((x_i + x_i+1)/2 - xi_i) h_i f'(xi_i).
-
-    Valid when f is differentiable at every tag; equals the general lower
-    bound there.  Raises NotDifferentiableError at a kinked tag.
-    """
-    _require_spanning(f, partition)
-    return xsum(
-        (0.5 * (x0 + x1) - xi) * (x1 - x0) * f.derivative(xi)
-        for x0, x1, xi in partition.iter_cells()
-    )
-
-
 def midpoint_rule(f: ConvexFunction, n: int) -> QuadratureResult:
     """Uniform midpoint rule with a certified remainder enclosure.
 

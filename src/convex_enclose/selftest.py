@@ -138,8 +138,7 @@ def run_self_test(seed: int = 0) -> dict:
 
     failures = 0
     cases = 80
-    kernels = [divergence.chi_square_kernel(), divergence.kl_kernel(),
-               divergence.total_variation_kernel(), divergence.reverse_kl_kernel()]
+    kernels = [divergence.KERNELS[name] for name in ("chi2", "kl", "tv", "reverse_kl")]
     for _ in range(cases):
         size = rng.randint(2, 12)
         p = random_distribution(rng, size)

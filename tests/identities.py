@@ -1,0 +1,85 @@
+"""Algebraic rewrites of the library's bounds, kept only to test them.
+
+Each function restates a certified bound in a second closed form (grouped
+by node instead of by cell, or specialized to differentiable functions).
+The tests check that both forms agree, which pins the algebra of the
+bounds without putting the rewrites in the public API.
+"""
+
+from convex_enclose.convex_core import ConvexFunction
+from convex_enclose.errors import ConvexEncloseError, DomainError, UnboundedSlopeError
+from convex_enclose.extreal import xmul, xsum
+from convex_enclose.quadrature import Partition, _require_spanning
+
+
+class DegenerateSlopesError(ConvexEncloseError):
+    """The endpoint slopes coincide, so the quadratic form is undefined."""
+
+
+def remainder_upper_by_node(f: ConvexFunction, partition: Partition) -> float:
+    """The upper remainder bound regrouped by node instead of by cell.
+
+    Algebraically identical to remainder_enclosure's upper bound.
+    """
+    _require_spanning(f, partition)
+    nodes, tags = partition.nodes, partition.tags
+    a, b = nodes[0], nodes[-1]
+    terms = []
+    w_last = (b - tags[-1]) ** 2
+    if w_last > 0.0:
+        terms.append(xmul(w_last, f.left_derivative(b)))
+    for i in range(1, len(nodes) - 1):
+        w_in = (nodes[i] - tags[i - 1]) ** 2
+        if w_in > 0.0:
+            terms.append(xmul(w_in, f.left_derivative(nodes[i])))
+        w_out = (tags[i] - nodes[i]) ** 2
+        if w_out > 0.0:
+            terms.append(xmul(-w_out, f.right_derivative(nodes[i])))
+    w_first = (tags[0] - a) ** 2
+    if w_first > 0.0:
+        terms.append(xmul(-w_first, f.right_derivative(a)))
+    return xmul(0.5, xsum(terms))
+
+
+def differentiable_lower_form(f: ConvexFunction, partition: Partition) -> float:
+    """Lower remainder bound  sum ((x_i + x_i+1)/2 - xi_i) h_i f'(xi_i).
+
+    Valid when f is differentiable at every tag; equals the general lower
+    bound there.  Raises NotDifferentiableError at a kinked tag.
+    """
+    _require_spanning(f, partition)
+    return xsum(
+        (0.5 * (x0 + x1) - xi) * (x1 - x0) * f.derivative(xi)
+        for x0, x1, xi in partition.iter_cells()
+    )
+
+
+def differentiable_lower(f: ConvexFunction, x: float) -> float:
+    """Lower bound ((a+b)/2 - x) * f'(x) for the mean gap mean(f) - f(x).
+
+    Requires f differentiable at x (left and right slopes agree)."""
+    if not f.domain.strictly_contains(x):
+        raise DomainError("requires a strictly interior x")
+    d = f.derivative(x)
+    return (f.domain.midpoint - x) * d
+
+
+def quadratic_form_upper(f: ConvexFunction, x: float) -> float:
+    """The endpoint-slope upper bound rewritten as a quadratic in x.
+
+    With A = f'+(a), B = f'-(b), x0 = (bB - aA)/(B - A), returns
+    (1/2)(B - A)[(x - x0)^2 - AB (b-a)^2 / (B-A)^2], which equals
+    ostrowski_upper identically.  Requires finite A != B.
+    """
+    if not f.domain.contains(x):
+        raise DomainError(f"x={x} outside domain")
+    slopes = f.endpoint_slopes()
+    if not slopes.both_finite:
+        raise UnboundedSlopeError("quadratic form needs finite endpoint slopes")
+    a_slope, b_slope = slopes.at_lo, slopes.at_hi
+    if b_slope == a_slope:
+        raise DegenerateSlopesError("endpoint slopes coincide (affine case); use ostrowski_upper")
+    a, b = f.domain.lo, f.domain.hi
+    spread = b_slope - a_slope
+    x0 = (b * b_slope - a * a_slope) / spread
+    return 0.5 * spread * ((x - x0) ** 2 - a_slope * b_slope * (b - a) ** 2 / spread**2)

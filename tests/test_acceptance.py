@@ -13,15 +13,11 @@ import pytest
 from convex_enclose import catalog
 from convex_enclose.convex_core import Interval
 from convex_enclose.divergence import (
-    chi_square_kernel,
     hh_divergence,
     hh_gap_bounds,
     hh_sandwich,
-    kl_kernel,
+    kernel_by_name,
     lin_wong_divergence,
-    reverse_kl_kernel,
-    shifted_abs_kernel,
-    total_variation_kernel,
 )
 from convex_enclose.means import mean_comparison
 from convex_enclose.oracle import ADAPTIVE_SIMPSON, reference_integral
@@ -40,11 +36,9 @@ from convex_enclose.probability import (
     uniform_model,
 )
 from convex_enclose.quadrature import (
-    differentiable_lower_form,
     integrate_adaptive,
     midpoint_rule,
     remainder_enclosure,
-    remainder_upper_by_node,
     riemann_sum,
 )
 from convex_enclose.selftest import (
@@ -54,6 +48,7 @@ from convex_enclose.selftest import (
     random_partition,
     random_positive_interval,
 )
+from identities import differentiable_lower_form, remainder_upper_by_node
 
 UNIT = Interval(0.0, 1.0)
 
@@ -221,8 +216,7 @@ def test_criterion_8_probability_enclosures():
 
 def test_criterion_9_divergence_sandwich_and_gap():
     rng = random.Random(2030)
-    kernels = [chi_square_kernel(), kl_kernel(), total_variation_kernel(),
-               reverse_kl_kernel()]
+    kernels = [kernel_by_name(name) for name in ("chi2", "kl", "tv", "reverse_kl")]
     for _ in range(500):
         size = rng.randint(2, 16)
         p = random_distribution(rng, size)
@@ -240,7 +234,7 @@ def test_criterion_9_divergence_sandwich_and_gap():
 
     p = DiscreteDistribution((0.5, 0.5))
     q = DiscreteDistribution((0.25, 0.75))
-    chi2 = chi_square_kernel()
+    chi2 = kernel_by_name("chi2")
     assert rel_close(csiszar_divergence(chi2, p, q), 0.25, 1e-12)
     assert rel_close(lin_wong_divergence(chi2, p, q), 0.0625, 1e-12)
     assert rel_close(hh_divergence(chi2, p, q), 1.0 / 12.0, 1e-12)
@@ -248,7 +242,7 @@ def test_criterion_9_divergence_sandwich_and_gap():
     assert bounds.lo == 0.0
     assert rel_close(bounds.hi, 0.0625, 1e-12)
 
-    shifted = shifted_abs_kernel()
+    shifted = kernel_by_name("shifted_abs")
     gap = hh_divergence(shifted, p, q) - lin_wong_divergence(shifted, p, q)
     assert rel_close(gap, 1.0 / 16.0, 1e-12)
     tight = hh_gap_bounds(shifted, p, q)

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convex_enclose.cli import run
+from convex_enclose.divergence import KERNELS
 
 
 def run_json(capsys, argv):
@@ -184,6 +189,36 @@ def test_exit_code_unbounded_slope(capsys):
     assert run(["integrate", "--fn=-sqrt(t)", "--a", "0", "--b", "1"]) == 2
 
 
+def test_exit_code_overflow_in_bound_formula(capsys):
+    # (b - x)^2 overflows in the pointwise bounds
+    assert run(["enclose", "--fn", "abs(t)", "--a=-1e200", "--b", "1e200", "--x", "1"]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
+def test_exit_code_division_by_zero_in_baseline(capsys):
+    # (b - a)^2 underflows to 0 in the classical baseline
+    assert run(["enclose", "--fn", "t^2", "--a", "0", "--b", "1e-300", "--x", "5e-301"]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
+def test_exit_code_overflow_in_special_means(capsys):
+    assert run(["special-means", "--a=1e-300", "--b=1e300", "--p=2"]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
+def test_exit_code_density_integral_overflow(capsys):
+    # the Simpson panels overflow to inf - inf; the oracle fails at once
+    assert run(["prob", "--density=2*t", "--a=-1e200", "--b=0.5"]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
+def test_exit_code_non_finite_special_means(capsys):
+    for a, b, p in (("1", "2", "nan"), ("1", "2", "inf"), ("1", "inf", "2"),
+                    ("nan", "2", "2")):
+        assert run(["special-means", f"--a={a}", f"--b={b}", f"--p={p}"]) == 2
+        assert "invalid input" in capsys.readouterr().err
+
+
 def test_no_command_prints_usage(capsys):
     assert run([]) == 2
     assert "usage" in capsys.readouterr().err
@@ -197,3 +232,69 @@ def test_self_test_flag(capsys, monkeypatch):
     assert doc["command"] == "self-test"
     assert doc["input"]["seed"] == 1
     assert doc["result"]["ok"] is True
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+_EXPRESSIONS = ("t^2", "abs(t)", "abs(t - 1/2)", "exp(t)", "t*ln(t)", "-sqrt(t)", "-ln(t)",
+                "2^t", "max(t, 2*t - 1)", "1/t", "-t^2", "t +", "q")
+_FLOATS = st.one_of(
+    st.floats(),  # includes nan, +-inf, subnormals and extreme magnitudes
+    st.sampled_from((0.0, 0.5, 1.0, 2.0, -1.0, 5e-301, 1e-300, 1e200, -1e200, 1e300)),
+    st.floats(-4.0, 4.0),
+)
+
+
+def _points(draw, names):
+    """--name=value flags, sorted ascending in most draws so requests are often valid."""
+    values = draw(st.lists(_FLOATS, min_size=len(names), max_size=len(names)))
+    if draw(st.integers(0, 3)):
+        values.sort()
+    return [f"--{name}={value!r}" for name, value in zip(names, values)]
+
+
+@st.composite
+def _cli_requests(draw):
+    command = draw(st.sampled_from(("enclose", "integrate", "means", "special-means", "prob",
+                                    "divergence")))
+    argv = [command]
+    if command in ("enclose", "integrate") or (command == "means" and draw(st.booleans())):
+        argv += ["--fn", draw(st.sampled_from(_EXPRESSIONS))]
+    if command == "enclose":
+        argv += _points(draw, ("a", "x", "b"))
+    elif command == "integrate":
+        argv += _points(draw, ("a", "b"))
+        argv += [f"--tol={draw(st.one_of(st.floats(1e-6, 1e3), st.just(math.inf)))!r}",
+                 f"--max-cells={draw(st.integers(-1, 4096))}"]
+    elif command == "means":
+        argv += _points(draw, ("a", "c", "d", "b"))
+        if "--fn" not in argv:
+            argv.append(f"--kernel-suite={draw(_FLOATS)!r}")
+    elif command == "special-means":
+        argv += _points(draw, ("a", "b")) + [f"--p={draw(_FLOATS)!r}"]
+    elif command == "prob":
+        argv.append("--density=" + draw(st.sampled_from(
+            ("uniform", "step:0.5,0.2", "step:0.5", "t", "2*t", "exp(t)", "-t"))))
+        argv += _points(draw, ("a", "x", "b") if draw(st.booleans()) else ("a", "b"))
+    else:
+        weights = st.lists(_FLOATS, min_size=1, max_size=4).map(
+            lambda ws: ",".join(repr(w) for w in ws))
+        argv += ["--kernel", draw(st.sampled_from(sorted(KERNELS) + ["nope"])),
+                 "--p=" + draw(st.one_of(weights, st.just("0.5,0.5"))),
+                 "--q=" + draw(st.one_of(weights, st.just("0.25,0.75")))]
+    if command in ("enclose", "integrate", "prob", "divergence") and draw(st.booleans()):
+        argv.append("--oracle")
+    return argv
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_cli_requests())
+def test_exit_code_contract_fuzz(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    if code == 0:
+        json.loads(out.getvalue(), parse_constant=_reject_constant)

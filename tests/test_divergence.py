@@ -1,29 +1,26 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
+from convex_enclose.convex_core import ConvexFunction, Interval
 from convex_enclose.divergence import (
+    POSITIVE_AXIS,
     DiscreteDistribution,
-    DivergenceKernel,
-    chi_square_kernel,
     csiszar_divergence,
     hh_divergence,
     hh_gap_bounds,
     hh_sandwich,
     kernel_by_name,
-    kl_kernel,
     lin_wong_divergence,
-    reverse_kl_kernel,
-    shifted_abs_kernel,
-    total_variation_kernel,
 )
 from convex_enclose.errors import InternalInconsistencyError, InvalidDistributionError
 from convex_enclose.selftest import random_distribution
 
 P = DiscreteDistribution((0.5, 0.5))
 Q = DiscreteDistribution((0.25, 0.75))
-ALL_KERNELS = [chi_square_kernel(), kl_kernel(), total_variation_kernel(), reverse_kl_kernel()]
+ALL_KERNELS = [kernel_by_name(name) for name in ("chi2", "kl", "tv", "reverse_kl")]
 
 
 def test_distribution_validation():
@@ -39,7 +36,7 @@ def test_distribution_validation():
 
 def test_alphabet_mismatch():
     with pytest.raises(InvalidDistributionError):
-        csiszar_divergence(chi_square_kernel(), P, DiscreteDistribution((0.2, 0.3, 0.5)))
+        csiszar_divergence(kernel_by_name("chi2"), P, DiscreteDistribution((0.2, 0.3, 0.5)))
 
 
 def test_kernel_registry():
@@ -49,97 +46,108 @@ def test_kernel_registry():
 
 
 def test_kernel_must_vanish_at_one():
+    bad = ConvexFunction(domain=POSITIVE_AXIS, fn=lambda t: t, dminus=lambda t: 1.0,
+                         dplus=lambda t: 1.0, name="bad")
     with pytest.raises(ValueError):
-        DivergenceKernel(name="bad", fn=lambda t: t, dminus=lambda t: 1.0,
-                         dplus=lambda t: 1.0)
+        hh_sandwich(bad, P, Q)
 
 
 def test_csiszar_examples():
-    assert csiszar_divergence(chi_square_kernel(), P, Q) == pytest.approx(0.25, rel=1e-14)
+    assert csiszar_divergence(kernel_by_name("chi2"), P, Q) == pytest.approx(0.25, rel=1e-14)
     # sum p f(q/p) for f = t ln t equals (1/4)ln(1/2) + (3/4)ln(3/2)
     expected = 0.25 * math.log(0.5) + 0.75 * math.log(1.5)
-    assert csiszar_divergence(kl_kernel(), P, Q) == pytest.approx(expected, rel=1e-14)
+    assert csiszar_divergence(kernel_by_name("kl"), P, Q) == pytest.approx(expected, rel=1e-14)
     for kernel in ALL_KERNELS:
         assert csiszar_divergence(kernel, P, P) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_lin_wong_examples():
-    assert lin_wong_divergence(chi_square_kernel(), P, Q) == pytest.approx(0.0625, rel=1e-14)
-    assert lin_wong_divergence(shifted_abs_kernel(), P, Q) == pytest.approx(0.0, abs=1e-15)
+    assert lin_wong_divergence(kernel_by_name("chi2"), P, Q) == pytest.approx(0.0625, rel=1e-14)
+    shifted_abs = kernel_by_name("shifted_abs")
+    assert lin_wong_divergence(shifted_abs, P, Q) == pytest.approx(0.0, abs=1e-15)
     for kernel in ALL_KERNELS:
         assert lin_wong_divergence(kernel, P, P) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_hh_examples():
-    assert hh_divergence(chi_square_kernel(), P, Q) == pytest.approx(1.0 / 12.0, rel=1e-13)
-    assert hh_divergence(shifted_abs_kernel(), P, Q) == pytest.approx(1.0 / 16.0, rel=1e-13)
+    assert hh_divergence(kernel_by_name("chi2"), P, Q) == pytest.approx(1.0 / 12.0, rel=1e-13)
+    shifted_abs = kernel_by_name("shifted_abs")
+    assert hh_divergence(shifted_abs, P, Q) == pytest.approx(1.0 / 16.0, rel=1e-13)
     for kernel in ALL_KERNELS:
         assert hh_divergence(kernel, P, P) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_hh_quadrature_fallback_matches_closed_form():
-    closed = chi_square_kernel()
-    numeric = DivergenceKernel(name="chi2-numeric", fn=closed.fn, dminus=closed.dminus,
-                               dplus=closed.dplus, antiderivative=None)
+    closed = kernel_by_name("chi2")
+    numeric = replace(closed, name="chi2-numeric", antiderivative=None)
     want = hh_divergence(closed, P, Q)
     got = hh_divergence(numeric, P, Q)
     assert got == pytest.approx(want, abs=1e-10)
 
 
 def test_sandwich_worked_case():
-    triple = hh_sandwich(chi_square_kernel(), P, Q)
+    triple = hh_sandwich(kernel_by_name("chi2"), P, Q)
     assert triple.lin_wong == pytest.approx(0.0625, rel=1e-14)
     assert triple.hh == pytest.approx(1.0 / 12.0, rel=1e-13)
     assert triple.half_csiszar == pytest.approx(0.125, rel=1e-14)
 
 
 def test_sandwich_rejects_non_convex_kernel():
-    concave = DivergenceKernel(name="concave", fn=lambda t: -((t - 1.0) ** 2),
-                               dminus=lambda t: -2.0 * (t - 1.0),
-                               dplus=lambda t: -2.0 * (t - 1.0),
-                               antiderivative=lambda t: -((t - 1.0) ** 3) / 3.0)
+    concave = ConvexFunction(domain=POSITIVE_AXIS, fn=lambda t: -((t - 1.0) ** 2),
+                             dminus=lambda t: -2.0 * (t - 1.0),
+                             dplus=lambda t: -2.0 * (t - 1.0),
+                             antiderivative=lambda t: -((t - 1.0) ** 3) / 3.0,
+                             name="concave")
     with pytest.raises(InternalInconsistencyError):
         hh_sandwich(concave, P, Q)
 
 
 def test_gap_bounds_worked_cases():
-    enc = hh_gap_bounds(chi_square_kernel(), P, Q)
+    enc = hh_gap_bounds(kernel_by_name("chi2"), P, Q)
     assert enc.as_tuple() == (0.0, 0.0625)
-    true_gap = hh_divergence(chi_square_kernel(), P, Q) - lin_wong_divergence(
-        chi_square_kernel(), P, Q
+    true_gap = hh_divergence(kernel_by_name("chi2"), P, Q) - lin_wong_divergence(
+        kernel_by_name("chi2"), P, Q
     )
     assert true_gap == pytest.approx(1.0 / 48.0, rel=1e-13)
     assert enc.contains(true_gap)
 
     # doubly tight kinked case
-    enc = hh_gap_bounds(shifted_abs_kernel(), P, Q)
+    enc = hh_gap_bounds(kernel_by_name("shifted_abs"), P, Q)
     assert enc.lo == pytest.approx(1.0 / 16.0, rel=1e-14)
     assert enc.hi == pytest.approx(1.0 / 16.0, rel=1e-14)
 
-    assert hh_gap_bounds(kl_kernel(), P, P).as_tuple() == (0.0, 0.0)
+    assert hh_gap_bounds(kernel_by_name("kl"), P, P).as_tuple() == (0.0, 0.0)
 
 
 def test_gap_upper_bound_uses_cell_slopes_below_one():
     # tv is affine on each cell between 1 and q_i/p_i, so the gap is 0 and
     # the sharp bound is [0, 0]; the atom with q_i < p_i lives on [r, 1]
-    tv = total_variation_kernel()
+    tv = kernel_by_name("tv")
     assert hh_gap_bounds(tv, P, Q).as_tuple() == (0.0, 0.0)
     true_gap = hh_divergence(tv, P, Q) - lin_wong_divergence(tv, P, Q)
     assert true_gap == 0.0
 
     # the worked cases against their true gaps, now with q_i < p_i atoms
     # on both sides: swapping p and q mirrors every cell
-    for kernel in (chi_square_kernel(), shifted_abs_kernel(), tv):
+    for kernel in (kernel_by_name("chi2"), kernel_by_name("shifted_abs"), tv):
         for p, q in ((P, Q), (Q, P)):
             enc = hh_gap_bounds(kernel, p, q)
             gap = hh_divergence(kernel, p, q) - lin_wong_divergence(kernel, p, q)
             assert enc.contains(gap, slack=1e-15)
-    assert hh_gap_bounds(chi_square_kernel(), Q, P).lo == 0.0
+    assert hh_gap_bounds(kernel_by_name("chi2"), Q, P).lo == 0.0
+
+
+def test_gap_bounds_accept_a_kernel_with_sampled_slopes():
+    sampled = ConvexFunction.from_callable(lambda t: (t - 1.0) ** 2, Interval(0.1, 10.0))
+    got = hh_gap_bounds(sampled, P, Q)
+    want = hh_gap_bounds(kernel_by_name("chi2"), P, Q)
+    assert got.lo == pytest.approx(want.lo, abs=1e-7)
+    assert got.hi == pytest.approx(want.hi, rel=1e-7)
 
 
 def test_differentiable_kernels_have_zero_lower_gap():
     rng = random.Random(17)
-    for kernel in (chi_square_kernel(), kl_kernel(), reverse_kl_kernel()):
+    for kernel in (kernel_by_name("chi2"), kernel_by_name("kl"), kernel_by_name("reverse_kl")):
         for _ in range(10):
             size = rng.randint(2, 8)
             p = random_distribution(rng, size)

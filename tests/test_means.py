@@ -107,6 +107,13 @@ def test_special_means_rejects_bad_input():
         special_means(1.0, 2.0, 0.0)
 
 
+def test_special_means_rejects_non_finite_input():
+    for a, b, p in ((1.0, 2.0, math.nan), (1.0, 2.0, math.inf), (1.0, 2.0, -math.inf),
+                    (1.0, math.inf, 2.0), (math.nan, 2.0, 2.0)):
+        with pytest.raises(DomainError):
+            special_means(a, b, p)
+
+
 def test_special_means_match_integral_means():
     rng = random.Random(83)
     for _ in range(20):

@@ -7,15 +7,15 @@ from convex_enclose import catalog
 from convex_enclose.convex_core import ConvexFunction, Interval
 from convex_enclose.divergence import (
     DiscreteDistribution,
-    chi_square_kernel,
     hh_divergence,
-    kl_kernel,
+    kernel_by_name,
 )
-from convex_enclose.errors import DomainError
+from convex_enclose.errors import DomainError, OracleFailureError
 from convex_enclose.oracle import (
     ADAPTIVE_SIMPSON,
     CLOSED_FORM,
     brute_force_hh,
+    integrate_callable,
     reference_integral,
 )
 from convex_enclose.selftest import random_convex_case
@@ -75,18 +75,30 @@ def test_forcing_closed_form_without_antiderivative():
 def test_brute_force_hh_matches_closed_chi_square():
     p = DiscreteDistribution((0.5, 0.5))
     q = DiscreteDistribution((0.25, 0.75))
-    assert brute_force_hh(chi_square_kernel(), p, q) == pytest.approx(1.0 / 12.0, abs=1e-12)
+    assert brute_force_hh(kernel_by_name("chi2"), p, q) == pytest.approx(1.0 / 12.0, abs=1e-12)
 
 
 def test_brute_force_hh_zero_for_equal_distributions():
     p = DiscreteDistribution((0.2, 0.3, 0.5))
-    assert brute_force_hh(chi_square_kernel(), p, p) == 0.0
+    assert brute_force_hh(kernel_by_name("chi2"), p, p) == 0.0
 
 
 def test_brute_force_hh_cross_checks_kl_kernel():
     p = DiscreteDistribution((0.5, 0.5))
     q = DiscreteDistribution((0.25, 0.75))
-    kernel = kl_kernel()
+    kernel = kernel_by_name("kl")
     assert brute_force_hh(kernel, p, q) == pytest.approx(
         hh_divergence(kernel, p, q), abs=1e-10
     )
+
+
+def test_adaptive_simpson_stops_at_rounding_noise():
+    # values near 1e15 leave rounding noise far above tol in every panel; splitting
+    # cannot shrink it, so the integrator must stop instead of splitting to the depth limit
+    value, _ = integrate_callable(lambda t: 1e12 * math.sqrt(t), 1.0, 1e6, 1e-10)
+    assert value == pytest.approx(1e12 * (2.0 / 3.0) * (1e9 - 1.0), rel=1e-12)
+
+
+def test_adaptive_simpson_fails_fast_on_overflow():
+    with pytest.raises(OracleFailureError):
+        integrate_callable(lambda t: 2.0 * t, -1e200, 0.5, 1e-10)

@@ -6,7 +6,6 @@ import pytest
 from convex_enclose import catalog
 from convex_enclose.convex_core import Interval
 from convex_enclose.errors import (
-    DegenerateSlopesError,
     DomainError,
     InternalInconsistencyError,
     NotDifferentiableError,
@@ -18,15 +17,14 @@ from convex_enclose.pointwise import (
     Enclosure,
     best_evaluation_point,
     classical_ostrowski_bound,
-    differentiable_lower,
     hh_refinement,
     ostrowski_enclosure,
     ostrowski_lower,
     ostrowski_upper,
-    quadratic_form_upper,
     window_enclosure,
 )
 from convex_enclose.selftest import random_convex_case
+from identities import DegenerateSlopesError, differentiable_lower, quadratic_form_upper
 
 UNIT = Interval(0.0, 1.0)
 

@@ -16,14 +16,13 @@ from convex_enclose.extreal import INF
 from convex_enclose.oracle import reference_integral
 from convex_enclose.quadrature import (
     Partition,
-    differentiable_lower_form,
     integrate_adaptive,
     midpoint_rule,
     remainder_enclosure,
-    remainder_upper_by_node,
     riemann_sum,
 )
 from convex_enclose.selftest import random_convex_case, random_partition
+from identities import differentiable_lower_form, remainder_upper_by_node
 
 UNIT = Interval(0.0, 1.0)
 
