@@ -177,22 +177,7 @@ def _cmd_enclose(args):
         "classical_bound": classical,
     }
     if args.oracle:
-        integral = reference_integral(cf).value
-        result["oracle_gap"] = integral - cf.domain.width * cf(args.x)
-        slopes = cf.endpoint_slopes()
-        if slopes.both_finite and slopes.at_hi > slopes.at_lo:
-            # stationary point of the upper bound, reported as a diagnostic
-            # (the associated nonnegativity claim is not asserted)
-            x0 = (cf.domain.hi * slopes.at_hi - cf.domain.lo * slopes.at_lo) / (
-                slopes.at_hi - slopes.at_lo
-            )
-            if cf.domain.contains(x0):
-                result["diagnostics"] = {
-                    "stationary_point": x0,
-                    "slope_product_form": 0.5 * slopes.at_lo * slopes.at_hi
-                    * cf.domain.width / (slopes.at_hi - slopes.at_lo),
-                    "point_minus_mean": cf(x0) - integral / cf.domain.width,
-                }
+        result["oracle_gap"] = reference_integral(cf).value - cf.domain.width * cf(args.x)
     return {
         "command": "enclose",
         "input": {"fn": args.fn, "a": args.a, "b": args.b, "x": args.x},

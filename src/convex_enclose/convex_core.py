@@ -89,13 +89,15 @@ def _one_sided_limit(g, t, span, limit, sign):
     """Limit of a monotone g(s) as s tends to t from the side of ``limit``.
 
     g is a difference quotient (f(s) - f(t)) / (s - t) of a convex f, or a
-    monotone density.  Steps are halved from span/16 and stop when
-    successive values stabilize, when their differences start growing
-    again after nearly stabilizing (the floating-point noise floor), or
-    after 40 halvings.  Divergent sequences (a vertical tangent) run the
-    full 40 halvings and return a value of large magnitude.
+    monotone density.  Steps are halved from span/16, capped at
+    max(1, |t|) so that a huge domain is still probed near t, and stop
+    when successive values stabilize, when their differences start
+    growing again after nearly stabilizing (the floating-point noise
+    floor), or after 40 halvings.  Divergent sequences (a vertical
+    tangent) run the full 40 halvings and return a value of large
+    magnitude.
     """
-    h = min(span / 16.0, abs(limit - t))
+    h = min(span / 16.0, max(1.0, abs(t)), abs(limit - t))
     prev = None
     prev_d = None
     for _ in range(_MAX_HALVINGS + 1):

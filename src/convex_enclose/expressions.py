@@ -33,7 +33,7 @@ from typing import Callable, Optional, Tuple
 
 from .convex_core import ConvexFunction, Interval
 from .errors import DomainError, ExpressionError
-from .extreal import INF, xadd, xmul, xsub
+from .extreal import INF, ensure_extended
 
 CONSTANTS = {"e": math.e, "pi": math.pi}
 _UNARY_FUNCS = ("abs", "ln", "exp", "sqrt")
@@ -337,7 +337,13 @@ def eval_expr(node, t: float) -> float:
 
 
 def _value_and_slope(node, t: float, sign: int):
-    """Forward-mode value and one-sided slope (sign=+1 right, -1 left)."""
+    """Forward-mode value and one-sided slope (sign=+1 right, -1 left).
+
+    Slopes use plain float arithmetic: an undefined form (inf - inf,
+    0 * inf) leaves a NaN that the caller rejects.  Only a branch that
+    would drop a NaN slope (a comparison, a discarded or sign-only
+    operand) checks it on the spot.
+    """
     if isinstance(node, Num):
         return node.value, 0.0
     if isinstance(node, Const):
@@ -353,30 +359,33 @@ def _value_and_slope(node, t: float, sign: int):
             c = eval_expr(node.right, t)  # exponent is variable-free here
             value = _pow_value(u, c, node.span)
             if c == 0.0:
+                ensure_extended(du)
                 return value, 0.0
             if c == 1.0:
                 return value, du
             if u == 0.0 and c < 1.0:
                 # vertical tangent of u^c at u = 0
+                ensure_extended(du)
                 return value, math.copysign(INF, c * du) if du != 0.0 else 0.0
-            factor = c * _pow_value(u, c - 1.0, node.span)
-            return value, xmul(factor, du)
+            return value, c * _pow_value(u, c - 1.0, node.span) * du
         u, du = _value_and_slope(node.left, t, sign)
         w, dw = _value_and_slope(node.right, t, sign)
         if node.op == "+":
-            return u + w, xadd(du, dw)
+            return u + w, du + dw
         if node.op == "-":
-            return u - w, xsub(du, dw)
+            return u - w, du - dw
         if node.op == "*":
-            return u * w, xadd(xmul(du, w), xmul(u, dw))
+            return u * w, du * w + u * dw
         if w == 0.0:
             raise DomainError(f"division by zero at t={t}")
-        return u / w, xsub(xmul(du, w), xmul(u, dw)) / (w * w)
+        return u / w, (du * w - u * dw) / (w * w)
     # Call
     if node.func == "max":
         v, dv = _value_and_slope(node.args[0], t, sign)
+        ensure_extended(dv)
         for arg in node.args[1:]:
             w, dw = _value_and_slope(arg, t, sign)
+            ensure_extended(dw)
             if w > v:
                 v, dv = w, dw
             elif w == v:
@@ -394,18 +403,18 @@ def _value_and_slope(node, t: float, sign: int):
             v = math.exp(u)
         except OverflowError as exc:
             raise DomainError(f"exp overflow at t={t}") from exc
-        return v, xmul(v, du)
+        return v, v * du
     if node.func == "ln":
         if u <= 0.0:
             raise DomainError(f"ln of non-positive value {u} at t={t}")
-        return math.log(u), xmul(du, 1.0 / u)
+        return math.log(u), du * (1.0 / u)
     if u < 0.0:
         raise DomainError(f"sqrt of negative value {u} at t={t}")
     if u == 0.0:
-        if du == 0.0:
+        if ensure_extended(du) == 0.0:
             raise DomainError(f"indeterminate one-sided slope of sqrt at t={t}")
         return 0.0, math.copysign(INF, du)
-    return math.sqrt(u), xmul(du, 0.5 / math.sqrt(u))
+    return math.sqrt(u), du * (0.5 / math.sqrt(u))
 
 
 def one_sided_symbolic_derivative(expr, side: str) -> Callable[[float], float]:
@@ -413,7 +422,9 @@ def one_sided_symbolic_derivative(expr, side: str) -> Callable[[float], float]:
 
     ``side`` is "left" or "right".  Raises ExpressionError when the tree
     contains a construct without a symbolic one-sided rule (a variable
-    exponent); callers may then fall back to sampled estimation.
+    exponent); callers may then fall back to sampled estimation.  The
+    returned callable raises ExtendedArithmeticError where the slope is
+    an undefined form (inf - inf, 0 * inf).
     """
     try:
         sign = {"left": -1, "right": +1}[side]
@@ -423,7 +434,7 @@ def one_sided_symbolic_derivative(expr, side: str) -> Callable[[float], float]:
         raise ExpressionError(
             "variable exponents have no symbolic one-sided derivative rule"
         )
-    return lambda t: _value_and_slope(expr, t, sign)[1]
+    return lambda t: ensure_extended(_value_and_slope(expr, t, sign)[1])
 
 
 def convex_function_from_expression(source, interval: Interval,

@@ -1,11 +1,23 @@
 """Extended-real arithmetic on plain floats.
 
 IEEE floats already carry +inf and -inf with the correct total order
-(-inf < finite < +inf), so extended reals are represented as ordinary
-floats throughout the package.  What IEEE gets wrong for certified
-bounds is that the undefined forms (inf - inf, 0 * inf) silently turn
-into NaN; the checked operations below raise instead, and NaN is
-rejected everywhere.
+(-inf < finite < +inf), so extended reals are ordinary floats and the
+bound formulas use plain float arithmetic.  The undefined forms
+(inf - inf, 0 * inf) become a NaN that sticks through every later
+addition and multiplication, and math.fsum raises on inf + -inf, so
+validity is checked once where a value leaves as a result, not on every
+operation:
+
+- ``ensure_extended``, in the one-sided derivative oracles
+  (``ConvexFunction.left_derivative``/``right_derivative`` and the
+  symbolic slopes of ``expressions.one_sided_symbolic_derivative``) and
+  in ``Enclosure``;
+- ``xsum``, for every sum of per-cell or per-atom terms;
+- the NaN-width test of ``quadrature.integrate_adaptive``.
+
+A comparison does not carry a NaN along (``max(1.0, nan)`` is 1.0), so
+code that compares or discards a possibly undefined slope checks it
+first; see ``expressions._value_and_slope``.
 """
 
 import math
@@ -17,48 +29,26 @@ INF = math.inf
 
 
 def ensure_extended(x):
-    """Coerce to float, rejecting NaN."""
+    """Coerce to float, rejecting NaN (the trace of inf - inf or 0 * inf)."""
     v = float(x)
     if math.isnan(v):
-        raise ExtendedArithmeticError("NaN is not an extended real")
+        raise ExtendedArithmeticError(
+            "undefined extended-real result (NaN, inf - inf or 0 * inf)"
+        )
     return v
 
 
-def xadd(a, b):
-    a = ensure_extended(a)
-    b = ensure_extended(b)
-    if math.isinf(a) and math.isinf(b) and (a > 0.0) != (b > 0.0):
-        raise ExtendedArithmeticError("inf - inf is undefined")
-    return a + b
-
-
-def xsub(a, b):
-    return xadd(a, -ensure_extended(b))
-
-
-def xmul(a, b):
-    a = ensure_extended(a)
-    b = ensure_extended(b)
-    if (a == 0.0 and math.isinf(b)) or (b == 0.0 and math.isinf(a)):
-        raise ExtendedArithmeticError("0 * inf is undefined")
-    return a * b
-
-
 def xsum(terms):
-    """Deterministic sum of extended reals.
+    """Correctly rounded sum (math.fsum) of extended reals.
 
-    Uses compensated summation when all terms are finite; falls back to
-    checked left-to-right accumulation as soon as an infinity appears.
-    Sized collections (lists, arrays) are summed without a copy.
+    Raises ExtendedArithmeticError when the terms hold both infinities or
+    a NaN; one-signed infinities sum to that infinity.  Iterators are
+    drained first, so an error raised while producing a term propagates
+    unchanged.
     """
     items = terms if isinstance(terms, Sized) else list(terms)
     try:
         total = math.fsum(items)
-    except ValueError:  # inf + -inf: let the checked path raise
-        total = math.nan
-    if math.isfinite(total):
-        return total
-    total = 0.0
-    for t in items:
-        total = xadd(total, t)
-    return total
+    except ValueError:
+        raise ExtendedArithmeticError("inf - inf is undefined") from None
+    return ensure_extended(total)

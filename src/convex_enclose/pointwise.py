@@ -23,7 +23,7 @@ from .errors import (
     InternalInconsistencyError,
     UnboundedSlopeError,
 )
-from .extreal import INF, ensure_extended, xsub
+from .extreal import INF, ensure_extended
 
 
 @dataclass(frozen=True)
@@ -136,7 +136,7 @@ def window_enclosure(f: ConvexFunction, x: float, h: float) -> Enclosure:
     w_hi = min(w_hi, b)
     dm, dp = _interior_slopes(f, x)
     lo = 0.125 * h * h * (dp - dm)
-    hi_slope = xsub(f.left_derivative(w_hi), f.right_derivative(w_lo))
+    hi_slope = f.left_derivative(w_hi) - f.right_derivative(w_lo)
     hi = INF if math.isinf(hi_slope) else 0.125 * h * h * hi_slope
     return Enclosure(lo, hi)
 

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 from .convex_core import ConvexFunction, Interval, _one_sided_limit
 from .errors import DomainError, InconsistentModelError
-from .extreal import INF, xsub
+from .extreal import INF
 from .oracle import integrate_callable, reference_integral
 from .pointwise import Enclosure, ostrowski_lower, ostrowski_upper
 
@@ -225,8 +225,8 @@ def cdf_enclosure(m: RandomVariableModel, x: float) -> Enclosure:
     gap = cdf_gap_enclosure(m, x)
     a, b = m.support.lo, m.support.hi
     rest = b - m.expectation
-    lo = xsub(rest, gap.hi) / (b - a)
-    hi = xsub(rest, gap.lo) / (b - a)
+    lo = (rest - gap.hi) / (b - a)
+    hi = (rest - gap.lo) / (b - a)
     return Enclosure(min(max(lo, 0.0), 1.0), min(max(hi, 0.0), 1.0))
 
 

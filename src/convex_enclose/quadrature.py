@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .convex_core import ConvexFunction, Interval
 from .errors import BudgetExceededError, DomainError, PartitionError, UnboundedSlopeError
-from .extreal import INF, ensure_extended, xadd, xmul, xsub, xsum
+from .extreal import INF, ensure_extended, xsum
 from .pointwise import Enclosure
 
 DEFAULT_MAX_CELLS = 2**20
@@ -93,8 +93,8 @@ class QuadratureResult:
 
     @property
     def integral_bounds(self) -> Enclosure:
-        return Enclosure(xadd(self.estimate, self.remainder.lo),
-                         xadd(self.estimate, self.remainder.hi))
+        return Enclosure(self.estimate + self.remainder.lo,
+                         self.estimate + self.remainder.hi)
 
     @property
     def width(self) -> float:
@@ -133,14 +133,14 @@ def remainder_enclosure(f: ConvexFunction, partition: Partition) -> Enclosure:
         cell_lo = 0.0
         cell_hi = 0.0
         if wr > 0.0:
-            cell_lo = xadd(cell_lo, xmul(wr, f.right_derivative(xi)))
-            cell_hi = xadd(cell_hi, xmul(wr, f.left_derivative(x1)))
+            cell_lo += wr * f.right_derivative(xi)
+            cell_hi += wr * f.left_derivative(x1)
         if wl > 0.0:
-            cell_lo = xsub(cell_lo, xmul(wl, f.left_derivative(xi)))
-            cell_hi = xsub(cell_hi, xmul(wl, f.right_derivative(x0)))
+            cell_lo -= wl * f.left_derivative(xi)
+            cell_hi -= wl * f.right_derivative(x0)
         lo_terms.append(cell_lo)
         hi_terms.append(cell_hi)
-    return Enclosure(xmul(0.5, xsum(lo_terms)), xmul(0.5, xsum(hi_terms)))
+    return Enclosure(0.5 * xsum(lo_terms), 0.5 * xsum(hi_terms))
 
 
 def midpoint_rule(f: ConvexFunction, n: int) -> QuadratureResult:
@@ -158,7 +158,7 @@ def midpoint_rule(f: ConvexFunction, n: int) -> QuadratureResult:
     for x0, x1, m in partition.iter_cells():
         h2 = (x1 - x0) ** 2
         lo_terms.append(0.125 * h2 * (f.right_derivative(m) - f.left_derivative(m)))
-        hi_terms.append(xmul(0.125 * h2, xsub(f.left_derivative(x1), f.right_derivative(x0))))
+        hi_terms.append(0.125 * h2 * (f.left_derivative(x1) - f.right_derivative(x0)))
     remainder = Enclosure(xsum(lo_terms), xsum(hi_terms))
     return QuadratureResult(estimate=estimate, remainder=remainder, cells=n, partition=partition)
 

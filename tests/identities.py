@@ -8,7 +8,7 @@ bounds without putting the rewrites in the public API.
 
 from convex_enclose.convex_core import ConvexFunction
 from convex_enclose.errors import ConvexEncloseError, DomainError, UnboundedSlopeError
-from convex_enclose.extreal import xmul, xsum
+from convex_enclose.extreal import xsum
 from convex_enclose.quadrature import Partition, _require_spanning
 
 
@@ -27,18 +27,18 @@ def remainder_upper_by_node(f: ConvexFunction, partition: Partition) -> float:
     terms = []
     w_last = (b - tags[-1]) ** 2
     if w_last > 0.0:
-        terms.append(xmul(w_last, f.left_derivative(b)))
+        terms.append(w_last * f.left_derivative(b))
     for i in range(1, len(nodes) - 1):
         w_in = (nodes[i] - tags[i - 1]) ** 2
         if w_in > 0.0:
-            terms.append(xmul(w_in, f.left_derivative(nodes[i])))
+            terms.append(w_in * f.left_derivative(nodes[i]))
         w_out = (tags[i] - nodes[i]) ** 2
         if w_out > 0.0:
-            terms.append(xmul(-w_out, f.right_derivative(nodes[i])))
+            terms.append(-w_out * f.right_derivative(nodes[i]))
     w_first = (tags[0] - a) ** 2
     if w_first > 0.0:
-        terms.append(xmul(-w_first, f.right_derivative(a)))
-    return xmul(0.5, xsum(terms))
+        terms.append(-w_first * f.right_derivative(a))
+    return 0.5 * xsum(terms)
 
 
 def differentiable_lower_form(f: ConvexFunction, partition: Partition) -> float:

@@ -37,11 +37,7 @@ def test_enclose_with_oracle_and_diagnostics(capsys):
                             "--x", "0.5", "--oracle"])
     result = doc["result"]
     assert result["oracle_gap"] == pytest.approx(0.25, rel=1e-12)
-    diag = result["diagnostics"]
-    assert diag["stationary_point"] == 0.5
-    # quarter-width kink: point value minus mean is -1/4, matching the product form
-    assert diag["point_minus_mean"] == pytest.approx(-0.25, rel=1e-12)
-    assert diag["slope_product_form"] == pytest.approx(-0.25, rel=1e-12)
+    assert "diagnostics" not in result
 
 
 def test_enclose_at_endpoint_only_upper(capsys):
@@ -199,6 +195,14 @@ def test_exit_code_division_by_zero_in_baseline(capsys):
     # (b - a)^2 underflows to 0 in the classical baseline
     assert run(["enclose", "--fn", "t^2", "--a", "0", "--b", "1e-300", "--x", "5e-301"]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_exit_code_undefined_slope(capsys):
+    # the slope of t*sqrt(t) at t = 0 is 1*0 + 0*inf, an undefined form
+    assert run(["enclose", "--fn=t*sqrt(t)", "--a", "0", "--b", "1", "--x", "0.5"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "numerical failure" in captured.err
 
 
 def test_exit_code_overflow_in_special_means(capsys):

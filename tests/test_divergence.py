@@ -145,6 +145,17 @@ def test_gap_bounds_accept_a_kernel_with_sampled_slopes():
     assert got.hi == pytest.approx(want.hi, rel=1e-7)
 
 
+@pytest.mark.parametrize("name, fn", [("chi2", lambda t: (t - 1.0) ** 2),
+                                      ("kl", lambda t: t * math.log(t))])
+def test_gap_bounds_accept_a_sampled_kernel_on_the_positive_axis(name, fn):
+    # the sampled slopes must probe near t even though the domain is ~1e308 wide
+    sampled = ConvexFunction.from_callable(fn, POSITIVE_AXIS)
+    got = hh_gap_bounds(sampled, P, Q)
+    want = hh_gap_bounds(kernel_by_name(name), P, Q)
+    assert got.lo == pytest.approx(want.lo, abs=1e-7)
+    assert got.hi == pytest.approx(want.hi, rel=1e-7)
+
+
 def test_differentiable_kernels_have_zero_lower_gap():
     rng = random.Random(17)
     for kernel in (kernel_by_name("chi2"), kernel_by_name("kl"), kernel_by_name("reverse_kl")):
