@@ -35,8 +35,9 @@ from .errors import (
     InconsistentModelError,
     InternalInconsistencyError,
     InvalidDistributionError,
+    InvalidInputError,
     NonConvexError,
-    NotDifferentiableError,
+    NumericalFailureError,
     OracleFailureError,
     PartitionError,
     UnboundedSlopeError,
@@ -47,7 +48,6 @@ from .expressions import (
     eval_expr,
     one_sided_symbolic_derivative,
     parse_expression,
-    unparse,
 )
 from .means import (
     MeanComparison,
@@ -77,7 +77,6 @@ from .probability import (
     RandomVariableModel,
     cdf_enclosure,
     cdf_gap_enclosure,
-    expectation_from_cdf,
     exponential_density_model,
     median_point_probability,
     model_from_density,

@@ -5,10 +5,12 @@ warnings}.  Numbers are serialized with 17 significant digits so
 round-trips are exact; infinities appear as the strings "inf"/"-inf"
 (JSON has no literal for them).
 
-Exit codes: 0 success, 2 invalid input (parse failure, non-convex
-function, bad distribution, domain violations), 3 numerical failure
-(budget exceeded, oracle failure, internal inconsistency, floating-point
-overflow or division by zero).
+Exit codes: 0 success; 2 invalid input, an InvalidInputError (parse
+failure, non-convex or non-finite function, bad distribution, domain
+violations) or a ValueError; 3 numerical failure, a NumericalFailureError
+(budget exceeded, oracle failure, internal inconsistency, undefined
+extended-real form) or an ArithmeticError (floating-point overflow or
+division by zero).
 """
 
 from __future__ import annotations
@@ -23,20 +25,11 @@ from . import divergence as div
 from . import probability as prob
 from .convex_core import Interval, require_convex
 from .errors import (
-    BudgetExceededError,
-    ConvexEncloseError,
     DomainError,
-    ExpressionError,
-    ExtendedArithmeticError,
-    InconsistentModelError,
-    InternalInconsistencyError,
     InvalidDistributionError,
-    NonConvexError,
-    NotDifferentiableError,
-    OracleFailureError,
-    PartitionError,
+    InvalidInputError,
+    NumericalFailureError,
     UnboundedSlopeError,
-    UndefinedSideError,
 )
 from .expressions import convex_function_from_expression, eval_expr, parse_expression
 from .means import mean_comparison, special_means, verify_mean_inequalities
@@ -53,26 +46,6 @@ from .selftest import run_self_test
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
 EXIT_NUMERICAL_FAILURE = 3
-
-_INVALID_INPUT_ERRORS = (
-    ExpressionError,
-    DomainError,
-    NonConvexError,
-    InvalidDistributionError,
-    InconsistentModelError,
-    NotDifferentiableError,
-    UnboundedSlopeError,
-    UndefinedSideError,
-    PartitionError,
-    ValueError,
-)
-_NUMERICAL_ERRORS = (
-    BudgetExceededError,
-    OracleFailureError,
-    InternalInconsistencyError,
-    ExtendedArithmeticError,
-    ArithmeticError,
-)
 
 
 def _scalar(x):
@@ -452,10 +425,10 @@ def run(argv=None) -> int:
         return EXIT_INVALID_INPUT
     try:
         doc = _HANDLERS[args.command](args)
-    except _NUMERICAL_ERRORS as exc:
+    except (NumericalFailureError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_FAILURE
-    except _INVALID_INPUT_ERRORS as exc:
+    except (InvalidInputError, ValueError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     _emit(doc, args.format)

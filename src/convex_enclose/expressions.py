@@ -12,9 +12,8 @@ right-associative and binds tighter than unary minus):
              | 'max' '(' expr (',' expr)+ ')'
              | '(' expr ')'
 
-Nodes carry exact source spans for error reporting; spans are ignored by
-structural equality so parse -> unparse -> parse round-trips to an equal
-tree.
+The constants e and pi parse to numbers.  Nodes carry exact source spans
+for error reporting; spans are ignored by structural equality.
 
 One-sided derivatives are evaluated by forward-mode differentiation over
 the tree.  At an abs/max kink the requested side picks the correct
@@ -29,7 +28,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
+from typing import Callable
 
 from .convex_core import ConvexFunction, Interval
 from .errors import DomainError, ExpressionError
@@ -47,12 +46,6 @@ class Num:
 
 @dataclass(frozen=True)
 class Var:
-    span: tuple = field(default=(0, 0), compare=False)
-
-
-@dataclass(frozen=True)
-class Const:
-    ident: str
     span: tuple = field(default=(0, 0), compare=False)
 
 
@@ -76,8 +69,6 @@ class Call:
     args: tuple
     span: tuple = field(default=(0, 0), compare=False)
 
-
-FunctionExpr = object
 
 _TOKEN_RE = re.compile(
     r"(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
@@ -182,7 +173,7 @@ class _Parser:
             if name == "t":
                 return Var(span=(tok.pos, tok.pos + 1))
             if name in CONSTANTS:
-                return Const(name, span=(tok.pos, tok.pos + len(name)))
+                return Num(CONSTANTS[name], span=(tok.pos, tok.pos + len(name)))
             if name in _UNARY_FUNCS or name == "max":
                 self.expect("(")
                 args = [self.expr()]
@@ -219,52 +210,10 @@ def parse_expression(src: str):
     return _Parser(src).parse()
 
 
-_ATOM, _POW, _UNARY, _MUL, _ADD = 5, 4, 3, 2, 1
-
-
-def _level(node) -> int:
-    if isinstance(node, (Num, Var, Const, Call)):
-        return _ATOM
-    if isinstance(node, Neg):
-        return _UNARY
-    return {"^": _POW, "*": _MUL, "/": _MUL, "+": _ADD, "-": _ADD}[node.op]
-
-
-def unparse(node) -> str:
-    """Canonical printing; unparse(parse(s)) reparses to an equal tree."""
-    if isinstance(node, Num):
-        return format(node.value, ".17g")
-    if isinstance(node, Var):
-        return "t"
-    if isinstance(node, Const):
-        return node.ident
-    if isinstance(node, Neg):
-        inner = unparse(node.operand)
-        if _level(node.operand) < _UNARY:
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(node, Call):
-        return f"{node.func}({', '.join(unparse(a) for a in node.args)})"
-    left, right = unparse(node.left), unparse(node.right)
-    if node.op == "^":
-        if _level(node.left) < _ATOM:
-            left = f"({left})"
-        if _level(node.right) < _UNARY:
-            right = f"({right})"
-        return f"{left}^{right}"
-    own = _level(node)
-    if _level(node.left) < own:
-        left = f"({left})"
-    # right operand of -, / (and * for shape stability) must bind tighter
-    if _level(node.right) <= own:
-        right = f"({right})"
-    return f"{left} {node.op} {right}"
-
-
 def _is_constant(node) -> bool:
     if isinstance(node, Var):
         return False
-    if isinstance(node, (Num, Const)):
+    if isinstance(node, Num):
         return True
     if isinstance(node, Neg):
         return _is_constant(node.operand)
@@ -275,7 +224,7 @@ def _is_constant(node) -> bool:
 
 def has_variable_exponent(node) -> bool:
     """True when some '^' has t in its exponent (no symbolic lowering)."""
-    if isinstance(node, (Num, Var, Const)):
+    if isinstance(node, (Num, Var)):
         return False
     if isinstance(node, Neg):
         return has_variable_exponent(node.operand)
@@ -299,8 +248,6 @@ def eval_expr(node, t: float) -> float:
         return node.value
     if isinstance(node, Var):
         return float(t)
-    if isinstance(node, Const):
-        return CONSTANTS[node.ident]
     if isinstance(node, Neg):
         return -eval_expr(node.operand, t)
     if isinstance(node, Call):
@@ -346,8 +293,6 @@ def _value_and_slope(node, t: float, sign: int):
     """
     if isinstance(node, Num):
         return node.value, 0.0
-    if isinstance(node, Const):
-        return CONSTANTS[node.ident], 0.0
     if isinstance(node, Var):
         return float(t), 1.0
     if isinstance(node, Neg):
@@ -437,25 +382,23 @@ def one_sided_symbolic_derivative(expr, side: str) -> Callable[[float], float]:
     return lambda t: ensure_extended(_value_and_slope(expr, t, sign)[1])
 
 
-def convex_function_from_expression(source, interval: Interval,
-                                    name: Optional[str] = None):
-    """Lower a source string or tree onto an interval.
+def convex_function_from_expression(source: str, interval: Interval):
+    """Lower a source string onto an interval; the source is the label.
 
     Returns (ConvexFunction, warnings).  When the symbolic one-sided
     derivative is unavailable the function is built from sampled
     estimation instead (certified=False) and a warning explains why.
     Convexity is NOT checked here; see convex_core.require_convex.
     """
-    expr = parse_expression(source) if isinstance(source, str) else source
-    label = name if name is not None else (source if isinstance(source, str) else unparse(expr))
+    expr = parse_expression(source)
     fn = lambda t: eval_expr(expr, t)
     warnings = []
     try:
         dminus = one_sided_symbolic_derivative(expr, "left")
         dplus = one_sided_symbolic_derivative(expr, "right")
         cf = ConvexFunction(domain=interval, fn=fn, dminus=dminus, dplus=dplus,
-                            name=label, certified=True)
+                            name=source, certified=True)
     except ExpressionError as exc:
         warnings.append(f"{exc}; falling back to sampled derivative estimation")
-        cf = ConvexFunction.from_callable(fn, interval, name=label)
+        cf = ConvexFunction.from_callable(fn, interval, name=source)
     return cf, warnings

@@ -133,6 +133,8 @@ def verify_mean_inequalities(a: float, b: float, c: float, d: float, p: float):
     """
     if not (0.0 < a < b and a <= c < d <= b):
         raise DomainError("need [c, d] inside [a, b] inside the positive axis")
+    if not math.isfinite(p):
+        raise DomainError("the kernel suite needs a finite p")
     full = Interval(a, b)
     sub = Interval(c, d)
     kernels = [

@@ -22,6 +22,7 @@ ADAPTIVE_SIMPSON = "adaptive-simpson"
 _MAX_DEPTH = 60
 _DEFAULT_REL = 1e-13
 _ROUNDING_REL = 64.0 * sys.float_info.epsilon
+_BRUTE_FORCE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -120,12 +121,12 @@ def reference_integral(f: ConvexFunction, interval: Optional[Interval] = None,
     return OracleResult(value=value, est_error=err, method=ADAPTIVE_SIMPSON)
 
 
-def brute_force_hh(kernel, p, q, tol: float = 1e-12) -> float:
+def brute_force_hh(kernel, p, q) -> float:
     """Numeric evaluation of the per-atom integral-mean divergence.
 
-    Every inner integral runs through the adaptive-Simpson oracle path,
-    ignoring the kernel's closed form, so this validates the divergence
-    module's closed-form sums.
+    Every inner integral runs through the adaptive-Simpson oracle path to
+    tolerance 1e-12, ignoring the kernel's closed form, so this validates
+    the divergence module's closed-form sums.
     """
     from .divergence import _require_same_length
 
@@ -136,7 +137,8 @@ def brute_force_hh(kernel, p, q, tol: float = 1e-12) -> float:
         if r == 1.0:
             continue
         lo, hi = (1.0, r) if r > 1.0 else (r, 1.0)
-        piece = reference_integral(kernel, Interval(lo, hi), tol=tol, method=ADAPTIVE_SIMPSON)
+        piece = reference_integral(kernel, Interval(lo, hi), tol=_BRUTE_FORCE_TOL,
+                                   method=ADAPTIVE_SIMPSON)
         signed = piece.value if r > 1.0 else -piece.value
         terms.append(pi * signed / (r - 1.0))
     return math.fsum(terms)

@@ -14,16 +14,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 from .convex_core import ConvexFunction, Interval, _one_sided_limit
 from .errors import DomainError, InconsistentModelError
 from .extreal import INF
-from .oracle import integrate_callable, reference_integral
+from .oracle import integrate_callable
 from .pointwise import Enclosure, ostrowski_lower, ostrowski_upper
 
 _NORMALIZATION_TOL = 1e-9
-_EXPECTATION_TOL = 1e-8
+_DENSITY_INTEGRAL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -167,13 +167,12 @@ def step_density_model(a: float, b: float, split: float, low: float) -> RandomVa
     ))
 
 
-def model_from_density(fn, a: float, b: float, tol: float = 1e-10,
-                       name: str = "") -> RandomVariableModel:
+def model_from_density(fn, a: float, b: float, name: str = "") -> RandomVariableModel:
     """Build a model from a black-box density by numeric integration.
 
-    The CDF and expectation come from the adaptive Simpson integrator;
-    one-sided density limits are estimated by the same monotone limiting
-    scheme used for sampled derivatives.
+    The CDF and expectation come from the adaptive Simpson integrator at
+    tolerance 1e-10; one-sided density limits are estimated by the same
+    monotone limiting scheme used for sampled derivatives.
     """
     sup = Interval(a, b)
     span = sup.width
@@ -191,13 +190,14 @@ def model_from_density(fn, a: float, b: float, tol: float = 1e-10,
     def cdf_fn(x):
         if x == sup.lo:
             return 0.0
-        return integrate_callable(fn, sup.lo, x, tol)[0]
+        return integrate_callable(fn, sup.lo, x, _DENSITY_INTEGRAL_TOL)[0]
 
     cdf = ConvexFunction(
         domain=sup, fn=cdf_fn, dminus=density_left, dplus=density_right,
         name=name or "sampled cdf", certified=False,
     )
-    expectation = integrate_callable(lambda t: t * fn(t), sup.lo, sup.hi, tol)[0]
+    expectation = integrate_callable(lambda t: t * fn(t), sup.lo, sup.hi,
+                                     _DENSITY_INTEGRAL_TOL)[0]
     return _validate(RandomVariableModel(
         support=sup, density=fn, density_left=density_left, density_right=density_right,
         cdf=cdf, expectation=expectation, name=name or "sampled density",
@@ -240,18 +240,3 @@ def median_point_probability(m: RandomVariableModel) -> Enclosure:
     supports; this form is valid for every b - a.)
     """
     return cdf_enclosure(m, m.support.midpoint)
-
-
-def expectation_from_cdf(m: RandomVariableModel) -> float:
-    """Recover E(X) = b - integral of F via the reference oracle.
-
-    Cross-checks the model's stored expectation; a mismatch beyond 1e-8
-    means the density, CDF, and expectation do not belong together.
-    """
-    area = reference_integral(m.cdf)
-    value = m.support.hi - area.value
-    if abs(value - m.expectation) > _EXPECTATION_TOL * max(1.0, abs(m.expectation)):
-        raise InconsistentModelError(
-            f"expectation {m.expectation} vs cdf-derived {value}"
-        )
-    return value

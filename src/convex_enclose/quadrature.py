@@ -51,20 +51,14 @@ class Partition:
         object.__setattr__(self, "tags", tags)
 
     @classmethod
-    def uniform(cls, interval: Interval, n: int, rule: str = "midpoint") -> "Partition":
+    def uniform(cls, interval: Interval, n: int) -> "Partition":
+        """n equal cells tagged at their midpoints."""
         if n < 1:
             raise PartitionError("need at least one cell")
         a, b = interval.lo, interval.hi
         nodes = [a + (b - a) * i / n for i in range(n + 1)]
         nodes[-1] = b
-        if rule == "midpoint":
-            tags = [0.5 * (u + v) for u, v in zip(nodes, nodes[1:])]
-        elif rule == "left":
-            tags = nodes[:-1]
-        elif rule == "right":
-            tags = nodes[1:]
-        else:
-            raise PartitionError(f"unknown tag rule {rule!r}")
+        tags = [0.5 * (u + v) for u, v in zip(nodes, nodes[1:])]
         return cls(tuple(nodes), tuple(tags))
 
     @property

@@ -6,14 +6,52 @@ The tests check that both forms agree, which pins the algebra of the
 bounds without putting the rewrites in the public API.
 """
 
+import math
+
 from convex_enclose.convex_core import ConvexFunction
-from convex_enclose.errors import ConvexEncloseError, DomainError, UnboundedSlopeError
+from convex_enclose.errors import (
+    ConvexEncloseError,
+    DomainError,
+    InvalidInputError,
+    UnboundedSlopeError,
+)
 from convex_enclose.extreal import xsum
 from convex_enclose.quadrature import Partition, _require_spanning
 
 
 class DegenerateSlopesError(ConvexEncloseError):
     """The endpoint slopes coincide, so the quadratic form is undefined."""
+
+
+class NotDifferentiableError(InvalidInputError):
+    """Left and right derivatives disagree where a two-sided one is needed."""
+
+
+def two_sided_derivative(f: ConvexFunction, t: float) -> float:
+    """Two-sided derivative where the one-sided slopes agree.
+
+    At a domain endpoint the single existing one-sided slope counts as the
+    derivative (it must be finite).  Certified oracles must agree up to
+    1e-9 relative; sampled oracles get a 1e-6 relative allowance for
+    estimation noise.  Raises NotDifferentiableError at kinks.
+    """
+    if t == f.domain.lo or t == f.domain.hi:
+        d = f.right_derivative(t) if t == f.domain.lo else f.left_derivative(t)
+        if math.isfinite(d):
+            return d
+        raise NotDifferentiableError(f"infinite one-sided derivative at endpoint t={t}")
+    dm = f.left_derivative(t)
+    dp = f.right_derivative(t)
+    if dm == dp and math.isfinite(dm):
+        return dm
+    tol = 1e-9 if f.certified else 1e-6
+    if (
+        math.isfinite(dm)
+        and math.isfinite(dp)
+        and abs(dp - dm) <= tol * max(1.0, abs(dm), abs(dp))
+    ):
+        return 0.5 * (dm + dp)
+    raise NotDifferentiableError(f"left/right derivatives differ at t={t}: {dm} vs {dp}")
 
 
 def remainder_upper_by_node(f: ConvexFunction, partition: Partition) -> float:
@@ -49,7 +87,7 @@ def differentiable_lower_form(f: ConvexFunction, partition: Partition) -> float:
     """
     _require_spanning(f, partition)
     return xsum(
-        (0.5 * (x0 + x1) - xi) * (x1 - x0) * f.derivative(xi)
+        (0.5 * (x0 + x1) - xi) * (x1 - x0) * two_sided_derivative(f, xi)
         for x0, x1, xi in partition.iter_cells()
     )
 
@@ -60,7 +98,7 @@ def differentiable_lower(f: ConvexFunction, x: float) -> float:
     Requires f differentiable at x (left and right slopes agree)."""
     if not f.domain.strictly_contains(x):
         raise DomainError("requires a strictly interior x")
-    d = f.derivative(x)
+    d = two_sided_derivative(f, x)
     return (f.domain.midpoint - x) * d
 
 

@@ -8,8 +8,6 @@ to finish in well under a minute.
 import math
 import random
 
-import pytest
-
 from convex_enclose import catalog
 from convex_enclose.convex_core import Interval
 from convex_enclose.divergence import (

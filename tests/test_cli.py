@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from convex_enclose import errors
 from convex_enclose.cli import run
 from convex_enclose.divergence import KERNELS
 
@@ -164,6 +165,8 @@ def test_exit_code_parse_error(capsys):
 def test_exit_code_bad_distribution(capsys):
     assert run(["divergence", "--kernel", "chi2", "--p", "0.7,0.5", "--q", "0.25,0.75"]) == 2
     assert run(["divergence", "--kernel", "chi2", "--p", "0.5,0.5", "--q", "0.25,0.5,0.25"]) == 2
+    assert run(["divergence", "--kernel", "kl", "--p", "0.5,x", "--q", "0.5,0.5"]) == 2
+    assert "cannot parse weights" in capsys.readouterr().err
 
 
 def test_exit_code_budget_exceeded(capsys):
@@ -221,6 +224,31 @@ def test_exit_code_non_finite_special_means(capsys):
                     ("nan", "2", "2")):
         assert run(["special-means", f"--a={a}", f"--b={b}", f"--p={p}"]) == 2
         assert "invalid input" in capsys.readouterr().err
+
+
+def test_exit_code_non_finite_function(capsys):
+    for argv in (["integrate", "--fn", "1e400", "--a", "0", "--b", "1"],
+                 ["enclose", "--fn", "1e300*1e300", "--a", "0", "--b", "1", "--x", "0.5"],
+                 ["integrate", "--fn", "1e308*2+t^2", "--a", "0", "--b", "1"]):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid input" in captured.err and "not finite" in captured.err
+
+
+def test_exit_code_non_finite_kernel_suite_p(capsys):
+    for p in ("nan", "inf"):
+        assert run(["means", "--a", "0.5", "--b", "3", "--c", "1", "--d", "2",
+                    f"--kernel-suite={p}"]) == 2
+        assert "invalid input" in capsys.readouterr().err
+
+
+def test_every_error_class_has_one_exit_code():
+    bases = (errors.InvalidInputError, errors.NumericalFailureError)
+    for cls in vars(errors).values():
+        if (isinstance(cls, type) and issubclass(cls, errors.ConvexEncloseError)
+                and cls not in (errors.ConvexEncloseError, *bases)):
+            assert sum(issubclass(cls, base) for base in bases) == 1, cls
 
 
 def test_no_command_prints_usage(capsys):

@@ -5,8 +5,9 @@ import pytest
 
 from convex_enclose import catalog
 from convex_enclose.convex_core import ConvexFunction, Interval, check_convexity, require_convex
-from convex_enclose.errors import DomainError, NonConvexError, NotDifferentiableError, UndefinedSideError
+from convex_enclose.errors import DomainError, NonConvexError, UndefinedSideError
 from convex_enclose.extreal import INF
+from identities import NotDifferentiableError, two_sided_derivative
 
 UNIT = Interval(0.0, 1.0)
 
@@ -147,6 +148,16 @@ def test_check_convexity_fails_sine_with_witness():
     assert exc_info.value.report.worst_violation == report.worst_violation
 
 
+def test_check_convexity_rejects_non_finite_values():
+    # an infinite constant, and a NaN at the grid point t = 0.5
+    for fn in (lambda t: INF, lambda t: t * t + (math.nan if t == 0.5 else 0.0)):
+        f = ConvexFunction.from_callable(fn, UNIT)
+        with pytest.raises(DomainError, match="not finite"):
+            check_convexity(f)
+        with pytest.raises(DomainError, match="not finite"):
+            require_convex(f)
+
+
 def test_check_convexity_needs_three_samples():
     with pytest.raises(ValueError):
         check_convexity(catalog.shifted_square(0.0, UNIT), n_samples=2)
@@ -175,9 +186,9 @@ def test_scaled_and_add_affine_compose_exactly():
 
 def test_two_sided_derivative():
     f = catalog.shifted_square(0.0, UNIT)
-    assert f.derivative(0.5) == 1.0
+    assert two_sided_derivative(f, 0.5) == 1.0
     with pytest.raises(NotDifferentiableError):
-        catalog.abs_shift(0.5, UNIT).derivative(0.5)
+        two_sided_derivative(catalog.abs_shift(0.5, UNIT), 0.5)
 
 
 def test_certified_requires_oracles():

