@@ -15,12 +15,15 @@ right-associative and binds tighter than unary minus):
 The constants e and pi parse to numbers.  Nodes carry exact source spans
 for error reporting; spans are ignored by structural equality.
 
-One-sided derivatives are evaluated by forward-mode differentiation over
-the tree.  At an abs/max kink the requested side picks the correct
-branch; sqrt and ln produce signed infinities where the tangent is
-vertical.  Variable exponents (t in the exponent of ^) are not lowered
-symbolically; convex_function_from_expression then falls back to sampled
-estimation with a warning.
+A parsed tree is lowered once into nested closures: ``lower_value``
+gives t -> value, and ``_lower_slope`` gives t -> (value, one-sided
+slope) for one side.  Each node's operator and side are resolved while
+lowering, so no evaluation walks the tree.  At an abs/max kink the
+requested side picks the correct branch; sqrt and ln produce signed
+infinities where the tangent is vertical.  Variable exponents (t in the
+exponent of ^) have no symbolic slope rule;
+convex_function_from_expression then falls back to sampled estimation
+with a warning.
 """
 
 from __future__ import annotations
@@ -242,67 +245,107 @@ def _pow_value(u: float, c: float, span) -> float:
         raise DomainError(f"{u} ^ {c} undefined near position {span[0]}") from exc
 
 
-def eval_expr(node, t: float) -> float:
-    """Evaluate at t; raises DomainError outside a function's math domain."""
+def lower_value(node) -> Callable[[float], float]:
+    """Closure t -> value of the tree; raises DomainError outside a
+    function's math domain.  Children are evaluated first, left to right."""
     if isinstance(node, Num):
-        return node.value
+        value = node.value
+        return lambda t: value
     if isinstance(node, Var):
-        return float(t)
+        return float
     if isinstance(node, Neg):
-        return -eval_expr(node.operand, t)
+        g = lower_value(node.operand)
+        return lambda t: -g(t)
     if isinstance(node, Call):
-        args = [eval_expr(a, t) for a in node.args]
-        if node.func == "abs":
-            return abs(args[0])
+        gs = [lower_value(a) for a in node.args]
+        g = gs[0]
         if node.func == "max":
-            return max(args)
+            return lambda t: max([h(t) for h in gs])
+        if node.func == "abs":
+            return lambda t: abs(g(t))
         if node.func == "exp":
-            try:
-                return math.exp(args[0])
-            except OverflowError as exc:
-                raise DomainError(f"exp overflow at t={t}") from exc
+            return lambda t: _exp(g(t), t)
         if node.func == "ln":
-            if args[0] <= 0.0:
-                raise DomainError(f"ln of non-positive value {args[0]} at t={t}")
-            return math.log(args[0])
-        if args[0] < 0.0:
-            raise DomainError(f"sqrt of negative value {args[0]} at t={t}")
-        return math.sqrt(args[0])
-    u = eval_expr(node.left, t)
-    v = eval_expr(node.right, t)
+            return lambda t: _ln(g(t), t)
+        return lambda t: _sqrt(g(t), t)
+    left, right = lower_value(node.left), lower_value(node.right)
     if node.op == "+":
-        return u + v
+        return lambda t: left(t) + right(t)
     if node.op == "-":
-        return u - v
+        return lambda t: left(t) - right(t)
     if node.op == "*":
-        return u * v
+        return lambda t: left(t) * right(t)
     if node.op == "/":
-        if v == 0.0:
-            raise DomainError(f"division by zero at t={t}")
-        return u / v
-    return _pow_value(u, v, node.span)
+        return lambda t: _div(left(t), right(t), t)
+    span = node.span
+    return lambda t: _pow_value(left(t), right(t), span)
 
 
-def _value_and_slope(node, t: float, sign: int):
-    """Forward-mode value and one-sided slope (sign=+1 right, -1 left).
+def eval_expr(node, t: float) -> float:
+    """Evaluate at t; raises DomainError outside a function's math domain.
 
-    Slopes use plain float arithmetic: an undefined form (inf - inf,
-    0 * inf) leaves a NaN that the caller rejects.  Only a branch that
-    would drop a NaN slope (a comparison, a discarded or sign-only
-    operand) checks it on the spot.
+    Lowers the tree on every call; to evaluate one tree at many points,
+    call lower_value once."""
+    return lower_value(node)(t)
+
+
+def _exp(u: float, t: float) -> float:
+    try:
+        return math.exp(u)
+    except OverflowError as exc:
+        raise DomainError(f"exp overflow at t={t}") from exc
+
+
+def _ln(u: float, t: float) -> float:
+    if u <= 0.0:
+        raise DomainError(f"ln of non-positive value {u} at t={t}")
+    return math.log(u)
+
+
+def _sqrt(u: float, t: float) -> float:
+    if u < 0.0:
+        raise DomainError(f"sqrt of negative value {u} at t={t}")
+    return math.sqrt(u)
+
+
+def _div(u: float, w: float, t: float) -> float:
+    if w == 0.0:
+        raise DomainError(f"division by zero at t={t}")
+    return u / w
+
+
+def _lower_slope(node, sign: int):
+    """Closure t -> (value, one-sided slope); sign=+1 right, -1 left.
+
+    Forward-mode differentiation, resolved per node once.  Slopes use
+    plain float arithmetic: an undefined form (inf - inf, 0 * inf) leaves
+    a NaN that the caller rejects.  Only a closure that would drop a NaN
+    slope (a comparison, a discarded or sign-only operand) checks it on
+    the spot.
     """
     if isinstance(node, Num):
-        return node.value, 0.0
+        pair = (node.value, 0.0)
+        return lambda t: pair
     if isinstance(node, Var):
-        return float(t), 1.0
+        return lambda t: (float(t), 1.0)
     if isinstance(node, Neg):
-        v, dv = _value_and_slope(node.operand, t, sign)
-        return -v, -dv
-    if isinstance(node, BinOp):
-        if node.op == "^":
-            u, du = _value_and_slope(node.left, t, sign)
-            c = eval_expr(node.right, t)  # exponent is variable-free here
-            value = _pow_value(u, c, node.span)
+        g = _lower_slope(node.operand, sign)
+
+        def neg(t):
+            v, dv = g(t)
+            return -v, -dv
+        return neg
+    if isinstance(node, Call):
+        return _lower_call_slope(node, sign)
+    left = _lower_slope(node.left, sign)
+    if node.op == "^":
+        exponent = lower_value(node.right)  # variable-free here
+        span = node.span
+
+        def power(t):
+            u, du = left(t)
+            c = exponent(t)
+            value = _pow_value(u, c, span)
             if c == 0.0:
                 ensure_extended(du)
                 return value, 0.0
@@ -312,54 +355,83 @@ def _value_and_slope(node, t: float, sign: int):
                 # vertical tangent of u^c at u = 0
                 ensure_extended(du)
                 return value, math.copysign(INF, c * du) if du != 0.0 else 0.0
-            return value, c * _pow_value(u, c - 1.0, node.span) * du
-        u, du = _value_and_slope(node.left, t, sign)
-        w, dw = _value_and_slope(node.right, t, sign)
-        if node.op == "+":
+            return value, c * _pow_value(u, c - 1.0, span) * du
+        return power
+    right = _lower_slope(node.right, sign)
+    if node.op == "+":
+        def add(t):
+            u, du = left(t)
+            w, dw = right(t)
             return u + w, du + dw
-        if node.op == "-":
+        return add
+    if node.op == "-":
+        def sub(t):
+            u, du = left(t)
+            w, dw = right(t)
             return u - w, du - dw
-        if node.op == "*":
+        return sub
+    if node.op == "*":
+        def mul(t):
+            u, du = left(t)
+            w, dw = right(t)
             return u * w, du * w + u * dw
-        if w == 0.0:
-            raise DomainError(f"division by zero at t={t}")
-        return u / w, (du * w - u * dw) / (w * w)
-    # Call
+        return mul
+
+    def div(t):
+        u, du = left(t)
+        w, dw = right(t)
+        return _div(u, w, t), (du * w - u * dw) / (w * w)
+    return div
+
+
+def _lower_call_slope(node, sign: int):
+    gs = [_lower_slope(a, sign) for a in node.args]
+    g = gs[0]
     if node.func == "max":
-        v, dv = _value_and_slope(node.args[0], t, sign)
-        ensure_extended(dv)
-        for arg in node.args[1:]:
-            w, dw = _value_and_slope(arg, t, sign)
-            ensure_extended(dw)
-            if w > v:
-                v, dv = w, dw
-            elif w == v:
-                dv = max(dv, dw) if sign > 0 else min(dv, dw)
-        return v, dv
-    u, du = _value_and_slope(node.args[0], t, sign)
+        pick = max if sign > 0 else min
+
+        def max_(t):
+            v, dv = g(t)
+            ensure_extended(dv)
+            for h in gs[1:]:
+                w, dw = h(t)
+                ensure_extended(dw)
+                if w > v:
+                    v, dv = w, dw
+                elif w == v:
+                    dv = pick(dv, dw)
+            return v, dv
+        return max_
     if node.func == "abs":
-        if u > 0.0:
-            return u, du
-        if u < 0.0:
-            return -u, -du
-        return 0.0, abs(du) if sign > 0 else -abs(du)
+        def abs_(t):
+            u, du = g(t)
+            if u > 0.0:
+                return u, du
+            if u < 0.0:
+                return -u, -du
+            return 0.0, abs(du) if sign > 0 else -abs(du)
+        return abs_
     if node.func == "exp":
-        try:
-            v = math.exp(u)
-        except OverflowError as exc:
-            raise DomainError(f"exp overflow at t={t}") from exc
-        return v, v * du
+        def exp_(t):
+            u, du = g(t)
+            v = _exp(u, t)
+            return v, v * du
+        return exp_
     if node.func == "ln":
-        if u <= 0.0:
-            raise DomainError(f"ln of non-positive value {u} at t={t}")
-        return math.log(u), du * (1.0 / u)
-    if u < 0.0:
-        raise DomainError(f"sqrt of negative value {u} at t={t}")
-    if u == 0.0:
-        if ensure_extended(du) == 0.0:
-            raise DomainError(f"indeterminate one-sided slope of sqrt at t={t}")
-        return 0.0, math.copysign(INF, du)
-    return math.sqrt(u), du * (0.5 / math.sqrt(u))
+        def ln_(t):
+            u, du = g(t)
+            return _ln(u, t), du * (1.0 / u)
+        return ln_
+
+    def sqrt_(t):
+        u, du = g(t)
+        v = _sqrt(u, t)
+        if u == 0.0:
+            if ensure_extended(du) == 0.0:
+                raise DomainError(f"indeterminate one-sided slope of sqrt at t={t}")
+            return 0.0, math.copysign(INF, du)
+        return v, du * (0.5 / v)
+    return sqrt_
 
 
 def one_sided_symbolic_derivative(expr, side: str) -> Callable[[float], float]:
@@ -379,7 +451,8 @@ def one_sided_symbolic_derivative(expr, side: str) -> Callable[[float], float]:
         raise ExpressionError(
             "variable exponents have no symbolic one-sided derivative rule"
         )
-    return lambda t: ensure_extended(_value_and_slope(expr, t, sign)[1])
+    slope = _lower_slope(expr, sign)
+    return lambda t: ensure_extended(slope(t)[1])
 
 
 def convex_function_from_expression(source: str, interval: Interval):
@@ -391,7 +464,7 @@ def convex_function_from_expression(source: str, interval: Interval):
     Convexity is NOT checked here; see convex_core.require_convex.
     """
     expr = parse_expression(source)
-    fn = lambda t: eval_expr(expr, t)
+    fn = lower_value(expr)
     warnings = []
     try:
         dminus = one_sided_symbolic_derivative(expr, "left")

@@ -17,7 +17,7 @@ operation:
 
 A comparison does not carry a NaN along (``max(1.0, nan)`` is 1.0), so
 code that compares or discards a possibly undefined slope checks it
-first; see ``expressions._value_and_slope``.
+first; see ``expressions._lower_slope``.
 """
 
 import math

@@ -135,6 +135,8 @@ def verify_mean_inequalities(a: float, b: float, c: float, d: float, p: float):
         raise DomainError("need [c, d] inside [a, b] inside the positive axis")
     if not math.isfinite(p):
         raise DomainError("the kernel suite needs a finite p")
+    if p == -1.0 or p == 0.0:
+        raise DomainError("p-logarithmic mean excludes p in {-1, 0}")
     full = Interval(a, b)
     sub = Interval(c, d)
     kernels = [

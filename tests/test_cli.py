@@ -243,6 +243,16 @@ def test_exit_code_non_finite_kernel_suite_p(capsys):
         assert "invalid input" in capsys.readouterr().err
 
 
+def test_exit_code_kernel_suite_excluded_p(capsys):
+    # L_p divides by p and by p + 1, as special-means --p rejects too
+    for p in ("0", "-1"):
+        assert run(["means", "--a", "0.5", "--b", "3", "--c", "1", "--d", "2",
+                    f"--kernel-suite={p}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid input: p-logarithmic mean excludes p in {-1, 0}" in captured.err
+
+
 def test_every_error_class_has_one_exit_code():
     bases = (errors.InvalidInputError, errors.NumericalFailureError)
     for cls in vars(errors).values():

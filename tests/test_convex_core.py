@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -133,6 +134,19 @@ def test_slope_monotonicity_across_catalog():
 def test_check_convexity_passes_convex():
     assert check_convexity(catalog.shifted_square(0.0, UNIT), tol=1e-12).ok
     assert check_convexity(catalog.abs_shift(0.0, Interval(-1.0, 1.0)), tol=1e-12).ok
+
+
+def test_check_convexity_evaluates_each_grid_point_once():
+    square = catalog.shifted_square(0.0, UNIT)
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return square.fn(t)
+
+    assert check_convexity(dataclasses.replace(square, fn=counted)) == check_convexity(square)
+    # 129 grid values, 255 grid-pair midpoints, 129 random pairs of 3 values each
+    assert len(calls) == 129 + 255 + 3 * 129
 
 
 def test_check_convexity_fails_sine_with_witness():

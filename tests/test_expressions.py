@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from convex_enclose.convex_core import ConvexFunction, Interval
 from convex_enclose.errors import DomainError, ExpressionError
@@ -11,13 +13,16 @@ from convex_enclose.expressions import (
     Neg,
     Num,
     Var,
+    _lower_slope,
     convex_function_from_expression,
     eval_expr,
     has_variable_exponent,
+    lower_value,
     one_sided_symbolic_derivative,
     parse_expression,
 )
 from convex_enclose.extreal import INF
+import tree_walk
 
 UNIT = Interval(0.0, 1.0)
 
@@ -186,3 +191,64 @@ def test_convex_function_from_expression_certified_path():
     assert cf.right_derivative(0.5) == 1.0
     assert cf.left_derivative(0.5) == -1.0
     assert cf.name == "abs(t - 1/2)"
+
+
+# Differential test of the lowering against the tree walk it replaced
+# (tests/tree_walk.py): every node kind, every branch of the slope rules.
+_NUMBERS = ("0", "0.25", "0.5", "1", "1.5", "2", "3", "1e-3", "1e300")
+_EXPONENTS = ("0", "1", "2", "3", "0.5", "1.5", "(-1)", "(-2)", "(-0.5)")
+# where t - c or t + c vanishes: the kinks of abs and max, and 0 of sqrt, ln, /
+_KINKS = tuple(float(x) for x in _NUMBERS) + tuple(-float(x) for x in _NUMBERS)
+
+
+def _grammar(leaves, exponents):
+    def extend(inner):
+        return st.one_of(
+            st.builds("({}){}({})".format, inner, st.sampled_from("+-*/"), inner),
+            st.builds("-({})".format, inner),
+            st.builds("({})^{}".format, inner, exponents),
+            st.builds("{}({})".format, st.sampled_from(("abs", "ln", "exp", "sqrt")), inner),
+            st.builds("max({}, {})".format, inner, inner),
+            st.builds("max({}, {}, {})".format, inner, inner, inner),
+        )
+    return st.recursive(leaves, extend, max_leaves=8)
+
+
+_CONSTANTS = st.sampled_from(_NUMBERS + ("e", "pi"))
+# a constant exponent: a literal, or a small variable-free tree such as (2)/(0)
+_EXPONENT = st.one_of(st.sampled_from(_EXPONENTS),
+                      st.builds("({})".format, _grammar(_CONSTANTS, st.just("2"))))
+_SOURCES = _grammar(st.one_of(_CONSTANTS, st.just("t")), _EXPONENT)
+_POINTS = st.one_of(st.floats(-4.0, 4.0), st.sampled_from(_KINKS), st.integers(-3, 3),
+                    st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _outcome(func, *args):
+    """float.hex of each result (signed zeros included), or the exception;
+    float.hex also fails on a result that is not a float."""
+    try:
+        result = func(*args)
+    except Exception as exc:  # the lowering must raise what the walk raised
+        return type(exc), str(exc)
+    if isinstance(result, tuple):
+        return tuple(float.hex(x) for x in result)
+    return float.hex(result)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_SOURCES, st.lists(_POINTS, max_size=4))
+# the slope of t*sqrt(t) at 0 is 1*0 + 0*inf, a NaN that these rules must reject
+@example("max(t*sqrt(t), 1)", [])
+@example("max(1, t*sqrt(t))", [])
+@example("(t*sqrt(t))^0", [])
+@example("(t*sqrt(t))^0.5", [])
+@example("sqrt(t*sqrt(t))", [])
+def test_lowering_matches_tree_walk(source, points):
+    tree = parse_expression(source)
+    value = lower_value(tree)
+    slopes = {sign: _lower_slope(tree, sign) for sign in (-1, +1)}
+    for t in [0.0, -0.0] + points:
+        assert _outcome(value, t) == _outcome(tree_walk.eval_expr, tree, t), (source, t)
+        for sign, slope in slopes.items():
+            want = _outcome(tree_walk._value_and_slope, tree, t, sign)
+            assert _outcome(slope, t) == want, (source, t, sign)
