@@ -45,8 +45,6 @@ from .errors import (
 )
 from .expressions import (
     convex_function_from_expression,
-    eval_expr,
-    one_sided_symbolic_derivative,
     parse_expression,
 )
 from .means import (

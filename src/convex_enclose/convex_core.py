@@ -28,6 +28,7 @@ from .extreal import ensure_extended
 _MAX_HALVINGS = 40
 _CONVERGENCE_ABS = 1e-9
 _NOISE_FLOOR_REL = 1e-6
+_CONVEXITY_SAMPLES = 129
 
 
 @dataclass(frozen=True)
@@ -237,23 +238,21 @@ class ConvexityReport:
     tol: float
 
 
-def check_convexity(f: ConvexFunction, n_samples: int = 129,
-                    tol: Optional[float] = None) -> ConvexityReport:
+def check_convexity(f: ConvexFunction, tol: Optional[float] = None) -> ConvexityReport:
     """Sampled falsification of convexity.
 
     Raises DomainError when f takes a non-finite value on the grid.
     Midpoint convexity f((s+t)/2) <= (f(s)+f(t))/2 is tested on pairs from
-    a deterministic grid plus random pairs (seed 0), and slope monotonicity
-    f'+(s) <= f'-(t) <= f'+(t) along the grid.  The default tolerance is
-    1e-9 relative to the sampled value range, because floating-point
-    midpoint tests on exactly convex functions can show round-off
-    violations; sampled derivative oracles get a wider allowance for
-    estimation noise.
+    a uniform grid of 129 points plus 129 random pairs (seed 0), and slope
+    monotonicity f'+(s) <= f'-(t) <= f'+(t) along the grid.  The default
+    tolerance is 1e-9 relative to the sampled value range, because
+    floating-point midpoint tests on exactly convex functions can show
+    round-off violations; sampled derivative oracles get a wider allowance
+    for estimation noise.
     """
-    if n_samples < 3:
-        raise ValueError("n_samples must be at least 3")
     lo, hi = f.domain.lo, f.domain.hi
-    grid = [lo + (hi - lo) * i / (n_samples - 1) for i in range(n_samples)]
+    n = _CONVEXITY_SAMPLES
+    grid = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
     grid[-1] = hi
     values = [f(t) for t in grid]
     for t, v in zip(grid, values):
@@ -279,12 +278,12 @@ def check_convexity(f: ConvexFunction, n_samples: int = 129,
 
     # grid pairs one and two steps apart reuse the grid values; then random pairs
     for step in (1, 2):
-        for i in range(n_samples - step):
+        for i in range(n - step):
             s, t = grid[i], grid[i + step]
             violation = f(0.5 * (s + t)) - 0.5 * (values[i] + values[i + step])
             record(violation, (s, t), mid_tol)
     rng = random.Random(0)
-    for _ in range(n_samples):
+    for _ in range(n):
         s = rng.uniform(lo, hi)
         t = rng.uniform(lo, hi)
         if s != t:
@@ -312,10 +311,9 @@ def check_convexity(f: ConvexFunction, n_samples: int = 129,
                            tol=mid_tol)
 
 
-def require_convex(f: ConvexFunction, n_samples: int = 129,
-                   tol: Optional[float] = None) -> ConvexityReport:
+def require_convex(f: ConvexFunction, tol: Optional[float] = None) -> ConvexityReport:
     """Run check_convexity and raise NonConvexError on failure."""
-    report = check_convexity(f, n_samples=n_samples, tol=tol)
+    report = check_convexity(f, tol=tol)
     if not report.ok:
         s, t = report.witness
         raise NonConvexError(

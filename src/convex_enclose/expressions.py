@@ -1,4 +1,4 @@
-"""Expression frontend: parsing, evaluation, one-sided symbolic derivatives.
+"""Expression frontend: parsing, value and one-sided slope lowering.
 
 Grammar over the single variable t (Python-style precedence, ^ is
 right-associative and binds tighter than unary minus):
@@ -17,20 +17,21 @@ for error reporting; spans are ignored by structural equality.
 
 A parsed tree is lowered once into nested closures: ``lower_value``
 gives t -> value, and ``_lower_slope`` gives t -> (value, one-sided
-slope) for one side.  Each node's operator and side are resolved while
-lowering, so no evaluation walks the tree.  At an abs/max kink the
-requested side picks the correct branch; sqrt and ln produce signed
-infinities where the tangent is vertical.  Variable exponents (t in the
-exponent of ^) have no symbolic slope rule;
-convex_function_from_expression then falls back to sampled estimation
-with a warning.
+slope) for one side.  These are the only two ways to evaluate a tree.
+Each node's operator and side are resolved while lowering, so no
+evaluation walks the tree.  At an abs/max kink the requested side picks
+the correct branch; sqrt and ln produce signed infinities where the
+tangent is vertical.  Variable exponents (t in the exponent of ^) have
+no symbolic slope rule: ``_lower_slope`` raises ExpressionError on them,
+and convex_function_from_expression then falls back to sampled
+estimation with a warning.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from .convex_core import ConvexFunction, Interval
@@ -197,15 +198,9 @@ class _Parser:
             self.take()
             node = self.expr()
             closing = self.expect(")")
-            return _respan(node, (tok.pos, closing.pos + 1))
+            return replace(node, span=(tok.pos, closing.pos + 1))
         raise ExpressionError("expected a number, 't', a constant, or '('",
                               source=self.src, position=tok.pos)
-
-
-def _respan(node, span):
-    fields = {f: getattr(node, f) for f in node.__dataclass_fields__}
-    fields["span"] = span
-    return type(node)(**fields)
 
 
 def parse_expression(src: str):
@@ -223,19 +218,6 @@ def _is_constant(node) -> bool:
     if isinstance(node, BinOp):
         return _is_constant(node.left) and _is_constant(node.right)
     return all(_is_constant(a) for a in node.args)
-
-
-def has_variable_exponent(node) -> bool:
-    """True when some '^' has t in its exponent (no symbolic lowering)."""
-    if isinstance(node, (Num, Var)):
-        return False
-    if isinstance(node, Neg):
-        return has_variable_exponent(node.operand)
-    if isinstance(node, Call):
-        return any(has_variable_exponent(a) for a in node.args)
-    if node.op == "^" and not _is_constant(node.right):
-        return True
-    return has_variable_exponent(node.left) or has_variable_exponent(node.right)
 
 
 def _pow_value(u: float, c: float, span) -> float:
@@ -281,14 +263,6 @@ def lower_value(node) -> Callable[[float], float]:
     return lambda t: _pow_value(left(t), right(t), span)
 
 
-def eval_expr(node, t: float) -> float:
-    """Evaluate at t; raises DomainError outside a function's math domain.
-
-    Lowers the tree on every call; to evaluate one tree at many points,
-    call lower_value once."""
-    return lower_value(node)(t)
-
-
 def _exp(u: float, t: float) -> float:
     try:
         return math.exp(u)
@@ -321,7 +295,8 @@ def _lower_slope(node, sign: int):
     plain float arithmetic: an undefined form (inf - inf, 0 * inf) leaves
     a NaN that the caller rejects.  Only a closure that would drop a NaN
     slope (a comparison, a discarded or sign-only operand) checks it on
-    the spot.
+    the spot.  Raises ExpressionError on a variable exponent, which has no
+    symbolic slope rule.
     """
     if isinstance(node, Num):
         pair = (node.value, 0.0)
@@ -337,9 +312,13 @@ def _lower_slope(node, sign: int):
         return neg
     if isinstance(node, Call):
         return _lower_call_slope(node, sign)
+    if node.op == "^" and not _is_constant(node.right):
+        raise ExpressionError(
+            "variable exponents have no symbolic one-sided derivative rule"
+        )
     left = _lower_slope(node.left, sign)
     if node.op == "^":
-        exponent = lower_value(node.right)  # variable-free here
+        exponent = lower_value(node.right)
         span = node.span
 
         def power(t):
@@ -434,42 +413,24 @@ def _lower_call_slope(node, sign: int):
     return sqrt_
 
 
-def one_sided_symbolic_derivative(expr, side: str) -> Callable[[float], float]:
-    """Evaluator of the one-sided derivative of a parsed expression.
-
-    ``side`` is "left" or "right".  Raises ExpressionError when the tree
-    contains a construct without a symbolic one-sided rule (a variable
-    exponent); callers may then fall back to sampled estimation.  The
-    returned callable raises ExtendedArithmeticError where the slope is
-    an undefined form (inf - inf, 0 * inf).
-    """
-    try:
-        sign = {"left": -1, "right": +1}[side]
-    except KeyError:
-        raise ValueError(f"side must be 'left' or 'right', not {side!r}") from None
-    if has_variable_exponent(expr):
-        raise ExpressionError(
-            "variable exponents have no symbolic one-sided derivative rule"
-        )
-    slope = _lower_slope(expr, sign)
-    return lambda t: ensure_extended(slope(t)[1])
-
-
 def convex_function_from_expression(source: str, interval: Interval):
     """Lower a source string onto an interval; the source is the label.
 
     Returns (ConvexFunction, warnings).  When the symbolic one-sided
-    derivative is unavailable the function is built from sampled
-    estimation instead (certified=False) and a warning explains why.
-    Convexity is NOT checked here; see convex_core.require_convex.
+    slope is unavailable the function is built from sampled estimation
+    instead (certified=False) and a warning explains why.  The slope
+    oracles raise ExtendedArithmeticError where the slope is an undefined
+    form (inf - inf, 0 * inf).  Convexity is NOT checked here; see
+    convex_core.require_convex.
     """
     expr = parse_expression(source)
     fn = lower_value(expr)
     warnings = []
     try:
-        dminus = one_sided_symbolic_derivative(expr, "left")
-        dplus = one_sided_symbolic_derivative(expr, "right")
-        cf = ConvexFunction(domain=interval, fn=fn, dminus=dminus, dplus=dplus,
+        left, right = _lower_slope(expr, -1), _lower_slope(expr, +1)
+        cf = ConvexFunction(domain=interval, fn=fn,
+                            dminus=lambda t: ensure_extended(left(t)[1]),
+                            dplus=lambda t: ensure_extended(right(t)[1]),
                             name=source, certified=True)
     except ExpressionError as exc:
         warnings.append(f"{exc}; falling back to sampled derivative estimation")

@@ -10,8 +10,8 @@ operation:
 
 - ``ensure_extended``, in the one-sided derivative oracles
   (``ConvexFunction.left_derivative``/``right_derivative`` and the
-  symbolic slopes of ``expressions.one_sided_symbolic_derivative``) and
-  in ``Enclosure``;
+  symbolic slopes that ``expressions.convex_function_from_expression``
+  builds) and in ``Enclosure``;
 - ``xsum``, for every sum of per-cell or per-atom terms;
 - the NaN-width test of ``quadrature.integrate_adaptive``.
 

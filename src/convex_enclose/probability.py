@@ -6,8 +6,8 @@ the pointwise convex bounds on F into computable enclosures of
 
     b - E(X) - (b - a) F(x)
 
-and hence of F(x) itself.  The one-sided limits of the density play the
-role of F's one-sided derivatives.
+and hence of F(x) itself.  The one-sided limits of the density are F's
+one-sided derivatives, so a model is its CDF.
 """
 
 from __future__ import annotations
@@ -24,27 +24,30 @@ from .pointwise import Enclosure, ostrowski_lower, ostrowski_upper
 
 _NORMALIZATION_TOL = 1e-9
 _DENSITY_INTEGRAL_TOL = 1e-10
+_VALIDATION_GRID = 65
 
 
 @dataclass(frozen=True)
 class RandomVariableModel:
-    """Monotone nondecreasing density on [a, b] with derived CDF and mean.
+    """Monotone nondecreasing density on [a, b], held as its convex CDF.
 
-    ``density_left`` / ``density_right`` are the one-sided limits of the
-    density (they differ only at jump points) and double as the one-sided
-    derivatives of the convex CDF.
+    The CDF's domain is the support, and its one-sided derivatives
+    ``cdf.left_derivative`` / ``cdf.right_derivative`` are the one-sided
+    limits of the density (they differ only at jump points).  ``density``
+    itself is kept for validation, which samples it on a grid.
     """
 
-    support: Interval
-    density: Callable[[float], float] = field(repr=False)
-    density_left: Callable[[float], float] = field(repr=False)
-    density_right: Callable[[float], float] = field(repr=False)
     cdf: ConvexFunction = field(repr=False)
+    density: Callable[[float], float] = field(repr=False)
     expectation: float = 0.0
     name: str = ""
 
+    @property
+    def support(self) -> Interval:
+        return self.cdf.domain
 
-def _validate(model: RandomVariableModel, n_grid: int = 65):
+
+def _validate(model: RandomVariableModel):
     a, b = model.support.lo, model.support.hi
     f0 = model.cdf(a)
     f1 = model.cdf(b)
@@ -52,7 +55,7 @@ def _validate(model: RandomVariableModel, n_grid: int = 65):
         raise InconsistentModelError(
             f"cdf spans [{f0}, {f1}]; the density must integrate to 1"
         )
-    grid = [a + (b - a) * i / (n_grid - 1) for i in range(n_grid)]
+    grid = [a + (b - a) * i / (_VALIDATION_GRID - 1) for i in range(_VALIDATION_GRID)]
     values = [model.density(t) for t in grid]
     if any(v < 0.0 for v in values):
         raise InconsistentModelError("density takes a negative value")
@@ -80,8 +83,7 @@ def uniform_model(a: float, b: float) -> RandomVariableModel:
         name="uniform cdf",
     )
     return _validate(RandomVariableModel(
-        support=sup, density=density, density_left=density, density_right=density,
-        cdf=cdf, expectation=sup.midpoint, name="uniform",
+        cdf=cdf, density=density, expectation=sup.midpoint, name="uniform",
     ))
 
 
@@ -104,8 +106,7 @@ def power_density_model(k: float, a: float, b: float) -> RandomVariableModel:
     )
     expectation = (math.pow(sup.hi, k + 2.0) - math.pow(sup.lo, k + 2.0)) / ((k + 2.0) * norm)
     return _validate(RandomVariableModel(
-        support=sup, density=density, density_left=density, density_right=density,
-        cdf=cdf, expectation=expectation, name=f"power k={k:g}",
+        cdf=cdf, density=density, expectation=expectation, name=f"power k={k:g}",
     ))
 
 
@@ -123,8 +124,7 @@ def exponential_density_model(a: float, b: float) -> RandomVariableModel:
     )
     expectation = ((sup.hi - 1.0) * math.exp(sup.hi) - (sup.lo - 1.0) * math.exp(sup.lo)) / norm
     return _validate(RandomVariableModel(
-        support=sup, density=density, density_left=density, density_right=density,
-        cdf=cdf, expectation=expectation, name="truncated exponential",
+        cdf=cdf, density=density, expectation=expectation, name="truncated exponential",
     ))
 
 
@@ -147,8 +147,6 @@ def step_density_model(a: float, b: float, split: float, low: float) -> RandomVa
             f"normalization forces a decreasing step ({low} -> {high})"
         )
     density = lambda t: low if t < split else high
-    density_left = lambda t: low if t <= split else high
-    density_right = lambda t: low if t < split else high
 
     def cdf_fn(x):
         if x <= split:
@@ -156,14 +154,12 @@ def step_density_model(a: float, b: float, split: float, low: float) -> RandomVa
         return low * (split - sup.lo) + high * (x - split)
 
     cdf = ConvexFunction(
-        domain=sup, fn=cdf_fn, dminus=density_left, dplus=density_right,
-        kinks=(split,), name="step cdf",
+        domain=sup, fn=cdf_fn, dminus=lambda t: low if t <= split else high,
+        dplus=density, kinks=(split,), name="step cdf",
     )
     expectation = 0.5 * low * (split**2 - sup.lo**2) + 0.5 * high * (sup.hi**2 - split**2)
     return _validate(RandomVariableModel(
-        support=sup, density=density, density_left=density_left,
-        density_right=density_right, cdf=cdf, expectation=expectation,
-        name=f"step at {split:g}",
+        cdf=cdf, density=density, expectation=expectation, name=f"step at {split:g}",
     ))
 
 
@@ -177,30 +173,21 @@ def model_from_density(fn, a: float, b: float, name: str = "") -> RandomVariable
     sup = Interval(a, b)
     span = sup.width
 
-    def density_left(t):
-        if t == sup.lo:
-            raise DomainError("no left limit at the lower endpoint")
-        return _one_sided_limit(fn, t, span, sup.lo, -1)
-
-    def density_right(t):
-        if t == sup.hi:
-            raise DomainError("no right limit at the upper endpoint")
-        return _one_sided_limit(fn, t, span, sup.hi, +1)
-
     def cdf_fn(x):
         if x == sup.lo:
             return 0.0
         return integrate_callable(fn, sup.lo, x, _DENSITY_INTEGRAL_TOL)[0]
 
     cdf = ConvexFunction(
-        domain=sup, fn=cdf_fn, dminus=density_left, dplus=density_right,
+        domain=sup, fn=cdf_fn,
+        dminus=lambda t: _one_sided_limit(fn, t, span, sup.lo, -1),
+        dplus=lambda t: _one_sided_limit(fn, t, span, sup.hi, +1),
         name=name or "sampled cdf", certified=False,
     )
     expectation = integrate_callable(lambda t: t * fn(t), sup.lo, sup.hi,
                                      _DENSITY_INTEGRAL_TOL)[0]
     return _validate(RandomVariableModel(
-        support=sup, density=fn, density_left=density_left, density_right=density_right,
-        cdf=cdf, expectation=expectation, name=name or "sampled density",
+        cdf=cdf, density=fn, expectation=expectation, name=name or "sampled density",
     ))
 
 

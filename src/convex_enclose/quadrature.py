@@ -21,7 +21,13 @@ from array import array
 from dataclasses import dataclass
 
 from .convex_core import ConvexFunction, Interval
-from .errors import BudgetExceededError, DomainError, PartitionError, UnboundedSlopeError
+from .errors import (
+    BudgetExceededError,
+    DomainError,
+    NonConvexError,
+    PartitionError,
+    UnboundedSlopeError,
+)
 from .extreal import INF, ensure_extended, xsum
 from .pointwise import Enclosure
 
@@ -176,9 +182,10 @@ def integrate_adaptive(f: ConvexFunction, tol: float,
         integral in [estimate + remainder.lo, estimate + remainder.hi]
     on a (generally non-uniform) midpoint partition.  Requires finite
     endpoint slopes (otherwise the width never becomes finite).  Raises
-    DomainError when max_cells < 1, and BudgetExceededError carrying the
-    best result when max_cells cells, or the floating-point resolution,
-    are exhausted.  With more kinks than fit in max_cells cells, an evenly
+    DomainError when max_cells < 1, NonConvexError when the slopes it
+    reads are out of order, and BudgetExceededError carrying the best
+    result when max_cells cells, or the floating-point resolution, are
+    exhausted.  With more kinks than fit in max_cells cells, an evenly
     strided subset of them seeds the partition.
     """
     if not tol > 0.0:
@@ -313,7 +320,10 @@ class _Cells:
     def result(self) -> QuadratureResult:
         """The midpoint rule on the cells, summed in node order.
 
-        The per-cell terms are those of midpoint_rule.
+        The per-cell terms are those of midpoint_rule.  Convex slopes
+        satisfy f'+(x0) <= f'-(m) <= f'+(m) <= f'-(x1) in every cell, and
+        rounded subtraction, scaling and fsum are monotone, so remainder
+        bounds out of order prove that f is not convex.
         """
         x0s, x1s, fms, nxt = self.x0, self.x1, self.fm, self.nxt
         dp0s, dm1s, dmms, dpms = self.dp0, self.dm1, self.dmm, self.dpm
@@ -331,6 +341,11 @@ class _Cells:
             hi_terms.append(0.125 * h2 * (dm1s[i] - dp0s[i]))
             i = nxt[i]
         nodes.append(x1)
-        remainder = Enclosure(xsum(lo_terms), xsum(hi_terms))
-        return QuadratureResult(estimate=xsum(values), remainder=remainder,
+        lo, hi = xsum(lo_terms), xsum(hi_terms)
+        if lo > hi:
+            raise NonConvexError(
+                f"one-sided slopes out of order (remainder bounds [{lo!r}, {hi!r}]); "
+                "the function is not convex"
+            )
+        return QuadratureResult(estimate=xsum(values), remainder=Enclosure(lo, hi),
                                 cells=len(tags), partition=Partition(nodes, tags))

@@ -157,6 +157,16 @@ def test_exit_code_nonconvex(capsys):
     assert "invalid input" in err and "convexity" in err
 
 
+def test_exit_code_nonconvex_integrand(capsys):
+    # a dip 2e-3 wide falls between the convexity samples, but the
+    # integrator's cells then see their slopes out of order
+    argv = ["integrate", "--fn", "t*t-max(0,1e-3-abs(t-0.50413))", "--a", "0", "--b", "1",
+            "--tol", "1e-10"]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "invalid input" in err and "not convex" in err
+
+
 def test_exit_code_parse_error(capsys):
     assert run(["enclose", "--fn", "t +", "--a", "0", "--b", "1", "--x", "0.5"]) == 2
     assert run(["enclose", "--fn", "q^2", "--a", "0", "--b", "1", "--x", "0.5"]) == 2

@@ -172,11 +172,6 @@ def test_check_convexity_rejects_non_finite_values():
             require_convex(f)
 
 
-def test_check_convexity_needs_three_samples():
-    with pytest.raises(ValueError):
-        check_convexity(catalog.shifted_square(0.0, UNIT), n_samples=2)
-
-
 def test_require_convex_on_black_box_affine():
     # estimation noise on an exactly affine black box must not flag
     f = ConvexFunction.from_callable(lambda t: 2.0 - 3.0 * t, Interval(-1.0, 4.0))

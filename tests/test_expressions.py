@@ -15,10 +15,7 @@ from convex_enclose.expressions import (
     Var,
     _lower_slope,
     convex_function_from_expression,
-    eval_expr,
-    has_variable_exponent,
     lower_value,
-    one_sided_symbolic_derivative,
     parse_expression,
 )
 from convex_enclose.extreal import INF
@@ -51,13 +48,13 @@ def test_precedence():
     assert parse_expression("t^-2") == BinOp("^", Var(), Neg(Num(2.0)))
     # division is left-associative
     assert parse_expression("t/2/4") == BinOp("/", BinOp("/", Var(), Num(2.0)), Num(4.0))
-    assert eval_expr(parse_expression("2*t+1"), 3.0) == 7.0
-    assert eval_expr(parse_expression("2^-1"), 0.0) == 0.5
+    assert lower_value(parse_expression("2*t+1"))(3.0) == 7.0
+    assert lower_value(parse_expression("2^-1"))(0.0) == 0.5
 
 
 def test_constants():
-    assert eval_expr(parse_expression("e"), 0.0) == math.e
-    assert eval_expr(parse_expression("pi"), 0.0) == math.pi
+    assert lower_value(parse_expression("e"))(0.0) == math.e
+    assert lower_value(parse_expression("pi"))(0.0) == math.pi
     node = parse_expression("2*pi - e")
     assert node == BinOp("-", BinOp("*", Num(2.0), Num(math.pi)), Num(math.e))
     assert node.left.right.span == (2, 4)
@@ -120,40 +117,33 @@ def test_round_trip(src):
 
 def test_eval_domain_errors():
     with pytest.raises(DomainError):
-        eval_expr(parse_expression("ln(t)"), 0.0)
+        lower_value(parse_expression("ln(t)"))(0.0)
     with pytest.raises(DomainError):
-        eval_expr(parse_expression("sqrt(t)"), -1.0)
+        lower_value(parse_expression("sqrt(t)"))(-1.0)
     with pytest.raises(DomainError):
-        eval_expr(parse_expression("1/t"), 0.0)
+        lower_value(parse_expression("1/t"))(0.0)
 
 
 def test_one_sided_derivatives_at_kinks():
-    expr = parse_expression("abs(t - 1/2)")
-    right = one_sided_symbolic_derivative(expr, "right")
-    left = one_sided_symbolic_derivative(expr, "left")
-    assert right(0.5) == 1.0
-    assert left(0.5) == -1.0
-    assert right(0.25) == left(0.25) == -1.0
+    f = convex_function_from_expression("abs(t - 1/2)", UNIT)[0]
+    assert f.right_derivative(0.5) == 1.0
+    assert f.left_derivative(0.5) == -1.0
+    assert f.right_derivative(0.25) == f.left_derivative(0.25) == -1.0
 
-    expr = parse_expression("max(0, t - 1/2)")
-    assert one_sided_symbolic_derivative(expr, "right")(0.5) == 1.0
-    assert one_sided_symbolic_derivative(expr, "left")(0.5) == 0.0
+    f = convex_function_from_expression("max(0, t - 1/2)", UNIT)[0]
+    assert f.right_derivative(0.5) == 1.0
+    assert f.left_derivative(0.5) == 0.0
 
 
 def test_one_sided_derivative_smooth_point():
-    expr = parse_expression("t^2")
-    for side in ("left", "right"):
-        assert one_sided_symbolic_derivative(expr, side)(0.3) == pytest.approx(0.6, rel=1e-15)
+    f = convex_function_from_expression("t^2", UNIT)[0]
+    for slope in (f.left_derivative, f.right_derivative):
+        assert slope(0.3) == pytest.approx(0.6, rel=1e-15)
 
 
 def test_vertical_tangent_gives_signed_infinity():
-    expr = parse_expression("-sqrt(t)")
-    assert one_sided_symbolic_derivative(expr, "right")(0.0) == -INF
-
-
-def test_side_argument_validated():
-    with pytest.raises(ValueError):
-        one_sided_symbolic_derivative(parse_expression("t"), "up")
+    f = convex_function_from_expression("-sqrt(t)", UNIT)[0]
+    assert f.right_derivative(0.0) == -INF
 
 
 def test_symbolic_matches_sampled_estimation():
@@ -161,23 +151,29 @@ def test_symbolic_matches_sampled_estimation():
     rng = random.Random(101)
     iv = Interval(0.5, 2.0)
     for src in sources:
-        expr = parse_expression(src)
-        symbolic = one_sided_symbolic_derivative(expr, "right")
-        sampled = ConvexFunction.from_callable(lambda t, e=expr: eval_expr(e, t), iv)
+        symbolic = convex_function_from_expression(src, iv)[0].right_derivative
+        sampled = ConvexFunction.from_callable(lower_value(parse_expression(src)), iv)
         for _ in range(100):
             t = iv.lo + iv.width * rng.uniform(0.05, 0.9)
             assert sampled.right_derivative(t) == pytest.approx(symbolic(t), abs=1e-6)
 
 
 def test_variable_exponent_detection_and_fallback():
-    expr = parse_expression("t^t")
-    assert has_variable_exponent(expr)
-    assert not has_variable_exponent(parse_expression("t^(2^3)"))
-    with pytest.raises(ExpressionError):
-        one_sided_symbolic_derivative(expr, "right")
-    cf, warnings = convex_function_from_expression("t^t", Interval(1.0, 2.0))
-    assert not cf.certified
-    assert warnings and "sampled" in warnings[0]
+    iv = Interval(1.0, 2.0)
+    fallback = ("variable exponents have no symbolic one-sided derivative rule; "
+                "falling back to sampled derivative estimation")
+    for src in ("t^t", "max(t, 2^t)", "(2^t)^2", "exp(t^t)", "t^(2^t)"):
+        for sign in (-1, +1):
+            with pytest.raises(ExpressionError, match="variable exponents"):
+                _lower_slope(parse_expression(src), sign)
+        cf, warnings = convex_function_from_expression(src, iv)
+        assert not cf.certified, src
+        assert warnings == [fallback], src
+    for src in ("t^(2^3)", "2^3*t^2"):
+        cf, warnings = convex_function_from_expression(src, iv)
+        assert cf.certified, src
+        assert warnings == [], src
+    cf, _ = convex_function_from_expression("t^t", iv)
     assert cf(2.0) == pytest.approx(4.0)
     # the sampled oracle still works: d/dt t^t = t^t (ln t + 1)
     want = 4.0 * (math.log(2.0) + 1.0)

@@ -1,7 +1,8 @@
 import pytest
 
+from convex_enclose.convex_core import Interval
 from convex_enclose.errors import ExtendedArithmeticError
-from convex_enclose.expressions import one_sided_symbolic_derivative, parse_expression
+from convex_enclose.expressions import convex_function_from_expression
 from convex_enclose.extreal import INF, ensure_extended, xsum
 
 
@@ -17,7 +18,8 @@ def test_ensure_extended_rejects_nan():
 
 
 def _slope_at_zero(source, side="right"):
-    return one_sided_symbolic_derivative(parse_expression(source), side)(0.0)
+    f = convex_function_from_expression(source, Interval(-1.0, 1.0))[0]
+    return getattr(f, f"{side}_derivative")(0.0)
 
 
 def test_addition_propagates_infinity():

@@ -73,8 +73,8 @@ def test_step_density_worked_case():
     m = step_density_model(0.0, 1.0, 0.5, 0.0)
     assert m.expectation == 0.75
     assert m.cdf(0.5) == 0.0
-    assert m.density_left(0.5) == 0.0
-    assert m.density_right(0.5) == 2.0
+    assert m.cdf.left_derivative(0.5) == 0.0
+    assert m.cdf.right_derivative(0.5) == 2.0
     gap = cdf_gap_enclosure(m, 0.5)
     assert gap.as_tuple() == (0.25, 0.25)
     enc = cdf_enclosure(m, 0.5)
@@ -138,7 +138,7 @@ def test_cdf_is_convex_for_all_families():
     rng = random.Random(7)
     for _ in range(8):
         m = random_density_model(rng)
-        assert check_convexity(m.cdf, n_samples=33).ok
+        assert check_convexity(m.cdf).ok
 
 
 def test_black_box_density_matches_closed_form():
@@ -146,7 +146,7 @@ def test_black_box_density_matches_closed_form():
     assert not m.cdf.certified
     assert m.expectation == pytest.approx(2.0 / 3.0, abs=1e-8)
     assert m.cdf(0.5) == pytest.approx(0.25, abs=1e-8)
-    assert m.density_right(0.5) == pytest.approx(1.0, abs=1e-6)
+    assert m.cdf.right_derivative(0.5) == pytest.approx(1.0, abs=1e-6)
     enc = cdf_enclosure(m, 0.5)
     assert enc.contains(0.25, slack=1e-6)
 

@@ -8,6 +8,7 @@ from convex_enclose.convex_core import ConvexFunction, Interval
 from convex_enclose.errors import (
     BudgetExceededError,
     DomainError,
+    NonConvexError,
     PartitionError,
     UnboundedSlopeError,
 )
@@ -235,6 +236,11 @@ def test_integrate_adaptive_errors():
     assert best is not None
     assert best.cells == 16
     assert best.integral_bounds.contains(math.e - 1.0)
+    # f'+ jumps above f'- everywhere, so f'+(m) - f'-(m) > f'-(1) - f'+(0)
+    not_convex = ConvexFunction(domain=UNIT, fn=lambda t: t * t, dminus=lambda t: 2.0 * t,
+                                dplus=lambda t: 2.0 * t + 2.0)
+    with pytest.raises(NonConvexError, match="out of order"):
+        integrate_adaptive(not_convex, 1e-6)
 
 
 def _counted(f):
