@@ -8,8 +8,9 @@ interior point, with
 and possibly infinite slopes at the endpoints: f'+(lo) may be -inf and
 f'-(hi) may be +inf.  Every bound in this package consumes functions
 through this interface.  Derivative oracles are either closed form
-(``certified=True``, see the catalog module) or estimated from samples by
-monotone difference quotients (``certified=False``).
+(``certified=True``: the catalog module and every parsed expression) or
+estimated from samples by monotone difference quotients (``certified=False``:
+black-box callables, and the CDF of a black-box density).
 
 All objects are immutable and all oracles are pure, so everything here is
 safe for unrestricted concurrent use.
@@ -149,9 +150,9 @@ class ConvexFunction:
             raise ValueError("certified functions need both closed-form derivative oracles")
 
     @classmethod
-    def from_callable(cls, fn, domain: Interval, name: str = "") -> "ConvexFunction":
+    def from_callable(cls, fn, domain: Interval) -> "ConvexFunction":
         """Wrap a black-box callable; derivatives are estimated on demand."""
-        return cls(domain=domain, fn=fn, name=name, certified=False)
+        return cls(domain=domain, fn=fn, certified=False)
 
     def __call__(self, t: float) -> float:
         if not self.domain.contains(t):

@@ -15,16 +15,13 @@ right-associative and binds tighter than unary minus):
 The constants e and pi parse to numbers.  Nodes carry exact source spans
 for error reporting; spans are ignored by structural equality.
 
-A parsed tree is lowered once into nested closures: ``lower_value``
-gives t -> value, and ``_lower_slope`` gives t -> (value, one-sided
-slope) for one side.  These are the only two ways to evaluate a tree.
-Each node's operator and side are resolved while lowering, so no
-evaluation walks the tree.  At an abs/max kink the requested side picks
-the correct branch; sqrt and ln produce signed infinities where the
-tangent is vertical.  Variable exponents (t in the exponent of ^) have
-no symbolic slope rule: ``_lower_slope`` raises ExpressionError on them,
-and convex_function_from_expression then falls back to sampled
-estimation with a warning.
+A parsed tree is lowered once into nested closures, the only two ways to
+evaluate it: ``lower_value`` gives t -> value, and ``_lower_slope`` gives
+t -> (value, closed-form one-sided slope) for one side, variable exponents
+included.  No evaluation walks the tree.  At an abs/max kink the requested
+side picks the correct branch; sqrt, ln and ^ produce signed infinities
+where the tangent is vertical.  Trees nest at most MAX_DEPTH levels
+(parentheses and operator chains count), far from Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -39,6 +36,8 @@ from .errors import DomainError, ExpressionError
 from .extreal import INF, ensure_extended
 
 CONSTANTS = {"e": math.e, "pi": math.pi}
+MAX_DEPTH = 100
+_TOO_DEEP = f"expression nests deeper than {MAX_DEPTH} levels"
 _UNARY_FUNCS = ("abs", "ln", "exp", "sqrt")
 
 
@@ -108,6 +107,7 @@ class _Parser:
         self.src = src
         self.tokens = _tokenize(src)
         self.index = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.index]
@@ -133,6 +133,11 @@ class _Parser:
         if tok.kind != "end":
             raise ExpressionError(f"unexpected trailing input {tok.text!r}",
                                   source=self.src, position=tok.pos)
+        height, level = 1, [node]  # counted level by level: chains nest too
+        while level := [c for n in level for c in _children(n)]:
+            height += 1
+        if height > MAX_DEPTH:
+            raise ExpressionError(_TOO_DEEP, source=self.src)
         return node
 
     def expr(self):
@@ -152,11 +157,17 @@ class _Parser:
         return node
 
     def factor(self):
+        self.depth += 1  # parentheses, arguments, unary minus and exponents all nest here
+        if self.depth > MAX_DEPTH:
+            raise ExpressionError(_TOO_DEEP, source=self.src, position=self.peek().pos)
         if self.at_op("-"):
             op = self.take()
             operand = self.factor()
-            return Neg(operand, span=(op.pos, operand.span[1]))
-        return self.power()
+            node = Neg(operand, span=(op.pos, operand.span[1]))
+        else:
+            node = self.power()
+        self.depth -= 1
+        return node
 
     def power(self):
         base = self.atom()
@@ -204,20 +215,20 @@ class _Parser:
 
 
 def parse_expression(src: str):
-    """Parse source text into an expression tree."""
+    """Parse source text into an expression tree (ExpressionError if invalid)."""
     return _Parser(src).parse()
 
 
-def _is_constant(node) -> bool:
-    if isinstance(node, Var):
-        return False
-    if isinstance(node, Num):
-        return True
+def _children(node) -> tuple:
     if isinstance(node, Neg):
-        return _is_constant(node.operand)
+        return (node.operand,)
     if isinstance(node, BinOp):
-        return _is_constant(node.left) and _is_constant(node.right)
-    return all(_is_constant(a) for a in node.args)
+        return (node.left, node.right)
+    return node.args if isinstance(node, Call) else ()
+
+
+def _is_constant(node) -> bool:
+    return not isinstance(node, Var) and all(_is_constant(c) for c in _children(node))
 
 
 def _pow_value(u: float, c: float, span) -> float:
@@ -295,8 +306,7 @@ def _lower_slope(node, sign: int):
     plain float arithmetic: an undefined form (inf - inf, 0 * inf) leaves
     a NaN that the caller rejects.  Only a closure that would drop a NaN
     slope (a comparison, a discarded or sign-only operand) checks it on
-    the spot.  Raises ExpressionError on a variable exponent, which has no
-    symbolic slope rule.
+    the spot.  A variable exponent follows (u^c)' = u^c (c' ln u + c u'/u).
     """
     if isinstance(node, Num):
         pair = (node.value, 0.0)
@@ -312,19 +322,29 @@ def _lower_slope(node, sign: int):
         return neg
     if isinstance(node, Call):
         return _lower_call_slope(node, sign)
-    if node.op == "^" and not _is_constant(node.right):
-        raise ExpressionError(
-            "variable exponents have no symbolic one-sided derivative rule"
-        )
     left = _lower_slope(node.left, sign)
     if node.op == "^":
-        exponent = lower_value(node.right)
         span = node.span
+        if _is_constant(node.right):
+            # slope 0; the slope closure of sqrt(0) would raise where its value does not
+            exponent = lower_value(node.right)
+            right = lambda t: (exponent(t), 0.0)
+        else:
+            right = _lower_slope(node.right, sign)
 
         def power(t):
             u, du = left(t)
-            c = exponent(t)
+            c, dc = right(t)
             value = _pow_value(u, c, span)
+            if dc != 0.0:  # (u^c)' = u^c (c' ln u + c u'/u)
+                ensure_extended(dc)
+                if u > 0.0:
+                    return value, value * (dc * math.log(u) + c * du / u)
+                if not u == 0.0:  # u < 0: u^c is undefined on either side
+                    raise DomainError(f"{u} ^ {c} has no one-sided slope near position {span[0]}")
+                if c == 0.0:  # u^c tends to 1 and the c' ln u term decides
+                    ensure_extended(du)
+                    return value, -math.copysign(INF, dc)
             if c == 0.0:
                 ensure_extended(du)
                 return value, 0.0
@@ -416,23 +436,15 @@ def _lower_call_slope(node, sign: int):
 def convex_function_from_expression(source: str, interval: Interval):
     """Lower a source string onto an interval; the source is the label.
 
-    Returns (ConvexFunction, warnings).  When the symbolic one-sided
-    slope is unavailable the function is built from sampled estimation
-    instead (certified=False) and a warning explains why.  The slope
-    oracles raise ExtendedArithmeticError where the slope is an undefined
-    form (inf - inf, 0 * inf).  Convexity is NOT checked here; see
-    convex_core.require_convex.
+    Returns (ConvexFunction, warnings): the function is certified (closed
+    form slopes) and the warnings list is empty, for the caller to extend.
+    The slope oracles raise ExtendedArithmeticError where the slope is an
+    undefined form (inf - inf, 0 * inf).  Convexity is NOT checked here;
+    see convex_core.require_convex.
     """
     expr = parse_expression(source)
-    fn = lower_value(expr)
-    warnings = []
-    try:
-        left, right = _lower_slope(expr, -1), _lower_slope(expr, +1)
-        cf = ConvexFunction(domain=interval, fn=fn,
-                            dminus=lambda t: ensure_extended(left(t)[1]),
-                            dplus=lambda t: ensure_extended(right(t)[1]),
-                            name=source, certified=True)
-    except ExpressionError as exc:
-        warnings.append(f"{exc}; falling back to sampled derivative estimation")
-        cf = ConvexFunction.from_callable(fn, interval, name=source)
-    return cf, warnings
+    left, right = _lower_slope(expr, -1), _lower_slope(expr, +1)
+    return ConvexFunction(domain=interval, fn=lower_value(expr),
+                          dminus=lambda t: ensure_extended(left(t)[1]),
+                          dplus=lambda t: ensure_extended(right(t)[1]),
+                          name=source, certified=True), []

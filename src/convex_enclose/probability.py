@@ -139,7 +139,7 @@ def step_density_model(a: float, b: float, split: float, low: float) -> RandomVa
     low = float(low)
     if not sup.lo < split < sup.hi:
         raise DomainError("split point must be interior")
-    if low < 0.0:
+    if not low >= 0.0:  # NaN included
         raise DomainError("density level must be nonnegative")
     high = (1.0 - low * (split - sup.lo)) / (sup.hi - split)
     if high < low:

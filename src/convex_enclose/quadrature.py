@@ -213,12 +213,22 @@ def integrate_adaptive(f: ConvexFunction, tol: float,
     value = f.fn
     dminus = f.dminus or f.left_derivative
     dplus = f.dplus or f.right_derivative
+    slack = 1e-9 if f.certified else 1e-6  # relative; sampled slopes are estimates
 
     def midpoint(x0, x1, dp0, dm1):
-        """f, f'- and f'+ at the midpoint of [x0, x1], and the cell's width."""
+        """f, f'- and f'+ at the midpoint of [x0, x1], and the cell's width.
+
+        Convexity orders the slopes of distinct points, f'+(x0) <= f'-(m)
+        and f'+(m) <= f'-(x1); a violation beyond rounding (or estimation
+        noise) raises NonConvexError.
+        """
         m = 0.5 * (x0 + x1)
         dmm = dminus(m)
         dpm = dplus(m)
+        if dp0 > dmm:
+            _require_order(dp0, dmm, x0, m, slack)
+        if dpm > dm1:
+            _require_order(dpm, dm1, m, x1, slack)
         h = x1 - x0
         h2 = h * h
         w = 0.125 * h2 * (dm1 - dp0) - 0.125 * h2 * (dpm - dmm)
@@ -289,6 +299,17 @@ def integrate_adaptive(f: ConvexFunction, tol: float,
         f"enclosure width {best.width:.3e} > tol {tol:.3e} after {best.cells} cells",
         best=best,
     )
+
+
+def _require_order(d0, d1, x0, x1, slack):
+    """NonConvexError when the slope d0 at x0 < x1 exceeds the slope d1 at
+    x1 by more than slack * max(1, min(|d0|, |d1|)); an infinite slope out
+    of order with a finite one always exceeds it."""
+    if d0 - d1 > slack * max(1.0, min(abs(d0), abs(d1))):
+        raise NonConvexError(
+            f"one-sided slopes out of order: {d0!r} at t={x0!r} > {d1!r} at t={x1!r}; "
+            "the function is not convex"
+        )
 
 
 class _Cells:

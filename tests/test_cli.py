@@ -55,6 +55,14 @@ def test_enclose_infinite_upper_serializes_as_string(capsys):
     assert doc["result"]["classical_bound"] is None
 
 
+def test_enclose_variable_exponent_has_closed_form_slopes(capsys):
+    # f'+(0) of t^t is -inf, so the upper bound and the baseline degenerate
+    doc = run_json(capsys, ["enclose", "--fn", "t^t", "--a", "0", "--b", "1", "--x", "0.3"])
+    assert doc["result"]["upper"] == "inf"
+    assert doc["result"]["classical_bound"] is None
+    assert doc["warnings"] == ["classical baseline unavailable: infinite endpoint slope"]
+
+
 def test_integrate_certificate(capsys):
     doc = run_json(capsys, ["integrate", "--fn", "exp(t)", "--a", "0", "--b", "1",
                             "--tol", "1e-6"])
@@ -167,6 +175,15 @@ def test_exit_code_nonconvex_integrand(capsys):
     assert "invalid input" in err and "not convex" in err
 
 
+def test_exit_code_nonconvex_integrand_at_coarse_tol(capsys):
+    # at tol 1e-8 two cells hold slopes out of order without upsetting the sum
+    argv = ["integrate", "--fn", "t*t-max(0,1e-3-abs(t-0.50413))", "--a", "0", "--b", "1",
+            "--tol", "1e-8"]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "invalid input" in err and "not convex" in err
+
+
 def test_exit_code_parse_error(capsys):
     assert run(["enclose", "--fn", "t +", "--a", "0", "--b", "1", "--x", "0.5"]) == 2
     assert run(["enclose", "--fn", "q^2", "--a", "0", "--b", "1", "--x", "0.5"]) == 2
@@ -196,6 +213,29 @@ def test_exit_code_nonpositive_max_cells(capsys):
 
 def test_exit_code_unbounded_slope(capsys):
     assert run(["integrate", "--fn=-sqrt(t)", "--a", "0", "--b", "1"]) == 2
+
+
+def test_exit_code_unbounded_slope_of_variable_exponent(capsys):
+    assert run(["integrate", "--fn", "t^t", "--a", "0", "--b", "1"]) == 2
+    assert "infinite endpoint slope" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["enclose", "--fn", "(" * 300 + "t" + ")" * 300],
+    ["enclose", "--fn", "abs(" * 300 + "t" + ")" * 300],
+    ["enclose", "--fn=" + "-" * 1200 + "t"],
+    ["enclose", "--fn", "+".join(["t"] * 1500)],
+    ["enclose", "--fn", "+".join(["t"] * 900)],
+    ["prob", "--density", "(" * 400 + "t" + ")" * 400],
+], ids=["parentheses", "abs", "unary-minus", "sum-1500", "sum-900", "density"])
+def test_exit_code_deep_expression(capsys, argv):
+    assert run(argv + ["--a", "0", "--b", "1", "--x", "0.5"]) == 2
+    assert "nests deeper than" in capsys.readouterr().err
+
+
+def test_exit_code_nan_step_level(capsys):
+    assert run(["prob", "--density", "step:0.5,nan", "--a", "0", "--b", "1"]) == 2
+    assert "density level must be nonnegative" in capsys.readouterr().err
 
 
 def test_exit_code_overflow_in_bound_formula(capsys):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from convex_enclose.convex_core import ConvexFunction, Interval
 from convex_enclose.errors import DomainError, ExpressionError
 from convex_enclose.expressions import (
+    MAX_DEPTH,
     BinOp,
     Call,
     Neg,
@@ -77,6 +78,22 @@ def test_parse_errors_carry_positions():
         parse_expression("max(t)")
     with pytest.raises(ExpressionError):
         parse_expression("ln(t, 2)")
+
+
+@pytest.mark.parametrize("nest", [
+    lambda k: "(" * (k - 1) + "t" + ")" * (k - 1),   # k - 1 parentheses in one factor
+    lambda k: "abs(" * (k - 1) + "t" + ")" * (k - 1),
+    lambda k: "-" * (k - 1) + "t",
+    lambda k: "t" + "^t" * (k - 1),
+    lambda k: "+".join(["t"] * k),                    # a chain is k levels deep
+    lambda k: "(" + "*".join(["t"] * (k - 1)) + ")+t",
+])
+def test_nesting_depth_limit(nest):
+    tree = parse_expression(nest(MAX_DEPTH))
+    lower_value(tree)(0.5)  # lowering and evaluation stay far from the recursion limit
+    _lower_slope(tree, +1)(0.5)
+    with pytest.raises(ExpressionError, match=f"deeper than {MAX_DEPTH} levels"):
+        parse_expression(nest(MAX_DEPTH + 1))
 
 
 def test_spans_cover_source():
@@ -158,26 +175,88 @@ def test_symbolic_matches_sampled_estimation():
             assert sampled.right_derivative(t) == pytest.approx(symbolic(t), abs=1e-6)
 
 
-def test_variable_exponent_detection_and_fallback():
+_LN2 = math.log(2.0)
+# variable exponents and their slopes in closed form
+_VARIABLE_EXPONENTS = {
+    "t^t": lambda t: t**t * (math.log(t) + 1.0),
+    "max(t, 2^t)": lambda t: 2.0**t * _LN2,  # 2^t > t on [1, 2]
+    "(2^t)^2": lambda t: 2.0 * 4.0**t * _LN2,
+    "exp(t^t)": lambda t: math.exp(t**t) * t**t * (math.log(t) + 1.0),
+    "t^(2^t)": lambda t: t**(2.0**t) * (2.0**t * _LN2 * math.log(t) + 2.0**t / t),
+}
+
+
+def test_variable_exponent_slopes_are_certified():
     iv = Interval(1.0, 2.0)
-    fallback = ("variable exponents have no symbolic one-sided derivative rule; "
-                "falling back to sampled derivative estimation")
-    for src in ("t^t", "max(t, 2^t)", "(2^t)^2", "exp(t^t)", "t^(2^t)"):
-        for sign in (-1, +1):
-            with pytest.raises(ExpressionError, match="variable exponents"):
-                _lower_slope(parse_expression(src), sign)
-        cf, warnings = convex_function_from_expression(src, iv)
-        assert not cf.certified, src
-        assert warnings == [fallback], src
-    for src in ("t^(2^3)", "2^3*t^2"):
+    for src, want in _VARIABLE_EXPONENTS.items():
         cf, warnings = convex_function_from_expression(src, iv)
         assert cf.certified, src
         assert warnings == [], src
-    cf, _ = convex_function_from_expression("t^t", iv)
-    assert cf(2.0) == pytest.approx(4.0)
-    # the sampled oracle still works: d/dt t^t = t^t (ln t + 1)
-    want = 4.0 * (math.log(2.0) + 1.0)
-    assert cf.left_derivative(2.0) == pytest.approx(want, abs=1e-5)
+        for t in (1.0, 1.25, 1.5, 1.75, 2.0):
+            if t > iv.lo:
+                assert cf.left_derivative(t) == pytest.approx(want(t), rel=1e-13), (src, t)
+            if t < iv.hi:
+                assert cf.right_derivative(t) == pytest.approx(want(t), rel=1e-13), (src, t)
+    for src in ("t^(2^3)", "2^3*t^2"):
+        cf, warnings = convex_function_from_expression(src, iv)
+        assert cf.certified and warnings == [], src
+
+
+# the same functions in mpmath, for 50-digit one-sided difference quotients
+_MP_FUNCTIONS = {
+    "t^t": lambda mp, t: t**t,
+    "2^t": lambda mp, t: mp.mpf(2)**t,
+    "(t*t+1)^t": lambda mp, t: (t * t + 1)**t,
+    "t^(t+1)": lambda mp, t: t**(t + 1),
+    "exp(t)^t": lambda mp, t: mp.exp(t)**t,
+}
+
+
+@pytest.mark.parametrize("src", sorted(_MP_FUNCTIONS))
+def test_variable_exponent_slopes_match_high_precision_quotients(src):
+    mpmath = pytest.importorskip("mpmath")
+    f = _MP_FUNCTIONS[src]
+    slopes = {sign: _lower_slope(parse_expression(src), sign) for sign in (-1, +1)}
+    with mpmath.workdps(50):
+        h = mpmath.mpf(10) ** -30
+        for t in (0.125, 0.5, 0.75, 1.0, 1.5, 2.5):
+            x = mpmath.mpf(t)
+            for sign, slope in slopes.items():
+                quotient = (f(mpmath, x + sign * h) - f(mpmath, x)) / (sign * h)
+                assert slope(t)[1] == pytest.approx(float(quotient), rel=1e-14), (src, t, sign)
+
+
+@pytest.mark.parametrize("src, point, sign, want, mp_f", [
+    # u = 0 under a variable exponent c: c = 0 leaves c' ln u, which decides
+    ("t^t", "0", +1, -INF, lambda mp, t: t**t),
+    # otherwise the rules of a constant exponent c hold
+    ("t^(t+0.5)", "0", +1, INF, lambda mp, t: t**(t + 0.5)),
+    ("t^(t+1)", "0", +1, 1.0, lambda mp, t: t**(t + 1)),
+    ("t^(t+2)", "0", +1, 0.0, lambda mp, t: t**(t + 2)),
+    ("abs(t-0.3)^(t+0.2)", "0.3", -1, -INF, lambda mp, t: abs(t - mp.mpf("0.3"))**(t + 0.2)),
+    ("abs(t-0.3)^(t+0.2)", "0.3", +1, INF, lambda mp, t: abs(t - mp.mpf("0.3"))**(t + 0.2)),
+])
+def test_variable_exponent_slopes_where_the_base_vanishes(src, point, sign, want, mp_f):
+    mpmath = pytest.importorskip("mpmath")
+    _, slope = _lower_slope(parse_expression(src), sign)(float(point))
+    assert slope == want
+    with mpmath.workdps(50):
+        x = mpmath.mpf(point)
+        quotients = [(mp_f(mpmath, x + sign * h) - mp_f(mpmath, x)) / (sign * h)
+                     for h in (mpmath.mpf(10) ** -k for k in (10, 20, 40))]
+    if math.isinf(want):  # the quotients grow without bound, with the sign of the limit
+        assert all(q * want > 0 for q in quotients)
+        assert abs(quotients[0]) < abs(quotients[1]) < abs(quotients[2])
+    else:
+        assert float(quotients[-1]) == pytest.approx(want, abs=1e-12)
+
+
+def test_variable_exponent_of_a_negative_base_is_a_domain_error():
+    # (t-2)^t at t = 1 has the value -1, but no slope on either side
+    for src, t in (("(t-2)^t", 1.0), ("(t-2)^t", 0.5), ("(t-2)^(2*t)", 1.0)):
+        for sign in (-1, +1):
+            with pytest.raises(DomainError):
+                _lower_slope(parse_expression(src), sign)(t)
 
 
 def test_convex_function_from_expression_certified_path():
