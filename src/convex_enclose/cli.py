@@ -24,7 +24,7 @@ import sys
 
 from . import divergence as div
 from . import probability as prob
-from .convex_core import Interval, require_convex
+from .convex_core import Interval, require_convex, require_supporting_lines
 from .errors import (
     DomainError,
     InvalidDistributionError,
@@ -142,6 +142,7 @@ def _cmd_enclose(args):
     except UnboundedSlopeError:
         classical = None
         warnings.append("classical baseline unavailable: infinite endpoint slope")
+    require_supporting_lines(cf, (cf.domain.lo, args.x, cf.domain.midpoint, cf.domain.hi))
     result = {
         "lower": lower,
         "upper": upper,

@@ -12,6 +12,12 @@ through this interface.  Derivative oracles are either closed form
 estimated from samples by monotone difference quotients (``certified=False``:
 black-box callables, and the CDF of a black-box density).
 
+Convexity itself is either proved (``proved_convex=True``: the expression
+frontend's composition rules) or falsified by sampling: ``require_convex``
+trusts a proof and samples everything else with ``check_convexity``.
+``require_supporting_lines`` checks the few points a bound consumes, for
+a non-convex dip between the samples.
+
 All objects are immutable and all oracles are pure, so everything here is
 safe for unrestricted concurrent use.
 """
@@ -134,6 +140,8 @@ class ConvexFunction:
     ``antiderivative``, when present, must be exact on the whole domain
     (kinks included); only the reference oracle consumes it.  ``kinks``
     lists interior points where the two one-sided derivatives differ.
+    ``proved_convex`` marks a function whose convexity on the domain was
+    proved, so that :func:`require_convex` need not sample it.
     """
 
     domain: Interval
@@ -144,6 +152,7 @@ class ConvexFunction:
     kinks: tuple = ()
     name: str = ""
     certified: bool = True
+    proved_convex: bool = False
 
     def __post_init__(self):
         if self.certified and (self.dminus is None or self.dplus is None):
@@ -230,13 +239,15 @@ class ConvexFunction:
 
 @dataclass(frozen=True)
 class ConvexityReport:
-    """Outcome of sampled convexity falsification."""
+    """Outcome of a convexity check: "sampled" falsification, or "proved"
+    by composition rules (no checks run)."""
 
     ok: bool
     worst_violation: float
     witness: Optional[tuple]
     checks: int
     tol: float
+    method: str = "sampled"
 
 
 def check_convexity(f: ConvexFunction, tol: Optional[float] = None) -> ConvexityReport:
@@ -313,7 +324,12 @@ def check_convexity(f: ConvexFunction, tol: Optional[float] = None) -> Convexity
 
 
 def require_convex(f: ConvexFunction, tol: Optional[float] = None) -> ConvexityReport:
-    """Run check_convexity and raise NonConvexError on failure."""
+    """Trust a function whose convexity was proved (``proved_convex``, set
+    by the expression frontend's composition rules) without evaluating it;
+    otherwise run check_convexity and raise NonConvexError on failure."""
+    if f.proved_convex:
+        return ConvexityReport(ok=True, worst_violation=0.0, witness=None, checks=0, tol=0.0,
+                               method="proved")
     report = check_convexity(f, tol=tol)
     if not report.ok:
         s, t = report.witness
@@ -322,3 +338,27 @@ def require_convex(f: ConvexFunction, tol: Optional[float] = None) -> ConvexityR
             report=report,
         )
     return report
+
+
+def require_supporting_lines(f: ConvexFunction, points) -> None:
+    """Raise NonConvexError unless the support line at each point lies below
+    f at every other point (slack 1e-9 relative to the terms compared).
+
+    A bound that consumes f and its one-sided slopes at these points
+    trusts exactly this; it catches a non-convex dip that the sampled check
+    stepped over.  The line towards larger t takes f'+, towards smaller t f'-.
+    """
+    points = sorted(set(points))
+    values = [f(p) for p in points]
+    lo, hi = f.domain.lo, f.domain.hi
+    rights = [f.right_derivative(p) if p < hi else None for p in points]
+    lefts = [f.left_derivative(p) if p > lo else None for p in points]
+    for i, (p, fp) in enumerate(zip(points, values)):
+        for j, (q, fq) in enumerate(zip(points, values)):
+            if i == j:
+                continue
+            rise = (rights[i] if j > i else lefts[i]) * (q - p)
+            excess = fp + rise - fq
+            if excess > 1e-9 * max(1.0, abs(fp), abs(fq), abs(rise)):
+                raise NonConvexError(f"not convex: the support line at t={p!r} lies "
+                                     f"{excess:.3e} above f({q!r}) = {fq!r}")

@@ -22,6 +22,9 @@ included.  No evaluation walks the tree.  At an abs/max kink the requested
 side picks the correct branch; sqrt, ln and ^ produce signed infinities
 where the tangent is vertical.  Trees nest at most MAX_DEPTH levels
 (parentheses and operator chains count), far from Python's recursion limit.
+
+``_proves_convex`` tries to prove a tree convex on an interval by
+composition rules; what it cannot prove is left to the sampled check.
 """
 
 from __future__ import annotations
@@ -234,7 +237,9 @@ def _is_constant(node) -> bool:
 def _pow_value(u: float, c: float, span) -> float:
     try:
         return math.pow(u, c)
-    except (ValueError, OverflowError) as exc:
+    except OverflowError as exc:
+        raise DomainError(f"{u} ^ {c} overflows near position {span[0]}") from exc
+    except ValueError as exc:
         raise DomainError(f"{u} ^ {c} undefined near position {span[0]}") from exc
 
 
@@ -433,18 +438,192 @@ def _lower_call_slope(node, sign: int):
     return sqrt_
 
 
+# Convexity proof by composition rules, in the style of disciplined convex
+# programming (Grant, Boyd and Ye, 2006).  Each node gets a curvature and an
+# enclosure of its values over the interval, rounded outward one ulp per
+# inexact operation so that it holds the float evaluation too.  A node
+# outside the rules, a range that is not finite or a divisor whose range
+# holds 0 leaves the expression unproved, for the sampled check to judge
+# with its own messages.
+_CONSTANT, _AFFINE, _CONVEX, _CONCAVE = range(4)  # `c and _CONVEX` keeps 0 constant
+_FLIPPED = (_CONSTANT, _AFFINE, _CONCAVE, _CONVEX)
+
+
+class _Unproved(Exception):
+    """The rules cannot prove the node's curvature."""
+
+
+def _proves_convex(node, interval: Interval) -> bool:
+    """True when the rules prove the expression convex on the interval."""
+    try:
+        return _shape(node, (interval.lo, interval.hi))[0] != _CONCAVE
+    except (_Unproved, ArithmeticError, ValueError):
+        return False
+
+
+def _out(lo: float, hi: float) -> tuple:
+    lo, hi = math.nextafter(lo, -INF), math.nextafter(hi, INF)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise _Unproved
+    return lo, hi
+
+
+def _imul(x, y) -> tuple:
+    products = (x[0] * y[0], x[0] * y[1], x[1] * y[0], x[1] * y[1])
+    return _out(min(products), max(products))
+
+
+def _idiv(x, y) -> tuple:
+    # the slope of a quotient divides by the divisor squared: keep that in range too
+    squares = (y[0] * y[0], y[1] * y[1])
+    if y[0] <= 0.0 <= y[1] or min(squares) == 0.0 or max(squares) == INF:
+        raise _Unproved
+    quotients = (x[0] / y[0], x[0] / y[1], x[1] / y[0], x[1] / y[1])
+    return _out(min(quotients), max(quotients))
+
+
+def _is_even(p) -> bool:
+    return p[0] == p[1] and p[0] >= 0.0 and p[0] % 2.0 == 0.0
+
+
+def _ipow(u, p) -> tuple:
+    """Range of u^p for u >= 0, where u^p is monotone in u and in p, so
+    that the corners bound it; or of |u|^p for an even p."""
+    if u[0] < 0.0:
+        if not _is_even(p):
+            raise _Unproved
+        u = (max(0.0, -u[1]), max(-u[0], u[1]))
+    corners = [math.pow(x, y) for x in u for y in p]
+    return _out(min(corners), max(corners))
+
+
+def _shape(node, iv: tuple) -> tuple:
+    """(curvature, (lo, hi)) of a node over the interval iv."""
+    if isinstance(node, Num):
+        if not math.isfinite(node.value):
+            raise _Unproved
+        return _CONSTANT, (node.value, node.value)
+    if isinstance(node, Var):
+        return _AFFINE, iv
+    if isinstance(node, Neg):
+        c, (lo, hi) = _shape(node.operand, iv)
+        return _FLIPPED[c], (-hi, -lo)
+    if isinstance(node, Call):
+        return _call_shape(node, iv)
+    if node.op in "+-":
+        c, x = _shape(node.left, iv)
+        d, y = _shape(node.right, iv)
+        if node.op == "-":
+            d, y = _FLIPPED[d], (-y[1], -y[0])
+        r = _out(x[0] + y[0], x[1] + y[1])
+        # the float sum can lose a term that varies by less than a millionth of it
+        if {c, d} == {_CONVEX, _CONCAVE} or any(
+                e != _CONSTANT and z[1] - z[0] < 1e-6 * max(-r[0], r[1])
+                for e, z in ((c, x), (d, y))):
+            raise _Unproved
+        return max(c, d), r
+    if node.op == "^":
+        return _power_shape(node, iv)
+    return _product_shape(node, iv)
+
+
+def _call_shape(node, iv: tuple) -> tuple:
+    """max of convex, abs of affine, exp of convex, ln and sqrt of concave."""
+    shapes = [_shape(a, iv) for a in node.args]
+    c, (lo, hi) = shapes[0]
+    if node.func == "max":
+        if any(d == _CONCAVE for d, _ in shapes):
+            raise _Unproved
+        return (max(d for d, _ in shapes) and _CONVEX), (max(r[0] for _, r in shapes),
+                                                         max(r[1] for _, r in shapes))
+    if node.func == "abs":
+        if c > _AFFINE:
+            raise _Unproved
+        return (c and _CONVEX), (max(0.0, lo, -hi), max(-lo, hi))
+    if node.func == "exp":
+        # an underflow to 0 would turn an infinite slope of the argument into 0 * inf
+        if c == _CONCAVE or math.exp(lo) == 0.0:
+            raise _Unproved
+        return (c and _CONVEX), _out(math.exp(lo), math.exp(hi))
+    # ln needs u > 0, sqrt u >= 0; sqrt of a constant 0 has the slope 0/0
+    positive = node.func == "ln" or c == _CONSTANT
+    if c == _CONVEX or not (lo > 0.0 or (lo == 0.0 and not positive)):
+        raise _Unproved
+    g = math.log if node.func == "ln" else math.sqrt
+    return (c and _CONCAVE), _out(g(lo), g(hi))
+
+
+def _power_shape(node, iv: tuple) -> tuple:
+    """u^p with constant p and affine u, or c^u with constant c > 0."""
+    c, u = _shape(node.left, iv)
+    d, p = _shape(node.right, iv)
+    value_range = _ipow(u, p)
+    if d == _CONSTANT and c == _AFFINE:
+        if (p[0] >= 1.0 and u[0] >= 0.0) or _is_even(p) or (p[1] <= 0.0 and u[0] > 0.0):
+            return _CONVEX, value_range
+        if p[0] > 0.0 and p[1] < 1.0 and u[0] >= 0.0:
+            return _CONCAVE, value_range
+    elif c == _CONSTANT and d <= _AFFINE and u[0] > 0.0:
+        return d and _CONVEX, value_range
+    raise _Unproved
+
+
+def _factors(node, below: bool = False) -> list:
+    """The factors of a * / chain, each with whether it is a divisor."""
+    if isinstance(node, BinOp) and node.op in "*/" and not below:
+        return _factors(node.left) + _factors(node.right, node.op == "/")
+    return [(node, below)]
+
+
+def _product_shape(node, iv: tuple) -> tuple:
+    """A nonzero constant coefficient times one factor of any curvature, or
+    times an atom of affine u: u*...*u (u^k), u*ln(u) or 1/u."""
+    coefficient, value_range, atoms = (1.0, 1.0), (1.0, 1.0), []
+    for factor, below in _factors(node):
+        c, r = _shape(factor, iv)
+        combine = _idiv if below else _imul
+        value_range = combine(value_range, r)
+        if c == _CONSTANT:
+            coefficient = combine(coefficient, r)
+        else:
+            atoms.append((factor, c, r, below))
+    if not atoms:
+        return _CONSTANT, value_range
+    if coefficient[0] <= 0.0 <= coefficient[1]:
+        raise _Unproved
+    u, c, r, below = atoms[0]
+    nodes = [a[0] for a in atoms]
+    if len(atoms) == 1 and not below:
+        curvature = c
+    elif len(atoms) == 1 and c == _AFFINE:  # 1/u, with u clear of 0
+        curvature = _CONVEX if r[0] > 0.0 else _CONCAVE
+    elif any(a[3] for a in atoms):
+        raise _Unproved
+    elif c == _AFFINE and nodes == [u] * len(nodes) and (len(nodes) % 2 == 0 or r[0] >= 0.0):
+        curvature = _CONVEX  # u^k
+    elif len(nodes) == 2 and any(a[1] == _AFFINE and Call("ln", (a[0],)) in nodes
+                                 for a in atoms):
+        curvature = _CONVEX  # u ln u, where ln has made sure that u > 0
+    else:
+        raise _Unproved
+    return (curvature if coefficient[0] > 0.0 else _FLIPPED[curvature]), value_range
+
+
 def convex_function_from_expression(source: str, interval: Interval):
     """Lower a source string onto an interval; the source is the label.
 
     Returns (ConvexFunction, warnings): the function is certified (closed
     form slopes) and the warnings list is empty, for the caller to extend.
     The slope oracles raise ExtendedArithmeticError where the slope is an
-    undefined form (inf - inf, 0 * inf).  Convexity is NOT checked here;
-    see convex_core.require_convex.
+    undefined form (inf - inf, 0 * inf).  ``proved_convex`` records whether
+    the composition rules prove the expression convex on the interval; the
+    function is not evaluated here, and convex_core.require_convex samples
+    what is not proved.
     """
     expr = parse_expression(source)
     left, right = _lower_slope(expr, -1), _lower_slope(expr, +1)
     return ConvexFunction(domain=interval, fn=lower_value(expr),
                           dminus=lambda t: ensure_extended(left(t)[1]),
                           dplus=lambda t: ensure_extended(right(t)[1]),
-                          name=source, certified=True), []
+                          name=source, certified=True,
+                          proved_convex=_proves_convex(expr, interval)), []

@@ -184,6 +184,23 @@ def test_exit_code_nonconvex_integrand_at_coarse_tol(capsys):
     assert "invalid input" in err and "not convex" in err
 
 
+def test_exit_code_nonconvex_dip_in_enclose(capsys):
+    # the dip between the convexity samples shows in the support lines of the
+    # points the bounds consume; the difference was certified as [0.2459, 0.2459]
+    # where the true value is 0.0802
+    argv = ["enclose", "--fn", "t*t-max(0,1e-3-abs(t-0.50413))", "--a", "0", "--b", "1",
+            "--x", "0.50413"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid input: not convex" in captured.err
+
+
+def test_exit_code_power_overflow(capsys):
+    assert run(["enclose", "--fn", "2^t", "--a=-2000", "--b", "2000", "--x", "0"]) == 2
+    assert "invalid input: 2.0 ^ 1031.25 overflows near position 0" in capsys.readouterr().err
+
+
 def test_exit_code_parse_error(capsys):
     assert run(["enclose", "--fn", "t +", "--a", "0", "--b", "1", "--x", "0.5"]) == 2
     assert run(["enclose", "--fn", "q^2", "--a", "0", "--b", "1", "--x", "0.5"]) == 2

@@ -5,9 +5,16 @@ import random
 import pytest
 
 from convex_enclose import catalog
-from convex_enclose.convex_core import ConvexFunction, Interval, check_convexity, require_convex
+from convex_enclose.convex_core import (
+    ConvexFunction,
+    Interval,
+    check_convexity,
+    require_convex,
+    require_supporting_lines,
+)
 from convex_enclose.errors import DomainError, NonConvexError, UndefinedSideError
 from convex_enclose.extreal import INF
+from convex_enclose.expressions import convex_function_from_expression
 from identities import NotDifferentiableError, two_sided_derivative
 
 UNIT = Interval(0.0, 1.0)
@@ -175,7 +182,43 @@ def test_check_convexity_rejects_non_finite_values():
 def test_require_convex_on_black_box_affine():
     # estimation noise on an exactly affine black box must not flag
     f = ConvexFunction.from_callable(lambda t: 2.0 - 3.0 * t, Interval(-1.0, 4.0))
-    require_convex(f)
+    assert require_convex(f).method == "sampled"
+
+
+def test_require_convex_trusts_a_proof_without_evaluating():
+    square = convex_function_from_expression("t*t", UNIT)[0]
+    assert square.proved_convex
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return square.fn(t)
+
+    def refused(t):
+        raise AssertionError("a proved function needs no slopes")
+
+    report = require_convex(dataclasses.replace(square, fn=counted, dminus=refused,
+                                                dplus=refused))
+    assert calls == []
+    assert report.ok and report.checks == 0 and report.method == "proved"
+    # the sampled check stays pure sampling
+    assert check_convexity(square).method == "sampled"
+    assert check_convexity(square).checks > 0
+
+
+def test_supporting_lines_hold_for_convex_functions():
+    for f in (catalog.shifted_square(0.0, UNIT), catalog.abs_shift(0.5, UNIT),
+              catalog.neg_sqrt(UNIT)):  # f'+(0) = -inf
+        require_supporting_lines(f, (0.0, 0.5, 0.5, 1.0))
+
+
+def test_supporting_lines_catch_a_dip_between_samples():
+    # a dip 2e-3 wide at x: the line at x with slope f'+(x) = 2.008 predicts
+    # f(1) >= 1.249, but f(1) = 1
+    f = convex_function_from_expression("t*t-max(0,1e-3-abs(t-0.50413))", UNIT)[0]
+    require_convex(f)  # the sampled check steps over the dip
+    with pytest.raises(NonConvexError, match="support line"):
+        require_supporting_lines(f, (0.0, 0.50413, 0.5, 1.0))
 
 
 def test_scaled_and_add_affine_compose_exactly():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from convex_enclose.convex_core import ConvexFunction, Interval
+from convex_enclose.convex_core import ConvexFunction, Interval, check_convexity
 from convex_enclose.errors import DomainError, ExpressionError
 from convex_enclose.expressions import (
     MAX_DEPTH,
@@ -15,6 +15,7 @@ from convex_enclose.expressions import (
     Num,
     Var,
     _lower_slope,
+    _proves_convex,
     convex_function_from_expression,
     lower_value,
     parse_expression,
@@ -327,3 +328,71 @@ def test_lowering_matches_tree_walk(source, points):
         for sign, slope in slopes.items():
             want = _outcome(tree_walk._value_and_slope, tree, t, sign)
             assert _outcome(slope, t) == want, (source, t, sign)
+
+
+# Convexity proof by composition rules: what proves, what does not, and
+# that a proof never outruns the sampled check.
+_POSITIVE = Interval(0.5, 2.0)
+
+
+@pytest.mark.parametrize("source", [
+    # one term of each benchmark kind but t^t, then a sum of them
+    "1.3*(t - 2.1)^2", "0.5*exp(1.2*t)", "0.7*t", "0.7*t - 0.4*t", "1.1*t*ln(t)",
+    "t^2 - 0.8*ln(t)", "0.6/t", "t^2 - 0.9*sqrt(t)", "1.2*abs(t - 0.7)",
+    "0.4*max(0, t - 0.9)", "0.3*2^t",
+    "1.3*(t + 0.2)^2 - 0.8*ln(t) + 0.6/t - 0.9*sqrt(t) + 1.2*abs(t - 0.7) - 0.5*t",
+    # the integrator's expression twins
+    "exp(t)", "t*ln(t)", "abs(t - 0.6)", "max(0, t - 0.6)", "abs(t - 0.6) + t*ln(t)",
+    "t^(-2)", "-sqrt(t)",
+])
+def test_prover_proves_benchmark_expressions(source):
+    assert _proves_convex(parse_expression(source), _POSITIVE)
+
+
+@pytest.mark.parametrize("source, lo, hi", [
+    # the expression inputs of the golden documents but enclose_nonconvex
+    ("t*t", 0.0, 1.0), ("-sqrt(t)", 0.0, 1.0), ("abs(t - 0.3) + t*t", -1.0, 1.0),
+    ("t*t+abs(t-0.3)", 0.0, 1.0), ("t*t*t", 0.0, 2.0), ("t*t+abs(t-1)", 0.0, 2.0),
+])
+def test_prover_proves_golden_inputs(source, lo, hi):
+    f = convex_function_from_expression(source, Interval(lo, hi))[0]
+    assert f.proved_convex
+
+
+@pytest.mark.parametrize("source, lo, hi", [
+    ("ln(t)", 1.0, 2.0), ("sqrt(t)", 1.0, 2.0), ("-t^2", 1.0, 2.0), ("-exp(t)", 1.0, 2.0),
+    ("t^0.5", 1.0, 2.0), ("-abs(t-1.5)", 1.0, 2.0), ("-t*t", 0.0, 1.0),
+    ("t*t-max(0,1e-3-abs(t-0.50413))", 0.0, 1.0),  # a dip between the sampled points
+    ("0*sqrt(t)", 0.0, 1.0),  # its slope at 0 is 0 * inf
+    ("1e400", 0.0, 1.0), ("1e308*2+t^2", 0.0, 1.0), ("exp(t)", 0.0, 800.0),
+    ("2^t", -2000.0, 2000.0), ("t*ln(t)", 0.0, 1.0), ("1/t", -1.0, 1.0), ("t^t", 0.5, 2.0),
+    ("t*t*t", -1.0, 1.0), ("max(t, 2*t - 1) * -1", 0.0, 1.0), ("sqrt(0) + t", 0.0, 1.0),
+    ("max(1e300 - 1e300, -1e300 + t)", 0.0, 1.0),  # t is lost in rounding
+])
+def test_prover_leaves_unprovable_expressions_to_sampling(source, lo, hi):
+    f = convex_function_from_expression(source, Interval(lo, hi))[0]
+    assert not f.proved_convex
+
+
+_CONVEX_ATOMS = st.sampled_from(("t", "(t)*(t)", "exp(t)", "-(sqrt(t))", "-(ln(t))", "abs(t)",
+                                 "(t)*ln(t)", "1/(t)"))
+_INTERVALS = st.one_of(
+    st.sampled_from(((0.0, 1.0), (0.0, 3.0), (-1.0, 1.0), (0.5, 2.0), (-3.0, -0.5))),
+    st.tuples(st.floats(-4.0, 4.0), st.floats(1e-3, 8.0)).map(lambda p: (p[0], p[0] + p[1])))
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(_grammar(st.one_of(_CONSTANTS, _CONVEX_ATOMS), _EXPONENT), _INTERVALS)
+@example("-(max(t, (2)*(t)))", (-1.0, 1.0))  # max of affine functions is convex, not affine
+@example("max(sqrt(0), abs(t), 2)", (0.0, 1.0))  # the slope of sqrt(0) is 0/0
+@example("max(sqrt(1e-3) - max(0.25, 1e300), -1e300 + t)", (0.0, 1.0))  # t is lost
+@example("exp(-(sqrt(t)) - 1000)", (0.0, 1.0))  # its slope at 0 is 0 * -inf
+@example("(t)/(1e-200)", (0.0, 1.0))  # its slope divides by 1e-400, which is 0
+def test_proof_implies_sampled_check_passes(source, bounds):
+    """Soundness: every function the rules prove passes check_convexity,
+    whose grid values and slopes do not raise.  The intervals lie near 0:
+    on a narrow interval far from it the rounding noise of t*t exceeds
+    the check's own tolerance, a false alarm of the sampled check."""
+    f = convex_function_from_expression(source, Interval(*bounds))[0]
+    if f.proved_convex:
+        assert check_convexity(f).ok, (source, bounds)
