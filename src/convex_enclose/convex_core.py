@@ -255,24 +255,27 @@ def check_convexity(f: ConvexFunction, tol: Optional[float] = None) -> Convexity
 
     Raises DomainError when f takes a non-finite value on the grid.
     Midpoint convexity f((s+t)/2) <= (f(s)+f(t))/2 is tested on pairs from
-    a uniform grid of 129 points plus 129 random pairs (seed 0), and slope
-    monotonicity f'+(s) <= f'-(t) <= f'+(t) along the grid.  The default
-    tolerance is 1e-9 relative to the sampled value range, because
-    floating-point midpoint tests on exactly convex functions can show
-    round-off violations; sampled derivative oracles get a wider allowance
-    for estimation noise.
+    a uniform grid of 129 points (fewer on an interval holding fewer
+    floats) plus 129 random pairs (seed 0), and slope monotonicity
+    f'+(s) <= f'-(t) <= f'+(t) along the grid.  The default tolerance is
+    1e-9 relative to the sampled value range plus 8 ulp of the largest |f|
+    on the grid, because floating-point midpoint tests on exactly convex
+    functions can show round-off violations; sampled derivative oracles
+    get a wider allowance for estimation noise.
     """
     lo, hi = f.domain.lo, f.domain.hi
     n = _CONVEXITY_SAMPLES
     grid = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
     grid[-1] = hi
+    grid = list(dict.fromkeys(grid))  # an interval of fewer than n floats repeats points
     values = [f(t) for t in grid]
     for t, v in zip(grid, values):
         if not math.isfinite(v):
             raise DomainError(f"f({t!r}) = {v!r} is not finite")
     spread = max(values) - min(values)
     base = 1e-9 if tol is None else float(tol)
-    mid_tol = base * max(1.0, spread)
+    # plus the rounding of f itself, which far from 0 outgrows a narrow spread
+    mid_tol = base * max(1.0, spread) + 8 * math.ulp(max(map(abs, values)))
 
     worst = -math.inf
     witness = None
@@ -290,7 +293,7 @@ def check_convexity(f: ConvexFunction, tol: Optional[float] = None) -> Convexity
 
     # grid pairs one and two steps apart reuse the grid values; then random pairs
     for step in (1, 2):
-        for i in range(n - step):
+        for i in range(len(grid) - step):
             s, t = grid[i], grid[i + step]
             violation = f(0.5 * (s + t)) - 0.5 * (values[i] + values[i + step])
             record(violation, (s, t), mid_tol)

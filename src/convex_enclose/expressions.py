@@ -15,13 +15,16 @@ right-associative and binds tighter than unary minus):
 The constants e and pi parse to numbers.  Nodes carry exact source spans
 for error reporting; spans are ignored by structural equality.
 
-A parsed tree is lowered once into nested closures, the only two ways to
-evaluate it: ``lower_value`` gives t -> value, and ``_lower_slope`` gives
-t -> (value, closed-form one-sided slope) for one side, variable exponents
-included.  No evaluation walks the tree.  At an abs/max kink the requested
-side picks the correct branch; sqrt, ln and ^ produce signed infinities
-where the tangent is vertical.  Trees nest at most MAX_DEPTH levels
-(parentheses and operator chains count), far from Python's recursion limit.
+A parsed tree is lowered once into nested closures, so no evaluation
+walks the tree: ``lower_value`` gives t -> value, and ``_lower_slope``
+gives t -> (value, closed-form one-sided slope) for one side, variable
+exponents included.  At an abs/max kink the requested side picks the
+correct branch; sqrt, ln and ^ produce signed infinities where the
+tangent is vertical.  ``_lower_jet`` runs both sides of ``_lower_slope``
+in one walk, t -> (value, f'-, f'+), and hands the few points where only
+a side-specific check can decide back to it.  Trees nest at most
+MAX_DEPTH levels (parentheses and operator chains count), far from
+Python's recursion limit.
 
 ``_proves_convex`` tries to prove a tree convex on an interval by
 composition rules; what it cannot prove is left to the sampled check.
@@ -438,6 +441,124 @@ def _lower_call_slope(node, sign: int):
     return sqrt_
 
 
+class _SidesDiffer(Exception):
+    """Only a side-specific check can decide this point: walk each side alone."""
+
+
+def _lower_jet(node):
+    """Closure t -> (value, f'-, f'+): both closures of _lower_slope in one walk.
+
+    Each side does the float operations of its _lower_slope closure in the
+    same order, so every value, slope and exception is the same.  Where a
+    check could tell the sides apart (a NaN slope reaching max, sqrt at 0,
+    ^ at base 0 or exponent 0) it raises _SidesDiffer instead; a variable
+    exponent raises it while lowering.
+    """
+    if isinstance(node, Num):
+        triple = (node.value, 0.0, 0.0)
+        return lambda t: triple
+    if isinstance(node, Var):
+        return lambda t: (float(t), 1.0, 1.0)
+    if isinstance(node, Neg):
+        g = _lower_jet(node.operand)
+
+        def neg(t):
+            v, dm, dp = g(t)
+            return -v, -dm, -dp
+        return neg
+    if isinstance(node, Call):
+        gs = [_lower_jet(a) for a in node.args]
+        g = gs[0]
+        if node.func == "max":
+            def max_(t):
+                v, dm, dp = g(t)
+                if dm != dm or dp != dp:
+                    raise _SidesDiffer
+                for h in gs[1:]:
+                    w, wm, wp = h(t)
+                    if wm != wm or wp != wp:
+                        raise _SidesDiffer
+                    if w > v:
+                        v, dm, dp = w, wm, wp
+                    elif w == v:
+                        dm, dp = min(dm, wm), max(dp, wp)
+                return v, dm, dp
+            return max_
+        if node.func == "abs":
+            def abs_(t):
+                u, dm, dp = g(t)
+                if u > 0.0:
+                    return u, dm, dp
+                if u < 0.0:
+                    return -u, -dm, -dp
+                return 0.0, -abs(dm), abs(dp)
+            return abs_
+        if node.func == "exp":
+            def exp_(t):
+                u, dm, dp = g(t)
+                v = _exp(u, t)
+                return v, v * dm, v * dp
+            return exp_
+        if node.func == "ln":
+            def ln_(t):
+                u, dm, dp = g(t)
+                v, r = _ln(u, t), 1.0 / u
+                return v, dm * r, dp * r
+            return ln_
+
+        def sqrt_(t):
+            u, dm, dp = g(t)
+            v = _sqrt(u, t)
+            if u == 0.0:
+                raise _SidesDiffer
+            r = 0.5 / v
+            return v, dm * r, dp * r
+        return sqrt_
+    left = _lower_jet(node.left)
+    if node.op == "^":
+        if not _is_constant(node.right):
+            raise _SidesDiffer
+        exponent, span = lower_value(node.right), node.span
+
+        def power(t):
+            u, dm, dp = left(t)
+            c = exponent(t)
+            value = _pow_value(u, c, span)
+            if c == 0.0 or u == 0.0:
+                raise _SidesDiffer
+            if c == 1.0:
+                return value, dm, dp
+            k = c * _pow_value(u, c - 1.0, span)
+            return value, k * dm, k * dp
+        return power
+    right = _lower_jet(node.right)
+    if node.op == "+":
+        def add(t):
+            u, um, up = left(t)
+            w, wm, wp = right(t)
+            return u + w, um + wm, up + wp
+        return add
+    if node.op == "-":
+        def sub(t):
+            u, um, up = left(t)
+            w, wm, wp = right(t)
+            return u - w, um - wm, up - wp
+        return sub
+    if node.op == "*":
+        def mul(t):
+            u, um, up = left(t)
+            w, wm, wp = right(t)
+            return u * w, um * w + u * wm, up * w + u * wp
+        return mul
+
+    def div(t):
+        u, um, up = left(t)
+        w, wm, wp = right(t)
+        v, ww = _div(u, w, t), w * w
+        return v, (um * w - u * wm) / ww, (up * w - u * wp) / ww
+    return div
+
+
 # Convexity proof by composition rules, in the style of disciplined convex
 # programming (Grant, Boyd and Ye, 2006).  Each node gets a curvature and an
 # enclosure of its values over the interval, rounded outward one ulp per
@@ -614,16 +735,49 @@ def convex_function_from_expression(source: str, interval: Interval):
 
     Returns (ConvexFunction, warnings): the function is certified (closed
     form slopes) and the warnings list is empty, for the caller to extend.
-    The slope oracles raise ExtendedArithmeticError where the slope is an
-    undefined form (inf - inf, 0 * inf).  ``proved_convex`` records whether
+    ``fn`` is lower_value; f'- and f'+ share one walk per point (see
+    _slope_oracles) and give the slopes of _lower_slope bit for bit.  They
+    raise ExtendedArithmeticError where the slope is an undefined form
+    (inf - inf, 0 * inf).  ``proved_convex`` records whether
     the composition rules prove the expression convex on the interval; the
     function is not evaluated here, and convex_core.require_convex samples
     what is not proved.
     """
     expr = parse_expression(source)
-    left, right = _lower_slope(expr, -1), _lower_slope(expr, +1)
-    return ConvexFunction(domain=interval, fn=lower_value(expr),
-                          dminus=lambda t: ensure_extended(left(t)[1]),
-                          dplus=lambda t: ensure_extended(right(t)[1]),
+    dminus, dplus = _slope_oracles(expr)
+    return ConvexFunction(domain=interval, fn=lower_value(expr), dminus=dminus, dplus=dplus,
                           name=source, certified=True,
                           proved_convex=_proves_convex(expr, interval)), []
+
+
+def _slope_oracles(expr) -> tuple:
+    """(f'-, f'+) of the tree, which share one walk per point.
+
+    Both read a one-entry memo (t, _lower_jet(t)) keyed by the identity of
+    t, so f'+(m) right after f'-(m) walks no tree, while 0.0 and -0.0 (or
+    two NaNs) never share an entry.  The entry is one tuple, so no thread
+    reads half of it.  Where the jet cannot serve both sides, each side
+    runs its own _lower_slope closure.
+    """
+    left, right = _lower_slope(expr, -1), _lower_slope(expr, +1)
+    try:
+        jet = _lower_jet(expr)
+    except _SidesDiffer:  # a variable exponent
+        return (lambda t: ensure_extended(left(t)[1]),
+                lambda t: ensure_extended(right(t)[1]))
+    memo = (None, None)
+
+    def slope(t, side, walk):
+        nonlocal memo
+        key, triple = memo
+        if key is not t:
+            try:
+                triple = jet(t)
+            except _SidesDiffer:
+                triple = None
+            memo = (t, triple)
+        if triple is None:
+            return ensure_extended(walk(t)[1])
+        d = triple[side]
+        return d if d == d else ensure_extended(d)  # d is a float: only a NaN is rejected
+    return (lambda t: slope(t, 1, left)), (lambda t: slope(t, 2, right))

@@ -57,6 +57,14 @@ class Partition:
         object.__setattr__(self, "tags", tags)
 
     @classmethod
+    def _validated(cls, nodes: tuple, tags: tuple) -> "Partition":
+        """A partition from float tuples that the caller has already checked."""
+        partition = object.__new__(cls)
+        object.__setattr__(partition, "nodes", nodes)
+        object.__setattr__(partition, "tags", tags)
+        return partition
+
+    @classmethod
     def uniform(cls, interval: Interval, n: int) -> "Partition":
         """n equal cells tagged at their midpoints."""
         if n < 1:
@@ -174,9 +182,10 @@ def integrate_adaptive(f: ConvexFunction, tol: float,
     bisected until the total width is <= tol.  A split evaluates f and both
     slopes at the two new midpoints only: the children inherit the parent's
     endpoint slopes, and the parent's midpoint slopes become their inner
-    endpoint slopes.  A running sum of the cell widths only decides when
-    to test; the test is the returned result's own remainder width, summed
-    cell by cell in node order, so results are reproducible bit for bit.
+    endpoint slopes.  Each cell's three summands are stored when it is
+    created.  A running sum of the cell widths only decides when to test;
+    the test is the returned result's own remainder width, summed cell by
+    cell in node order, so results are reproducible bit for bit.
 
     The returned result satisfies
         integral in [estimate + remainder.lo, estimate + remainder.hi]
@@ -215,13 +224,24 @@ def integrate_adaptive(f: ConvexFunction, tol: float,
     dplus = f.dplus or f.right_derivative
     slack = 1e-9 if f.certified else 1e-6  # relative; sampled slopes are estimates
 
-    def midpoint(x0, x1, dp0, dm1):
-        """f, f'- and f'+ at the midpoint of [x0, x1], and the cell's width.
-
-        Convexity orders the slopes of distinct points, f'+(x0) <= f'-(m)
-        and f'+(m) <= f'-(x1); a violation beyond rounding (or estimation
-        noise) raises NonConvexError.
-        """
+    # A split keeps the left child in the parent's slot and appends the
+    # right child.  Convexity orders the slopes of distinct points,
+    # f'+(x0) <= f'-(m) and f'+(m) <= f'-(x1); a violation beyond rounding
+    # (or estimation noise) raises NonConvexError.  A cell's terms are
+    # computed once, when it is created: h f(m) and the remainder terms lo
+    # and hi of midpoint_rule; its width is hi - lo (INF for a NaN).
+    cells = _Cells()
+    arrays = [getattr(cells, name) for name in _Cells.__slots__]
+    x0s, x1s, dp0s, dm1s, dmms, dpms, values, los, his = arrays
+    appends = [a.append for a in arrays]
+    (append_x0, append_x1, append_dp0, append_dm1, append_dmm, append_dpm, append_value,
+     append_lo, append_hi) = appends
+    heappop, heapreplace, heappush = heapq.heappop, heapq.heapreplace, heapq.heappush
+    heap = []  # (-width, slot): the widest cell first, ties to the older slot
+    running = 0.0  # sum of the finite cell widths; it only triggers the stop test
+    unbounded = 0  # cells of infinite width
+    for i in range(len(nodes) - 1):
+        x0, x1, dp0, dm1 = nodes[i], nodes[i + 1], rights[i], lefts[i + 1]
         m = 0.5 * (x0 + x1)
         dmm = dminus(m)
         dpm = dplus(m)
@@ -231,31 +251,22 @@ def integrate_adaptive(f: ConvexFunction, tol: float,
             _require_order(dpm, dm1, m, x1, slack)
         h = x1 - x0
         h2 = h * h
-        w = 0.125 * h2 * (dm1 - dp0) - 0.125 * h2 * (dpm - dmm)
+        hi_term = 0.125 * h2 * (dm1 - dp0)
+        lo_term = 0.125 * h2 * (dpm - dmm)
+        w = hi_term - lo_term
         if w != w:  # a NaN slope, or inf - inf after an overflow
             ensure_extended(dmm)
             ensure_extended(dpm)
             w = INF
-        return value(m), dmm, dpm, w
-
-    # A split keeps the left child in the parent's slot and appends the
-    # right child.
-    cells = _Cells()
-    x0s, x1s, dp0s, dm1s = cells.x0, cells.x1, cells.dp0, cells.dm1
-    fms, dmms, dpms, nxt = cells.fm, cells.dmm, cells.dpm, cells.nxt
-    heap = []  # (-width, slot): the widest cell first, ties to the older slot
-    running = 0.0  # sum of the finite cell widths; it only triggers the stop test
-    unbounded = 0  # cells of infinite width
-    for i in range(len(nodes) - 1):
-        x0, x1, dp0, dm1 = nodes[i], nodes[i + 1], rights[i], lefts[i + 1]
-        fm, dmm, dpm, w = midpoint(x0, x1, dp0, dm1)
-        cells.append(x0, x1, dp0, dm1, fm, dmm, dpm, i + 1 if i + 2 < len(nodes) else -1)
+        cell = (x0, x1, dp0, dm1, dmm, dpm, h * value(m), lo_term, hi_term)
+        for append, item in zip(appends, cell):
+            append(item)
         if w == INF:
             unbounded += 1
         else:
             running += w
         if w > 0.0:
-            heapq.heappush(heap, (-w, i))
+            heappush(heap, (-w, i))
 
     while True:
         if not unbounded and running <= tol:
@@ -263,35 +274,82 @@ def integrate_adaptive(f: ConvexFunction, tol: float,
             if result.width <= tol:
                 return result
             running = result.width
-        if len(nxt) >= max_cells or not heap:
+        j = len(x0s)
+        if j >= max_cells or not heap:
             break
         neg_w, i = heap[0]
         x0, x1 = x0s[i], x1s[i]
         m = 0.5 * (x0 + x1)
-        if not x0 < 0.5 * (x0 + m) < m < 0.5 * (m + x1) < x1:
-            heapq.heappop(heap)  # too narrow to bisect in floating point
+        ml = 0.5 * (x0 + m)
+        mr = 0.5 * (m + x1)
+        if not x0 < ml < m < mr < x1:
+            heappop(heap)  # too narrow to bisect in floating point
             continue
-        dm1, dmm, dpm = dm1s[i], dmms[i], dpms[i]
-        fl, dml, dpl, wl = midpoint(x0, m, dp0s[i], dmm)
-        fr, dmr, dpr, wr = midpoint(m, x1, dpm, dm1)
-        j = len(nxt)
-        cells.append(m, x1, dpm, dm1, fr, dmr, dpr, nxt[i])
-        x1s[i], dm1s[i], fms[i], dmms[i], dpms[i], nxt[i] = m, dmm, fl, dml, dpl, j
+        dp0, dm1, dmm, dpm = dp0s[i], dm1s[i], dmms[i], dpms[i]
+        # the left child [x0, m]
+        dml = dminus(ml)
+        dpl = dplus(ml)
+        if dp0 > dml:
+            _require_order(dp0, dml, x0, ml, slack)
+        if dpl > dmm:
+            _require_order(dpl, dmm, ml, m, slack)
+        h = m - x0
+        h2 = h * h
+        hil = 0.125 * h2 * (dmm - dp0)
+        lol = 0.125 * h2 * (dpl - dml)
+        wl = hil - lol
+        if wl != wl:
+            ensure_extended(dml)
+            ensure_extended(dpl)
+            wl = INF
+        vl = h * value(ml)
+        # the right child [m, x1]
+        dmr = dminus(mr)
+        dpr = dplus(mr)
+        if dpm > dmr:
+            _require_order(dpm, dmr, m, mr, slack)
+        if dpr > dm1:
+            _require_order(dpr, dm1, mr, x1, slack)
+        h = x1 - m
+        h2 = h * h
+        hir = 0.125 * h2 * (dm1 - dpm)
+        lor = 0.125 * h2 * (dpr - dmr)
+        wr = hir - lor
+        if wr != wr:
+            ensure_extended(dmr)
+            ensure_extended(dpr)
+            wr = INF
+        vr = h * value(mr)
+
+        append_x0(m)
+        append_x1(x1)
+        append_dp0(dpm)
+        append_dm1(dm1)
+        append_dmm(dmr)
+        append_dpm(dpr)
+        append_value(vr)
+        append_lo(lor)
+        append_hi(hir)
+        x1s[i], dm1s[i], dmms[i], dpms[i] = m, dmm, dml, dpl
+        values[i], los[i], his[i] = vl, lol, hil
         if neg_w == -INF:
             unbounded -= 1
         else:
             running += neg_w
-        for w in (wl, wr):
-            if w == INF:
-                unbounded += 1
-            else:
-                running += w
-        if wl > 0.0:
-            heapq.heapreplace(heap, (-wl, i))
+        if wl == INF:
+            unbounded += 1
         else:
-            heapq.heappop(heap)
+            running += wl
+        if wr == INF:
+            unbounded += 1
+        else:
+            running += wr
+        if wl > 0.0:
+            heapreplace(heap, (-wl, i))
+        else:
+            heappop(heap)
         if wr > 0.0:
-            heapq.heappush(heap, (-wr, j))
+            heappush(heap, (-wr, j))
 
     del heap  # free the queue before the result's node arrays are built
     best = cells.result()
@@ -316,57 +374,38 @@ class _Cells:
     """The adaptive integrator's cells, one slot each in parallel arrays.
 
     A slot holds the nodes x0 < x1, the endpoint slopes f'+(x0) and
-    f'-(x1), f, f'- and f'+ at the midpoint, and the slot of the next cell
-    in node order (-1 after the last).  Slot 0 always starts at the lower
-    end of the domain.
+    f'-(x1), f'- and f'+ at the midpoint m, and the cell's three summands,
+    stored when the cell is created: h f(m), lo = (1/8) h^2 (f'+(m) - f'-(m))
+    and hi = (1/8) h^2 (f'-(x1) - f'+(x0)).  Slots are in creation order;
+    the cells tile the domain, so sorting the slots by x0 gives node order.
     """
 
-    __slots__ = ("x0", "x1", "dp0", "dm1", "fm", "dmm", "dpm", "nxt")
+    __slots__ = ("x0", "x1", "dp0", "dm1", "dmm", "dpm", "value", "lo", "hi")
 
     def __init__(self):
-        for name in self.__slots__[:-1]:
+        for name in self.__slots__:
             setattr(self, name, array("d"))
-        self.nxt = array("q")
-
-    def append(self, x0, x1, dp0, dm1, fm, dmm, dpm, nxt):
-        self.x0.append(x0)
-        self.x1.append(x1)
-        self.dp0.append(dp0)
-        self.dm1.append(dm1)
-        self.fm.append(fm)
-        self.dmm.append(dmm)
-        self.dpm.append(dpm)
-        self.nxt.append(nxt)
 
     def result(self) -> QuadratureResult:
-        """The midpoint rule on the cells, summed in node order.
+        """The midpoint rule on the cells, its terms summed in node order.
 
         The per-cell terms are those of midpoint_rule.  Convex slopes
         satisfy f'+(x0) <= f'-(m) <= f'+(m) <= f'-(x1) in every cell, and
         rounded subtraction, scaling and fsum are monotone, so remainder
         bounds out of order prove that f is not convex.
         """
-        x0s, x1s, fms, nxt = self.x0, self.x1, self.fm, self.nxt
-        dp0s, dm1s, dmms, dpms = self.dp0, self.dm1, self.dmm, self.dpm
-        nodes, tags = array("d"), array("d")
-        values, lo_terms, hi_terms = array("d"), array("d"), array("d")
-        i = 0
-        while i >= 0:
-            x0, x1 = x0s[i], x1s[i]
-            h = x1 - x0
-            h2 = h * h
-            nodes.append(x0)
-            tags.append(0.5 * (x0 + x1))
-            values.append(h * fms[i])
-            lo_terms.append(0.125 * h2 * (dpms[i] - dmms[i]))
-            hi_terms.append(0.125 * h2 * (dm1s[i] - dp0s[i]))
-            i = nxt[i]
-        nodes.append(x1)
-        lo, hi = xsum(lo_terms), xsum(hi_terms)
+        x0s = self.x0
+        order = sorted(range(len(x0s)), key=x0s.__getitem__)
+        nodes = [x0s[i] for i in order]
+        nodes.append(self.x1[order[-1]])
+        lo = xsum(array("d", map(self.lo.__getitem__, order)))
+        hi = xsum(array("d", map(self.hi.__getitem__, order)))
         if lo > hi:
             raise NonConvexError(
                 f"one-sided slopes out of order (remainder bounds [{lo!r}, {hi!r}]); "
                 "the function is not convex"
             )
-        return QuadratureResult(estimate=xsum(values), remainder=Enclosure(lo, hi),
-                                cells=len(tags), partition=Partition(nodes, tags))
+        tags = tuple([0.5 * (x0 + x1) for x0, x1 in zip(nodes, nodes[1:])])
+        return QuadratureResult(estimate=xsum(array("d", map(self.value.__getitem__, order))),
+                                remainder=Enclosure(lo, hi), cells=len(tags),
+                                partition=Partition._validated(tuple(nodes), tags))

@@ -196,6 +196,38 @@ def test_exit_code_nonconvex_dip_in_enclose(capsys):
     assert "invalid input: not convex" in captured.err
 
 
+def test_slopes_that_exist_on_one_side_only(capsys):
+    # f'+(0) = -inf of -sqrt(max(0, t)), while its left slope at 0 is the
+    # indeterminate 0/0: a walk shared by both sides must not raise for f'+
+    doc = run_json(capsys, ["enclose", "--fn=-sqrt(max(0,t))", "--a", "0", "--b", "1",
+                            "--x", "0.5"])
+    assert doc["result"] == {"lower": 0, "upper": "inf", "width": None, "hh_lower": 0,
+                             "hh_upper": "inf", "classical_bound": None}
+    assert doc["certificates"] == {"ostrowski_difference": [0, "inf"],
+                                   "hh_mean_gap": [0, "inf"]}
+    assert doc["warnings"] == ["classical baseline unavailable: infinite endpoint slope"]
+    # f'+(0) = inf + inf, while f'-(0) = inf - inf reaches max as a NaN: the
+    # sampled check reads the right slope and rejects the function
+    argv = ["enclose", "--fn", "max(sqrt(t) + sqrt(abs(t)), -1)", "--a", "0", "--b", "1",
+            "--x", "0.5"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "invalid input: convexity violated by inf at pair (0.0, 0.0078125)\n"
+
+
+def test_convexity_check_on_a_narrow_interval_far_from_zero(capsys):
+    # the rounding of f ~ 1.8e11 (about 3e-5) once read as non-convexity
+    run_json(capsys, ["enclose", "--fn", "abs(t*t)", "--a", "423239.6893567201",
+                      "--b", "423239.68984358833", "--x", "423239.6896"])
+
+
+def test_convexity_check_on_an_interval_of_three_floats(capsys):
+    # the grid repeated the upper end, which has no right derivative
+    run_json(capsys, ["enclose", "--fn", "t^t", "--a", "1", "--b", "1.0000000000000004",
+                      "--x", "1.0000000000000002"])
+
+
 def test_exit_code_power_overflow(capsys):
     assert run(["enclose", "--fn", "2^t", "--a=-2000", "--b", "2000", "--x", "0"]) == 2
     assert "invalid input: 2.0 ^ 1031.25 overflows near position 0" in capsys.readouterr().err

@@ -156,6 +156,24 @@ def test_check_convexity_evaluates_each_grid_point_once():
     assert len(calls) == 129 + 255 + 3 * 129
 
 
+def test_check_convexity_allows_for_rounding_far_from_zero():
+    # |f| ~ 1.8e11 rounds by ~3e-5, far above 1e-9 of the value spread
+    narrow = Interval(423239.6893567201, 423239.68984358833)
+    report = check_convexity(catalog.shifted_square(0.0, narrow))
+    assert report.ok
+    assert report.tol > 8 * math.ulp(423239.68984358833 ** 2)
+    assert not check_convexity(ConvexFunction.from_callable(lambda t: -t * t, UNIT)).ok
+
+
+def test_check_convexity_grid_holds_each_float_once():
+    # [1, 1 + 2 ulp] holds three floats; the 129-point grid repeated them
+    f = catalog.exponential(Interval(1.0, 1.0000000000000004))
+    calls = []
+    counted = dataclasses.replace(f, fn=lambda t: calls.append(t) or f.fn(t))
+    assert check_convexity(counted).ok
+    assert sorted(set(calls[:3])) == calls[:3] == [1.0, 1.0000000000000002, 1.0000000000000004]
+
+
 def test_check_convexity_fails_sine_with_witness():
     f = ConvexFunction.from_callable(math.sin, Interval(0.0, 3.0))
     report = check_convexity(f, tol=1e-12)

@@ -1,10 +1,13 @@
 import math
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from convex_enclose import errors, expressions
 from convex_enclose.convex_core import ConvexFunction, Interval, check_convexity
 from convex_enclose.errors import DomainError, ExpressionError
 from convex_enclose.expressions import (
@@ -20,7 +23,7 @@ from convex_enclose.expressions import (
     lower_value,
     parse_expression,
 )
-from convex_enclose.extreal import INF
+from convex_enclose.extreal import INF, ensure_extended
 import tree_walk
 
 UNIT = Interval(0.0, 1.0)
@@ -323,11 +326,110 @@ def test_lowering_matches_tree_walk(source, points):
     tree = parse_expression(source)
     value = lower_value(tree)
     slopes = {sign: _lower_slope(tree, sign) for sign in (-1, +1)}
-    for t in [0.0, -0.0] + points:
+    # the oracles share one walk per point through a memo: call them in both
+    # orders, twice, so that both a fresh walk and a memo hit serve each side
+    cf = convex_function_from_expression(source, UNIT)[0]
+    oracles = {-1: cf.dminus, +1: cf.dplus}
+    for k, t in enumerate([0.0, -0.0] + points):
         assert _outcome(value, t) == _outcome(tree_walk.eval_expr, tree, t), (source, t)
         for sign, slope in slopes.items():
             want = _outcome(tree_walk._value_and_slope, tree, t, sign)
             assert _outcome(slope, t) == want, (source, t, sign)
+        for sign in (-1, +1, -1) if k % 2 else (+1, -1, +1):
+            assert _outcome(oracles[sign], t) == _oracle_outcome(tree, t, sign), (source, t, sign)
+
+
+def _oracle_outcome(tree, t, sign):
+    """The tree walk's slope as a slope oracle returns it, or its exception."""
+    return _outcome(lambda: ensure_extended(tree_walk._value_and_slope(tree, t, sign)[1]))
+
+
+def _counted_walks(monkeypatch, source):
+    """The oracles of source, and a list that grows by one per walk of both sides."""
+    walks = []
+    lower_jet = expressions._lower_jet
+
+    def counted_jet(node):  # the root only: the inner nodes lower as usual
+        monkeypatch.setattr(expressions, "_lower_jet", lower_jet)
+        jet = lower_jet(node)
+        return lambda t: walks.append(t) or jet(t)
+
+    monkeypatch.setattr(expressions, "_lower_jet", counted_jet)
+    cf = convex_function_from_expression(source, UNIT)[0]
+    return cf.dminus, cf.dplus, walks
+
+
+def test_slope_oracles_share_one_walk_per_point(monkeypatch):
+    dminus, dplus, walks = _counted_walks(monkeypatch, "abs(t - 0.5) + t*t")
+    m = 0.5
+    assert (dminus(m), dplus(m), dminus(m)) == (0.0, 2.0, 0.0)
+    assert walks == [m]
+    u = float("0.75")  # equal to the literal below, but another object
+    assert dplus(u) == 2.5 and dminus(0.75) == 2.5
+    assert len(walks) == 3
+
+
+def test_slope_oracle_memo_tells_signed_zeros_and_nans_apart(monkeypatch):
+    # the slope of t*t at -0.0 is -0.0: a memo keyed by value would return 0.0
+    dminus, dplus, walks = _counted_walks(monkeypatch, "t*t")
+    assert float.hex(dminus(0.0)) == "0x0.0p+0"
+    assert float.hex(dplus(-0.0)) == "-0x0.0p+0"
+    assert len(walks) == 2
+    # abs of a NaN takes its kink branch, whose two sides differ
+    dminus, dplus, walks = _counted_walks(monkeypatch, "abs(t)")
+    nan = math.nan
+    assert (dminus(nan), dplus(nan)) == (-1.0, 1.0)
+    assert dplus(float("nan")) == 1.0
+    assert len(walks) == 2
+
+
+@pytest.mark.parametrize("source, point, sign, want", [
+    # one side has a slope where the other raises; a shared walk must not mix them
+    ("-sqrt(max(0, t))", 0.0, +1, -INF),
+    ("-sqrt(max(0, t))", 0.0, -1, DomainError),
+    ("max(sqrt(t) + sqrt(abs(t)), -1)", 0.0, +1, INF),
+    ("max(sqrt(t) + sqrt(abs(t)), -1)", 0.0, -1, errors.ExtendedArithmeticError),
+    ("t^t", 0.0, +1, -INF),
+    ("t^0.5", 0.0, +1, INF),
+    ("(t - 0.5)^0", 0.5, -1, 0.0),
+])
+def test_slope_oracles_at_side_specific_points(source, point, sign, want):
+    cf = convex_function_from_expression(source, UNIT)[0]
+    for first in (cf.dminus, cf.dplus):  # with and without the other side memoised
+        first_outcome = _outcome(first, point)
+        oracle = cf.dplus if sign > 0 else cf.dminus
+        if isinstance(want, type):
+            with pytest.raises(want):
+                oracle(point)
+        else:
+            assert oracle(point) == want
+        assert _outcome(first, point) == first_outcome
+
+
+def test_slope_oracles_are_thread_safe():
+    # four threads share one memo; two and two evaluate the same points
+    source = "abs(t - 0.3) + t*ln(t) + exp(t)"
+    cf = convex_function_from_expression(source, Interval(0.1, 2.0))[0]
+    points = [0.1 + 1.9 * k / 997 for k in range(1, 997)]
+    want = [(cf.dminus(t), cf.dplus(t)) for t in points]
+    got = [None] * 4
+
+    def worker(k):
+        got[k] = [(cf.dminus(t), cf.dplus(t)) for t in points[k % 2::2] * 2]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+            assert not th.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    for k in range(4):
+        assert got[k] == want[k % 2::2] * 2
 
 
 # Convexity proof by composition rules: what proves, what does not, and

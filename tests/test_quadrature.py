@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -12,6 +13,7 @@ from convex_enclose.errors import (
     PartitionError,
     UnboundedSlopeError,
 )
+from convex_enclose.expressions import convex_function_from_expression
 from convex_enclose.extreal import INF
 from convex_enclose.oracle import reference_integral
 from convex_enclose.quadrature import (
@@ -388,3 +390,52 @@ def test_integrate_adaptive_max_cells():
         assert best.cells == cap
         assert best.integral_bounds.hi <= top
         assert best.integral_bounds.contains(math.expm1(709.0))
+
+
+def _catalog_sum(f, g):
+    return ConvexFunction(domain=f.domain, fn=lambda t: f.fn(t) + g.fn(t),
+                          dminus=lambda t: f.dminus(t) + g.dminus(t),
+                          dplus=lambda t: f.dplus(t) + g.dplus(t), kinks=f.kinks + g.kinks)
+
+
+def _budget_best(f, tol, max_cells):
+    with pytest.raises(BudgetExceededError) as exc_info:
+        integrate_adaptive(f, tol, max_cells=max_cells)
+    return exc_info.value.best
+
+
+# float.hex of the estimate and of both remainder ends, the cells, and a
+# digest of the partition's nodes and tags: any change of the refinement
+# order or of the summation fails here
+_PINNED = [
+    (lambda: integrate_adaptive(catalog.exponential(Interval(-0.5, 0.5)), 1e-8),
+     ("0x1.0acd00f014329p+0", "0x0.0p+0", "0x1.5774a41756270p-27", 3784, "9b4f07d2895b0c95")),
+    (lambda: integrate_adaptive(catalog.t_log_t(Interval(0.5, 2.0)), 1e-8),
+     ("0x1.1224e5c09ba0ep-1", "0x0.0p+0", "0x1.5780cac423354p-27", 6645, "74a35f1c00ddc0dc")),
+    (lambda: integrate_adaptive(catalog.power(-2.0, Interval(0.3, 0.55)), 1e-7),
+     ("0x1.83e0f7aee645dp+0", "0x0.0p+0", "0x1.ad7bbc17c761fp-24", 2183, "17bdef169823d607")),
+    (lambda: integrate_adaptive(_catalog_sum(catalog.abs_shift(0.63, Interval(0.4, 1.1)),
+                                             catalog.t_log_t(Interval(0.4, 1.1))), 1e-8),
+     ("0x1.5fa9192574346p-8", "0x0.0p+0", "0x1.575674c2740b2p-27", 2687, "26c41f0c855d684c")),
+    (lambda: integrate_adaptive(convex_function_from_expression(
+        "abs(t - 0.63) + t*ln(t)", Interval(0.4, 1.1))[0], 1e-8),
+     ("0x1.5fa9191fb50c4p-8", "0x0.0p+0", "0x1.576d89107464dp-27", 2694, "05a8024696a8933a")),
+    (lambda: integrate_adaptive(convex_function_from_expression(
+        "-sqrt(t)", Interval(0.05, 0.5))[0], 1e-7),
+     ("-0x1.d374127469b61p-3", "0x0.0p+0", "0x1.ac07a72d811cfp-24", 567, "ad5a7d67c2c5d052")),
+    (lambda: _budget_best(catalog.exponential(UNIT), 1e-9, 1024),
+     ("0x1.b7e1503d4a0ccp+0", "0x0.0p+0", "0x1.b7e151628aed2p-23", 1024, "8742ae7d82e8c8df")),
+    # cells of one size have equal widths here, so the tie rule shapes the partition
+    (lambda: _budget_best(catalog.shifted_square(0.2, UNIT), 1e-9, 1000),
+     ("0x1.62fc8a051eb86p-3", "0x0.0p+0", "0x1.2400000000000p-22", 1000, "d03dc24446a4b157")),
+]
+
+
+@pytest.mark.parametrize("case, want", _PINNED)
+def test_integrate_adaptive_is_pinned_bit_for_bit(case, want):
+    res = case()
+    digest = hashlib.sha256()
+    for x in res.partition.nodes + res.partition.tags:
+        digest.update(float.hex(x).encode())
+    assert (float.hex(res.estimate), float.hex(res.remainder.lo), float.hex(res.remainder.hi),
+            res.cells, digest.hexdigest()[:16]) == want
