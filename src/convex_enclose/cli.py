@@ -131,6 +131,7 @@ def _cmd_enclose(args):
     cf, warnings = _build_convex_function(args.fn, args.a, args.b)
     if not cf.domain.contains(args.x):
         raise DomainError(f"x={args.x} outside [{args.a}, {args.b}]")
+    require_supporting_lines(cf, (cf.domain.lo, args.x, cf.domain.midpoint, cf.domain.hi))
     interior = cf.domain.strictly_contains(args.x)
     lower = ostrowski_lower(cf, args.x) if interior else None
     upper = ostrowski_upper(cf, args.x)
@@ -142,7 +143,6 @@ def _cmd_enclose(args):
     except UnboundedSlopeError:
         classical = None
         warnings.append("classical baseline unavailable: infinite endpoint slope")
-    require_supporting_lines(cf, (cf.domain.lo, args.x, cf.domain.midpoint, cf.domain.hi))
     result = {
         "lower": lower,
         "upper": upper,
@@ -198,7 +198,7 @@ def _cmd_means(args):
                 {
                     "kernel": e.kernel,
                     "lower": e.comparison.lower,
-                    "gap": e.comparison.gap,
+                    "gap": [e.comparison.gap.lo, e.comparison.gap.hi],
                     "upper": e.comparison.upper,
                     "gap_closed_form": e.gap_closed_form,
                 }
@@ -218,7 +218,7 @@ def _cmd_means(args):
         comparison = mean_comparison(cf, Interval(args.c, args.d))
         result = {
             "lower": comparison.lower,
-            "gap": comparison.gap,
+            "gap": [comparison.gap.lo, comparison.gap.hi],
             "upper": comparison.upper,
         }
         certificates = {"mean_difference": [comparison.lower, comparison.upper]}

@@ -16,7 +16,7 @@ Convexity itself is either proved (``proved_convex=True``: the expression
 frontend's composition rules) or falsified by sampling: ``require_convex``
 trusts a proof and samples everything else with ``check_convexity``.
 ``require_supporting_lines`` checks the few points a bound consumes, for
-a non-convex dip between the samples.
+a non-convex dip between the samples or slopes out of order.
 
 All objects are immutable and all oracles are pure, so everything here is
 safe for unrestricted concurrent use.
@@ -195,6 +195,13 @@ class ConvexFunction:
         return _one_sided_limit(lambda s: (fn(s) - f0) / (s - t), t, self.domain.width,
                                 limit, sign)
 
+    @property
+    def slope_slack(self) -> float:
+        """Relative slack of :func:`require_slope_order` for this function's
+        slopes: closed-form slopes differ only by rounding, sampled ones are
+        estimates."""
+        return 1e-9 if self.certified else 1e-6
+
     def endpoint_slopes(self) -> EndpointSlopes:
         return EndpointSlopes(
             self.right_derivative(self.domain.lo),
@@ -343,13 +350,28 @@ def require_convex(f: ConvexFunction, tol: Optional[float] = None) -> ConvexityR
     return report
 
 
+def require_slope_order(d0, d1, x0, x1, slack):
+    """NonConvexError when the slope d0 at x0 < x1 exceeds the slope d1 at
+    x1 by more than slack * max(1, min(|d0|, |d1|)); an infinite slope out
+    of order with a finite one always exceeds it."""
+    if d0 - d1 > slack * max(1.0, min(abs(d0), abs(d1))):
+        raise NonConvexError(
+            f"one-sided slopes out of order: {d0!r} at t={x0!r} > {d1!r} at t={x1!r}; "
+            "the function is not convex"
+        )
+
+
 def require_supporting_lines(f: ConvexFunction, points) -> None:
     """Raise NonConvexError unless the support line at each point lies below
-    f at every other point (slack 1e-9 relative to the terms compared).
+    f at every other point (slack 1e-9 relative to the terms compared), and
+    f'+(p) <= f'-(q) for every pair p < q of the points (slack
+    ``f.slope_slack``, see :func:`require_slope_order`).
 
     A bound that consumes f and its one-sided slopes at these points
     trusts exactly this; it catches a non-convex dip that the sampled check
-    stepped over.  The line towards larger t takes f'+, towards smaller t f'-.
+    stepped over, and slopes whose disorder lies below the support lines'
+    slack but would put the bounds out of order.  The line towards larger
+    t takes f'+, towards smaller t f'-.
     """
     points = sorted(set(points))
     values = [f(p) for p in points]
@@ -365,3 +387,6 @@ def require_supporting_lines(f: ConvexFunction, points) -> None:
             if excess > 1e-9 * max(1.0, abs(fp), abs(fq), abs(rise)):
                 raise NonConvexError(f"not convex: the support line at t={p!r} lies "
                                      f"{excess:.3e} above f({q!r}) = {fq!r}")
+    for i, p in enumerate(points):
+        for j in range(i + 1, len(points)):
+            require_slope_order(rights[i], lefts[j], p, points[j], f.slope_slack)

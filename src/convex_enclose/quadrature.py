@@ -20,7 +20,7 @@ import heapq
 from array import array
 from dataclasses import dataclass
 
-from .convex_core import ConvexFunction, Interval
+from .convex_core import ConvexFunction, Interval, require_slope_order
 from .errors import (
     BudgetExceededError,
     DomainError,
@@ -222,7 +222,7 @@ def integrate_adaptive(f: ConvexFunction, tol: float,
     value = f.fn
     dminus = f.dminus or f.left_derivative
     dplus = f.dplus or f.right_derivative
-    slack = 1e-9 if f.certified else 1e-6  # relative; sampled slopes are estimates
+    slack = f.slope_slack
 
     # A split keeps the left child in the parent's slot and appends the
     # right child.  Convexity orders the slopes of distinct points,
@@ -246,9 +246,9 @@ def integrate_adaptive(f: ConvexFunction, tol: float,
         dmm = dminus(m)
         dpm = dplus(m)
         if dp0 > dmm:
-            _require_order(dp0, dmm, x0, m, slack)
+            require_slope_order(dp0, dmm, x0, m, slack)
         if dpm > dm1:
-            _require_order(dpm, dm1, m, x1, slack)
+            require_slope_order(dpm, dm1, m, x1, slack)
         h = x1 - x0
         h2 = h * h
         hi_term = 0.125 * h2 * (dm1 - dp0)
@@ -290,9 +290,9 @@ def integrate_adaptive(f: ConvexFunction, tol: float,
         dml = dminus(ml)
         dpl = dplus(ml)
         if dp0 > dml:
-            _require_order(dp0, dml, x0, ml, slack)
+            require_slope_order(dp0, dml, x0, ml, slack)
         if dpl > dmm:
-            _require_order(dpl, dmm, ml, m, slack)
+            require_slope_order(dpl, dmm, ml, m, slack)
         h = m - x0
         h2 = h * h
         hil = 0.125 * h2 * (dmm - dp0)
@@ -307,9 +307,9 @@ def integrate_adaptive(f: ConvexFunction, tol: float,
         dmr = dminus(mr)
         dpr = dplus(mr)
         if dpm > dmr:
-            _require_order(dpm, dmr, m, mr, slack)
+            require_slope_order(dpm, dmr, m, mr, slack)
         if dpr > dm1:
-            _require_order(dpr, dm1, mr, x1, slack)
+            require_slope_order(dpr, dm1, mr, x1, slack)
         h = x1 - m
         h2 = h * h
         hir = 0.125 * h2 * (dm1 - dpm)
@@ -357,17 +357,6 @@ def integrate_adaptive(f: ConvexFunction, tol: float,
         f"enclosure width {best.width:.3e} > tol {tol:.3e} after {best.cells} cells",
         best=best,
     )
-
-
-def _require_order(d0, d1, x0, x1, slack):
-    """NonConvexError when the slope d0 at x0 < x1 exceeds the slope d1 at
-    x1 by more than slack * max(1, min(|d0|, |d1|)); an infinite slope out
-    of order with a finite one always exceeds it."""
-    if d0 - d1 > slack * max(1.0, min(abs(d0), abs(d1))):
-        raise NonConvexError(
-            f"one-sided slopes out of order: {d0!r} at t={x0!r} > {d1!r} at t={x1!r}; "
-            "the function is not convex"
-        )
 
 
 class _Cells:

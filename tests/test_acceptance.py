@@ -184,11 +184,13 @@ def test_criterion_7_means_sandwich():
             c = rng.uniform(iv.lo, iv.hi - 0.05)
             d = rng.uniform(c + 0.02, iv.hi)
             comp = mean_comparison(f, Interval(c, d))
-            slack = slack_for(comp.lower, comp.gap, comp.upper)
-            assert comp.lower - slack <= comp.gap <= comp.upper + slack
+            assert comp.gap.lo == comp.gap.hi
+            slack = slack_for(comp.lower, comp.gap.lo, comp.upper)
+            assert comp.lower - slack <= comp.gap.lo <= comp.upper + slack
     comp = mean_comparison(catalog.shifted_square(0.0, Interval(0.0, 2.0)), Interval(0.0, 1.0))
     assert rel_close(comp.lower, 1.0 / 3.0, 1e-12)
-    assert rel_close(comp.gap, 1.0, 1e-12)
+    assert comp.gap.lo == comp.gap.hi
+    assert rel_close(comp.gap.lo, 1.0, 1e-12)
     assert rel_close(comp.upper, 7.0 / 3.0, 1e-12)
     print("ACCEPTANCE 7 (integral-means sandwich): PASS")
 
