@@ -12,6 +12,10 @@ through this interface.  Derivative oracles are either closed form
 estimated from samples by monotone difference quotients (``certified=False``:
 black-box callables, and the CDF of a black-box density).
 
+A function may also carry a ``jet``, one call that returns f and both
+one-sided slopes at an interior point, so that the integrator pays one
+oracle call per point instead of three (see :class:`Jet`).
+
 Convexity itself is either proved (``proved_convex=True``: the expression
 frontend's composition rules) or falsified by sampling: ``require_convex``
 trusts a proof and samples everything else with ``check_convexity``.
@@ -129,6 +133,21 @@ def _one_sided_limit(g, t, span, limit, sign):
 
 
 @dataclass(frozen=True)
+class Jet:
+    """A fused oracle t -> (f(t), f'-(t), f'+(t)) for interior t, and the
+    three oracles it fuses: it returns what they return, bit for bit, and
+    raises what the first of f'-, f'+ and f to raise would raise."""
+
+    call: Callable[[float], tuple]
+    fn: Callable[[float], float]
+    dminus: Optional[Callable[[float], float]]
+    dplus: Optional[Callable[[float], float]]
+
+    def fuses(self, f: "ConvexFunction") -> bool:
+        return self.fn is f.fn and self.dminus is f.dminus and self.dplus is f.dplus
+
+
+@dataclass(frozen=True)
 class ConvexFunction:
     """A convex function with evaluation and one-sided derivative oracles.
 
@@ -142,6 +161,12 @@ class ConvexFunction:
     lists interior points where the two one-sided derivatives differ.
     ``proved_convex`` marks a function whose convexity on the domain was
     proved, so that :func:`require_convex` need not sample it.
+
+    ``jet`` is an optional :class:`Jet`; a bare callable given here fuses
+    the ``fn``, ``dminus`` and ``dplus`` given with it.  It is used only
+    while those are still this function's oracles, so that
+    ``dataclasses.replace(f, fn=g)``, or a copy that counts calls, reads
+    its own oracles.
     """
 
     domain: Interval
@@ -153,10 +178,13 @@ class ConvexFunction:
     name: str = ""
     certified: bool = True
     proved_convex: bool = False
+    jet: Optional[Jet] = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.certified and (self.dminus is None or self.dplus is None):
             raise ValueError("certified functions need both closed-form derivative oracles")
+        if self.jet is not None and not isinstance(self.jet, Jet):
+            object.__setattr__(self, "jet", Jet(self.jet, self.fn, self.dminus, self.dplus))
 
     @classmethod
     def from_callable(cls, fn, domain: Interval) -> "ConvexFunction":
@@ -187,6 +215,25 @@ class ConvexFunction:
         if self.dminus is not None:
             return ensure_extended(self.dminus(t))
         return ensure_extended(self._sampled_slope(t, self.domain.lo, -1))
+
+    def interior_jet(self) -> Callable[[float], tuple]:
+        """t -> (f(t), f'-(t), f'+(t)) for interior t, without domain checks.
+
+        The fused ``jet`` while it fuses this function's oracles; otherwise
+        an adapter that calls f'-, f'+ and f in that order (sampled slopes
+        where there is no closed form).
+        """
+        if self.jet is not None and self.jet.fuses(self):
+            return self.jet.call
+        fn = self.fn
+        dminus = self.dminus or self.left_derivative
+        dplus = self.dplus or self.right_derivative
+
+        def adapter(t):
+            dm = dminus(t)
+            dp = dplus(t)
+            return fn(t), dm, dp
+        return adapter
 
     def _sampled_slope(self, t: float, limit: float, sign: int) -> float:
         """Limit of the difference quotients at t towards ``limit``."""

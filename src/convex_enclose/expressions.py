@@ -22,9 +22,10 @@ exponents included.  At an abs/max kink the requested side picks the
 correct branch; sqrt, ln and ^ produce signed infinities where the
 tangent is vertical.  ``_lower_jet`` runs both sides of ``_lower_slope``
 in one walk, t -> (value, f'-, f'+), and hands the few points where only
-a side-specific check can decide back to it.  Trees nest at most
-MAX_DEPTH levels (parentheses and operator chains count), far from
-Python's recursion limit.
+a side-specific check can decide back to it; it is the function's jet
+(``convex_core.Jet``), which the integrator calls once per point.  Trees
+nest at most MAX_DEPTH levels (parentheses and operator chains count),
+far from Python's recursion limit.
 
 ``_proves_convex`` tries to prove a tree convex on an interval by
 composition rules; what it cannot prove is left to the sampled check.
@@ -446,13 +447,15 @@ class _SidesDiffer(Exception):
 
 
 def _lower_jet(node):
-    """Closure t -> (value, f'-, f'+): both closures of _lower_slope in one walk.
+    """Closure t -> (value, f'-, f'+): lower_value and both closures of
+    _lower_slope in one walk.
 
     Each side does the float operations of its _lower_slope closure in the
-    same order, so every value, slope and exception is the same.  Where a
-    check could tell the sides apart (a NaN slope reaching max, sqrt at 0,
-    ^ at base 0 or exponent 0) it raises _SidesDiffer instead; a variable
-    exponent raises it while lowering.
+    same order, so every slope and exception is the same, and the value is
+    lower_value's.  Where a check could tell the sides apart (a NaN slope
+    reaching max, sqrt at 0, ^ at base 0 or exponent 0), or where the value
+    and the slopes part (abs of a NaN), it raises _SidesDiffer instead; a
+    variable exponent raises it while lowering.
     """
     if isinstance(node, Num):
         triple = (node.value, 0.0, 0.0)
@@ -491,6 +494,8 @@ def _lower_jet(node):
                     return u, dm, dp
                 if u < 0.0:
                     return -u, -dm, -dp
+                if u != u:  # the value is a NaN, but _lower_slope takes the kink branch
+                    raise _SidesDiffer
                 return 0.0, -abs(dm), abs(dp)
             return abs_
         if node.func == "exp":
@@ -735,36 +740,47 @@ def convex_function_from_expression(source: str, interval: Interval):
 
     Returns (ConvexFunction, warnings): the function is certified (closed
     form slopes) and the warnings list is empty, for the caller to extend.
-    ``fn`` is lower_value; f'- and f'+ share one walk per point (see
-    _slope_oracles) and give the slopes of _lower_slope bit for bit.  They
-    raise ExtendedArithmeticError where the slope is an undefined form
-    (inf - inf, 0 * inf).  ``proved_convex`` records whether
-    the composition rules prove the expression convex on the interval; the
-    function is not evaluated here, and convex_core.require_convex samples
-    what is not proved.
+    ``fn`` is lower_value; f'- and f'+ share one walk per point, and the
+    jet gives all three in one walk (see _oracles), bit for bit as
+    lower_value and _lower_slope give them.  The slopes raise
+    ExtendedArithmeticError where they are an undefined form (inf - inf,
+    0 * inf).  ``proved_convex`` records whether the composition rules
+    prove the expression convex on the interval; the function is not
+    evaluated here, and convex_core.require_convex samples what is not
+    proved.
     """
     expr = parse_expression(source)
-    dminus, dplus = _slope_oracles(expr)
-    return ConvexFunction(domain=interval, fn=lower_value(expr), dminus=dminus, dplus=dplus,
+    fn, dminus, dplus, jet = _oracles(expr)
+    return ConvexFunction(domain=interval, fn=fn, dminus=dminus, dplus=dplus, jet=jet,
                           name=source, certified=True,
                           proved_convex=_proves_convex(expr, interval)), []
 
 
-def _slope_oracles(expr) -> tuple:
-    """(f'-, f'+) of the tree, which share one walk per point.
+def _oracles(expr) -> tuple:
+    """(f, f'-, f'+, jet) of the tree.
 
-    Both read a one-entry memo (t, _lower_jet(t)) keyed by the identity of
-    t, so f'+(m) right after f'-(m) walks no tree, while 0.0 and -0.0 (or
-    two NaNs) never share an entry.  The entry is one tuple, so no thread
-    reads half of it.  Where the jet cannot serve both sides, each side
-    runs its own _lower_slope closure.
+    f'- and f'+ read a one-entry memo (t, _lower_jet(t)) keyed by the
+    identity of t, so f'+(m) right after f'-(m) walks no tree, while 0.0
+    and -0.0 (or two NaNs) never share an entry.  The entry is one tuple,
+    so no thread reads half of it.  The jet, t -> (f, f'-, f'+), walks
+    _lower_jet once and rejects a NaN slope as f'- and then f'+ would.
+    Where _lower_jet cannot serve both sides, each side runs its own
+    _lower_slope closure, and the jet calls f'-, f'+ and then f.
     """
+    value = lower_value(expr)
     left, right = _lower_slope(expr, -1), _lower_slope(expr, +1)
+    dminus = lambda t: ensure_extended(left(t)[1])
+    dplus = lambda t: ensure_extended(right(t)[1])
+
+    def walks(t):
+        dm = dminus(t)
+        dp = dplus(t)
+        return value(t), dm, dp
+
     try:
-        jet = _lower_jet(expr)
+        triples = _lower_jet(expr)
     except _SidesDiffer:  # a variable exponent
-        return (lambda t: ensure_extended(left(t)[1]),
-                lambda t: ensure_extended(right(t)[1]))
+        return value, dminus, dplus, walks
     memo = (None, None)
 
     def slope(t, side, walk):
@@ -772,12 +788,24 @@ def _slope_oracles(expr) -> tuple:
         key, triple = memo
         if key is not t:
             try:
-                triple = jet(t)
+                triple = triples(t)
             except _SidesDiffer:
                 triple = None
             memo = (t, triple)
         if triple is None:
-            return ensure_extended(walk(t)[1])
+            return walk(t)
         d = triple[side]
         return d if d == d else ensure_extended(d)  # d is a float: only a NaN is rejected
-    return (lambda t: slope(t, 1, left)), (lambda t: slope(t, 2, right))
+
+    def jet(t):
+        try:
+            triple = triples(t)
+        except _SidesDiffer:
+            return walks(t)
+        _, dm, dp = triple
+        if dm != dm or dp != dp:
+            ensure_extended(dm)
+            ensure_extended(dp)
+        return triple
+
+    return value, (lambda t: slope(t, 1, dminus)), (lambda t: slope(t, 2, dplus)), jet

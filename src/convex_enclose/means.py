@@ -80,8 +80,11 @@ def mean_comparison(f: ConvexFunction, sub: Interval) -> MeanComparison:
     mean_[c,d] f <= (f(c) + f(d))/2, bounds the certificate's width from
     below before anything is integrated; each integral mean is enclosed to
     within 1e-3 of that estimate (floor 1e-9 max(1, |f(c)|, |f(d)|)), so
-    lower gives up at most about 0.1% of the width.  ``gap`` encloses the
-    true difference, from the same two integrations.
+    lower gives up at most about 0.1% of the width.  When upper is +inf the
+    estimate is the width of the Hermite-Hadamard bracket of mean_[c,d] f,
+    (f(c) + f(d))/2 - f((c+d)/2), so lower gives up at most about 0.1% of
+    that.  ``gap`` encloses the true difference, from the same two
+    integrations.
     """
     if not f.domain.encloses(sub):
         raise DomainError("comparison subinterval must lie inside the domain")
@@ -97,7 +100,10 @@ def mean_comparison(f: ConvexFunction, sub: Interval) -> MeanComparison:
             slopes.at_hi * ((b - d) ** 2 + (b - d) * (b - c) + (b - c) ** 2)
             - slopes.at_lo * ((d - a) ** 2 + (d - a) * (c - a) + (c - a) ** 2)
         ) / (6.0 * (b - a))
-    estimate = upper - (base + 0.5 * (fc + fd))
+    if upper == INF:  # the sub-interval's own Hermite-Hadamard width instead
+        estimate = 0.5 * (fc + fd) - f(0.5 * (c + d))
+    else:
+        estimate = upper - (base + 0.5 * (fc + fd))
     rel = _REL_FLOOR * max(1.0, abs(fc), abs(fd))
     if math.isfinite(estimate) and _WIDTH_SHARE * estimate > rel:
         rel = _WIDTH_SHARE * estimate

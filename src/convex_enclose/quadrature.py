@@ -8,7 +8,8 @@ remainder is nonnegative and each cell's share of the certificate width,
 (1/8) h^2 [f'-(x_i+1) - f'+(x_i) - f'+(m_i) + f'-(m_i)], is known locally.
 The adaptive integrator uses it as an error indicator: starting from the
 domain ends and the known kinks, it bisects the cell of widest enclosure
-until the total width meets the tolerance.
+until the total width meets the tolerance.  Each new midpoint costs one
+call of the function's jet, which returns f and both one-sided slopes.
 
 Per-cell terms are summed in node order with math.fsum, so results are
 reproducible bit for bit.
@@ -179,13 +180,14 @@ def integrate_adaptive(f: ConvexFunction, tol: float,
     cell carries its midpoint-rule remainder enclosure
         [(1/8) h^2 (f'+(m) - f'-(m)),  (1/8) h^2 (f'-(x1) - f'+(x0))],
     and the cell whose enclosure is widest (ties: the one created first) is
-    bisected until the total width is <= tol.  A split evaluates f and both
-    slopes at the two new midpoints only: the children inherit the parent's
-    endpoint slopes, and the parent's midpoint slopes become their inner
-    endpoint slopes.  Each cell's three summands are stored when it is
-    created.  A running sum of the cell widths only decides when to test;
-    the test is the returned result's own remainder width, summed cell by
-    cell in node order, so results are reproducible bit for bit.
+    bisected until the total width is <= tol.  A split makes one jet call
+    (f and both slopes, see ``ConvexFunction.interior_jet``) at each of the
+    two new midpoints only: the children inherit the parent's endpoint
+    slopes, and the parent's midpoint slopes become their inner endpoint
+    slopes.  Each cell's three summands are stored when it is created.  A
+    running sum of the cell widths only decides when to test; the test is
+    the returned result's own remainder width, summed cell by cell in node
+    order, so results are reproducible bit for bit.
 
     The returned result satisfies
         integral in [estimate + remainder.lo, estimate + remainder.hi]
@@ -217,11 +219,9 @@ def integrate_adaptive(f: ConvexFunction, tol: float,
     if any(not u < 0.5 * (u + v) < v for u, v in zip(nodes, nodes[1:])):
         raise PartitionError("a cell is too narrow to have an interior midpoint")
 
-    # Every midpoint below is strictly interior, so the oracles are called
+    # Every midpoint below is strictly interior, so the jet is called
     # without the domain checks; a NaN is caught when the terms are summed.
-    value = f.fn
-    dminus = f.dminus or f.left_derivative
-    dplus = f.dplus or f.right_derivative
+    jet = f.interior_jet()
     slack = f.slope_slack
 
     # A split keeps the left child in the parent's slot and appends the
@@ -243,8 +243,7 @@ def integrate_adaptive(f: ConvexFunction, tol: float,
     for i in range(len(nodes) - 1):
         x0, x1, dp0, dm1 = nodes[i], nodes[i + 1], rights[i], lefts[i + 1]
         m = 0.5 * (x0 + x1)
-        dmm = dminus(m)
-        dpm = dplus(m)
+        v, dmm, dpm = jet(m)
         if dp0 > dmm:
             require_slope_order(dp0, dmm, x0, m, slack)
         if dpm > dm1:
@@ -258,7 +257,7 @@ def integrate_adaptive(f: ConvexFunction, tol: float,
             ensure_extended(dmm)
             ensure_extended(dpm)
             w = INF
-        cell = (x0, x1, dp0, dm1, dmm, dpm, h * value(m), lo_term, hi_term)
+        cell = (x0, x1, dp0, dm1, dmm, dpm, h * v, lo_term, hi_term)
         for append, item in zip(appends, cell):
             append(item)
         if w == INF:
@@ -287,8 +286,7 @@ def integrate_adaptive(f: ConvexFunction, tol: float,
             continue
         dp0, dm1, dmm, dpm = dp0s[i], dm1s[i], dmms[i], dpms[i]
         # the left child [x0, m]
-        dml = dminus(ml)
-        dpl = dplus(ml)
+        vl, dml, dpl = jet(ml)
         if dp0 > dml:
             require_slope_order(dp0, dml, x0, ml, slack)
         if dpl > dmm:
@@ -302,10 +300,9 @@ def integrate_adaptive(f: ConvexFunction, tol: float,
             ensure_extended(dml)
             ensure_extended(dpl)
             wl = INF
-        vl = h * value(ml)
+        vl = h * vl
         # the right child [m, x1]
-        dmr = dminus(mr)
-        dpr = dplus(mr)
+        vr, dmr, dpr = jet(mr)
         if dpm > dmr:
             require_slope_order(dpm, dmr, m, mr, slack)
         if dpr > dm1:
@@ -319,7 +316,7 @@ def integrate_adaptive(f: ConvexFunction, tol: float,
             ensure_extended(dmr)
             ensure_extended(dpr)
             wr = INF
-        vr = h * value(mr)
+        vr = h * vr
 
         append_x0(m)
         append_x1(x1)

@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convex_enclose import catalog
 from convex_enclose.convex_core import (
@@ -264,3 +266,80 @@ def test_two_sided_derivative():
 def test_certified_requires_oracles():
     with pytest.raises(ValueError):
         ConvexFunction(domain=UNIT, fn=lambda t: t, certified=True)
+
+
+# Every catalog factory, with the points where its jet could part from its
+# oracles: the domain ends, the kink and the floats next to it.
+_JET_CASES = [
+    (catalog.power(2.0, Interval(0.0, 3.0)), ()),
+    (catalog.power(1.0, Interval(0.0, 3.0)), ()),
+    (catalog.power(3.5, Interval(0.0, 2.0)), ()),
+    (catalog.power(-1.0, Interval(0.5, 4.0)), ()),
+    (catalog.power(-2.0, Interval(0.3, 0.55)), ()),
+    (catalog.neg_log(Interval(0.1, 5.0)), ()),
+    (catalog.t_log_t(Interval(0.1, 5.0)), ()),
+    (catalog.exponential(Interval(-2.0, 3.0)), ()),
+    (catalog.abs_shift(0.3, UNIT), (0.3,)),
+    (catalog.abs_shift(0.0, UNIT), (0.0,)),
+    (catalog.hinge(0.7, Interval(-1.0, 2.0)), (0.7,)),
+    (catalog.hinge(1.0, UNIT), (1.0,)),
+    (catalog.affine(0.5, -2.0, Interval(-1.0, 1.0)), ()),
+    (catalog.neg_sqrt(Interval(0.0, 2.0)), (0.0,)),
+    (catalog.shifted_square(0.2, UNIT), (0.2,)),
+    (catalog.centered_kink(Interval(-1.0, 3.0)), (1.0,)),
+]
+
+
+def _outcome(func, t):
+    """float.hex of each of f, f'- and f'+ (signed zeros included), or the
+    exception's type and message."""
+    try:
+        return tuple(float.hex(x) for x in func(t))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _jet_points(f, specials):
+    lo, hi = f.domain.lo, f.domain.hi
+    points = [lo, hi, f.domain.midpoint, math.nextafter(lo, INF), math.nextafter(hi, -INF)]
+    for c in specials:
+        points += [c, math.nextafter(c, -INF), math.nextafter(c, INF)]
+    return points
+
+
+def _adapter(f):
+    """The three-oracle adapter of f."""
+    return dataclasses.replace(f, jet=None).interior_jet()
+
+
+@pytest.mark.parametrize("f, specials", _JET_CASES, ids=lambda c: getattr(c, "name", ""))
+def test_catalog_jets_match_their_oracles(f, specials):
+    assert f.jet is not None and f.interior_jet() is f.jet.call
+    adapter = _adapter(f)
+    for t in _jet_points(f, specials):
+        assert _outcome(f.jet.call, t) == _outcome(adapter, t), (f.name, t)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.sampled_from(range(len(_JET_CASES))), st.floats(0.0, 1.0))
+def test_catalog_jets_match_their_oracles_anywhere(case, u):
+    f = _JET_CASES[case][0]
+    t = min(f.domain.lo + u * f.domain.width, f.domain.hi)
+    assert _outcome(f.jet.call, t) == _outcome(_adapter(f), t)
+
+
+def test_a_jet_stands_only_for_the_oracles_it_fuses():
+    f = catalog.exponential(UNIT)
+    assert (f.jet.fn, f.jet.dminus, f.jet.dplus) == (f.fn, f.dminus, f.dplus)
+    assert dataclasses.replace(f, domain=Interval(0.25, 0.5)).interior_jet() is f.jet.call
+    assert dataclasses.replace(f, name="e^t").interior_jet() is f.jet.call
+    double = lambda t: 2.0 * math.exp(t)
+    for changed in ({"fn": double}, {"dminus": double}, {"dplus": double}):
+        g = dataclasses.replace(f, **changed)
+        assert g.interior_jet() is not f.jet.call
+        assert g.interior_jet()(0.5) == (g.fn(0.5), g.dminus(0.5), g.dplus(0.5))
+    # derived functions and black boxes have no jet: the adapter serves them
+    assert f.scaled(2.0).jet is None and f.add_affine(1.0, 1.0).jet is None
+    box = ConvexFunction.from_callable(math.exp, UNIT)
+    assert box.interior_jet()(0.5) == (math.exp(0.5), box.left_derivative(0.5),
+                                       box.right_derivative(0.5))

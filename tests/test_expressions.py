@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import sys
@@ -339,6 +340,20 @@ def test_lowering_matches_tree_walk(source, points):
             assert _outcome(oracles[sign], t) == _oracle_outcome(tree, t, sign), (source, t, sign)
 
 
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_SOURCES, st.lists(_POINTS, max_size=4))
+@example("abs(1e308*t - 1e308*t) + t*t", [10.0])  # abs of a NaN keeps the NaN
+@example("1e200*t*1e200 - 1e200*t*1e200", [])  # slopes inf - inf: a NaN the jet rejects
+@example("max(t*sqrt(t), 1)", [])
+@example("t^t", [0.5])
+def test_jet_matches_the_three_oracles(source, points):
+    cf = convex_function_from_expression(source, UNIT)[0]
+    assert cf.interior_jet() is cf.jet.call
+    adapter = dataclasses.replace(cf, jet=None).interior_jet()  # f'-, f'+, then f
+    for t in [0.0, -0.0] + points:
+        assert _outcome(cf.jet.call, t) == _outcome(adapter, t), (source, t)
+
+
 def _oracle_outcome(tree, t, sign):
     """The tree walk's slope as a slope oracle returns it, or its exception."""
     return _outcome(lambda: ensure_extended(tree_walk._value_and_slope(tree, t, sign)[1]))
@@ -392,6 +407,8 @@ def test_slope_oracle_memo_tells_signed_zeros_and_nans_apart(monkeypatch):
     ("t^t", 0.0, +1, -INF),
     ("t^0.5", 0.0, +1, INF),
     ("(t - 0.5)^0", 0.5, -1, 0.0),
+    # abs of a NaN: the slope walk takes the kink branch, so sqrt sees 0 there
+    ("sqrt(abs(1e308*t - 1e308*t))", 2.0, -1, DomainError),
 ])
 def test_slope_oracles_at_side_specific_points(source, point, sign, want):
     cf = convex_function_from_expression(source, UNIT)[0]

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from convex_enclose import catalog, oracle
+from convex_enclose import catalog, means, oracle
 from convex_enclose.cli import run
 from convex_enclose.convex_core import Interval
 from convex_enclose.errors import BudgetExceededError, DomainError, OracleFailureError
@@ -104,6 +104,8 @@ _MP_CASES = [
     ("t*ln(t)", lambda mp, t: t * mp.log(t), 0.5, 2.0, 0.6, 1.1, ()),
     ("1/t", lambda mp, t: 1 / t, 0.1, 3.0, 1.0, 2.0, ()),
     ("-sqrt(t)", lambda mp, t: -mp.sqrt(t), 0.0, 1.0, 0.0, 0.5, ()),
+    ("-sqrt(t)", lambda mp, t: -mp.sqrt(t), 0.0, 1.0, 0.25, 0.75, ()),
+    ("-sqrt(t)", lambda mp, t: -mp.sqrt(t), 0.0, 1.0, 1e-6, 1.0, ()),
 ]
 
 
@@ -145,14 +147,16 @@ def test_infinite_endpoint_slope_falls_back_to_hermite_hadamard():
     assert comp.lower <= -2.0 / 3.0 + (2.0 / 3.0) * math.sqrt(0.5)
 
 
-def test_exceeded_cell_budget_keeps_the_best_result():
-    # [0.25, 0.75] has finite slopes, but with upper = inf the tolerance sits
-    # at its floor, 1e-9 of max(1, |f|), which -sqrt(t) does not reach there
-    # within 4096 cells; [0, 1] still falls back to Hermite-Hadamard
+def test_exceeded_cell_budget_keeps_the_best_result(monkeypatch):
+    # [0.25, 0.75] has finite slopes, but -sqrt(t) does not reach the
+    # tolerance there within a budget of 8 cells; [0, 1] still falls back to
+    # Hermite-Hadamard
+    monkeypatch.setattr(means, "_MAX_CELLS", 8)
     f = expression("-sqrt(t)", 0.0, 1.0)
     sub = Interval(0.25, 0.75)
+    hh_width = 0.5 * (f(0.25) + f(0.75)) - f(0.5)  # upper = inf: the sub's own width
     with pytest.raises(BudgetExceededError) as info:
-        integrate_adaptive(replace(f, domain=sub), 1e-9 * sub.width, max_cells=4096)
+        integrate_adaptive(replace(f, domain=sub), 1e-3 * hh_width * sub.width, max_cells=8)
     best = info.value.best.integral_bounds
     comp = mean_comparison(f, sub)
     assert comp.gap.lo == -math.sqrt(0.5) - best.hi / sub.width
@@ -160,6 +164,31 @@ def test_exceeded_cell_budget_keeps_the_best_result():
     mean_sub = -(2.0 / 3.0) * (0.75**1.5 - 0.25**1.5) / sub.width
     assert comp.gap.lo <= -2.0 / 3.0 - mean_sub <= comp.gap.hi
     assert comp.lower <= -2.0 / 3.0 - mean_sub
+
+
+@pytest.mark.parametrize("src, a, b, c, d", [
+    ("-sqrt(t)", 0.0, 1.0, 0.25, 0.75),
+    ("-sqrt(t)", 0.0, 1.0, 1e-6, 1.0),
+    ("t^t", 0.0, 1.5, 0.25, 1.0),
+])
+def test_infinite_endpoint_slope_keeps_a_finite_tolerance(monkeypatch, src, a, b, c, d):
+    # upper = inf: the sub-interval's Hermite-Hadamard width sets the
+    # tolerance, which the integrator meets well within its cell budget
+    runs = []
+
+    def integrate(f, tol, max_cells):
+        result = integrate_adaptive(f, tol, max_cells=max_cells)
+        runs.append((tol, result))
+        return result
+
+    monkeypatch.setattr(means, "integrate_adaptive", integrate)
+    f = expression(src, a, b)
+    comp = mean_comparison(f, Interval(c, d))
+    assert comp.upper == INF
+    hh_width = 0.5 * (f(c) + f(d)) - f(0.5 * (c + d))
+    [(tol, result)] = runs  # the full domain falls back to Hermite-Hadamard
+    assert tol == 1e-3 * hh_width * (d - c)
+    assert result.width <= tol and result.cells < 200
 
 
 def test_expressions_never_call_adaptive_simpson(monkeypatch, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import random
@@ -9,6 +10,7 @@ from convex_enclose.convex_core import ConvexFunction, Interval
 from convex_enclose.errors import (
     BudgetExceededError,
     DomainError,
+    ExtendedArithmeticError,
     NonConvexError,
     PartitionError,
     UnboundedSlopeError,
@@ -346,6 +348,56 @@ def test_integrate_adaptive_reuses_slopes():
         seeded = len(f.kinks) + 1
         assert calls["fn"] == 2 * res.cells - seeded
         assert calls["slope"] == 2 * calls["fn"] + 2 + 2 * len(f.kinks)
+
+
+def test_integrate_adaptive_calls_the_jet_once_per_new_midpoint():
+    for f in (catalog.exponential(UNIT), catalog.abs_shift(0.3, Interval(-1.0, 2.0)),
+              convex_function_from_expression("abs(t - 0.63) + t*ln(t)", Interval(0.4, 1.1))[0],
+              convex_function_from_expression("t^t", Interval(0.5, 2.0))[0]):
+        calls = []
+        jet = f.jet.call
+        g = dataclasses.replace(f, jet=lambda t: calls.append(t) or jet(t))
+        res = integrate_adaptive(g, 1e-6)
+        seeded = len(f.kinks) + 1
+        assert len(calls) == len(set(calls)) == 2 * res.cells - seeded
+        assert set(res.partition.tags) <= set(calls)
+        assert res == integrate_adaptive(dataclasses.replace(f, jet=None), 1e-6)
+
+
+def test_integrate_adaptive_reads_replaced_oracles():
+    # a replaced oracle retires the jet that fused the old one
+    f = catalog.exponential(UNIT)
+    res = integrate_adaptive(f, 1e-6)
+    doubled = integrate_adaptive(dataclasses.replace(f, fn=lambda t: 2.0 * math.exp(t)), 1e-6)
+    assert doubled.estimate == 2.0 * res.estimate
+    assert doubled.partition == res.partition
+
+    class Called(Exception):
+        pass
+
+    def refuse(name):
+        oracle = getattr(f, name)
+
+        def refused(t):
+            if 0.0 < t < 1.0:
+                raise Called(name)
+            return oracle(t)
+        return refused
+
+    # f'- first, then f'+, then f: the order in which the oracles were read
+    # before they had a jet
+    for names in (("dminus", "dplus", "fn"), ("dplus", "fn"), ("fn",)):
+        g = dataclasses.replace(f, **{name: refuse(name) for name in names})
+        with pytest.raises(Called, match=names[0]):
+            integrate_adaptive(g, 1e-6)
+
+
+def test_integrate_adaptive_keeps_an_undefined_value():
+    # 1e308*t overflows, so abs takes the NaN inf - inf; its slopes are finite
+    f = convex_function_from_expression("abs(1e308*t - 1e308*t) + t*t", Interval(9.0, 11.0))[0]
+    assert math.isnan(f.jet.call(10.0)[0]) and math.isnan(f.fn(10.0))
+    with pytest.raises(ExtendedArithmeticError):
+        integrate_adaptive(f, 1e-3)
 
 
 def test_integrate_adaptive_floating_point_resolution():
