@@ -44,7 +44,8 @@ _CONVEXITY_SAMPLES = 129
 
 @dataclass(frozen=True)
 class Interval:
-    """Closed interval [lo, hi] with finite endpoints and lo < hi."""
+    """Closed interval [lo, hi] with finite endpoints and lo < hi, whose
+    width and midpoint are finite too."""
 
     lo: float
     hi: float
@@ -56,6 +57,8 @@ class Interval:
             raise DomainError("interval endpoints must be finite")
         if not lo < hi:
             raise DomainError(f"degenerate interval [{lo}, {hi}]")
+        if not (math.isfinite(hi - lo) and math.isfinite(lo + hi)):
+            raise DomainError(f"interval [{lo}, {hi}] is too wide for float arithmetic")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 

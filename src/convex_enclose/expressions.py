@@ -16,14 +16,14 @@ The constants e and pi parse to numbers.  Nodes carry exact source spans
 for error reporting; spans are ignored by structural equality.
 
 A parsed tree is lowered once into nested closures, so no evaluation
-walks the tree: ``lower_value`` gives t -> value, and ``_lower_slope``
-gives t -> (value, closed-form one-sided slope) for one side, variable
-exponents included.  At an abs/max kink the requested side picks the
-correct branch; sqrt, ln and ^ produce signed infinities where the
-tangent is vertical.  ``_lower_jet`` runs both sides of ``_lower_slope``
-in one walk, t -> (value, f'-, f'+), and hands the few points where only
-a side-specific check can decide back to it; it is the function's jet
-(``convex_core.Jet``), which the integrator calls once per point.  Trees
+walks the tree: ``lower_value`` gives t -> value, and ``_lower_jet`` gives
+t -> (value, f'-, f'+) with closed-form one-sided slopes, variable
+exponents included.  At an abs/max kink each side picks its branch;
+sqrt, ln and ^ produce signed infinities where the tangent is vertical.
+The fused walk serves both sides at once and is the function's jet
+(``convex_core.Jet``), which the integrator calls once per point; at the
+few points where only a side-specific check can decide, a one-sided walk
+of the same lowering, chosen when lowering, serves each side.  Trees
 nest at most MAX_DEPTH levels (parentheses and operator chains count),
 far from Python's recursion limit.
 
@@ -39,7 +39,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from .convex_core import ConvexFunction, Interval
-from .errors import DomainError, ExpressionError
+from .errors import DomainError, ExpressionError, ExtendedArithmeticError
 from .extreal import INF, ensure_extended
 
 CONSTANTS = {"e": math.e, "pi": math.pi}
@@ -308,154 +308,49 @@ def _div(u: float, w: float, t: float) -> float:
     return u / w
 
 
-def _lower_slope(node, sign: int):
-    """Closure t -> (value, one-sided slope); sign=+1 right, -1 left.
-
-    Forward-mode differentiation, resolved per node once.  Slopes use
-    plain float arithmetic: an undefined form (inf - inf, 0 * inf) leaves
-    a NaN that the caller rejects.  Only a closure that would drop a NaN
-    slope (a comparison, a discarded or sign-only operand) checks it on
-    the spot.  A variable exponent follows (u^c)' = u^c (c' ln u + c u'/u).
-    """
-    if isinstance(node, Num):
-        pair = (node.value, 0.0)
-        return lambda t: pair
-    if isinstance(node, Var):
-        return lambda t: (float(t), 1.0)
-    if isinstance(node, Neg):
-        g = _lower_slope(node.operand, sign)
-
-        def neg(t):
-            v, dv = g(t)
-            return -v, -dv
-        return neg
-    if isinstance(node, Call):
-        return _lower_call_slope(node, sign)
-    left = _lower_slope(node.left, sign)
-    if node.op == "^":
-        span = node.span
-        if _is_constant(node.right):
-            # slope 0; the slope closure of sqrt(0) would raise where its value does not
-            exponent = lower_value(node.right)
-            right = lambda t: (exponent(t), 0.0)
-        else:
-            right = _lower_slope(node.right, sign)
-
-        def power(t):
-            u, du = left(t)
-            c, dc = right(t)
-            value = _pow_value(u, c, span)
-            if dc != 0.0:  # (u^c)' = u^c (c' ln u + c u'/u)
-                ensure_extended(dc)
-                if u > 0.0:
-                    return value, value * (dc * math.log(u) + c * du / u)
-                if not u == 0.0:  # u < 0: u^c is undefined on either side
-                    raise DomainError(f"{u} ^ {c} has no one-sided slope near position {span[0]}")
-                if c == 0.0:  # u^c tends to 1 and the c' ln u term decides
-                    ensure_extended(du)
-                    return value, -math.copysign(INF, dc)
-            if c == 0.0:
-                ensure_extended(du)
-                return value, 0.0
-            if c == 1.0:
-                return value, du
-            if u == 0.0 and c < 1.0:
-                # vertical tangent of u^c at u = 0
-                ensure_extended(du)
-                return value, math.copysign(INF, c * du) if du != 0.0 else 0.0
-            return value, c * _pow_value(u, c - 1.0, span) * du
-        return power
-    right = _lower_slope(node.right, sign)
-    if node.op == "+":
-        def add(t):
-            u, du = left(t)
-            w, dw = right(t)
-            return u + w, du + dw
-        return add
-    if node.op == "-":
-        def sub(t):
-            u, du = left(t)
-            w, dw = right(t)
-            return u - w, du - dw
-        return sub
-    if node.op == "*":
-        def mul(t):
-            u, du = left(t)
-            w, dw = right(t)
-            return u * w, du * w + u * dw
-        return mul
-
-    def div(t):
-        u, du = left(t)
-        w, dw = right(t)
-        return _div(u, w, t), (du * w - u * dw) / (w * w)
-    return div
-
-
-def _lower_call_slope(node, sign: int):
-    gs = [_lower_slope(a, sign) for a in node.args]
-    g = gs[0]
-    if node.func == "max":
-        pick = max if sign > 0 else min
-
-        def max_(t):
-            v, dv = g(t)
-            ensure_extended(dv)
-            for h in gs[1:]:
-                w, dw = h(t)
-                ensure_extended(dw)
-                if w > v:
-                    v, dv = w, dw
-                elif w == v:
-                    dv = pick(dv, dw)
-            return v, dv
-        return max_
-    if node.func == "abs":
-        def abs_(t):
-            u, du = g(t)
-            if u > 0.0:
-                return u, du
-            if u < 0.0:
-                return -u, -du
-            return 0.0, abs(du) if sign > 0 else -abs(du)
-        return abs_
-    if node.func == "exp":
-        def exp_(t):
-            u, du = g(t)
-            v = _exp(u, t)
-            return v, v * du
-        return exp_
-    if node.func == "ln":
-        def ln_(t):
-            u, du = g(t)
-            return _ln(u, t), du * (1.0 / u)
-        return ln_
-
-    def sqrt_(t):
-        u, du = g(t)
-        v = _sqrt(u, t)
-        if u == 0.0:
-            if ensure_extended(du) == 0.0:
-                raise DomainError(f"indeterminate one-sided slope of sqrt at t={t}")
-            return 0.0, math.copysign(INF, du)
-        return v, du * (0.5 / v)
-    return sqrt_
-
-
 class _SidesDiffer(Exception):
     """Only a side-specific check can decide this point: walk each side alone."""
 
 
-def _lower_jet(node):
-    """Closure t -> (value, f'-, f'+): lower_value and both closures of
-    _lower_slope in one walk.
+def _power_slope(value: float, u: float, du: float, c: float, dc: float, span) -> float:
+    """One side's slope of u^c, whose value is given: (u^c)' = u^c (c' ln u + c u'/u)."""
+    if dc != 0.0:
+        ensure_extended(dc)
+        if u > 0.0:
+            return value * (dc * math.log(u) + c * du / u)
+        if not u == 0.0:  # u < 0: u^c is undefined on either side
+            raise DomainError(f"{u} ^ {c} has no one-sided slope near position {span[0]}")
+        if c == 0.0:  # u^c tends to 1 and the c' ln u term decides
+            ensure_extended(du)
+            return -math.copysign(INF, dc)
+    if c == 0.0:
+        ensure_extended(du)
+        return 0.0
+    if c == 1.0:
+        return du
+    if u == 0.0 and c < 1.0:  # vertical tangent of u^c at u = 0
+        ensure_extended(du)
+        return math.copysign(INF, c * du) if du != 0.0 else 0.0
+    return c * _pow_value(u, c - 1.0, span) * du
 
-    Each side does the float operations of its _lower_slope closure in the
-    same order, so every slope and exception is the same, and the value is
-    lower_value's.  Where a check could tell the sides apart (a NaN slope
-    reaching max, sqrt at 0, ^ at base 0 or exponent 0), or where the value
-    and the slopes part (abs of a NaN), it raises _SidesDiffer instead; a
-    variable exponent raises it while lowering.
+
+def _lower_jet(node, side: int):
+    """Closure t -> (value, f'-, f'+): forward-mode differentiation of both
+    sides in one walk, resolved per node once.
+
+    Slopes use plain float arithmetic: an undefined form (inf - inf,
+    0 * inf) leaves a NaN that the caller rejects.  Only a branch that
+    would drop a NaN slope (a comparison, a discarded or sign-only
+    operand) checks it on the spot.  Those branches are where the sides
+    can part: a NaN slope reaching max, sqrt at 0, ^ at base 0 or exponent
+    0 or a raising rule of a variable exponent, and abs of a NaN (whose
+    value is a NaN but whose slope rules take the kink branch).  There the
+    fused walk, side=0, raises _SidesDiffer; the one-sided walks, side=1
+    for f'- and side=2 for f'+, run their own side's check on their own
+    slot, triple[side], and return the value that side's rules see.  When
+    the fused walk returns, its value is lower_value's and each slot is
+    what that side's one-sided walk gives; the other slot of a one-sided
+    walk means nothing.
     """
     if isinstance(node, Num):
         triple = (node.value, 0.0, 0.0)
@@ -463,24 +358,28 @@ def _lower_jet(node):
     if isinstance(node, Var):
         return lambda t: (float(t), 1.0, 1.0)
     if isinstance(node, Neg):
-        g = _lower_jet(node.operand)
+        g = _lower_jet(node.operand, side)
 
         def neg(t):
             v, dm, dp = g(t)
             return -v, -dm, -dp
         return neg
     if isinstance(node, Call):
-        gs = [_lower_jet(a) for a in node.args]
+        gs = [_lower_jet(a, side) for a in node.args]
         g = gs[0]
         if node.func == "max":
             def max_(t):
                 v, dm, dp = g(t)
                 if dm != dm or dp != dp:
-                    raise _SidesDiffer
+                    if not side:
+                        raise _SidesDiffer
+                    ensure_extended((dm, dp)[side - 1])
                 for h in gs[1:]:
                     w, wm, wp = h(t)
                     if wm != wm or wp != wp:
-                        raise _SidesDiffer
+                        if not side:
+                            raise _SidesDiffer
+                        ensure_extended((wm, wp)[side - 1])
                     if w > v:
                         v, dm, dp = w, wm, wp
                     elif w == v:
@@ -494,7 +393,7 @@ def _lower_jet(node):
                     return u, dm, dp
                 if u < 0.0:
                     return -u, -dm, -dp
-                if u != u:  # the value is a NaN, but _lower_slope takes the kink branch
+                if u != u and not side:  # a NaN value, but the slope rules take the kink
                     raise _SidesDiffer
                 return 0.0, -abs(dm), abs(dp)
             return abs_
@@ -515,28 +414,53 @@ def _lower_jet(node):
             u, dm, dp = g(t)
             v = _sqrt(u, t)
             if u == 0.0:
-                raise _SidesDiffer
+                if not side:
+                    raise _SidesDiffer
+                d = ensure_extended((dm, dp)[side - 1])
+                if d == 0.0:
+                    raise DomainError(f"indeterminate one-sided slope of sqrt at t={t}")
+                d = math.copysign(INF, d)
+                return 0.0, d, d
             r = 0.5 / v
             return v, dm * r, dp * r
         return sqrt_
-    left = _lower_jet(node.left)
+    left = _lower_jet(node.left, side)
     if node.op == "^":
-        if not _is_constant(node.right):
-            raise _SidesDiffer
-        exponent, span = lower_value(node.right), node.span
+        span = node.span
+        if _is_constant(node.right):
+            # slope 0; the slope walk of sqrt(0) would raise where its value does not
+            exponent = lower_value(node.right)
 
-        def power(t):
-            u, dm, dp = left(t)
-            c = exponent(t)
+            def power(t):
+                u, dm, dp = left(t)
+                c = exponent(t)
+                value = _pow_value(u, c, span)
+                if c == 0.0 or u == 0.0:
+                    if not side:
+                        raise _SidesDiffer
+                    d = _power_slope(value, u, (dm, dp)[side - 1], c, 0.0, span)
+                    return value, d, d
+                if c == 1.0:
+                    return value, dm, dp
+                k = c * _pow_value(u, c - 1.0, span)
+                return value, k * dm, k * dp
+            return power
+        right = _lower_jet(node.right, side)
+
+        def variable_power(t):
+            u, um, up = left(t)
+            c, cm, cp = right(t)
             value = _pow_value(u, c, span)
-            if c == 0.0 or u == 0.0:
-                raise _SidesDiffer
-            if c == 1.0:
-                return value, dm, dp
-            k = c * _pow_value(u, c - 1.0, span)
-            return value, k * dm, k * dp
-        return power
-    right = _lower_jet(node.right)
+            try:
+                return (value, _power_slope(value, u, um, c, cm, span),
+                        _power_slope(value, u, up, c, cp, span))
+            except (DomainError, ExtendedArithmeticError):
+                if not side:
+                    raise _SidesDiffer from None
+            d = _power_slope(value, u, (um, up)[side - 1], c, (cm, cp)[side - 1], span)
+            return value, d, d
+        return variable_power
+    right = _lower_jet(node.right, side)
     if node.op == "+":
         def add(t):
             u, um, up = left(t)
@@ -740,9 +664,9 @@ def convex_function_from_expression(source: str, interval: Interval):
 
     Returns (ConvexFunction, warnings): the function is certified (closed
     form slopes) and the warnings list is empty, for the caller to extend.
-    ``fn`` is lower_value; f'- and f'+ share one walk per point, and the
-    jet gives all three in one walk (see _oracles), bit for bit as
-    lower_value and _lower_slope give them.  The slopes raise
+    ``fn`` is lower_value; f'- and f'+ share one walk of _lower_jet per
+    point, and the jet gives all three in one walk (see _oracles), bit for
+    bit as lower_value and the one-sided walks give them.  The slopes raise
     ExtendedArithmeticError where they are an undefined form (inf - inf,
     0 * inf).  ``proved_convex`` records whether the composition rules
     prove the expression convex on the interval; the function is not
@@ -759,31 +683,25 @@ def convex_function_from_expression(source: str, interval: Interval):
 def _oracles(expr) -> tuple:
     """(f, f'-, f'+, jet) of the tree.
 
-    f'- and f'+ read a one-entry memo (t, _lower_jet(t)) keyed by the
+    f'- and f'+ read a one-entry memo (t, fused _lower_jet(t)) keyed by the
     identity of t, so f'+(m) right after f'-(m) walks no tree, while 0.0
     and -0.0 (or two NaNs) never share an entry.  The entry is one tuple,
-    so no thread reads half of it.  The jet, t -> (f, f'-, f'+), walks
-    _lower_jet once and rejects a NaN slope as f'- and then f'+ would.
-    Where _lower_jet cannot serve both sides, each side runs its own
-    _lower_slope closure, and the jet calls f'-, f'+ and then f.
+    so no thread reads half of it.  The jet, t -> (f, f'-, f'+), walks the
+    fused _lower_jet once and rejects a NaN slope as f'- and then f'+
+    would.  Where the fused walk raises _SidesDiffer, each side reads its
+    own one-sided walk, and the jet calls f'-, f'+ and then f.
     """
-    value = lower_value(expr)
-    left, right = _lower_slope(expr, -1), _lower_slope(expr, +1)
-    dminus = lambda t: ensure_extended(left(t)[1])
-    dplus = lambda t: ensure_extended(right(t)[1])
+    value, triples = lower_value(expr), _lower_jet(expr, 0)
+    sides = (None, _lower_jet(expr, 1), _lower_jet(expr, 2))
+    walk = lambda t, side: ensure_extended(sides[side](t)[side])
 
     def walks(t):
-        dm = dminus(t)
-        dp = dplus(t)
+        dm = walk(t, 1)
+        dp = walk(t, 2)
         return value(t), dm, dp
-
-    try:
-        triples = _lower_jet(expr)
-    except _SidesDiffer:  # a variable exponent
-        return value, dminus, dplus, walks
     memo = (None, None)
 
-    def slope(t, side, walk):
+    def slope(t, side):
         nonlocal memo
         key, triple = memo
         if key is not t:
@@ -793,7 +711,7 @@ def _oracles(expr) -> tuple:
                 triple = None
             memo = (t, triple)
         if triple is None:
-            return walk(t)
+            return walk(t, side)
         d = triple[side]
         return d if d == d else ensure_extended(d)  # d is a float: only a NaN is rejected
 
@@ -808,4 +726,4 @@ def _oracles(expr) -> tuple:
             ensure_extended(dp)
         return triple
 
-    return value, (lambda t: slope(t, 1, dminus)), (lambda t: slope(t, 2, dplus)), jet
+    return value, (lambda t: slope(t, 1)), (lambda t: slope(t, 2)), jet

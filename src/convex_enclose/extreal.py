@@ -17,8 +17,8 @@ operation:
 
 A comparison does not carry a NaN along (``max(1.0, nan)`` is 1.0), so
 code that compares or discards a possibly undefined slope checks it
-first; see ``expressions._lower_slope``, to which ``expressions._lower_jet``
-hands every such point.
+first; see ``expressions._lower_jet``, whose fused walk hands every such
+point to its one-sided walks.
 """
 
 import math

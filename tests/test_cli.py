@@ -250,6 +250,16 @@ def test_exit_code_power_overflow(capsys):
     assert "invalid input: 2.0 ^ 1031.25 overflows near position 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["enclose", "--fn=t^2", "--a=-1e308", "--b=1e308", "--x=0"],  # the width overflows
+    ["enclose", "--fn=t", "--a=1e308", "--b=1.7e308", "--x=1.5e308"],  # the midpoint does
+    ["integrate", "--fn=t", "--a=1e308", "--b=1.7e308"],
+])
+def test_exit_code_interval_too_wide_for_floats(capsys, argv):
+    assert run(argv) == 2
+    assert "is too wide for float arithmetic" in capsys.readouterr().err
+
+
 def test_exit_code_parse_error(capsys):
     assert run(["enclose", "--fn", "t +", "--a", "0", "--b", "1", "--x", "0.5"]) == 2
     assert run(["enclose", "--fn", "q^2", "--a", "0", "--b", "1", "--x", "0.5"]) == 2

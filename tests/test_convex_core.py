@@ -31,6 +31,17 @@ def test_interval_rejects_degenerate_and_infinite():
         Interval(0.0, math.inf)
 
 
+@pytest.mark.parametrize("lo, hi", [(-1e308, 1e308), (1e308, 1.7e308), (-1.7e308, -1e308)])
+def test_interval_rejects_an_overflowing_width_or_midpoint(lo, hi):
+    with pytest.raises(DomainError, match=r"is too wide for float arithmetic"):
+        Interval(lo, hi)
+
+
+def test_interval_accepts_the_whole_positive_axis():
+    iv = Interval(math.ulp(0.0), 1.7976931348623157e308)
+    assert iv.width == iv.hi and math.isfinite(iv.midpoint)
+
+
 def test_interval_properties():
     iv = Interval(-1.0, 3.0)
     assert iv.width == 4.0

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import operator
 import random
 import sys
 import threading
@@ -18,7 +19,7 @@ from convex_enclose.expressions import (
     Neg,
     Num,
     Var,
-    _lower_slope,
+    _lower_jet,
     _proves_convex,
     convex_function_from_expression,
     lower_value,
@@ -96,7 +97,8 @@ def test_parse_errors_carry_positions():
 def test_nesting_depth_limit(nest):
     tree = parse_expression(nest(MAX_DEPTH))
     lower_value(tree)(0.5)  # lowering and evaluation stay far from the recursion limit
-    _lower_slope(tree, +1)(0.5)
+    for side in (0, 1, 2):  # the fused walk and both one-sided walks
+        _lower_jet(tree, side)(0.5)
     with pytest.raises(ExpressionError, match=f"deeper than {MAX_DEPTH} levels"):
         parse_expression(nest(MAX_DEPTH + 1))
 
@@ -221,14 +223,15 @@ _MP_FUNCTIONS = {
 def test_variable_exponent_slopes_match_high_precision_quotients(src):
     mpmath = pytest.importorskip("mpmath")
     f = _MP_FUNCTIONS[src]
-    slopes = {sign: _lower_slope(parse_expression(src), sign) for sign in (-1, +1)}
+    cf = convex_function_from_expression(src, UNIT)[0]
+    slopes = {-1: cf.dminus, +1: cf.dplus}
     with mpmath.workdps(50):
         h = mpmath.mpf(10) ** -30
         for t in (0.125, 0.5, 0.75, 1.0, 1.5, 2.5):
             x = mpmath.mpf(t)
             for sign, slope in slopes.items():
                 quotient = (f(mpmath, x + sign * h) - f(mpmath, x)) / (sign * h)
-                assert slope(t)[1] == pytest.approx(float(quotient), rel=1e-14), (src, t, sign)
+                assert slope(t) == pytest.approx(float(quotient), rel=1e-14), (src, t, sign)
 
 
 @pytest.mark.parametrize("src, point, sign, want, mp_f", [
@@ -243,7 +246,8 @@ def test_variable_exponent_slopes_match_high_precision_quotients(src):
 ])
 def test_variable_exponent_slopes_where_the_base_vanishes(src, point, sign, want, mp_f):
     mpmath = pytest.importorskip("mpmath")
-    _, slope = _lower_slope(parse_expression(src), sign)(float(point))
+    cf = convex_function_from_expression(src, UNIT)[0]
+    slope = (cf.dplus if sign > 0 else cf.dminus)(float(point))
     assert slope == want
     with mpmath.workdps(50):
         x = mpmath.mpf(point)
@@ -259,9 +263,10 @@ def test_variable_exponent_slopes_where_the_base_vanishes(src, point, sign, want
 def test_variable_exponent_of_a_negative_base_is_a_domain_error():
     # (t-2)^t at t = 1 has the value -1, but no slope on either side
     for src, t in (("(t-2)^t", 1.0), ("(t-2)^t", 0.5), ("(t-2)^(2*t)", 1.0)):
-        for sign in (-1, +1):
+        cf = convex_function_from_expression(src, UNIT)[0]
+        for slope in (cf.dminus, cf.dplus, cf.jet.call):
             with pytest.raises(DomainError):
-                _lower_slope(parse_expression(src), sign)(t)
+                slope(t)
 
 
 def test_convex_function_from_expression_certified_path():
@@ -281,12 +286,15 @@ _EXPONENTS = ("0", "1", "2", "3", "0.5", "1.5", "(-1)", "(-2)", "(-0.5)")
 _KINKS = tuple(float(x) for x in _NUMBERS) + tuple(-float(x) for x in _NUMBERS)
 
 
-def _grammar(leaves, exponents):
+def _grammar(leaves, exponents, variable_exponents=False):
     def extend(inner):
+        powers = st.builds("({})^{}".format, inner, exponents)
+        if variable_exponents:
+            powers |= st.builds("({})^({})".format, inner, inner)
         return st.one_of(
             st.builds("({}){}({})".format, inner, st.sampled_from("+-*/"), inner),
             st.builds("-({})".format, inner),
-            st.builds("({})^{}".format, inner, exponents),
+            powers,
             st.builds("{}({})".format, st.sampled_from(("abs", "ln", "exp", "sqrt")), inner),
             st.builds("max({}, {})".format, inner, inner),
             st.builds("max({}, {}, {})".format, inner, inner, inner),
@@ -298,7 +306,9 @@ _CONSTANTS = st.sampled_from(_NUMBERS + ("e", "pi"))
 # a constant exponent: a literal, or a small variable-free tree such as (2)/(0)
 _EXPONENT = st.one_of(st.sampled_from(_EXPONENTS),
                       st.builds("({})".format, _grammar(_CONSTANTS, st.just("2"))))
-_SOURCES = _grammar(st.one_of(_CONSTANTS, st.just("t")), _EXPONENT)
+# t*1e200*1e200 is 0 at 0 with the slope inf
+_SOURCES = _grammar(st.one_of(_CONSTANTS, st.just("t"), st.just("t*1e200*1e200")), _EXPONENT,
+                    variable_exponents=True)
 _POINTS = st.one_of(st.floats(-4.0, 4.0), st.sampled_from(_KINKS), st.integers(-3, 3),
                     st.floats(allow_nan=False, allow_infinity=False))
 
@@ -323,10 +333,15 @@ def _outcome(func, *args):
 @example("(t*sqrt(t))^0", [])
 @example("(t*sqrt(t))^0.5", [])
 @example("sqrt(t*sqrt(t))", [])
+# the exponent's slope is a NaN on one side and inf on the other
+@example("(t+2)^(abs(t*1e200*1e200) + t*1e200*1e200)", [])
+@example("(t+2)^(abs(t*1e200*1e200) - t*1e200*1e200)", [])
+@example("(abs(t))^(t+1)", [])  # the sides of the base differ at 0
+@example("(-abs(t) - 1)^(max(2, 2 + t))", [])  # base < 0: only f'+ sees c vary, and raises
 def test_lowering_matches_tree_walk(source, points):
     tree = parse_expression(source)
     value = lower_value(tree)
-    slopes = {sign: _lower_slope(tree, sign) for sign in (-1, +1)}
+    slopes = {sign: _one_sided_walk(tree, sign) for sign in (-1, +1)}
     # the oracles share one walk per point through a memo: call them in both
     # orders, twice, so that both a fresh walk and a memo hit serve each side
     cf = convex_function_from_expression(source, UNIT)[0]
@@ -354,19 +369,28 @@ def test_jet_matches_the_three_oracles(source, points):
         assert _outcome(cf.jet.call, t) == _outcome(adapter, t), (source, t)
 
 
+def _one_sided_walk(tree, sign):
+    """t -> (value, slope) of the one-sided walk of f'- (sign -1) or f'+ (+1)."""
+    side = 1 if sign < 0 else 2
+    walk, pick = _lower_jet(tree, side), operator.itemgetter(0, side)
+    return lambda t: pick(walk(t))
+
+
 def _oracle_outcome(tree, t, sign):
     """The tree walk's slope as a slope oracle returns it, or its exception."""
     return _outcome(lambda: ensure_extended(tree_walk._value_and_slope(tree, t, sign)[1]))
 
 
 def _counted_walks(monkeypatch, source):
-    """The oracles of source, and a list that grows by one per walk of both sides."""
+    """The oracles of source, and a list that grows by one per fused walk."""
     walks = []
     lower_jet = expressions._lower_jet
 
-    def counted_jet(node):  # the root only: the inner nodes lower as usual
+    def counted_jet(node, side):  # the fused root only: the rest lowers as usual
+        if side:
+            return lower_jet(node, side)
         monkeypatch.setattr(expressions, "_lower_jet", lower_jet)
-        jet = lower_jet(node)
+        jet = lower_jet(node, side)
         return lambda t: walks.append(t) or jet(t)
 
     monkeypatch.setattr(expressions, "_lower_jet", counted_jet)
@@ -409,6 +433,13 @@ def test_slope_oracle_memo_tells_signed_zeros_and_nans_apart(monkeypatch):
     ("(t - 0.5)^0", 0.5, -1, 0.0),
     # abs of a NaN: the slope walk takes the kink branch, so sqrt sees 0 there
     ("sqrt(abs(1e308*t - 1e308*t))", 2.0, -1, DomainError),
+    # the exponent's slope: -inf + inf on the left, inf + inf on the right, or the reverse
+    ("(t+2)^(abs(t*1e200*1e200) + t*1e200*1e200)", 0.0, -1, errors.ExtendedArithmeticError),
+    ("(t+2)^(abs(t*1e200*1e200) + t*1e200*1e200)", 0.0, +1, INF),
+    ("(t+2)^(abs(t*1e200*1e200) - t*1e200*1e200)", 0.0, -1, -INF),
+    ("(t+2)^(abs(t*1e200*1e200) - t*1e200*1e200)", 0.0, +1, errors.ExtendedArithmeticError),
+    ("(-abs(t) - 1)^(max(2, 2 + t))", 0.0, -1, -2.0),
+    ("(-abs(t) - 1)^(max(2, 2 + t))", 0.0, +1, DomainError),
 ])
 def test_slope_oracles_at_side_specific_points(source, point, sign, want):
     cf = convex_function_from_expression(source, UNIT)[0]

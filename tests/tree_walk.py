@@ -55,13 +55,24 @@ def eval_expr(node, t: float) -> float:
     return _pow_value(u, v, node.span)
 
 
+def _has_var(node) -> bool:
+    if isinstance(node, Var):
+        return True
+    if isinstance(node, Neg):
+        return _has_var(node.operand)
+    if isinstance(node, BinOp):
+        return _has_var(node.left) or _has_var(node.right)
+    return isinstance(node, Call) and any(_has_var(a) for a in node.args)
+
+
 def _value_and_slope(node, t: float, sign: int):
     """Forward-mode value and one-sided slope (sign=+1 right, -1 left).
 
     Slopes use plain float arithmetic: an undefined form (inf - inf,
     0 * inf) leaves a NaN that the caller rejects.  Only a branch that
     would drop a NaN slope (a comparison, a discarded or sign-only
-    operand) checks it on the spot.
+    operand) checks it on the spot.  A variable exponent follows
+    (u^c)' = u^c (c' ln u + c u'/u).
     """
     if isinstance(node, Num):
         return node.value, 0.0
@@ -73,8 +84,21 @@ def _value_and_slope(node, t: float, sign: int):
     if isinstance(node, BinOp):
         if node.op == "^":
             u, du = _value_and_slope(node.left, t, sign)
-            c = eval_expr(node.right, t)  # exponent is variable-free here
+            if _has_var(node.right):
+                c, dc = _value_and_slope(node.right, t, sign)
+            else:  # a variable-free exponent has slope 0, even sqrt(0)
+                c, dc = eval_expr(node.right, t), 0.0
             value = _pow_value(u, c, node.span)
+            if dc != 0.0:  # (u^c)' = u^c (c' ln u + c u'/u)
+                ensure_extended(dc)
+                if u > 0.0:
+                    return value, value * (dc * math.log(u) + c * du / u)
+                if not u == 0.0:
+                    raise DomainError(
+                        f"{u} ^ {c} has no one-sided slope near position {node.span[0]}")
+                if c == 0.0:  # u^c tends to 1 and the c' ln u term decides
+                    ensure_extended(du)
+                    return value, -math.copysign(INF, dc)
             if c == 0.0:
                 ensure_extended(du)
                 return value, 0.0
