@@ -10,6 +10,8 @@ The adaptive integrator uses it as an error indicator: starting from the
 domain ends and the known kinks, it bisects the cell of widest enclosure
 until the total width meets the tolerance.  Each new midpoint costs one
 call of the function's jet, which returns f and both one-sided slopes.
+Its cells are tuples that wait in a heap, widest first, until they are
+split or can never be split again.
 
 Per-cell terms are summed in node order with math.fsum, so results are
 reproducible bit for bit.
@@ -20,6 +22,7 @@ from __future__ import annotations
 import heapq
 from array import array
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .convex_core import ConvexFunction, Interval, require_slope_order
 from .errors import (
@@ -184,7 +187,12 @@ def integrate_adaptive(f: ConvexFunction, tol: float,
     (f and both slopes, see ``ConvexFunction.interior_jet``) at each of the
     two new midpoints only: the children inherit the parent's endpoint
     slopes, and the parent's midpoint slopes become their inner endpoint
-    slopes.  Each cell's three summands are stored when it is created.  A
+    slopes.  A cell is one tuple, built when the cell is created,
+        (x0, x1, f'+(x0), f'-(x1), f'-(m), f'+(m), h f(m), lo, hi),
+    and waits in the heap as (-width, slot, cell).  The left child keeps
+    its parent's slot and the right child takes the next number, so ties
+    go to the older cell and cells are never compared.  Cells of no
+    positive width, and cells too narrow to bisect, go to a ``done`` list.  A
     running sum of the cell widths only decides when to test; the test is
     the returned result's own remainder width, summed cell by cell in node
     order, so results are reproducible bit for bit.
@@ -224,23 +232,17 @@ def integrate_adaptive(f: ConvexFunction, tol: float,
     jet = f.interior_jet()
     slack = f.slope_slack
 
-    # A split keeps the left child in the parent's slot and appends the
-    # right child.  Convexity orders the slopes of distinct points,
-    # f'+(x0) <= f'-(m) and f'+(m) <= f'-(x1); a violation beyond rounding
-    # (or estimation noise) raises NonConvexError.  A cell's terms are
-    # computed once, when it is created: h f(m) and the remainder terms lo
-    # and hi of midpoint_rule; its width is hi - lo (INF for a NaN).
-    cells = _Cells()
-    arrays = [getattr(cells, name) for name in _Cells.__slots__]
-    x0s, x1s, dp0s, dm1s, dmms, dpms, values, los, his = arrays
-    appends = [a.append for a in arrays]
-    (append_x0, append_x1, append_dp0, append_dm1, append_dmm, append_dpm, append_value,
-     append_lo, append_hi) = appends
+    # Convexity orders the slopes of distinct points, f'+(x0) <= f'-(m)
+    # and f'+(m) <= f'-(x1); a violation beyond rounding (or estimation
+    # noise) raises NonConvexError.  lo and hi are the remainder terms of
+    # midpoint_rule, and a cell's width is hi - lo (INF for a NaN).
     heappop, heapreplace, heappush = heapq.heappop, heapq.heapreplace, heapq.heappush
-    heap = []  # (-width, slot): the widest cell first, ties to the older slot
+    heap = []  # (-width, slot, cell): the widest cell first, ties to the older slot
+    done = []  # cells that are never split again
     running = 0.0  # sum of the finite cell widths; it only triggers the stop test
     unbounded = 0  # cells of infinite width
-    for i in range(len(nodes) - 1):
+    count = len(nodes) - 1  # cells so far, and the next slot
+    for i in range(count):
         x0, x1, dp0, dm1 = nodes[i], nodes[i + 1], rights[i], lefts[i + 1]
         m = 0.5 * (x0 + x1)
         v, dmm, dpm = jet(m)
@@ -258,33 +260,30 @@ def integrate_adaptive(f: ConvexFunction, tol: float,
             ensure_extended(dpm)
             w = INF
         cell = (x0, x1, dp0, dm1, dmm, dpm, h * v, lo_term, hi_term)
-        for append, item in zip(appends, cell):
-            append(item)
         if w == INF:
             unbounded += 1
         else:
             running += w
         if w > 0.0:
-            heappush(heap, (-w, i))
+            heappush(heap, (-w, i, cell))
+        else:
+            done.append(cell)
 
     while True:
         if not unbounded and running <= tol:
-            result = cells.result()
+            result = _midpoint_result(done + [entry[2] for entry in heap])
             if result.width <= tol:
                 return result
             running = result.width
-        j = len(x0s)
-        if j >= max_cells or not heap:
+        if count >= max_cells or not heap:
             break
-        neg_w, i = heap[0]
-        x0, x1 = x0s[i], x1s[i]
+        neg_w, i, (x0, x1, dp0, dm1, dmm, dpm, _, _, _) = heap[0]
         m = 0.5 * (x0 + x1)
         ml = 0.5 * (x0 + m)
         mr = 0.5 * (m + x1)
         if not x0 < ml < m < mr < x1:
-            heappop(heap)  # too narrow to bisect in floating point
+            done.append(heappop(heap)[2])  # too narrow to bisect in floating point
             continue
-        dp0, dm1, dmm, dpm = dp0s[i], dm1s[i], dmms[i], dpms[i]
         # the left child [x0, m]
         vl, dml, dpl = jet(ml)
         if dp0 > dml:
@@ -300,7 +299,7 @@ def integrate_adaptive(f: ConvexFunction, tol: float,
             ensure_extended(dml)
             ensure_extended(dpl)
             wl = INF
-        vl = h * vl
+        left = (x0, m, dp0, dmm, dml, dpl, h * vl, lol, hil)
         # the right child [m, x1]
         vr, dmr, dpr = jet(mr)
         if dpm > dmr:
@@ -316,19 +315,8 @@ def integrate_adaptive(f: ConvexFunction, tol: float,
             ensure_extended(dmr)
             ensure_extended(dpr)
             wr = INF
-        vr = h * vr
+        right = (m, x1, dpm, dm1, dmr, dpr, h * vr, lor, hir)
 
-        append_x0(m)
-        append_x1(x1)
-        append_dp0(dpm)
-        append_dm1(dm1)
-        append_dmm(dmr)
-        append_dpm(dpr)
-        append_value(vr)
-        append_lo(lor)
-        append_hi(hir)
-        x1s[i], dm1s[i], dmms[i], dpms[i] = m, dmm, dml, dpl
-        values[i], los[i], his[i] = vl, lol, hil
         if neg_w == -INF:
             unbounded -= 1
         else:
@@ -342,56 +330,45 @@ def integrate_adaptive(f: ConvexFunction, tol: float,
         else:
             running += wr
         if wl > 0.0:
-            heapreplace(heap, (-wl, i))
+            heapreplace(heap, (-wl, i, left))
         else:
             heappop(heap)
+            done.append(left)
         if wr > 0.0:
-            heappush(heap, (-wr, j))
+            heappush(heap, (-wr, count, right))
+        else:
+            done.append(right)
+        count += 1
 
+    done.extend(entry[2] for entry in heap)
     del heap  # free the queue before the result's node arrays are built
-    best = cells.result()
+    best = _midpoint_result(done)
     raise BudgetExceededError(
         f"enclosure width {best.width:.3e} > tol {tol:.3e} after {best.cells} cells",
         best=best,
     )
 
 
-class _Cells:
-    """The adaptive integrator's cells, one slot each in parallel arrays.
+def _midpoint_result(cells: list) -> QuadratureResult:
+    """The midpoint rule on integrate_adaptive's cell tuples, summed in node order.
 
-    A slot holds the nodes x0 < x1, the endpoint slopes f'+(x0) and
-    f'-(x1), f'- and f'+ at the midpoint m, and the cell's three summands,
-    stored when the cell is created: h f(m), lo = (1/8) h^2 (f'+(m) - f'-(m))
-    and hi = (1/8) h^2 (f'-(x1) - f'+(x0)).  Slots are in creation order;
-    the cells tile the domain, so sorting the slots by x0 gives node order.
+    The cells tile the domain, so sorting them by x0 gives node order.  The
+    per-cell terms are those of midpoint_rule.  Convex slopes satisfy
+    f'+(x0) <= f'-(m) <= f'+(m) <= f'-(x1) in every cell, and rounded
+    subtraction, scaling and fsum are monotone, so remainder bounds out of
+    order prove that f is not convex.
     """
-
-    __slots__ = ("x0", "x1", "dp0", "dm1", "dmm", "dpm", "value", "lo", "hi")
-
-    def __init__(self):
-        for name in self.__slots__:
-            setattr(self, name, array("d"))
-
-    def result(self) -> QuadratureResult:
-        """The midpoint rule on the cells, its terms summed in node order.
-
-        The per-cell terms are those of midpoint_rule.  Convex slopes
-        satisfy f'+(x0) <= f'-(m) <= f'+(m) <= f'-(x1) in every cell, and
-        rounded subtraction, scaling and fsum are monotone, so remainder
-        bounds out of order prove that f is not convex.
-        """
-        x0s = self.x0
-        order = sorted(range(len(x0s)), key=x0s.__getitem__)
-        nodes = [x0s[i] for i in order]
-        nodes.append(self.x1[order[-1]])
-        lo = xsum(array("d", map(self.lo.__getitem__, order)))
-        hi = xsum(array("d", map(self.hi.__getitem__, order)))
-        if lo > hi:
-            raise NonConvexError(
-                f"one-sided slopes out of order (remainder bounds [{lo!r}, {hi!r}]); "
-                "the function is not convex"
-            )
-        tags = tuple([0.5 * (x0 + x1) for x0, x1 in zip(nodes, nodes[1:])])
-        return QuadratureResult(estimate=xsum(array("d", map(self.value.__getitem__, order))),
-                                remainder=Enclosure(lo, hi), cells=len(tags),
-                                partition=Partition._validated(tuple(nodes), tags))
+    cells.sort(key=itemgetter(0))
+    nodes = [cell[0] for cell in cells]
+    nodes.append(cells[-1][1])
+    lo = xsum(array("d", map(itemgetter(7), cells)))
+    hi = xsum(array("d", map(itemgetter(8), cells)))
+    if lo > hi:
+        raise NonConvexError(
+            f"one-sided slopes out of order (remainder bounds [{lo!r}, {hi!r}]); "
+            "the function is not convex"
+        )
+    tags = tuple([0.5 * (x0 + x1) for x0, x1 in zip(nodes, nodes[1:])])
+    return QuadratureResult(estimate=xsum(array("d", map(itemgetter(6), cells))),
+                            remainder=Enclosure(lo, hi), cells=len(tags),
+                            partition=Partition._validated(tuple(nodes), tags))

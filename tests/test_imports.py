@@ -1,10 +1,15 @@
-"""Every import in the package modules and the tests is used.
+"""Every import in the package modules and the tests is used, and the
+library imports nothing outside the standard library.
 
 The package's __init__.py re-exports by importing and is exempt, as are
 ``from __future__`` imports.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,3 +46,39 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# The self-test and one request of each subcommand, with --oracle where it exists.
+REQUESTS = [
+    ["--self-test"],
+    ["enclose", "--fn", "t*ln(t) + abs(t - 0.3)", "--a", "0.5", "--b", "2", "--x", "1",
+     "--oracle"],
+    ["integrate", "--fn", "t*t+abs(t-0.3)", "--a", "0", "--b", "1", "--oracle"],
+    ["means", "--fn", "t*t+abs(t-1)", "--a", "0", "--b", "2", "--c", "0.5", "--d", "1.5"],
+    ["means", "--a", "0.5", "--b", "3", "--c", "1", "--d", "2", "--kernel-suite", "2"],
+    ["special-means", "--a", "1", "--b", "2", "--p", "2"],
+    ["prob", "--density", "2*t", "--a", "0", "--b", "1", "--x", "0.3", "--oracle"],
+    ["divergence", "--kernel", "kl", "--p", "0.5,0.5", "--q", "0.25,0.75", "--oracle"],
+]
+
+# Modules loaded at start-up (site hooks) are recorded first and ignored.
+PROBE = """
+import sys
+before = set(sys.modules)
+import contextlib, io, json
+from convex_enclose import cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [cli.run(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([codes, sorted({name.partition(".")[0] for name in set(sys.modules) - before})]))
+"""
+
+
+def test_no_runtime_dependencies():
+    # a fresh interpreter: this one already holds the test dependencies
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", PROBE, json.dumps(REQUESTS)], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    codes, loaded = json.loads(out)
+    assert codes == [0] * len(REQUESTS)
+    assert set(loaded) - set(sys.stdlib_module_names) == {"convex_enclose"}

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -409,6 +410,43 @@ def test_integrate_adaptive_floating_point_resolution():
     with pytest.raises(BudgetExceededError) as exc_info:
         integrate_adaptive(catalog.exponential(two_ulps), 1e-300)
     assert exc_info.value.best.cells == 1
+
+
+# float.hex of the estimate and of both remainder ends
+@pytest.mark.parametrize("width, cells, want", [
+    (2.0**-45, 64, ("0x1.5bf0a8b1457c0p-44", "0x0.0p+0", "0x1.5c00000000000p-149")),
+    (2.0**-40, 2048, ("0x1.5bf0a8b146249p-39", "0x0.0p+0", "0x1.5bf0000000000p-144")),
+])
+def test_integrate_adaptive_retires_cells_too_narrow_to_bisect(width, cells, want):
+    # cells leave the queue as too narrow while others still split, until
+    # none is left; the best result keeps the retired cells in node order
+    domain = Interval(1.0, 1.0 + width)
+    with pytest.raises(BudgetExceededError) as exc_info:
+        integrate_adaptive(catalog.exponential(domain), 1e-300)
+    best = exc_info.value.best
+    assert best.cells == cells
+    assert (float.hex(best.estimate), float.hex(best.remainder.lo),
+            float.hex(best.remainder.hi)) == want
+    part = best.partition
+    assert part == Partition(part.nodes, part.tags)  # passes validation again
+    assert part.spans(domain)
+
+
+def test_integrate_adaptive_memory_per_cell():
+    # the traced peak covers the cells, the queue and the result; a cell of
+    # nine boxed floats fits in 512 B, so a wider cell, or copies of the
+    # cells, show here before they show in the RSS
+    f = catalog.power(-2.0, Interval(0.05, 4.0))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        res = integrate_adaptive(f, 1e-6)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert res.cells > 10000
+    assert peak <= 512 * res.cells
 
 
 def test_integrate_adaptive_max_cells():
