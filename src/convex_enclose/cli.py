@@ -260,7 +260,7 @@ def _build_model(density: str, a: float, b: float):
                 f"bad step density {density!r}; expected step:<split>,<low>"
             ) from exc
     expr = parse_expression(density)
-    return prob.model_from_density(lower_value(expr), a, b, name=density)
+    return prob.model_from_density(lower_value(expr), a, b)
 
 
 def _cmd_prob(args):

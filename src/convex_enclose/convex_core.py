@@ -40,6 +40,7 @@ _MAX_HALVINGS = 40
 _CONVERGENCE_ABS = 1e-9
 _NOISE_FLOOR_REL = 1e-6
 _CONVEXITY_SAMPLES = 129
+_CONVEXITY_REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -307,14 +308,14 @@ class ConvexityReport:
     method: str = "sampled"
 
 
-def check_convexity(f: ConvexFunction, tol: Optional[float] = None) -> ConvexityReport:
+def check_convexity(f: ConvexFunction) -> ConvexityReport:
     """Sampled falsification of convexity.
 
     Raises DomainError when f takes a non-finite value on the grid.
     Midpoint convexity f((s+t)/2) <= (f(s)+f(t))/2 is tested on pairs from
     a uniform grid of 129 points (fewer on an interval holding fewer
     floats) plus 129 random pairs (seed 0), and slope monotonicity
-    f'+(s) <= f'-(t) <= f'+(t) along the grid.  The default tolerance is
+    f'+(s) <= f'-(t) <= f'+(t) along the grid.  The tolerance is
     1e-9 relative to the sampled value range plus 8 ulp of the largest |f|
     on the grid, because floating-point midpoint tests on exactly convex
     functions can show round-off violations; sampled derivative oracles
@@ -330,9 +331,8 @@ def check_convexity(f: ConvexFunction, tol: Optional[float] = None) -> Convexity
         if not math.isfinite(v):
             raise DomainError(f"f({t!r}) = {v!r} is not finite")
     spread = max(values) - min(values)
-    base = 1e-9 if tol is None else float(tol)
     # plus the rounding of f itself, which far from 0 outgrows a narrow spread
-    mid_tol = base * max(1.0, spread) + 8 * math.ulp(max(map(abs, values)))
+    mid_tol = _CONVEXITY_REL_TOL * max(1.0, spread) + 8 * math.ulp(max(map(abs, values)))
 
     worst = -math.inf
     witness = None
@@ -367,7 +367,7 @@ def check_convexity(f: ConvexFunction, tol: Optional[float] = None) -> Convexity
     lefts = [None] + [f.left_derivative(t) for t in grid[1:]]
     finite = [abs(d) for d in rights + lefts[1:] if d is not None and math.isfinite(d)]
     dscale = max([1.0] + finite)
-    deriv_tol = base * dscale * (1.0 if f.certified else 1e3)
+    deriv_tol = _CONVEXITY_REL_TOL * dscale * (1.0 if f.certified else 1e3)
     for i in range(1, len(grid) - 1):
         # Interior points: left slope must not exceed right slope.
         record(lefts[i] - rights[i], (grid[i], grid[i]), deriv_tol)
@@ -383,14 +383,14 @@ def check_convexity(f: ConvexFunction, tol: Optional[float] = None) -> Convexity
                            tol=mid_tol)
 
 
-def require_convex(f: ConvexFunction, tol: Optional[float] = None) -> ConvexityReport:
+def require_convex(f: ConvexFunction) -> ConvexityReport:
     """Trust a function whose convexity was proved (``proved_convex``, set
     by the expression frontend's composition rules) without evaluating it;
     otherwise run check_convexity and raise NonConvexError on failure."""
     if f.proved_convex:
         return ConvexityReport(ok=True, worst_violation=0.0, witness=None, checks=0, tol=0.0,
                                method="proved")
-    report = check_convexity(f, tol=tol)
+    report = check_convexity(f)
     if not report.ok:
         s, t = report.witness
         raise NonConvexError(

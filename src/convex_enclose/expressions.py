@@ -664,14 +664,14 @@ def convex_function_from_expression(source: str, interval: Interval):
 
     Returns (ConvexFunction, warnings): the function is certified (closed
     form slopes) and the warnings list is empty, for the caller to extend.
-    ``fn`` is lower_value; f'- and f'+ share one walk of _lower_jet per
-    point, and the jet gives all three in one walk (see _oracles), bit for
-    bit as lower_value and the one-sided walks give them.  The slopes raise
-    ExtendedArithmeticError where they are an undefined form (inf - inf,
-    0 * inf).  ``proved_convex`` records whether the composition rules
-    prove the expression convex on the interval; the function is not
-    evaluated here, and convex_core.require_convex samples what is not
-    proved.
+    ``fn`` is lower_value, f'- and f'+ are the one-sided walks of
+    _lower_jet, and the jet gives all three in one walk (see _oracles), bit
+    for bit as lower_value and the one-sided walks give them.  The slopes
+    raise ExtendedArithmeticError where they are an undefined form
+    (inf - inf, 0 * inf).  All three are pure functions of t.
+    ``proved_convex`` records whether the composition rules prove the
+    expression convex on the interval; the function is not evaluated here,
+    and convex_core.require_convex samples what is not proved.
     """
     expr = parse_expression(source)
     fn, dminus, dplus, jet = _oracles(expr)
@@ -681,49 +681,33 @@ def convex_function_from_expression(source: str, interval: Interval):
 
 
 def _oracles(expr) -> tuple:
-    """(f, f'-, f'+, jet) of the tree.
+    """(f, f'-, f'+, jet) of the tree, each a pure function of t.
 
-    f'- and f'+ read a one-entry memo (t, fused _lower_jet(t)) keyed by the
-    identity of t, so f'+(m) right after f'-(m) walks no tree, while 0.0
-    and -0.0 (or two NaNs) never share an entry.  The entry is one tuple,
-    so no thread reads half of it.  The jet, t -> (f, f'-, f'+), walks the
-    fused _lower_jet once and rejects a NaN slope as f'- and then f'+
-    would.  Where the fused walk raises _SidesDiffer, each side reads its
-    own one-sided walk, and the jet calls f'-, f'+ and then f.
+    f'- and f'+ read their own one-sided _lower_jet walk.  The jet,
+    t -> (f, f'-, f'+), walks the fused _lower_jet once and rejects a NaN
+    slope as f'- and then f'+ would; where the fused walk raises
+    _SidesDiffer, it calls f'-, f'+ and then f.
     """
     value, triples = lower_value(expr), _lower_jet(expr, 0)
-    sides = (None, _lower_jet(expr, 1), _lower_jet(expr, 2))
-    walk = lambda t, side: ensure_extended(sides[side](t)[side])
+    left, right = _lower_jet(expr, 1), _lower_jet(expr, 2)
 
-    def walks(t):
-        dm = walk(t, 1)
-        dp = walk(t, 2)
-        return value(t), dm, dp
-    memo = (None, None)
+    def dminus(t):
+        return ensure_extended(left(t)[1])
 
-    def slope(t, side):
-        nonlocal memo
-        key, triple = memo
-        if key is not t:
-            try:
-                triple = triples(t)
-            except _SidesDiffer:
-                triple = None
-            memo = (t, triple)
-        if triple is None:
-            return walk(t, side)
-        d = triple[side]
-        return d if d == d else ensure_extended(d)  # d is a float: only a NaN is rejected
+    def dplus(t):
+        return ensure_extended(right(t)[2])
 
     def jet(t):
         try:
             triple = triples(t)
         except _SidesDiffer:
-            return walks(t)
+            dm = dminus(t)
+            dp = dplus(t)
+            return value(t), dm, dp
         _, dm, dp = triple
         if dm != dm or dp != dp:
             ensure_extended(dm)
             ensure_extended(dp)
         return triple
 
-    return value, (lambda t: slope(t, 1)), (lambda t: slope(t, 2)), jet
+    return value, dminus, dplus, jet

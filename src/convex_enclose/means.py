@@ -27,7 +27,7 @@ from .errors import (
     UnboundedSlopeError,
 )
 from .extreal import INF
-from .oracle import CLOSED_FORM, reference_integral
+from .oracle import reference_integral
 from .pointwise import Enclosure
 from .quadrature import integrate_adaptive
 
@@ -58,7 +58,7 @@ def _integral_enclosure(f: ConvexFunction, interval: Interval, tol: float) -> En
     the Hermite-Hadamard bracket  h f(mid) <= integral <= h (f(lo) + f(hi))/2.
     """
     if f.antiderivative is not None:
-        value = reference_integral(f, interval, method=CLOSED_FORM).value
+        value = reference_integral(f, interval).value
         return Enclosure(value, value)
     try:
         result = integrate_adaptive(replace(f, domain=interval), tol, max_cells=_MAX_CELLS)

@@ -7,14 +7,13 @@ the pointwise convex bounds on F into computable enclosures of
     b - E(X) - (b - a) F(x)
 
 and hence of F(x) itself.  The one-sided limits of the density are F's
-one-sided derivatives, so a model is its CDF.
+one-sided derivatives, so a model is its CDF (and E(X)).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 from .convex_core import ConvexFunction, Interval, _one_sided_limit
 from .errors import DomainError, InconsistentModelError
@@ -33,30 +32,27 @@ class RandomVariableModel:
 
     The CDF's domain is the support, and its one-sided derivatives
     ``cdf.left_derivative`` / ``cdf.right_derivative`` are the one-sided
-    limits of the density (they differ only at jump points).  ``density``
-    itself is kept for validation, which samples it on a grid.
+    limits of the density (they differ only at jump points).  The density
+    itself is not kept: each factory samples it on a grid once, to
+    validate it, before it builds the model.
     """
 
     cdf: ConvexFunction = field(repr=False)
-    density: Callable[[float], float] = field(repr=False)
-    expectation: float = 0.0
-    name: str = ""
+    expectation: float
 
     @property
     def support(self) -> Interval:
         return self.cdf.domain
 
 
-def _validate(model: RandomVariableModel):
-    a, b = model.support.lo, model.support.hi
-    f0 = model.cdf(a)
-    f1 = model.cdf(b)
-    if abs(f0) > _NORMALIZATION_TOL or abs(f1 - 1.0) > _NORMALIZATION_TOL:
-        raise InconsistentModelError(
-            f"cdf spans [{f0}, {f1}]; the density must integrate to 1"
-        )
+def _check_density(density, sup: Interval) -> None:
+    """The density must be finite, nonnegative and nondecreasing on a grid."""
+    a, b = sup.lo, sup.hi
     grid = [a + (b - a) * i / (_VALIDATION_GRID - 1) for i in range(_VALIDATION_GRID)]
-    values = [model.density(t) for t in grid]
+    values = [density(t) for t in grid]
+    for t, v in zip(grid, values):
+        if not math.isfinite(v):
+            raise DomainError(f"density({t}) = {v} is not finite")
     if any(v < 0.0 for v in values):
         raise InconsistentModelError("density takes a negative value")
     scale = max(1.0, max(values))
@@ -65,6 +61,16 @@ def _validate(model: RandomVariableModel):
             raise InconsistentModelError(
                 f"density decreases between t={s} and t={t} ({u} > {v})"
             )
+
+
+def _validate(model: RandomVariableModel) -> RandomVariableModel:
+    a, b = model.support.lo, model.support.hi
+    f0 = model.cdf(a)
+    f1 = model.cdf(b)
+    if abs(f0) > _NORMALIZATION_TOL or abs(f1 - 1.0) > _NORMALIZATION_TOL:
+        raise InconsistentModelError(
+            f"cdf spans [{f0}, {f1}]; the density must integrate to 1"
+        )
     if not a <= model.expectation <= b:
         raise InconsistentModelError("expectation outside the support")
     return model
@@ -75,6 +81,7 @@ def uniform_model(a: float, b: float) -> RandomVariableModel:
     sup = Interval(a, b)
     c = 1.0 / sup.width
     density = lambda t: c
+    _check_density(density, sup)
     cdf = ConvexFunction(
         domain=sup,
         fn=lambda x: (x - sup.lo) * c,
@@ -82,9 +89,7 @@ def uniform_model(a: float, b: float) -> RandomVariableModel:
         dplus=density,
         name="uniform cdf",
     )
-    return _validate(RandomVariableModel(
-        cdf=cdf, density=density, expectation=sup.midpoint, name="uniform",
-    ))
+    return _validate(RandomVariableModel(cdf=cdf, expectation=sup.midpoint))
 
 
 def power_density_model(k: float, a: float, b: float) -> RandomVariableModel:
@@ -97,6 +102,7 @@ def power_density_model(k: float, a: float, b: float) -> RandomVariableModel:
         raise DomainError("power density needs a >= 0")
     norm = (math.pow(sup.hi, k + 1.0) - math.pow(sup.lo, k + 1.0)) / (k + 1.0)
     density = lambda t: math.pow(t, k) / norm
+    _check_density(density, sup)
     cdf = ConvexFunction(
         domain=sup,
         fn=lambda x: (math.pow(x, k + 1.0) - math.pow(sup.lo, k + 1.0)) / ((k + 1.0) * norm),
@@ -105,9 +111,7 @@ def power_density_model(k: float, a: float, b: float) -> RandomVariableModel:
         name=f"t^{k:g} cdf",
     )
     expectation = (math.pow(sup.hi, k + 2.0) - math.pow(sup.lo, k + 2.0)) / ((k + 2.0) * norm)
-    return _validate(RandomVariableModel(
-        cdf=cdf, density=density, expectation=expectation, name=f"power k={k:g}",
-    ))
+    return _validate(RandomVariableModel(cdf=cdf, expectation=expectation))
 
 
 def exponential_density_model(a: float, b: float) -> RandomVariableModel:
@@ -115,6 +119,7 @@ def exponential_density_model(a: float, b: float) -> RandomVariableModel:
     sup = Interval(a, b)
     norm = math.exp(sup.hi) - math.exp(sup.lo)
     density = lambda t: math.exp(t) / norm
+    _check_density(density, sup)
     cdf = ConvexFunction(
         domain=sup,
         fn=lambda x: (math.exp(x) - math.exp(sup.lo)) / norm,
@@ -123,9 +128,7 @@ def exponential_density_model(a: float, b: float) -> RandomVariableModel:
         name="exp cdf",
     )
     expectation = ((sup.hi - 1.0) * math.exp(sup.hi) - (sup.lo - 1.0) * math.exp(sup.lo)) / norm
-    return _validate(RandomVariableModel(
-        cdf=cdf, density=density, expectation=expectation, name="truncated exponential",
-    ))
+    return _validate(RandomVariableModel(cdf=cdf, expectation=expectation))
 
 
 def step_density_model(a: float, b: float, split: float, low: float) -> RandomVariableModel:
@@ -147,6 +150,7 @@ def step_density_model(a: float, b: float, split: float, low: float) -> RandomVa
             f"normalization forces a decreasing step ({low} -> {high})"
         )
     density = lambda t: low if t < split else high
+    _check_density(density, sup)
 
     def cdf_fn(x):
         if x <= split:
@@ -158,20 +162,20 @@ def step_density_model(a: float, b: float, split: float, low: float) -> RandomVa
         dplus=density, kinks=(split,), name="step cdf",
     )
     expectation = 0.5 * low * (split**2 - sup.lo**2) + 0.5 * high * (sup.hi**2 - split**2)
-    return _validate(RandomVariableModel(
-        cdf=cdf, density=density, expectation=expectation, name=f"step at {split:g}",
-    ))
+    return _validate(RandomVariableModel(cdf=cdf, expectation=expectation))
 
 
-def model_from_density(fn, a: float, b: float, name: str = "") -> RandomVariableModel:
+def model_from_density(fn, a: float, b: float) -> RandomVariableModel:
     """Build a model from a black-box density by numeric integration.
 
-    The CDF and expectation come from the adaptive Simpson integrator at
-    tolerance 1e-10; one-sided density limits are estimated by the same
+    The density is checked on the validation grid first; then the CDF and
+    expectation come from the adaptive Simpson integrator at tolerance
+    1e-10, and one-sided density limits are estimated by the same
     monotone limiting scheme used for sampled derivatives.
     """
     sup = Interval(a, b)
     span = sup.width
+    _check_density(fn, sup)
 
     def cdf_fn(x):
         if x == sup.lo:
@@ -182,13 +186,11 @@ def model_from_density(fn, a: float, b: float, name: str = "") -> RandomVariable
         domain=sup, fn=cdf_fn,
         dminus=lambda t: _one_sided_limit(fn, t, span, sup.lo, -1),
         dplus=lambda t: _one_sided_limit(fn, t, span, sup.hi, +1),
-        name=name or "sampled cdf", certified=False,
+        name="sampled cdf", certified=False,
     )
     expectation = integrate_callable(lambda t: t * fn(t), sup.lo, sup.hi,
                                      _DENSITY_INTEGRAL_TOL)[0]
-    return _validate(RandomVariableModel(
-        cdf=cdf, density=fn, expectation=expectation, name=name or "sampled density",
-    ))
+    return _validate(RandomVariableModel(cdf=cdf, expectation=expectation))
 
 
 def cdf_gap_enclosure(m: RandomVariableModel, x: float) -> Enclosure:

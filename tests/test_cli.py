@@ -341,8 +341,11 @@ def test_exit_code_overflow_in_special_means(capsys):
 
 def test_exit_code_density_integral_overflow(capsys):
     # the Simpson panels overflow to inf - inf; the oracle fails at once
-    assert run(["prob", "--density=2*t", "--a=-1e200", "--b=0.5"]) == 3
+    assert run(["prob", "--density=t", "--a=0", "--b=1e300"]) == 3
     assert "numerical failure" in capsys.readouterr().err
+    # a negative density is rejected on the grid, before any integral
+    assert run(["prob", "--density=2*t", "--a=-1e200", "--b=0.5"]) == 2
+    assert "density takes a negative value" in capsys.readouterr().err
 
 
 def test_exit_code_non_finite_special_means(capsys):
@@ -355,7 +358,10 @@ def test_exit_code_non_finite_special_means(capsys):
 def test_exit_code_non_finite_function(capsys):
     for argv in (["integrate", "--fn", "1e400", "--a", "0", "--b", "1"],
                  ["enclose", "--fn", "1e300*1e300", "--a", "0", "--b", "1", "--x", "0.5"],
-                 ["integrate", "--fn", "1e308*2+t^2", "--a", "0", "--b", "1"]):
+                 ["integrate", "--fn", "1e308*2+t^2", "--a", "0", "--b", "1"],
+                 # a density that is inf, or nan, on the grid before any integral
+                 ["prob", "--density=1e308*t*10", "--a=0", "--b=1"],
+                 ["prob", "--density=1e308*t*10-1e308*t*10+1", "--a=0", "--b=1"]):
         assert run(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

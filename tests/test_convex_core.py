@@ -152,8 +152,8 @@ def test_slope_monotonicity_across_catalog():
 
 
 def test_check_convexity_passes_convex():
-    assert check_convexity(catalog.shifted_square(0.0, UNIT), tol=1e-12).ok
-    assert check_convexity(catalog.abs_shift(0.0, Interval(-1.0, 1.0)), tol=1e-12).ok
+    assert check_convexity(catalog.shifted_square(0.0, UNIT)).ok
+    assert check_convexity(catalog.abs_shift(0.0, Interval(-1.0, 1.0))).ok
 
 
 def test_check_convexity_evaluates_each_grid_point_once():
@@ -189,14 +189,14 @@ def test_check_convexity_grid_holds_each_float_once():
 
 def test_check_convexity_fails_sine_with_witness():
     f = ConvexFunction.from_callable(math.sin, Interval(0.0, 3.0))
-    report = check_convexity(f, tol=1e-12)
+    report = check_convexity(f)
     assert not report.ok
     assert report.worst_violation > 1e-3
     s, t = report.witness
     # witness pair actually violates midpoint convexity
     assert math.sin(0.5 * (s + t)) > 0.5 * (math.sin(s) + math.sin(t))
     with pytest.raises(NonConvexError) as exc_info:
-        require_convex(f, tol=1e-12)
+        require_convex(f)
     assert exc_info.value.report.worst_violation == report.worst_violation
 
 

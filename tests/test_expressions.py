@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from convex_enclose import errors, expressions
+from convex_enclose import errors
 from convex_enclose.convex_core import ConvexFunction, Interval, check_convexity
 from convex_enclose.errors import DomainError, ExpressionError
 from convex_enclose.expressions import (
@@ -342,8 +342,8 @@ def test_lowering_matches_tree_walk(source, points):
     tree = parse_expression(source)
     value = lower_value(tree)
     slopes = {sign: _one_sided_walk(tree, sign) for sign in (-1, +1)}
-    # the oracles share one walk per point through a memo: call them in both
-    # orders, twice, so that both a fresh walk and a memo hit serve each side
+    # the oracles are pure: call them in both orders, twice, and every call
+    # must give the tree walk's slope
     cf = convex_function_from_expression(source, UNIT)[0]
     oracles = {-1: cf.dminus, +1: cf.dplus}
     for k, t in enumerate([0.0, -0.0] + points):
@@ -381,45 +381,23 @@ def _oracle_outcome(tree, t, sign):
     return _outcome(lambda: ensure_extended(tree_walk._value_and_slope(tree, t, sign)[1]))
 
 
-def _counted_walks(monkeypatch, source):
-    """The oracles of source, and a list that grows by one per fused walk."""
-    walks = []
-    lower_jet = expressions._lower_jet
-
-    def counted_jet(node, side):  # the fused root only: the rest lowers as usual
-        if side:
-            return lower_jet(node, side)
-        monkeypatch.setattr(expressions, "_lower_jet", lower_jet)
-        jet = lower_jet(node, side)
-        return lambda t: walks.append(t) or jet(t)
-
-    monkeypatch.setattr(expressions, "_lower_jet", counted_jet)
-    cf = convex_function_from_expression(source, UNIT)[0]
-    return cf.dminus, cf.dplus, walks
-
-
-def test_slope_oracles_share_one_walk_per_point(monkeypatch):
-    dminus, dplus, walks = _counted_walks(monkeypatch, "abs(t - 0.5) + t*t")
+def test_slope_oracles_at_a_kink():
+    cf = convex_function_from_expression("abs(t - 0.5) + t*t", UNIT)[0]
     m = 0.5
-    assert (dminus(m), dplus(m), dminus(m)) == (0.0, 2.0, 0.0)
-    assert walks == [m]
-    u = float("0.75")  # equal to the literal below, but another object
-    assert dplus(u) == 2.5 and dminus(0.75) == 2.5
-    assert len(walks) == 3
+    assert (cf.dminus(m), cf.dplus(m), cf.dminus(m)) == (0.0, 2.0, 0.0)
+    assert cf.dplus(0.75) == 2.5 and cf.dminus(0.75) == 2.5
 
 
-def test_slope_oracle_memo_tells_signed_zeros_and_nans_apart(monkeypatch):
-    # the slope of t*t at -0.0 is -0.0: a memo keyed by value would return 0.0
-    dminus, dplus, walks = _counted_walks(monkeypatch, "t*t")
-    assert float.hex(dminus(0.0)) == "0x0.0p+0"
-    assert float.hex(dplus(-0.0)) == "-0x0.0p+0"
-    assert len(walks) == 2
+def test_slope_oracles_tell_signed_zeros_and_nans_apart():
+    # the slope of t*t at -0.0 is -0.0, and at 0.0 it is 0.0
+    cf = convex_function_from_expression("t*t", UNIT)[0]
+    assert float.hex(cf.dminus(0.0)) == "0x0.0p+0"
+    assert float.hex(cf.dplus(-0.0)) == "-0x0.0p+0"
     # abs of a NaN takes its kink branch, whose two sides differ
-    dminus, dplus, walks = _counted_walks(monkeypatch, "abs(t)")
+    cf = convex_function_from_expression("abs(t)", UNIT)[0]
     nan = math.nan
-    assert (dminus(nan), dplus(nan)) == (-1.0, 1.0)
-    assert dplus(float("nan")) == 1.0
-    assert len(walks) == 2
+    assert (cf.dminus(nan), cf.dplus(nan)) == (-1.0, 1.0)
+    assert cf.dplus(float("nan")) == 1.0
 
 
 @pytest.mark.parametrize("source, point, sign, want", [
@@ -443,7 +421,7 @@ def test_slope_oracle_memo_tells_signed_zeros_and_nans_apart(monkeypatch):
 ])
 def test_slope_oracles_at_side_specific_points(source, point, sign, want):
     cf = convex_function_from_expression(source, UNIT)[0]
-    for first in (cf.dminus, cf.dplus):  # with and without the other side memoised
+    for first in (cf.dminus, cf.dplus):  # calling either side first changes nothing
         first_outcome = _outcome(first, point)
         oracle = cf.dplus if sign > 0 else cf.dminus
         if isinstance(want, type):
@@ -455,7 +433,7 @@ def test_slope_oracles_at_side_specific_points(source, point, sign, want):
 
 
 def test_slope_oracles_are_thread_safe():
-    # four threads share one memo; two and two evaluate the same points
+    # four threads share the oracles; two and two evaluate the same points
     source = "abs(t - 0.3) + t*ln(t) + exp(t)"
     cf = convex_function_from_expression(source, Interval(0.1, 2.0))[0]
     points = [0.1 + 1.9 * k / 997 for k in range(1, 997)]

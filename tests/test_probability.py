@@ -129,6 +129,15 @@ def test_unnormalized_density_is_rejected():
         model_from_density(lambda t: t, 0.0, 2.0)
 
 
+@pytest.mark.parametrize("density, value", [
+    (lambda t: 1e308 * t * 10, "inf"),
+    (lambda t: 1e308 * t * 10 - 1e308 * t * 10 + 1, "nan"),
+], ids=["inf", "nan"])
+def test_non_finite_density_is_rejected_before_integrating(density, value):
+    with pytest.raises(DomainError, match=rf"density\(0\.1875\) = {value} is not finite"):
+        model_from_density(density, 0.0, 1.0)
+
+
 def test_step_that_would_decrease_is_rejected():
     with pytest.raises(InconsistentModelError):
         step_density_model(0.0, 1.0, 0.5, 1.9)
