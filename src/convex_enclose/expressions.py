@@ -604,10 +604,13 @@ def _call_shape(node, iv: tuple) -> tuple:
 
 
 def _power_shape(node, iv: tuple) -> tuple:
-    """u^p with constant p and affine u, or c^u with constant c > 0."""
+    """u^p with constant p and affine u, c^u with constant c > 0, or else,
+    for u > 0, u^v as exp(v ln u), whose range also bounds u^v's."""
     c, u = _shape(node.left, iv)
     d, p = _shape(node.right, iv)
     value_range = _ipow(u, p)
+    if d == _CONSTANT and u[0] > 0.0:
+        _ipow(u, (p[0] - 1.0, p[1] - 1.0))  # the slope p u^(p-1) must not overflow
     if d == _CONSTANT and c == _AFFINE:
         if (p[0] >= 1.0 and u[0] >= 0.0) or _is_even(p) or (p[1] <= 0.0 and u[0] > 0.0):
             return _CONVEX, value_range
@@ -615,6 +618,9 @@ def _power_shape(node, iv: tuple) -> tuple:
             return _CONCAVE, value_range
     elif c == _CONSTANT and d <= _AFFINE and u[0] > 0.0:
         return d and _CONVEX, value_range
+    if u[0] > 0.0:
+        c, r = _shape(Call("exp", (BinOp("*", node.right, Call("ln", (node.left,))),)), iv)
+        return c, (max(r[0], value_range[0]), min(r[1], value_range[1]))
     raise _Unproved
 
 

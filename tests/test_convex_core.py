@@ -216,25 +216,38 @@ def test_require_convex_on_black_box_affine():
     assert require_convex(f).method == "sampled"
 
 
-def test_require_convex_trusts_a_proof_without_evaluating():
-    square = convex_function_from_expression("t*t", UNIT)[0]
-    assert square.proved_convex
+def _require_convex_counted(f):
+    """require_convex's report on f, and the points where it evaluated f."""
     calls = []
 
     def counted(t):
         calls.append(t)
-        return square.fn(t)
+        return f.fn(t)
 
     def refused(t):
         raise AssertionError("a proved function needs no slopes")
 
-    report = require_convex(dataclasses.replace(square, fn=counted, dminus=refused,
-                                                dplus=refused))
+    return require_convex(dataclasses.replace(f, fn=counted, dminus=refused,
+                                              dplus=refused)), calls
+
+
+def test_require_convex_trusts_a_proof_without_evaluating():
+    square = convex_function_from_expression("t*t", UNIT)[0]
+    assert square.proved_convex
+    report, calls = _require_convex_counted(square)
     assert calls == []
     assert report.ok and report.checks == 0 and report.method == "proved"
     # the sampled check stays pure sampling
     assert check_convexity(square).method == "sampled"
     assert check_convexity(square).checks > 0
+
+
+def test_require_convex_proves_a_variable_power_without_evaluating():
+    # t^t = exp(t ln t) for t > 0
+    f = convex_function_from_expression("0.5*t^t", Interval(0.1, 2.0))[0]
+    report, calls = _require_convex_counted(f)
+    assert calls == []
+    assert report.ok and report.checks == 0 and report.method == "proved"
 
 
 def test_supporting_lines_hold_for_convex_functions():

@@ -464,14 +464,16 @@ _POSITIVE = Interval(0.5, 2.0)
 
 
 @pytest.mark.parametrize("source", [
-    # one term of each benchmark kind but t^t, then a sum of them
+    # one term of each benchmark kind, then a sum of them
     "1.3*(t - 2.1)^2", "0.5*exp(1.2*t)", "0.7*t", "0.7*t - 0.4*t", "1.1*t*ln(t)",
     "t^2 - 0.8*ln(t)", "0.6/t", "t^2 - 0.9*sqrt(t)", "1.2*abs(t - 0.7)",
-    "0.4*max(0, t - 0.9)", "0.3*2^t",
+    "0.4*max(0, t - 0.9)", "0.3*2^t", "1.1*t^t",
     "1.3*(t + 0.2)^2 - 0.8*ln(t) + 0.6/t - 0.9*sqrt(t) + 1.2*abs(t - 0.7) - 0.5*t",
     # the integrator's expression twins
     "exp(t)", "t*ln(t)", "abs(t - 0.6)", "max(0, t - 0.6)", "abs(t - 0.6) + t*ln(t)",
     "t^(-2)", "-sqrt(t)",
+    # variable powers of a base > 0, as exp(v ln u)
+    "0.5*t^t - 0.3*ln(t)", "(t+1)^(t+1)",
 ])
 def test_prover_proves_benchmark_expressions(source):
     assert _proves_convex(parse_expression(source), _POSITIVE)
@@ -493,7 +495,11 @@ def test_prover_proves_golden_inputs(source, lo, hi):
     ("t*t-max(0,1e-3-abs(t-0.50413))", 0.0, 1.0),  # a dip between the sampled points
     ("0*sqrt(t)", 0.0, 1.0),  # its slope at 0 is 0 * inf
     ("1e400", 0.0, 1.0), ("1e308*2+t^2", 0.0, 1.0), ("exp(t)", 0.0, 800.0),
-    ("2^t", -2000.0, 2000.0), ("t*ln(t)", 0.0, 1.0), ("1/t", -1.0, 1.0), ("t^t", 0.5, 2.0),
+    ("2^t", -2000.0, 2000.0), ("t*ln(t)", 0.0, 1.0), ("1/t", -1.0, 1.0),
+    # u^v = exp(v ln u) needs u > 0, and proves only what exp of v ln u proves
+    ("t^(-t)", 0.1, 2.0),  # not convex: f'' < 0 at 0.5
+    ("t^t", 0.0, 2.0), ("t^(t*t)", 0.5, 2.0),
+    ("t^(-1)", 1e-200, 1.0),  # its slope -t^-2 overflows
     ("t*t*t", -1.0, 1.0), ("max(t, 2*t - 1) * -1", 0.0, 1.0), ("sqrt(0) + t", 0.0, 1.0),
     ("max(1e300 - 1e300, -1e300 + t)", 0.0, 1.0),  # t is lost in rounding
 ])
@@ -510,12 +516,18 @@ _INTERVALS = st.one_of(
 
 
 @settings(derandomize=True, deadline=None, max_examples=400)
-@given(_grammar(st.one_of(_CONSTANTS, _CONVEX_ATOMS), _EXPONENT), _INTERVALS)
+@given(_grammar(st.one_of(_CONSTANTS, _CONVEX_ATOMS), _EXPONENT, variable_exponents=True),
+       _INTERVALS)
 @example("-(max(t, (2)*(t)))", (-1.0, 1.0))  # max of affine functions is convex, not affine
 @example("max(sqrt(0), abs(t), 2)", (0.0, 1.0))  # the slope of sqrt(0) is 0/0
 @example("max(sqrt(1e-3) - max(0.25, 1e300), -1e300 + t)", (0.0, 1.0))  # t is lost
 @example("exp(-(sqrt(t)) - 1000)", (0.0, 1.0))  # its slope at 0 is 0 * -inf
 @example("(t)/(1e-200)", (0.0, 1.0))  # its slope divides by 1e-400, which is 0
+# u^v = exp(v ln u) at the rule's edges
+@example("(t)^(t)", (0.0, 1.0))  # the base's range touches 0
+@example("(t)^(-(t))", (0.1, 2.0))  # not convex
+@example("(2-t)^(t)", (0.0, 1.5))  # a falling base
+@example("(1e-160)^(-1)", (0.0, 1.0))  # a constant whose slope walk overflows in u^(p-1)
 def test_proof_implies_sampled_check_passes(source, bounds):
     """Soundness: every function the rules prove passes check_convexity,
     whose grid values and slopes do not raise.  The intervals lie near 0:
