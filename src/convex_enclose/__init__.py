@@ -63,13 +63,11 @@ from .oracle import (
 )
 from .pointwise import (
     Enclosure,
-    best_evaluation_point,
     classical_ostrowski_bound,
     hh_refinement,
     ostrowski_enclosure,
     ostrowski_lower,
     ostrowski_upper,
-    window_enclosure,
 )
 from .probability import (
     RandomVariableModel,

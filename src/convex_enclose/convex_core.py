@@ -7,10 +7,10 @@ interior point, with
 
 and possibly infinite slopes at the endpoints: f'+(lo) may be -inf and
 f'-(hi) may be +inf.  Every bound in this package consumes functions
-through this interface.  Derivative oracles are either closed form
-(``certified=True``: the catalog module and every parsed expression) or
-estimated from samples by monotone difference quotients (``certified=False``:
-black-box callables, and the CDF of a black-box density).
+through this interface, and every function carries both slope oracles.
+They are either closed form (``certified=True``: the catalog module and
+every parsed expression) or one-sided limits estimated from samples
+(``certified=False``: the CDF of a black-box density).
 
 A function may also carry a ``jet``, one call that returns f and both
 one-sided slopes at an interior point, so that the integrator pays one
@@ -144,8 +144,8 @@ class Jet:
 
     call: Callable[[float], tuple]
     fn: Callable[[float], float]
-    dminus: Optional[Callable[[float], float]]
-    dplus: Optional[Callable[[float], float]]
+    dminus: Callable[[float], float]
+    dplus: Callable[[float], float]
 
     def fuses(self, f: "ConvexFunction") -> bool:
         return self.fn is f.fn and self.dminus is f.dminus and self.dplus is f.dplus
@@ -155,10 +155,9 @@ class Jet:
 class ConvexFunction:
     """A convex function with evaluation and one-sided derivative oracles.
 
-    ``certified`` marks closed-form derivative oracles; functions wrapped
-    from a bare callable (see :meth:`from_callable`) estimate their
-    one-sided derivatives from samples instead and carry
-    ``certified=False``.
+    ``dminus`` and ``dplus`` give f'-(t) and f'+(t); both are required.
+    ``certified`` marks closed-form slopes; ``certified=False`` marks
+    slopes estimated from samples, which get a wider slack.
 
     ``antiderivative``, when present, must be exact on the whole domain
     (kinks included); only the reference oracle consumes it.  ``kinks``
@@ -175,8 +174,8 @@ class ConvexFunction:
 
     domain: Interval
     fn: Callable[[float], float] = field(repr=False)
-    dminus: Optional[Callable[[float], float]] = field(default=None, repr=False)
-    dplus: Optional[Callable[[float], float]] = field(default=None, repr=False)
+    dminus: Callable[[float], float] = field(repr=False)
+    dplus: Callable[[float], float] = field(repr=False)
     antiderivative: Optional[Callable[[float], float]] = field(default=None, repr=False)
     kinks: tuple = ()
     name: str = ""
@@ -185,15 +184,8 @@ class ConvexFunction:
     jet: Optional[Jet] = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.certified and (self.dminus is None or self.dplus is None):
-            raise ValueError("certified functions need both closed-form derivative oracles")
         if self.jet is not None and not isinstance(self.jet, Jet):
             object.__setattr__(self, "jet", Jet(self.jet, self.fn, self.dminus, self.dplus))
-
-    @classmethod
-    def from_callable(cls, fn, domain: Interval) -> "ConvexFunction":
-        """Wrap a black-box callable; derivatives are estimated on demand."""
-        return cls(domain=domain, fn=fn, certified=False)
 
     def __call__(self, t: float) -> float:
         if not self.domain.contains(t):
@@ -206,9 +198,7 @@ class ConvexFunction:
             raise UndefinedSideError("no right derivative at the upper endpoint")
         if not self.domain.contains(t):
             raise DomainError(f"t={t} outside domain [{self.domain.lo}, {self.domain.hi}]")
-        if self.dplus is not None:
-            return ensure_extended(self.dplus(t))
-        return ensure_extended(self._sampled_slope(t, self.domain.hi, +1))
+        return ensure_extended(self.dplus(t))
 
     def left_derivative(self, t: float) -> float:
         """f'-(t) for t in (lo, hi]; may be +inf at t = hi."""
@@ -216,35 +206,23 @@ class ConvexFunction:
             raise UndefinedSideError("no left derivative at the lower endpoint")
         if not self.domain.contains(t):
             raise DomainError(f"t={t} outside domain [{self.domain.lo}, {self.domain.hi}]")
-        if self.dminus is not None:
-            return ensure_extended(self.dminus(t))
-        return ensure_extended(self._sampled_slope(t, self.domain.lo, -1))
+        return ensure_extended(self.dminus(t))
 
     def interior_jet(self) -> Callable[[float], tuple]:
         """t -> (f(t), f'-(t), f'+(t)) for interior t, without domain checks.
 
         The fused ``jet`` while it fuses this function's oracles; otherwise
-        an adapter that calls f'-, f'+ and f in that order (sampled slopes
-        where there is no closed form).
+        an adapter that calls f'-, f'+ and f in that order.
         """
         if self.jet is not None and self.jet.fuses(self):
             return self.jet.call
-        fn = self.fn
-        dminus = self.dminus or self.left_derivative
-        dplus = self.dplus or self.right_derivative
+        fn, dminus, dplus = self.fn, self.dminus, self.dplus
 
         def adapter(t):
             dm = dminus(t)
             dp = dplus(t)
             return fn(t), dm, dp
         return adapter
-
-    def _sampled_slope(self, t: float, limit: float, sign: int) -> float:
-        """Limit of the difference quotients at t towards ``limit``."""
-        fn = self.fn
-        f0 = fn(t)
-        return _one_sided_limit(lambda s: (fn(s) - f0) / (s - t), t, self.domain.width,
-                                limit, sign)
 
     @property
     def slope_slack(self) -> float:
@@ -268,8 +246,8 @@ class ConvexFunction:
         return ConvexFunction(
             domain=self.domain,
             fn=lambda t: k * fn(t),
-            dminus=None if dm is None else (lambda t: k * dm(t)),
-            dplus=None if dp is None else (lambda t: k * dp(t)),
+            dminus=lambda t: k * dm(t),
+            dplus=lambda t: k * dp(t),
             antiderivative=None if anti is None else (lambda t: k * anti(t)),
             kinks=self.kinks,
             name=f"{k:g}*({self.name})" if self.name else "",
@@ -284,8 +262,8 @@ class ConvexFunction:
         return ConvexFunction(
             domain=self.domain,
             fn=lambda t: fn(t) + offset + slope * t,
-            dminus=None if dm is None else (lambda t: dm(t) + slope),
-            dplus=None if dp is None else (lambda t: dp(t) + slope),
+            dminus=lambda t: dm(t) + slope,
+            dplus=lambda t: dp(t) + slope,
             antiderivative=None
             if anti is None
             else (lambda t: anti(t) + offset * t + 0.5 * slope * t * t),

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 
 from . import catalog
 from .convex_core import ConvexFunction, Interval
-from .errors import InternalInconsistencyError, InvalidDistributionError
+from .errors import InternalInconsistencyError, InvalidDistributionError, NumericalFailureError
 from .extreal import xsum
 from .pointwise import Enclosure
 from .quadrature import integrate_adaptive
@@ -143,15 +143,22 @@ def hh_sandwich(kernel: ConvexFunction, p: DiscreteDistribution,
                 q: DiscreteDistribution) -> HHSandwich:
     """The ordered triple  lin_wong <= hh <= csiszar / 2  (asserted).
 
-    Raises ValueError when the kernel does not vanish at 1.  A violation
-    beyond numerical slack means the kernel is not convex and raises
-    InternalInconsistencyError.
+    Raises ValueError when the kernel does not vanish at 1.  All three are
+    finite for strictly positive p and q, so a value that is not finite
+    exceeded the float range and raises NumericalFailureError.  A
+    violation beyond numerical slack means the kernel is not convex and
+    raises InternalInconsistencyError.
     """
     if abs(kernel.fn(1.0)) > 1e-12:
         raise ValueError(f"kernel {kernel.name!r} must vanish at 1")
     lw = lin_wong_divergence(kernel, p, q)
     hh = hh_divergence(kernel, p, q)
     half = 0.5 * csiszar_divergence(kernel, p, q)
+    if not (math.isfinite(lw) and math.isfinite(hh) and math.isfinite(half)):
+        raise NumericalFailureError(
+            f"divergence of kernel {kernel.name!r} exceeds the float range: "
+            f"{lw} <= {hh} <= {half}"
+        )
     slack = _SANDWICH_SLACK * max(1.0, abs(lw), abs(hh), abs(half))
     if lw > hh + slack or hh > half + slack:
         raise InternalInconsistencyError(
@@ -173,12 +180,10 @@ def hh_gap_bounds(kernel: ConvexFunction, p: DiscreteDistribution,
     upper = (1/8) sum [f'-(x1) - f'+(x0)] |q_i - p_i|  on the cell [x0, x1],
             that is [1, r_i] when q_i >= p_i and [r_i, 1] when q_i < p_i.
 
-    The lower bound is >= 0 and vanishes for differentiable kernels.  A
-    kernel without closed-form slopes gets sampled ones.
+    The lower bound is >= 0 and vanishes for differentiable kernels.
     """
     _require_same_length(p, q)
-    dminus = kernel.dminus or kernel.left_derivative
-    dplus = kernel.dplus or kernel.right_derivative
+    dminus, dplus = kernel.dminus, kernel.dplus
     d_minus_one = dminus(1.0)
     d_plus_one = dplus(1.0)
     lo_terms = []

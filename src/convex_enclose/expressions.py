@@ -39,7 +39,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from .convex_core import ConvexFunction, Interval
-from .errors import DomainError, ExpressionError, ExtendedArithmeticError
+from .errors import DomainError, ExpressionError, NumericalFailureError
 from .extreal import INF, ensure_extended
 
 CONSTANTS = {"e": math.e, "pi": math.pi}
@@ -247,6 +247,16 @@ def _pow_value(u: float, c: float, span) -> float:
         raise DomainError(f"{u} ^ {c} undefined near position {span[0]}") from exc
 
 
+def _slope_factor(u: float, c: float, span) -> float:
+    """c u^(c-1), the slope factor of u^c at a base u != 0 where u^c is
+    defined; its overflow is a numerical failure, not invalid input."""
+    try:
+        return c * math.pow(u, c - 1.0)
+    except OverflowError as exc:
+        raise NumericalFailureError(
+            f"the slope of {u} ^ {c} overflows near position {span[0]}") from exc
+
+
 def lower_value(node) -> Callable[[float], float]:
     """Closure t -> value of the tree; raises DomainError outside a
     function's math domain.  Children are evaluated first, left to right."""
@@ -331,7 +341,7 @@ def _power_slope(value: float, u: float, du: float, c: float, dc: float, span) -
     if u == 0.0 and c < 1.0:  # vertical tangent of u^c at u = 0
         ensure_extended(du)
         return math.copysign(INF, c * du) if du != 0.0 else 0.0
-    return c * _pow_value(u, c - 1.0, span) * du
+    return _slope_factor(u, c, span) * du
 
 
 def _lower_jet(node, side: int):
@@ -442,7 +452,7 @@ def _lower_jet(node, side: int):
                     return value, d, d
                 if c == 1.0:
                     return value, dm, dp
-                k = c * _pow_value(u, c - 1.0, span)
+                k = _slope_factor(u, c, span)
                 return value, k * dm, k * dp
             return power
         right = _lower_jet(node.right, side)
@@ -454,7 +464,7 @@ def _lower_jet(node, side: int):
             try:
                 return (value, _power_slope(value, u, um, c, cm, span),
                         _power_slope(value, u, up, c, cp, span))
-            except (DomainError, ExtendedArithmeticError):
+            except (DomainError, NumericalFailureError):
                 if not side:
                     raise _SidesDiffer from None
             d = _power_slope(value, u, (um, up)[side - 1], c, (cm, cp)[side - 1], span)

@@ -117,50 +117,6 @@ def hh_refinement(f: ConvexFunction) -> Enclosure:
     return Enclosure(lo, hi)
 
 
-def window_enclosure(f: ConvexFunction, x: float, h: float) -> Enclosure:
-    """Enclosure of  integral over [x-h/2, x+h/2]  -  h * f(x).
-
-    The value lies in (1/8) h^2 * [f'+(x) - f'-(x),
-    f'-(x+h/2) - f'+(x-h/2)]; the lower bound is >= 0.  The window must
-    sit inside the domain (a protrusion below rounding noise is clamped).
-    """
-    if not h > 0.0:
-        raise DomainError("window width h must be positive")
-    a, b = f.domain.lo, f.domain.hi
-    w_lo = x - 0.5 * h
-    w_hi = x + 0.5 * h
-    pad = 1e-12 * max(1.0, abs(a), abs(b))
-    if w_lo < a - pad or w_hi > b + pad:
-        raise DomainError(f"window [{w_lo}, {w_hi}] not contained in [{a}, {b}]")
-    w_lo = max(w_lo, a)
-    w_hi = min(w_hi, b)
-    dm, dp = _interior_slopes(f, x)
-    lo = 0.125 * h * h * (dp - dm)
-    hi_slope = f.left_derivative(w_hi) - f.right_derivative(w_lo)
-    hi = INF if math.isinf(hi_slope) else 0.125 * h * h * hi_slope
-    return Enclosure(lo, hi)
-
-
-def best_evaluation_point(f: ConvexFunction):
-    """Exact minimizer over [a, b] of the endpoint-slope upper bound.
-
-    The bound is convex in x; for distinct slopes its stationary point
-    (bB - aA)/(B - A) is clamped to the interval, and in the affine case
-    the bound is linear so an endpoint wins.  Returns (x_best, bound).
-    """
-    slopes = f.endpoint_slopes()
-    if not slopes.both_finite:
-        raise UnboundedSlopeError("cannot minimize an infinite upper bound")
-    a, b = f.domain.lo, f.domain.hi
-    a_slope, b_slope = slopes.at_lo, slopes.at_hi
-    if b_slope > a_slope:
-        x0 = (b * b_slope - a * a_slope) / (b_slope - a_slope)
-        x_best = min(max(x0, a), b)
-    else:
-        x_best = b if b_slope >= 0.0 else a
-    return x_best, ostrowski_upper(f, x_best)
-
-
 def classical_ostrowski_bound(f: ConvexFunction, x: float) -> float:
     """Comparison baseline |f(x) - mean(f)| <= [1/4 + (x-m)^2/(b-a)^2](b-a) M.
 

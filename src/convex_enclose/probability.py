@@ -170,8 +170,8 @@ def model_from_density(fn, a: float, b: float) -> RandomVariableModel:
 
     The density is checked on the validation grid first; then the CDF and
     expectation come from the adaptive Simpson integrator at tolerance
-    1e-10, and one-sided density limits are estimated by the same
-    monotone limiting scheme used for sampled derivatives.
+    1e-10, and the one-sided density limits, the CDF's slopes, are
+    estimated by ``_one_sided_limit`` (``certified=False``).
     """
     sup = Interval(a, b)
     span = sup.width

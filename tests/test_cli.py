@@ -251,6 +251,18 @@ def test_exit_code_power_overflow(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["enclose", "--fn=-t^0.01", "--a=0", "--b=1", "--x=5e-324"],
+    ["enclose", "--fn=t^(-1)", "--a=1e-200", "--b=1", "--x=0.5"],
+])
+def test_exit_code_slope_overflow(capsys, argv):
+    # the value u^c is finite, but the slope factor c u^(c-1) is not
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "numerical failure: the slope of" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
     ["enclose", "--fn=t^2", "--a=-1e308", "--b=1e308", "--x=0"],  # the width overflows
     ["enclose", "--fn=t", "--a=1e308", "--b=1.7e308", "--x=1.5e308"],  # the midpoint does
     ["integrate", "--fn=t", "--a=1e308", "--b=1.7e308"],
@@ -270,6 +282,16 @@ def test_exit_code_bad_distribution(capsys):
     assert run(["divergence", "--kernel", "chi2", "--p", "0.5,0.5", "--q", "0.25,0.5,0.25"]) == 2
     assert run(["divergence", "--kernel", "kl", "--p", "0.5,x", "--q", "0.5,0.5"]) == 2
     assert "cannot parse weights" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kernel, p", [("tv", "1e-300,1"), ("kl", "1e-300,1"),
+                                       ("tv", "5e-324,1")])
+def test_exit_code_divergence_beyond_the_float_range(capsys, kernel, p):
+    # q_i / p_i overflows; the true divergences are finite
+    assert run(["divergence", "--kernel", kernel, "--p", p, "--q", "0.5,0.5"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exceeds the float range" in captured.err
 
 
 def test_exit_code_budget_exceeded(capsys):

@@ -17,6 +17,7 @@ from convex_enclose.convex_core import (
 from convex_enclose.errors import DomainError, NonConvexError, UndefinedSideError
 from convex_enclose.extreal import INF
 from convex_enclose.expressions import convex_function_from_expression
+from black_box import sampled_function
 from identities import NotDifferentiableError, two_sided_derivative
 
 UNIT = Interval(0.0, 1.0)
@@ -112,7 +113,7 @@ def test_sampled_oracle_agrees_with_closed_form():
     ]
     rng = random.Random(7)
     for f, dexact in cases:
-        sampled = ConvexFunction.from_callable(f.fn, f.domain)
+        sampled = sampled_function(f.fn, f.domain)
         assert not sampled.certified
         for _ in range(20):
             t = f.domain.lo + f.domain.width * rng.uniform(0.1, 0.9)
@@ -175,7 +176,7 @@ def test_check_convexity_allows_for_rounding_far_from_zero():
     report = check_convexity(catalog.shifted_square(0.0, narrow))
     assert report.ok
     assert report.tol > 8 * math.ulp(423239.68984358833 ** 2)
-    assert not check_convexity(ConvexFunction.from_callable(lambda t: -t * t, UNIT)).ok
+    assert not check_convexity(sampled_function(lambda t: -t * t, UNIT)).ok
 
 
 def test_check_convexity_grid_holds_each_float_once():
@@ -188,7 +189,7 @@ def test_check_convexity_grid_holds_each_float_once():
 
 
 def test_check_convexity_fails_sine_with_witness():
-    f = ConvexFunction.from_callable(math.sin, Interval(0.0, 3.0))
+    f = sampled_function(math.sin, Interval(0.0, 3.0))
     report = check_convexity(f)
     assert not report.ok
     assert report.worst_violation > 1e-3
@@ -203,7 +204,7 @@ def test_check_convexity_fails_sine_with_witness():
 def test_check_convexity_rejects_non_finite_values():
     # an infinite constant, and a NaN at the grid point t = 0.5
     for fn in (lambda t: INF, lambda t: t * t + (math.nan if t == 0.5 else 0.0)):
-        f = ConvexFunction.from_callable(fn, UNIT)
+        f = sampled_function(fn, UNIT)
         with pytest.raises(DomainError, match="not finite"):
             check_convexity(f)
         with pytest.raises(DomainError, match="not finite"):
@@ -212,7 +213,7 @@ def test_check_convexity_rejects_non_finite_values():
 
 def test_require_convex_on_black_box_affine():
     # estimation noise on an exactly affine black box must not flag
-    f = ConvexFunction.from_callable(lambda t: 2.0 - 3.0 * t, Interval(-1.0, 4.0))
+    f = sampled_function(lambda t: 2.0 - 3.0 * t, Interval(-1.0, 4.0))
     assert require_convex(f).method == "sampled"
 
 
@@ -287,9 +288,14 @@ def test_two_sided_derivative():
         two_sided_derivative(catalog.abs_shift(0.5, UNIT), 0.5)
 
 
-def test_certified_requires_oracles():
-    with pytest.raises(ValueError):
-        ConvexFunction(domain=UNIT, fn=lambda t: t, certified=True)
+def test_every_function_requires_both_slope_oracles():
+    # sampled slopes too: a black box brings its own (tests/black_box.py)
+    for certified in (True, False):
+        with pytest.raises(TypeError):
+            ConvexFunction(domain=UNIT, fn=lambda t: t, certified=certified)
+        with pytest.raises(TypeError):
+            ConvexFunction(domain=UNIT, fn=lambda t: t, dminus=lambda t: 1.0,
+                           certified=certified)
 
 
 # Every catalog factory, with the points where its jet could part from its
@@ -364,6 +370,6 @@ def test_a_jet_stands_only_for_the_oracles_it_fuses():
         assert g.interior_jet()(0.5) == (g.fn(0.5), g.dminus(0.5), g.dplus(0.5))
     # derived functions and black boxes have no jet: the adapter serves them
     assert f.scaled(2.0).jet is None and f.add_affine(1.0, 1.0).jet is None
-    box = ConvexFunction.from_callable(math.exp, UNIT)
+    box = sampled_function(math.exp, UNIT)
     assert box.interior_jet()(0.5) == (math.exp(0.5), box.left_derivative(0.5),
                                        box.right_derivative(0.5))

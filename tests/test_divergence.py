@@ -15,8 +15,13 @@ from convex_enclose.divergence import (
     kernel_by_name,
     lin_wong_divergence,
 )
-from convex_enclose.errors import InternalInconsistencyError, InvalidDistributionError
+from convex_enclose.errors import (
+    InternalInconsistencyError,
+    InvalidDistributionError,
+    NumericalFailureError,
+)
 from convex_enclose.selftest import random_distribution
+from black_box import sampled_function
 
 P = DiscreteDistribution((0.5, 0.5))
 Q = DiscreteDistribution((0.25, 0.75))
@@ -102,6 +107,15 @@ def test_sandwich_rejects_non_convex_kernel():
         hh_sandwich(concave, P, Q)
 
 
+@pytest.mark.parametrize("kernel, tiny", [("tv", 1e-300), ("kl", 1e-300), ("tv", 5e-324)])
+def test_sandwich_rejects_values_beyond_the_float_range(kernel, tiny):
+    # all three are finite for positive weights; here q_i / p_i overflows
+    p, q = DiscreteDistribution((tiny, 1.0)), DiscreteDistribution((0.5, 0.5))
+    with pytest.raises(NumericalFailureError, match="exceeds the float range") as exc_info:
+        hh_sandwich(kernel_by_name(kernel), p, q)
+    assert not isinstance(exc_info.value, InternalInconsistencyError)
+
+
 def test_gap_bounds_worked_cases():
     enc = hh_gap_bounds(kernel_by_name("chi2"), P, Q)
     assert enc.as_tuple() == (0.0, 0.0625)
@@ -138,7 +152,7 @@ def test_gap_upper_bound_uses_cell_slopes_below_one():
 
 
 def test_gap_bounds_accept_a_kernel_with_sampled_slopes():
-    sampled = ConvexFunction.from_callable(lambda t: (t - 1.0) ** 2, Interval(0.1, 10.0))
+    sampled = sampled_function(lambda t: (t - 1.0) ** 2, Interval(0.1, 10.0))
     got = hh_gap_bounds(sampled, P, Q)
     want = hh_gap_bounds(kernel_by_name("chi2"), P, Q)
     assert got.lo == pytest.approx(want.lo, abs=1e-7)
@@ -149,7 +163,7 @@ def test_gap_bounds_accept_a_kernel_with_sampled_slopes():
                                       ("kl", lambda t: t * math.log(t))])
 def test_gap_bounds_accept_a_sampled_kernel_on_the_positive_axis(name, fn):
     # the sampled slopes must probe near t even though the domain is ~1e308 wide
-    sampled = ConvexFunction.from_callable(fn, POSITIVE_AXIS)
+    sampled = sampled_function(fn, POSITIVE_AXIS)
     got = hh_gap_bounds(sampled, P, Q)
     want = hh_gap_bounds(kernel_by_name(name), P, Q)
     assert got.lo == pytest.approx(want.lo, abs=1e-7)

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from convex_enclose import errors
-from convex_enclose.convex_core import ConvexFunction, Interval, check_convexity
+from convex_enclose.convex_core import Interval, check_convexity
 from convex_enclose.errors import DomainError, ExpressionError
 from convex_enclose.expressions import (
     MAX_DEPTH,
@@ -26,6 +26,7 @@ from convex_enclose.expressions import (
     parse_expression,
 )
 from convex_enclose.extreal import INF, ensure_extended
+from black_box import sampled_function
 import tree_walk
 
 UNIT = Interval(0.0, 1.0)
@@ -176,7 +177,7 @@ def test_symbolic_matches_sampled_estimation():
     iv = Interval(0.5, 2.0)
     for src in sources:
         symbolic = convex_function_from_expression(src, iv)[0].right_derivative
-        sampled = ConvexFunction.from_callable(lower_value(parse_expression(src)), iv)
+        sampled = sampled_function(lower_value(parse_expression(src)), iv)
         for _ in range(100):
             t = iv.lo + iv.width * rng.uniform(0.05, 0.9)
             assert sampled.right_derivative(t) == pytest.approx(symbolic(t), abs=1e-6)
@@ -418,6 +419,9 @@ def test_slope_oracles_tell_signed_zeros_and_nans_apart():
     ("(t+2)^(abs(t*1e200*1e200) - t*1e200*1e200)", 0.0, +1, errors.ExtendedArithmeticError),
     ("(-abs(t) - 1)^(max(2, 2 + t))", 0.0, -1, -2.0),
     ("(-abs(t) - 1)^(max(2, 2 + t))", 0.0, +1, DomainError),
+    # the slope factor c u^(c-1) overflows only on the side where c' = 0
+    ("t^max(-1, t - 1 - 1e-200)", 1e-200, -1, errors.NumericalFailureError),
+    ("t^max(-1, t - 1 - 1e-200)", 1e-200, +1, -INF),
 ])
 def test_slope_oracles_at_side_specific_points(source, point, sign, want):
     cf = convex_function_from_expression(source, UNIT)[0]

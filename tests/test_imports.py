@@ -82,3 +82,35 @@ def test_no_runtime_dependencies():
     codes, loaded = json.loads(out)
     assert codes == [0] * len(REQUESTS)
     assert set(loaded) - set(sys.stdlib_module_names) == {"convex_enclose"}
+
+
+def read_names(source: str):
+    """Names read in a module (loads and attribute accesses), leaving out a
+    top-level function's or class's reads of its own name."""
+    read = set()
+    for stmt in ast.parse(source).body:
+        names = {node.id if isinstance(node, ast.Name) else node.attr
+                 for node in ast.walk(stmt)
+                 if isinstance(node, ast.Attribute)
+                 or (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))}
+        names.discard(getattr(stmt, "name", None))
+        read |= names
+    return read
+
+
+def test_read_names_leaves_out_a_definition():
+    source = "def f():\n    return f()\n\nclass C:\n    x = C\n\ng = h.k(f)\n"
+    assert read_names(source) == {"h", "k", "f"}
+    assert read_names("def f():\n    return f()\n") == set()
+
+
+def test_every_public_name_has_a_caller():
+    # the public API is what the library itself or the acceptance criteria call
+    package = ROOT / "src" / "convex_enclose"
+    exported = {alias.asname or alias.name
+                for node in ast.walk(ast.parse((package / "__init__.py").read_text()))
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    callers = [p for p in package.glob("*.py") if p.name != "__init__.py"]
+    read = set().union(*(read_names(p.read_text(encoding="utf-8"))
+                         for p in [*callers, ROOT / "tests" / "test_acceptance.py"]))
+    assert sorted(exported - read) == []

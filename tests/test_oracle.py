@@ -4,7 +4,7 @@ import random
 import pytest
 
 from convex_enclose import catalog
-from convex_enclose.convex_core import ConvexFunction, Interval
+from convex_enclose.convex_core import Interval
 from convex_enclose.divergence import (
     DiscreteDistribution,
     hh_divergence,
@@ -19,6 +19,7 @@ from convex_enclose.oracle import (
     reference_integral,
 )
 from convex_enclose.selftest import random_convex_case
+from black_box import sampled_function
 
 UNIT = Interval(0.0, 1.0)
 
@@ -60,14 +61,14 @@ def test_simpson_path_matches_closed_forms():
 
 
 def test_simpson_on_black_box_kink():
-    f = ConvexFunction.from_callable(lambda t: abs(t - 0.3), UNIT)
+    f = sampled_function(lambda t: abs(t - 0.3), UNIT)
     res = reference_integral(f, tol=1e-12)
     assert res.method == ADAPTIVE_SIMPSON
     assert res.value == pytest.approx(0.29, abs=1e-11)
 
 
 def test_forcing_closed_form_without_antiderivative():
-    f = ConvexFunction.from_callable(lambda t: t * t, UNIT)
+    f = sampled_function(lambda t: t * t, UNIT)
     with pytest.raises(ValueError):
         reference_integral(f, method=CLOSED_FORM)
 

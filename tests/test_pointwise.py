@@ -14,13 +14,11 @@ from convex_enclose.extreal import INF
 from convex_enclose.oracle import reference_integral
 from convex_enclose.pointwise import (
     Enclosure,
-    best_evaluation_point,
     classical_ostrowski_bound,
     hh_refinement,
     ostrowski_enclosure,
     ostrowski_lower,
     ostrowski_upper,
-    window_enclosure,
 )
 from convex_enclose.selftest import random_convex_case
 from identities import (
@@ -148,29 +146,6 @@ def test_differentiable_lower_examples():
         differentiable_lower(catalog.abs_shift(0.5, UNIT), 0.5)
 
 
-def test_window_enclosure_examples():
-    kink = catalog.abs_shift(0.0, Interval(-1.0, 1.0))
-    enc = window_enclosure(kink, 0.0, 1.0)
-    assert enc.as_tuple() == (0.25, 0.25)
-    # true value: integral of |t| over [-1/2, 1/2]
-    assert enc.contains(0.25)
-
-    sq = catalog.shifted_square(0.0, Interval(0.0, 2.0))
-    enc = window_enclosure(sq, 1.0, 2.0)
-    assert enc.as_tuple() == (0.0, 2.0)
-    true = reference_integral(sq).value - 2.0 * sq(1.0)
-    assert true == pytest.approx(2.0 / 3.0, rel=1e-14)
-    assert enc.contains(true)
-
-    aff = catalog.affine(1.0, 2.0, UNIT)
-    assert window_enclosure(aff, 0.5, 0.5).as_tuple() == (0.0, 0.0)
-
-    with pytest.raises(DomainError):
-        window_enclosure(sq, 0.1, 1.0)
-    with pytest.raises(DomainError):
-        window_enclosure(sq, 1.0, -1.0)
-
-
 def test_quadratic_form_matches_upper_bound():
     kink = catalog.abs_shift(0.5, UNIT)
     assert quadratic_form_upper(kink, 0.5) == pytest.approx(0.25, rel=1e-14)
@@ -192,46 +167,6 @@ def test_quadratic_form_matches_upper_bound():
 
     with pytest.raises(DegenerateSlopesError):
         quadratic_form_upper(catalog.affine(0.0, 1.0, UNIT), 0.5)
-
-
-def grid_search_minimum(f, n=20001):
-    a, b = f.domain.lo, f.domain.hi
-    best_x, best_v = a, ostrowski_upper(f, a)
-    for i in range(1, n):
-        x = a + (b - a) * i / (n - 1)
-        v = ostrowski_upper(f, x)
-        if v < best_v:
-            best_x, best_v = x, v
-    return best_x, best_v
-
-
-def test_best_evaluation_point_examples():
-    kink = catalog.abs_shift(0.5, UNIT)
-    x, bound = best_evaluation_point(kink)
-    assert (x, bound) == (0.5, 0.25)
-
-    sq = catalog.shifted_square(0.0, UNIT)
-    x, bound = best_evaluation_point(sq)
-    assert x == 1.0
-    assert bound == pytest.approx(0.0, abs=1e-15)
-
-    aff = catalog.affine(0.0, 1.0, UNIT)
-    x, bound = best_evaluation_point(aff)
-    assert (x, bound) == (1.0, -0.5)
-
-    with pytest.raises(UnboundedSlopeError):
-        best_evaluation_point(catalog.neg_sqrt(UNIT))
-
-
-def test_best_evaluation_point_against_grid_search():
-    rng = random.Random(29)
-    for _ in range(15):
-        f = random_convex_case(rng, finite_slopes=True)
-        x, bound = best_evaluation_point(f)
-        gx, gv = grid_search_minimum(f, n=4001)
-        scale = max(1.0, abs(bound))
-        assert bound <= gv + 1e-10 * scale
-        assert ostrowski_upper(f, gx) >= bound - 1e-10 * scale
 
 
 def test_classical_bound_examples():
