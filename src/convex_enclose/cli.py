@@ -373,7 +373,9 @@ def _make_parser() -> argparse.ArgumentParser:
     p = sub_parser("integrate", "adaptive certified integration")
     add_fn_interval(p)
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--max-cells", type=int, default=DEFAULT_MAX_CELLS)
+    p.add_argument("--max-cells", type=int, default=DEFAULT_MAX_CELLS,
+                   help="cell budget; exit 3 once it is spent, or once the "
+                        "enclosure's convergence rate predicts it cannot reach --tol")
     p.add_argument("--oracle", action="store_true")
 
     p = sub_parser("means", "integral-mean comparison over a subinterval")

@@ -42,7 +42,8 @@ class PartitionError(InvalidInputError):
 
 
 class BudgetExceededError(NumericalFailureError):
-    """Refinement hit the cell budget; carries the best result so far."""
+    """Refinement hit the cell budget, or showed that the budget cannot
+    reach tol; carries the best result so far."""
 
     def __init__(self, message, best=None):
         super().__init__(message)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -299,6 +300,23 @@ def test_exit_code_budget_exceeded(capsys):
                 "--tol", "1e-13", "--max-cells", "16"])
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--fn", "t*t*t", "--a", "0", "--b", "2", "--tol", "1e-12"],
+    ["--fn", "exp(t)", "--a", "0", "--b", "709", "--tol", "1e-3"],
+    ["--fn", "t^2", "--a", "0", "--b", "1", "--tol", "1e-300", "--max-cells", "100000000000"],
+    ["--fn", "exp(t)", "--a=-800", "--b", "0", "--tol", "1e-300"],
+])
+def test_exit_code_budget_predicted_out_of_reach(capsys, argv):
+    # the budget cannot reach tol; the integrator says so after a few cells
+    # instead of building all of them
+    assert run(["integrate", *argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "stopped early" in captured.err and "max_cells" in captured.err
+    cells = int(re.search(r"after (\d+) cells", captured.err).group(1))
+    assert cells <= 256
 
 
 def test_exit_code_nonpositive_max_cells(capsys):

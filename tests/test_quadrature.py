@@ -20,6 +20,7 @@ from convex_enclose.expressions import convex_function_from_expression
 from convex_enclose.extreal import INF
 from convex_enclose.oracle import reference_integral
 from convex_enclose.quadrature import (
+    DEFAULT_MAX_CELLS,
     Partition,
     integrate_adaptive,
     midpoint_rule,
@@ -412,14 +413,71 @@ def test_integrate_adaptive_floating_point_resolution():
     assert exc_info.value.best.cells == 1
 
 
-# float.hex of the estimate and of both remainder ends
+def _random_expression_integrand(rng):
+    """A sum of one to three convex terms on a positive interval, with its
+    kinks inside."""
+    a = round(rng.uniform(0.3, 1.5), 3)
+    b = round(a + rng.uniform(0.3, 1.5), 3)
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        c = round(rng.uniform(0.2, 2.0), 3)
+        k = round(rng.uniform(a, b), 3)
+        terms.append(rng.choice((
+            f"{c}*(t - {k})^2", f"{c}*exp({round(k / b, 3)}*t)", f"{c}*t*ln(t)", f"{c}/t",
+            f"{c}*abs(t - {k})", f"{c}*max(0, t - {k})", f"-{c}*sqrt(t)", f"{c}*t^4",
+        )))
+    return convex_function_from_expression(" + ".join(terms), Interval(a, b))[0]
+
+
+def _bits(res):
+    return tuple(float.hex(x) for x in (res.estimate, res.remainder.lo, res.remainder.hi,
+                                        *res.partition.nodes, *res.partition.tags))
+
+
+def test_integrate_adaptive_fail_fast_spares_every_request_that_can_succeed():
+    # the tightest budget a request can succeed under is the cell count it
+    # needs; the checkpoints must let it run to the same result, bit for bit
+    rng = random.Random(18)
+    cases = [pin for pin in (case() for case, _ in _PINNED) if pin[2] is None]
+    for k in range(240):
+        f = random_convex_case(rng, finite_slopes=True) if k % 2 else \
+            _random_expression_integrand(rng)
+        scale = max(1.0, abs(f(f.domain.lo)), abs(f(f.domain.hi))) * f.domain.width
+        cases.append((f, scale * 10.0 ** rng.uniform(-8.0, -5.0), None))
+    assert len(cases) == 246
+    for f, tol, _ in cases:
+        res = integrate_adaptive(f, tol)
+        assert _bits(integrate_adaptive(f, tol, max_cells=res.cells)) == _bits(res)
+
+
+@pytest.mark.parametrize("source, a, b, tol, max_cells, integral", [
+    ("t*t*t", 0.0, 2.0, 1e-12, DEFAULT_MAX_CELLS, 4.0),
+    ("exp(t)", 0.0, 709.0, 1e-3, DEFAULT_MAX_CELLS, math.expm1(709.0)),
+    ("t^2", 0.0, 1.0, 1e-300, 10**11, 1.0 / 3.0),
+    ("exp(t)", -800.0, 0.0, 1e-300, DEFAULT_MAX_CELLS, -math.expm1(-800.0)),
+])
+def test_integrate_adaptive_fails_fast(source, a, b, tol, max_cells, integral):
+    # without the checkpoints each request builds all its max_cells cells
+    # and still misses tol (2^20 cells take 7 to 10 s; 10^11 do not fit in
+    # memory); a checkpoint stops it after 256 cells at most
+    f = convex_function_from_expression(source, Interval(a, b))[0]
+    best = _budget_best(f, tol, max_cells)
+    assert best.cells <= 256
+    assert best.width > tol
+    assert best.integral_bounds.contains(integral)
+    assert best.partition.spans(f.domain)
+
+
+# float.hex of the estimate and of both remainder ends; 32 and 16 ulps wide,
+# so every cell retires before the checkpoint of 32 cells could stop the
+# request (wider domains stop there)
 @pytest.mark.parametrize("width, cells, want", [
-    (2.0**-45, 64, ("0x1.5bf0a8b1457c0p-44", "0x0.0p+0", "0x1.5c00000000000p-149")),
-    (2.0**-40, 2048, ("0x1.5bf0a8b146249p-39", "0x0.0p+0", "0x1.5bf0000000000p-144")),
+    (2.0**-47, 16, ("0x1.5bf0a8b14577fp-46", "0x0.0p+0", "0x1.6000000000000p-151")),
+    (2.0**-48, 8, ("0x1.5bf0a8b145774p-47", "0x0.0p+0", "0x1.6000000000000p-152")),
 ])
 def test_integrate_adaptive_retires_cells_too_narrow_to_bisect(width, cells, want):
-    # cells leave the queue as too narrow while others still split, until
-    # none is left; the best result keeps the retired cells in node order
+    # cells leave the queue as too narrow to bisect, until none is left;
+    # the best result keeps the retired cells in node order
     domain = Interval(1.0, 1.0 + width)
     with pytest.raises(BudgetExceededError) as exc_info:
         integrate_adaptive(catalog.exponential(domain), 1e-300)
@@ -494,36 +552,46 @@ def _budget_best(f, tol, max_cells):
     return exc_info.value.best
 
 
-# float.hex of the estimate and of both remainder ends, the cells, and a
-# digest of the partition's nodes and tags: any change of the refinement
-# order or of the summation fails here
+# Each case gives (f, tol, max_cells); max_cells None means the default budget,
+# within which the request succeeds.  The result is pinned as the float.hex of
+# the estimate and of both remainder ends, the cells, and a digest of the
+# partition's nodes and tags: any change of the refinement order or of the
+# summation fails here
 _PINNED = [
-    (lambda: integrate_adaptive(catalog.exponential(Interval(-0.5, 0.5)), 1e-8),
+    (lambda: (catalog.exponential(Interval(-0.5, 0.5)), 1e-8, None),
      ("0x1.0acd00f014329p+0", "0x0.0p+0", "0x1.5774a41756270p-27", 3784, "9b4f07d2895b0c95")),
-    (lambda: integrate_adaptive(catalog.t_log_t(Interval(0.5, 2.0)), 1e-8),
+    (lambda: (catalog.t_log_t(Interval(0.5, 2.0)), 1e-8, None),
      ("0x1.1224e5c09ba0ep-1", "0x0.0p+0", "0x1.5780cac423354p-27", 6645, "74a35f1c00ddc0dc")),
-    (lambda: integrate_adaptive(catalog.power(-2.0, Interval(0.3, 0.55)), 1e-7),
+    (lambda: (catalog.power(-2.0, Interval(0.3, 0.55)), 1e-7, None),
      ("0x1.83e0f7aee645dp+0", "0x0.0p+0", "0x1.ad7bbc17c761fp-24", 2183, "17bdef169823d607")),
-    (lambda: integrate_adaptive(_catalog_sum(catalog.abs_shift(0.63, Interval(0.4, 1.1)),
-                                             catalog.t_log_t(Interval(0.4, 1.1))), 1e-8),
+    (lambda: (_catalog_sum(catalog.abs_shift(0.63, Interval(0.4, 1.1)),
+                           catalog.t_log_t(Interval(0.4, 1.1))), 1e-8, None),
      ("0x1.5fa9192574346p-8", "0x0.0p+0", "0x1.575674c2740b2p-27", 2687, "26c41f0c855d684c")),
-    (lambda: integrate_adaptive(convex_function_from_expression(
-        "abs(t - 0.63) + t*ln(t)", Interval(0.4, 1.1))[0], 1e-8),
+    (lambda: (convex_function_from_expression(
+        "abs(t - 0.63) + t*ln(t)", Interval(0.4, 1.1))[0], 1e-8, None),
      ("0x1.5fa9191fb50c4p-8", "0x0.0p+0", "0x1.576d89107464dp-27", 2694, "05a8024696a8933a")),
-    (lambda: integrate_adaptive(convex_function_from_expression(
-        "-sqrt(t)", Interval(0.05, 0.5))[0], 1e-7),
+    (lambda: (convex_function_from_expression("-sqrt(t)", Interval(0.05, 0.5))[0], 1e-7, None),
      ("-0x1.d374127469b61p-3", "0x0.0p+0", "0x1.ac07a72d811cfp-24", 567, "ad5a7d67c2c5d052")),
-    (lambda: _budget_best(catalog.exponential(UNIT), 1e-9, 1024),
+    # 1024 or 1000 cells would leave about 2e-7 > 4 tol: both stop at the
+    # checkpoint of 32 cells
+    (lambda: (catalog.exponential(UNIT), 1e-9, 1024),
+     ("0x1.b7dcbc6794cd7p+0", "0x0.0p+0", "0x1.b7e151628aed2p-13", 32, "a06f6819222126f5")),
+    (lambda: (catalog.shifted_square(0.2, UNIT), 1e-9, 1000),
+     ("0x1.62d1eb851eb86p-3", "0x0.0p+0", "0x1.0000000000000p-12", 32, "a06f6819222126f5")),
+    # the same requests at tol 1e-7, within 4 tol of their prediction, run to
+    # the budget; cells of one size have equal widths in the second, so the
+    # tie rule shapes its partition
+    (lambda: (catalog.exponential(UNIT), 1e-7, 1024),
      ("0x1.b7e1503d4a0ccp+0", "0x0.0p+0", "0x1.b7e151628aed2p-23", 1024, "8742ae7d82e8c8df")),
-    # cells of one size have equal widths here, so the tie rule shapes the partition
-    (lambda: _budget_best(catalog.shifted_square(0.2, UNIT), 1e-9, 1000),
+    (lambda: (catalog.shifted_square(0.2, UNIT), 1e-7, 1000),
      ("0x1.62fc8a051eb86p-3", "0x0.0p+0", "0x1.2400000000000p-22", 1000, "d03dc24446a4b157")),
 ]
 
 
 @pytest.mark.parametrize("case, want", _PINNED)
 def test_integrate_adaptive_is_pinned_bit_for_bit(case, want):
-    res = case()
+    f, tol, max_cells = case()
+    res = integrate_adaptive(f, tol) if max_cells is None else _budget_best(f, tol, max_cells)
     digest = hashlib.sha256()
     for x in res.partition.nodes + res.partition.tags:
         digest.update(float.hex(x).encode())
