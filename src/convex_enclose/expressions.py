@@ -20,10 +20,11 @@ walks the tree: ``lower_value`` gives t -> value, and ``_lower_jet`` gives
 t -> (value, f'-, f'+) with closed-form one-sided slopes, variable
 exponents included.  At an abs/max kink each side picks its branch;
 sqrt, ln and ^ produce signed infinities where the tangent is vertical.
-The fused walk serves both sides at once and is the function's jet
-(``convex_core.Jet``), which the integrator calls once per point; at the
-few points where only a side-specific check can decide, a one-sided walk
-of the same lowering, chosen when lowering, serves each side.  Trees
+The fused walk serves both sides at once: it is the function's jet
+(``convex_core.Jet``), which the integrator calls once per point, and
+f'- and f'+ read it too.  Where only a side-specific check can decide, a
+one-sided walk of the same lowering, lowered when first needed, serves
+each side.  Source text is read in one regular-expression pass; trees
 nest at most MAX_DEPTH levels (parentheses and operator chains count),
 far from Python's recursion limit.
 
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 from .convex_core import ConvexFunction, Interval
@@ -45,7 +46,7 @@ from .extreal import INF, ensure_extended
 CONSTANTS = {"e": math.e, "pi": math.pi}
 MAX_DEPTH = 100
 _TOO_DEEP = f"expression nests deeper than {MAX_DEPTH} levels"
-_UNARY_FUNCS = ("abs", "ln", "exp", "sqrt")
+_FUNCS = ("abs", "ln", "exp", "sqrt", "max")
 
 
 @dataclass(frozen=True)
@@ -80,145 +81,130 @@ class Call:
     span: tuple = field(default=(0, 0), compare=False)
 
 
+# Whitespace runs, and a last catch-all for the character no token starts with.
 _TOKEN_RE = re.compile(
     r"(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op>[-+*/^(),])"
     r"|(?P<ws>\s+)"
+    r"|(?P<bad>.)",
+    re.DOTALL,
 )
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    pos: int
-
-
-def _tokenize(src: str):
+def _tokenize(src: str) -> list:
+    """(kind, text, position) of each token, then ("end", "", len(src))."""
     tokens = []
-    pos = 0
-    while pos < len(src):
-        m = _TOKEN_RE.match(src, pos)
-        if m is None:
-            raise ExpressionError(f"unexpected character {src[pos]!r}", source=src, position=pos)
-        if m.lastgroup != "ws":
-            tokens.append(_Token(m.lastgroup, m.group(), pos))
-        pos = m.end()
-    tokens.append(_Token("end", "", len(src)))
+    for m in _TOKEN_RE.finditer(src):
+        kind = m.lastgroup
+        if kind == "ws":
+            continue
+        if kind == "bad":
+            raise ExpressionError(f"unexpected character {m.group()!r}", source=src,
+                                  position=m.start())
+        tokens.append((kind, m.group(), m.start()))
+    tokens.append(("end", "", len(src)))
     return tokens
 
 
 class _Parser:
+    """Recursive descent over the token tuples.  Each rule returns its node
+    and the node's height, which counts the levels of operator chains that
+    the factor depth does not see; an operator's text identifies its token."""
+
     def __init__(self, src: str):
         self.src = src
         self.tokens = _tokenize(src)
         self.index = 0
         self.depth = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.index]
-
-    def take(self) -> _Token:
-        tok = self.tokens[self.index]
+    def expect(self, text: str) -> int:
+        """The position of the expected operator token, which is taken."""
+        _, found, pos = self.tokens[self.index]
+        if found != text:
+            raise ExpressionError(f"expected {text!r}", source=self.src, position=pos)
         self.index += 1
-        return tok
-
-    def expect(self, text: str) -> _Token:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == text:
-            return self.take()
-        raise ExpressionError(f"expected {text!r}", source=self.src, position=tok.pos)
-
-    def at_op(self, *texts: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "op" and tok.text in texts
+        return pos
 
     def parse(self):
-        node = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ExpressionError(f"unexpected trailing input {tok.text!r}",
-                                  source=self.src, position=tok.pos)
-        height, level = 1, [node]  # counted level by level: chains nest too
-        while level := [c for n in level for c in _children(n)]:
-            height += 1
+        node, height = self.expr()
+        kind, text, pos = self.tokens[self.index]
+        if kind != "end":
+            raise ExpressionError(f"unexpected trailing input {text!r}",
+                                  source=self.src, position=pos)
         if height > MAX_DEPTH:
             raise ExpressionError(_TOO_DEEP, source=self.src)
         return node
 
-    def expr(self):
-        node = self.term()
-        while self.at_op("+", "-"):
-            op = self.take()
-            right = self.term()
-            node = BinOp(op.text, node, right, span=(node.span[0], right.span[1]))
-        return node
-
-    def term(self):
-        node = self.factor()
-        while self.at_op("*", "/"):
-            op = self.take()
-            right = self.factor()
-            node = BinOp(op.text, node, right, span=(node.span[0], right.span[1]))
-        return node
+    def expr(self, term: bool = False):
+        """An expr, or with term=True a term: a left-to-right operator chain."""
+        ops = ("*", "/") if term else ("+", "-")
+        node, height = self.factor() if term else self.expr(True)
+        tokens = self.tokens
+        while (op := tokens[self.index][1]) in ops:
+            self.index += 1
+            right, h = self.factor() if term else self.expr(True)
+            node = BinOp(op, node, right, (node.span[0], right.span[1]))
+            height = max(height, h) + 1
+        return node, height
 
     def factor(self):
         self.depth += 1  # parentheses, arguments, unary minus and exponents all nest here
+        _, text, pos = self.tokens[self.index]
         if self.depth > MAX_DEPTH:
-            raise ExpressionError(_TOO_DEEP, source=self.src, position=self.peek().pos)
-        if self.at_op("-"):
-            op = self.take()
-            operand = self.factor()
-            node = Neg(operand, span=(op.pos, operand.span[1]))
+            raise ExpressionError(_TOO_DEEP, source=self.src, position=pos)
+        if text == "-":
+            self.index += 1
+            operand, height = self.factor()
+            node, height = Neg(operand, (pos, operand.span[1])), height + 1
         else:
-            node = self.power()
+            node, height = self.atom()
+            if self.tokens[self.index][1] == "^":
+                self.index += 1
+                exponent, h = self.factor()
+                node = BinOp("^", node, exponent, (node.span[0], exponent.span[1]))
+                height = max(height, h) + 1
         self.depth -= 1
-        return node
-
-    def power(self):
-        base = self.atom()
-        if self.at_op("^"):
-            self.take()
-            exponent = self.factor()
-            return BinOp("^", base, exponent, span=(base.span[0], exponent.span[1]))
-        return base
+        return node, height
 
     def atom(self):
-        tok = self.peek()
-        if tok.kind == "num":
-            self.take()
-            return Num(float(tok.text), span=(tok.pos, tok.pos + len(tok.text)))
-        if tok.kind == "ident":
-            self.take()
-            name = tok.text
-            if name == "t":
-                return Var(span=(tok.pos, tok.pos + 1))
-            if name in CONSTANTS:
-                return Num(CONSTANTS[name], span=(tok.pos, tok.pos + len(name)))
-            if name in _UNARY_FUNCS or name == "max":
-                self.expect("(")
-                args = [self.expr()]
-                while self.at_op(","):
-                    self.take()
-                    args.append(self.expr())
-                closing = self.expect(")")
-                if name != "max" and len(args) != 1:
-                    raise ExpressionError(f"{name} takes exactly one argument",
-                                          source=self.src, position=tok.pos)
-                if name == "max" and len(args) < 2:
-                    raise ExpressionError("max takes at least two arguments",
-                                          source=self.src, position=tok.pos)
-                return Call(name, tuple(args), span=(tok.pos, closing.pos + 1))
-            raise ExpressionError(f"unknown identifier {name!r}",
-                                  source=self.src, position=tok.pos)
-        if tok.kind == "op" and tok.text == "(":
-            self.take()
-            node = self.expr()
-            closing = self.expect(")")
-            return replace(node, span=(tok.pos, closing.pos + 1))
+        kind, text, pos = self.tokens[self.index]
+        self.index += 1
+        if kind == "num":
+            return Num(float(text), (pos, pos + len(text))), 1
+        if kind == "ident":
+            if text == "t":
+                return Var((pos, pos + 1)), 1
+            if text in CONSTANTS:
+                return Num(CONSTANTS[text], (pos, pos + len(text))), 1
+            if text in _FUNCS:
+                return self.call(text, pos)
+            raise ExpressionError(f"unknown identifier {text!r}", source=self.src, position=pos)
+        if text == "(":
+            inner, height = self.expr()
+            span = (pos, self.expect(")") + 1)
+            # the node with the span of its parentheses, minus dataclasses.replace's checks
+            node = object.__new__(type(inner))
+            node.__dict__.update(inner.__dict__, span=span)
+            return node, height
         raise ExpressionError("expected a number, 't', a constant, or '('",
-                              source=self.src, position=tok.pos)
+                              source=self.src, position=pos)
+
+    def call(self, name: str, pos: int):
+        self.expect("(")
+        arg, height = self.expr()
+        args = [arg]
+        while self.tokens[self.index][1] == ",":
+            self.index += 1
+            arg, h = self.expr()
+            args.append(arg)
+            height = max(height, h)
+        closing = self.expect(")")
+        if len(args) < 2 if name == "max" else len(args) != 1:
+            raise ExpressionError("max takes at least two arguments" if name == "max" else
+                                  f"{name} takes exactly one argument",
+                                  source=self.src, position=pos)
+        return Call(name, tuple(args), (pos, closing + 1)), height + 1
 
 
 def parse_expression(src: str):
@@ -226,16 +212,12 @@ def parse_expression(src: str):
     return _Parser(src).parse()
 
 
-def _children(node) -> tuple:
-    if isinstance(node, Neg):
-        return (node.operand,)
-    if isinstance(node, BinOp):
-        return (node.left, node.right)
-    return node.args if isinstance(node, Call) else ()
-
-
 def _is_constant(node) -> bool:
-    return not isinstance(node, Var) and all(_is_constant(c) for c in _children(node))
+    if isinstance(node, Neg):
+        return _is_constant(node.operand)
+    if isinstance(node, BinOp):
+        return _is_constant(node.left) and _is_constant(node.right)
+    return all(map(_is_constant, node.args)) if isinstance(node, Call) else isinstance(node, Num)
 
 
 def _pow_value(u: float, c: float, span) -> float:
@@ -680,11 +662,11 @@ def convex_function_from_expression(source: str, interval: Interval):
 
     Returns (ConvexFunction, warnings): the function is certified (closed
     form slopes) and the warnings list is empty, for the caller to extend.
-    ``fn`` is lower_value, f'- and f'+ are the one-sided walks of
-    _lower_jet, and the jet gives all three in one walk (see _oracles), bit
-    for bit as lower_value and the one-sided walks give them.  The slopes
-    raise ExtendedArithmeticError where they are an undefined form
-    (inf - inf, 0 * inf).  All three are pure functions of t.
+    ``fn`` is lower_value; f'-, f'+ and the jet read the fused walk of
+    _lower_jet, and its one-sided walks where the sides differ (see
+    _oracles), so that the jet gives all three bit for bit as they do.
+    The slopes raise ExtendedArithmeticError where they are an undefined
+    form (inf - inf, 0 * inf).  All three are pure functions of t.
     ``proved_convex`` records whether the composition rules prove the
     expression convex on the interval; the function is not evaluated here,
     and convex_core.require_convex samples what is not proved.
@@ -699,26 +681,34 @@ def convex_function_from_expression(source: str, interval: Interval):
 def _oracles(expr) -> tuple:
     """(f, f'-, f'+, jet) of the tree, each a pure function of t.
 
-    f'- and f'+ read their own one-sided _lower_jet walk.  The jet,
-    t -> (f, f'-, f'+), walks the fused _lower_jet once and rejects a NaN
-    slope as f'- and then f'+ would; where the fused walk raises
-    _SidesDiffer, it calls f'-, f'+ and then f.
+    f'-, f'+ and the jet, t -> (f, f'-, f'+), read the fused _lower_jet
+    walk; the jet rejects a NaN slope as f'- and then f'+ would.  Where
+    it raises _SidesDiffer, each side's one-sided walk serves that side
+    (the jet calls f'-, f'+, then f).  A one-sided walk is lowered when
+    first needed; threads that race to lower it lower equal walks.
     """
-    value, triples = lower_value(expr), _lower_jet(expr, 0)
-    left, right = _lower_jet(expr, 1), _lower_jet(expr, 2)
+    value, fused = lower_value(expr), _lower_jet(expr, 0)
+    walks = [None, None, None]  # by side: the one-sided walks, once lowered
 
-    def dminus(t):
-        return ensure_extended(left(t)[1])
+    def one_sided(side, t):
+        walk = walks[side]
+        if walk is None:
+            walk = walks[side] = _lower_jet(expr, side)
+        return ensure_extended(walk(t)[side])
 
-    def dplus(t):
-        return ensure_extended(right(t)[2])
+    def slope(side):  # f'- for side 1, f'+ for side 2
+        def oracle(t):
+            try:
+                return ensure_extended(fused(t)[side])
+            except _SidesDiffer:
+                return one_sided(side, t)
+        return oracle
 
     def jet(t):
         try:
-            triple = triples(t)
+            triple = fused(t)
         except _SidesDiffer:
-            dm = dminus(t)
-            dp = dplus(t)
+            dm, dp = one_sided(1, t), one_sided(2, t)
             return value(t), dm, dp
         _, dm, dp = triple
         if dm != dm or dp != dp:
@@ -726,4 +716,4 @@ def _oracles(expr) -> tuple:
             ensure_extended(dp)
         return triple
 
-    return value, dminus, dplus, jet
+    return value, slope(1), slope(2), jet

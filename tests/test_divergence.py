@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from convex_enclose import divergence
 from convex_enclose.convex_core import ConvexFunction, Interval
 from convex_enclose.divergence import (
     POSITIVE_AXIS,
@@ -20,6 +21,7 @@ from convex_enclose.errors import (
     InvalidDistributionError,
     NumericalFailureError,
 )
+from convex_enclose.quadrature import integrate_adaptive
 from convex_enclose.selftest import random_distribution
 from black_box import sampled_function
 
@@ -88,6 +90,27 @@ def test_hh_quadrature_fallback_matches_closed_form():
     want = hh_divergence(closed, P, Q)
     got = hh_divergence(numeric, P, Q)
     assert got == pytest.approx(want, abs=1e-10)
+
+
+@pytest.mark.parametrize("name", ["chi2", "kl"])
+def test_hh_quadrature_fallback_is_bounded(name, monkeypatch):
+    # an absolute tolerance of 1e-12 is out of reach on such atoms (BudgetExceededError)
+    cells = []
+
+    def integrate(f, tol):
+        result = integrate_adaptive(f, tol)
+        cells.append(result.cells)
+        return result
+    monkeypatch.setattr(divergence, "integrate_adaptive", integrate)
+    closed = kernel_by_name(name)
+    numeric = replace(closed, antiderivative=None)
+    rng = random.Random(7)
+    for _ in range(2):
+        size = rng.randint(2, 4)
+        p, q = random_distribution(rng, size), random_distribution(rng, size)
+        want = hh_divergence(closed, p, q)
+        assert hh_divergence(numeric, p, q) == pytest.approx(want, rel=1e-10, abs=0.0)
+    assert max(cells) < 2**16
 
 
 def test_sandwich_worked_case():

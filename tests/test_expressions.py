@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from convex_enclose import errors
+from convex_enclose import errors, expressions
 from convex_enclose.convex_core import Interval, check_convexity
 from convex_enclose.errors import DomainError, ExpressionError
 from convex_enclose.expressions import (
@@ -85,6 +85,72 @@ def test_parse_errors_carry_positions():
         parse_expression("max(t)")
     with pytest.raises(ExpressionError):
         parse_expression("ln(t, 2)")
+
+
+_NESTED = "(" * MAX_DEPTH + "t" + ")" * MAX_DEPTH
+_CHAIN = "+".join(["t"] * (MAX_DEPTH + 1))
+
+
+@pytest.mark.parametrize("source, message, position", [
+    ("t + $", "unexpected character '$'", 4),
+    ("t..5", "unexpected character '.'", 1),
+    ("t +\n\té", "unexpected character 'é'", 5),
+    ("x + $", "unexpected character '$'", 4),  # every character is read before parsing
+    ("2e", "unexpected trailing input 'e'", 1),
+    ("1e5e", "unexpected trailing input 'e'", 3),
+    ("t 2", "unexpected trailing input '2'", 2),
+    ("t) + 1", "unexpected trailing input ')'", 1),
+    ("1.5.5", "unexpected trailing input '.5'", 3),
+    ("x + 1", "unknown identifier 'x'", 0),
+    ("t * tt", "unknown identifier 'tt'", 4),
+    ("abs t", "expected '('", 4),
+    ("max", "expected '('", 3),
+    ("abs(t", "expected ')'", 5),
+    ("(t + 1", "expected ')'", 6),
+    ("max(t, 1", "expected ')'", 8),
+    ("max(t)", "max takes at least two arguments", 0),
+    ("ln(t, 2)", "ln takes exactly one argument", 0),
+    ("1 + sqrt(t, 1)", "sqrt takes exactly one argument", 4),
+    ("exp(t, t)", "exp takes exactly one argument", 0),
+    ("abs(1, 2, 3)", "abs takes exactly one argument", 0),
+    ("exp()", "expected a number, 't', a constant, or '('", 4),
+    ("max(, t)", "expected a number, 't', a constant, or '('", 4),
+    ("", "expected a number, 't', a constant, or '('", 0),
+    ("   ", "expected a number, 't', a constant, or '('", 3),
+    ("t +", "expected a number, 't', a constant, or '('", 3),
+    ("t^", "expected a number, 't', a constant, or '('", 2),
+    ("*t", "expected a number, 't', a constant, or '('", 0),
+    # one level past MAX_DEPTH: a factor nests too deep at its token; a tree
+    # that is too tall is known only once it parsed, and has no position
+    ("(" + _NESTED + ")", f"expression nests deeper than {MAX_DEPTH} levels", MAX_DEPTH),
+    ("-" * MAX_DEPTH + "t", f"expression nests deeper than {MAX_DEPTH} levels", MAX_DEPTH),
+    ("abs(" * MAX_DEPTH + "t" + ")" * MAX_DEPTH,
+     f"expression nests deeper than {MAX_DEPTH} levels", 4 * MAX_DEPTH),
+    (_CHAIN, f"expression nests deeper than {MAX_DEPTH} levels", None),
+    ("t" + "^t" * MAX_DEPTH, f"expression nests deeper than {MAX_DEPTH} levels", 2 * MAX_DEPTH),
+    (_CHAIN + ")", "unexpected trailing input ')'", len(_CHAIN)),  # parsing errors come first
+], ids=lambda x: repr(x)[:24] if isinstance(x, str) else None)
+def test_parse_error_messages_and_positions(source, message, position):
+    with pytest.raises(ExpressionError) as exc_info:
+        parse_expression(source)
+    error = exc_info.value
+    assert (error.position, error.source) == (position, source)
+    assert str(error) == (message if position is None else f"{message} (at position {position})")
+
+
+def test_parenthesized_spans():
+    # parentheses give their subtree their own span, and add no node
+    node = parse_expression(" (t)*((2 + t)) - -(ln(t))^(1)")
+    assert node == BinOp("-", BinOp("*", Var(), BinOp("+", Num(2.0), Var())),
+                         Neg(BinOp("^", Call("ln", (Var(),)), Num(1.0))))
+    assert node.span == (1, 29)
+    product, power = node.left, node.right.operand
+    assert (product.span, product.left.span, product.right.span) == ((1, 14), (1, 4), (5, 14))
+    assert product.right.left.span == (7, 8)
+    assert (node.right.span, power.span) == ((17, 29), (18, 29))
+    assert (power.left.span, power.left.args[0].span, power.right.span) == ((18, 25), (22, 23),
+                                                                           (26, 29))
+    assert parse_expression("((e))").span == (0, 5)
 
 
 @pytest.mark.parametrize("nest", [
@@ -434,6 +500,50 @@ def test_slope_oracles_at_side_specific_points(source, point, sign, want):
         else:
             assert oracle(point) == want
         assert _outcome(first, point) == first_outcome
+
+
+@pytest.fixture
+def lowered_sides(monkeypatch):
+    """The side of every tree that _lower_jet lowers, its subtrees not counted."""
+    sides, nested = [], [0]
+    lower = expressions._lower_jet
+
+    def counting(node, side):
+        if not nested[0]:
+            sides.append(side)
+        nested[0] += 1
+        try:
+            return lower(node, side)
+        finally:
+            nested[0] -= 1
+    monkeypatch.setattr(expressions, "_lower_jet", counting)
+    return sides
+
+
+def test_smooth_slopes_come_from_the_fused_walk(lowered_sides):
+    cf = convex_function_from_expression("t*t + exp(t)", UNIT)[0]
+    assert lowered_sides == [0]
+    for t in (0.125, 0.5, 0.875):
+        want = 2.0 * t + math.exp(t)
+        assert cf.dminus(t) == cf.dplus(t) == pytest.approx(want, rel=1e-15)
+        assert cf.jet.call(t)[1:] == (cf.dminus(t), cf.dplus(t))
+    assert lowered_sides == [0]
+
+
+@pytest.mark.parametrize("source, point, slopes, sides", [
+    # the fused walk takes the kink branch of abs for both sides
+    ("abs(t - 0.5)", 0.5, (-1.0, 1.0), [0]),
+    # sqrt at 0 needs each side's own check: the one-sided walks are lowered once
+    ("sqrt(abs(t - 0.5))", 0.5, (-INF, INF), [0, 1, 2]),
+    ("-sqrt(t)", 0.0, (-INF, -INF), [0, 1, 2]),
+])
+def test_one_sided_walks_are_lowered_where_the_sides_part(lowered_sides, source, point,
+                                                         slopes, sides):
+    cf = convex_function_from_expression(source, UNIT)[0]
+    for _ in range(2):
+        assert (cf.dminus(point), cf.dplus(point)) == slopes
+        assert cf.jet.call(point)[1:] == slopes
+    assert lowered_sides == sides
 
 
 def test_slope_oracles_are_thread_safe():
