@@ -10,7 +10,6 @@ from . import catalog
 from .convex_core import (
     ConvexFunction,
     ConvexityReport,
-    EndpointSlopes,
     Interval,
     check_convexity,
     require_convex,

@@ -212,8 +212,6 @@ def _cmd_means(args):
                      "kernel_suite_p": args.kernel_suite}
         warnings = []
     else:
-        if args.fn is None:
-            raise DomainError("means needs --fn or --kernel-suite")
         cf, warnings = _build_convex_function(args.fn, args.a, args.b)
         comparison = mean_comparison(cf, Interval(args.c, args.d))
         result = {
@@ -379,13 +377,14 @@ def _make_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", action="store_true")
 
     p = sub_parser("means", "integral-mean comparison over a subinterval")
-    p.add_argument("--fn", help="expression in t (omit with --kernel-suite)")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--fn", help="expression in t")
+    source.add_argument("--kernel-suite", type=float, default=None, metavar="P",
+                        help="run the t^P, 1/t, -ln t suite instead of --fn")
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--b", type=float, required=True)
     p.add_argument("--c", type=float, required=True)
     p.add_argument("--d", type=float, required=True)
-    p.add_argument("--kernel-suite", type=float, default=None, metavar="P",
-                   help="run the t^P, 1/t, -ln t suite instead of --fn")
 
     p = sub_parser("special-means", "A, L, I, L_p of two positive numbers")
     p.add_argument("--a", type=float, required=True)

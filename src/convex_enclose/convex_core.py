@@ -81,26 +81,6 @@ class Interval:
         return self.lo <= other.lo and other.hi <= self.hi
 
 
-@dataclass(frozen=True)
-class EndpointSlopes:
-    """Right derivative at the lower endpoint, left derivative at the upper.
-
-    Either value may be infinite (-inf at the lower end, +inf at the
-    upper); for a convex function ``at_lo <= at_hi``.
-    """
-
-    at_lo: float
-    at_hi: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "at_lo", ensure_extended(self.at_lo))
-        object.__setattr__(self, "at_hi", ensure_extended(self.at_hi))
-
-    @property
-    def both_finite(self) -> bool:
-        return math.isfinite(self.at_lo) and math.isfinite(self.at_hi)
-
-
 def _one_sided_limit(g, t, span, limit, sign):
     """Limit of a monotone g(s) as s tends to t from the side of ``limit``.
 
@@ -231,11 +211,11 @@ class ConvexFunction:
         estimates."""
         return 1e-9 if self.certified else 1e-6
 
-    def endpoint_slopes(self) -> EndpointSlopes:
-        return EndpointSlopes(
-            self.right_derivative(self.domain.lo),
-            self.left_derivative(self.domain.hi),
-        )
+    def endpoint_slopes(self) -> tuple:
+        """(f'+(lo), f'-(hi)); either may be infinite (-inf at lo, +inf at
+        hi), and for a convex function the first is at most the second."""
+        return (self.right_derivative(self.domain.lo),
+                self.left_derivative(self.domain.hi))
 
     def scaled(self, k: float) -> "ConvexFunction":
         """k * f for k > 0 (preserves convexity and all oracles exactly)."""

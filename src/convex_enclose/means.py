@@ -92,13 +92,13 @@ def mean_comparison(f: ConvexFunction, sub: Interval) -> MeanComparison:
     c, d = sub.lo, sub.hi
     fc, fd = f(c), f(d)
     base = 0.5 * (a + b) * (fd - fc) / (d - c) - (d * fd - c * fc) / (d - c)
-    slopes = f.endpoint_slopes()
-    if slopes.at_lo == -INF or slopes.at_hi == INF:
+    at_lo, at_hi = f.endpoint_slopes()
+    if at_lo == -INF or at_hi == INF:
         upper = INF
     else:
         upper = (
-            slopes.at_hi * ((b - d) ** 2 + (b - d) * (b - c) + (b - c) ** 2)
-            - slopes.at_lo * ((d - a) ** 2 + (d - a) * (c - a) + (c - a) ** 2)
+            at_hi * ((b - d) ** 2 + (b - d) * (b - c) + (b - c) ** 2)
+            - at_lo * ((d - a) ** 2 + (d - a) * (c - a) + (c - a) ** 2)
         ) / (6.0 * (b - a))
     if upper == INF:  # the sub-interval's own Hermite-Hadamard width instead
         estimate = 0.5 * (fc + fd) - f(0.5 * (c + d))
@@ -130,7 +130,6 @@ class SpecialMeans:
     logarithmic: float
     identric: float
     p_logarithmic: float
-    p: float
 
 
 def _logarithmic_mean(a: float, b: float) -> float:
@@ -167,7 +166,6 @@ def special_means(a: float, b: float, p: float) -> SpecialMeans:
         logarithmic=_logarithmic_mean(a, b),
         identric=_identric_mean(a, b),
         p_logarithmic=_p_logarithmic_mean(a, b, p),
-        p=p,
     )
 
 

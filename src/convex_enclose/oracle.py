@@ -1,9 +1,9 @@
 """Independent ground truth for containment and equality tests.
 
-Two paths: exact antiderivatives (closed form, zero estimated error) and
-an adaptive Simpson integrator with kink-aware splitting.  The Simpson
-path shares no code or formulas with the certified bound modules, so
-containment tests against it are non-circular.
+Two paths: exact antiderivatives (closed form) and an adaptive Simpson
+integrator with kink-aware splitting.  The Simpson path shares no code
+or formulas with the certified bound modules, so containment tests
+against it are non-circular.  Neither path returns an error estimate.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ _BRUTE_FORCE_TOL = 1e-12
 @dataclass(frozen=True)
 class OracleResult:
     value: float
-    est_error: float
     method: str
 
 
@@ -40,7 +39,7 @@ def _adaptive(fn, a, b, fa, fm, fb, whole, tol, floor, depth):
     m = 0.5 * (a + b)
     if not a < m < b:
         # no representable midpoint; the panel is rounding-limited
-        return whole, 0.0
+        return whole
     lm = 0.5 * (a + m)
     rm = 0.5 * (m + b)
     flm = fn(lm)
@@ -49,18 +48,17 @@ def _adaptive(fn, a, b, fa, fm, fb, whole, tol, floor, depth):
     right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
     delta = left + right - whole
     if abs(delta) <= 15.0 * tol:
-        return left + right + delta / 15.0, abs(delta) / 15.0
+        return left + right + delta / 15.0
     if depth <= 0 or not math.isfinite(delta):
         raise OracleFailureError(f"adaptive Simpson did not converge on [{a}, {b}]")
     if abs(delta) <= _ROUNDING_REL * (abs(left) + abs(right)):
         # only rounding noise is left; refining would split down to the depth limit
-        return left + right + delta / 15.0, abs(delta) / 15.0
+        return left + right + delta / 15.0
     # the child tolerance never drops below the rounding floor, else
     # integrable endpoint singularities would recurse without limit
     child_tol = max(0.5 * tol, floor)
-    lv, le = _adaptive(fn, a, m, fa, flm, fm, left, child_tol, floor, depth - 1)
-    rv, re = _adaptive(fn, m, b, fm, frm, fb, right, child_tol, floor, depth - 1)
-    return lv + rv, le + re
+    return (_adaptive(fn, a, m, fa, flm, fm, left, child_tol, floor, depth - 1)
+            + _adaptive(fn, m, b, fm, frm, fb, right, child_tol, floor, depth - 1))
 
 
 def _breakpoints(lo, hi, kinks):
@@ -69,7 +67,7 @@ def _breakpoints(lo, hi, kinks):
 
 
 def integrate_callable(fn, lo: float, hi: float, tol: float, breakpoints=()):
-    """Adaptive Simpson on a plain callable; returns (value, est_error).
+    """Adaptive Simpson on a plain callable; returns the integral's value.
 
     ``breakpoints`` are split exactly so each recursive pass only ever
     sees a smooth integrand.
@@ -77,17 +75,14 @@ def integrate_callable(fn, lo: float, hi: float, tol: float, breakpoints=()):
     pts = _breakpoints(lo, hi, breakpoints)
     span = hi - lo
     total = 0.0
-    err = 0.0
     for a, b in zip(pts, pts[1:]):
         piece_tol = tol * (b - a) / span if span > 0 else tol
         floor = 1e-4 * piece_tol
         fa, fb = fn(a), fn(b)
         fm = fn(0.5 * (a + b))
         whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-        v, e = _adaptive(fn, a, b, fa, fm, fb, whole, piece_tol, floor, _MAX_DEPTH)
-        total += v
-        err += e
-    return total, err
+        total += _adaptive(fn, a, b, fa, fm, fb, whole, piece_tol, floor, _MAX_DEPTH)
+    return total
 
 
 def reference_integral(f: ConvexFunction, interval: Optional[Interval] = None,
@@ -96,7 +91,7 @@ def reference_integral(f: ConvexFunction, interval: Optional[Interval] = None,
 
     Catalog functions carry exact antiderivatives and are evaluated in
     closed form (kink points split exactly); everything else goes through
-    adaptive Simpson to est_error <= tol, default 1e-13 * (1 + |result|).
+    adaptive Simpson with tolerance ``tol``, default 1e-13 * (1 + |result|).
     ``method`` can force either path.
     """
     target = interval if interval is not None else f.domain
@@ -112,13 +107,13 @@ def reference_integral(f: ConvexFunction, interval: Optional[Interval] = None,
     if use_closed:
         anti = f.antiderivative
         total = math.fsum(anti(b) - anti(a) for a, b in zip(pts, pts[1:]))
-        return OracleResult(value=total, est_error=0.0, method=CLOSED_FORM)
+        return OracleResult(value=total, method=CLOSED_FORM)
 
     if tol is None:
         rough = math.fsum(_simpson(f.fn, a, b) for a, b in zip(pts, pts[1:]))
         tol = _DEFAULT_REL * (1.0 + abs(rough))
-    value, err = integrate_callable(f.fn, target.lo, target.hi, tol, breakpoints=f.kinks)
-    return OracleResult(value=value, est_error=err, method=ADAPTIVE_SIMPSON)
+    value = integrate_callable(f.fn, target.lo, target.hi, tol, breakpoints=f.kinks)
+    return OracleResult(value=value, method=ADAPTIVE_SIMPSON)
 
 
 def brute_force_hh(kernel, p, q) -> float:

@@ -86,11 +86,11 @@ def ostrowski_upper(f: ConvexFunction, x: float) -> float:
     """
     if not f.domain.contains(x):
         raise DomainError(f"x={x} outside domain")
-    slopes = f.endpoint_slopes()
-    if slopes.at_lo == -INF or slopes.at_hi == INF:
+    at_lo, at_hi = f.endpoint_slopes()
+    if at_lo == -INF or at_hi == INF:
         return INF
     a, b = f.domain.lo, f.domain.hi
-    return 0.5 * ((b - x) ** 2 * slopes.at_hi - (x - a) ** 2 * slopes.at_lo)
+    return 0.5 * ((b - x) ** 2 * at_hi - (x - a) ** 2 * at_lo)
 
 
 def ostrowski_enclosure(f: ConvexFunction, x: float) -> Enclosure:
@@ -109,11 +109,11 @@ def hh_refinement(f: ConvexFunction) -> Enclosure:
     m = f.domain.midpoint
     dm, dp = _interior_slopes(f, m)
     lo = 0.125 * (dp - dm) * (b - a)
-    slopes = f.endpoint_slopes()
-    if slopes.at_lo == -INF or slopes.at_hi == INF:
+    at_lo, at_hi = f.endpoint_slopes()
+    if at_lo == -INF or at_hi == INF:
         hi = INF
     else:
-        hi = 0.125 * (slopes.at_hi - slopes.at_lo) * (b - a)
+        hi = 0.125 * (at_hi - at_lo) * (b - a)
     return Enclosure(lo, hi)
 
 
@@ -125,10 +125,10 @@ def classical_ostrowski_bound(f: ConvexFunction, x: float) -> float:
     """
     if not f.domain.contains(x):
         raise DomainError(f"x={x} outside domain")
-    slopes = f.endpoint_slopes()
-    if not slopes.both_finite:
+    at_lo, at_hi = f.endpoint_slopes()
+    if not (math.isfinite(at_lo) and math.isfinite(at_hi)):
         raise UnboundedSlopeError("classical bound needs finite endpoint slopes")
     a, b = f.domain.lo, f.domain.hi
-    m = max(abs(slopes.at_lo), abs(slopes.at_hi))
+    m = max(abs(at_lo), abs(at_hi))
     centered = x - f.domain.midpoint
     return (0.25 + centered**2 / (b - a) ** 2) * (b - a) * m

@@ -49,6 +49,7 @@ def _check_density(density, sup: Interval) -> None:
     """The density must be finite, nonnegative and nondecreasing on a grid."""
     a, b = sup.lo, sup.hi
     grid = [a + (b - a) * i / (_VALIDATION_GRID - 1) for i in range(_VALIDATION_GRID)]
+    grid[-1] = b  # a + (b - a) can round above b, where the density may be undefined
     values = [density(t) for t in grid]
     for t, v in zip(grid, values):
         if not math.isfinite(v):
@@ -180,7 +181,7 @@ def model_from_density(fn, a: float, b: float) -> RandomVariableModel:
     def cdf_fn(x):
         if x == sup.lo:
             return 0.0
-        return integrate_callable(fn, sup.lo, x, _DENSITY_INTEGRAL_TOL)[0]
+        return integrate_callable(fn, sup.lo, x, _DENSITY_INTEGRAL_TOL)
 
     cdf = ConvexFunction(
         domain=sup, fn=cdf_fn,
@@ -189,7 +190,7 @@ def model_from_density(fn, a: float, b: float) -> RandomVariableModel:
         name="sampled cdf", certified=False,
     )
     expectation = integrate_callable(lambda t: t * fn(t), sup.lo, sup.hi,
-                                     _DENSITY_INTEGRAL_TOL)[0]
+                                     _DENSITY_INTEGRAL_TOL)
     return _validate(RandomVariableModel(cdf=cdf, expectation=expectation))
 
 

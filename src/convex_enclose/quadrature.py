@@ -20,6 +20,7 @@ reproducible bit for bit.
 from __future__ import annotations
 
 import heapq
+import math
 from array import array
 from dataclasses import dataclass
 from operator import itemgetter
@@ -87,10 +88,6 @@ class Partition:
     @property
     def cells(self) -> int:
         return len(self.tags)
-
-    @property
-    def widths(self) -> tuple:
-        return tuple(v - u for u, v in zip(self.nodes, self.nodes[1:]))
 
     def iter_cells(self):
         return zip(self.nodes, self.nodes[1:], self.tags)
@@ -228,8 +225,8 @@ def integrate_adaptive(f: ConvexFunction, tol: float,
         raise DomainError("tolerance must be positive")
     if max_cells < 1:
         raise DomainError(f"max_cells must be at least 1, got {max_cells}")
-    slopes = f.endpoint_slopes()
-    if not slopes.both_finite:
+    at_lo, at_hi = f.endpoint_slopes()
+    if not (math.isfinite(at_lo) and math.isfinite(at_hi)):
         raise UnboundedSlopeError(
             "certified width cannot converge with an infinite endpoint slope"
         )
@@ -239,8 +236,8 @@ def integrate_adaptive(f: ConvexFunction, tol: float,
         stride = len(kinks) / max_cells
         kinks = [kinks[int((i + 1) * stride)] for i in range(max_cells - 1)]
     nodes = [lo, *kinks, hi]
-    lefts = [None, *(f.left_derivative(k) for k in kinks), slopes.at_hi]
-    rights = [slopes.at_lo, *(f.right_derivative(k) for k in kinks), None]
+    lefts = [None, *(f.left_derivative(k) for k in kinks), at_hi]
+    rights = [at_lo, *(f.right_derivative(k) for k in kinks), None]
     if any(not u < 0.5 * (u + v) < v for u, v in zip(nodes, nodes[1:])):
         raise PartitionError("a cell is too narrow to have an interior midpoint")
 

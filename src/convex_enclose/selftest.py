@@ -27,12 +27,6 @@ def random_interval(rng: random.Random, lo=-3.0, hi=3.0, min_width=0.25) -> Inte
     return Interval(a, b)
 
 
-def random_positive_interval(rng: random.Random, lo=0.05, hi=4.0, min_width=0.2) -> Interval:
-    a = rng.uniform(lo, hi - min_width)
-    b = rng.uniform(a + min_width, hi)
-    return Interval(a, b)
-
-
 def random_convex_case(rng: random.Random, finite_slopes: bool = False,
                        smooth_only: bool = False):
     """One random catalog function on a random admissible interval."""
@@ -44,15 +38,15 @@ def random_convex_case(rng: random.Random, finite_slopes: bool = False,
         iv = random_interval(rng)
         return catalog.shifted_square(rng.uniform(iv.lo - 1.0, iv.hi + 1.0), iv)
     if name == "power":
-        iv = random_positive_interval(rng)
+        iv = random_interval(rng, 0.05, 4.0, 0.2)
         p = rng.choice((1.5, 2.0, 3.0, -0.5, -1.0, -2.0))
         return catalog.power(p, iv)
     if name == "exp":
         return catalog.exponential(random_interval(rng))
     if name == "neg_log":
-        return catalog.neg_log(random_positive_interval(rng))
+        return catalog.neg_log(random_interval(rng, 0.05, 4.0, 0.2))
     if name == "t_log_t":
-        return catalog.t_log_t(random_positive_interval(rng))
+        return catalog.t_log_t(random_interval(rng, 0.05, 4.0, 0.2))
     if name == "abs":
         iv = random_interval(rng)
         c = rng.uniform(iv.lo + 0.1 * iv.width, iv.hi - 0.1 * iv.width)

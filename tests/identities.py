@@ -111,10 +111,9 @@ def quadratic_form_upper(f: ConvexFunction, x: float) -> float:
     """
     if not f.domain.contains(x):
         raise DomainError(f"x={x} outside domain")
-    slopes = f.endpoint_slopes()
-    if not slopes.both_finite:
+    a_slope, b_slope = f.endpoint_slopes()
+    if not (math.isfinite(a_slope) and math.isfinite(b_slope)):
         raise UnboundedSlopeError("quadratic form needs finite endpoint slopes")
-    a_slope, b_slope = slopes.at_lo, slopes.at_hi
     if b_slope == a_slope:
         raise DegenerateSlopesError("endpoint slopes coincide (affine case); use ostrowski_upper")
     a, b = f.domain.lo, f.domain.hi

@@ -43,8 +43,8 @@ from convex_enclose.selftest import (
     random_convex_case,
     random_density_model,
     random_distribution,
+    random_interval,
     random_partition,
-    random_positive_interval,
 )
 from identities import differentiable_lower_form, remainder_upper_by_node
 
@@ -182,7 +182,7 @@ def test_criterion_7_means_sandwich():
     ]
     for build in builders:
         for _ in range(200):
-            iv = random_positive_interval(rng)
+            iv = random_interval(rng, 0.05, 4.0, 0.2)
             f = build(iv)
             c = rng.uniform(iv.lo, iv.hi - 0.05)
             d = rng.uniform(c + 0.02, iv.hi)

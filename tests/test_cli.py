@@ -94,6 +94,18 @@ def test_means_and_kernel_suite(capsys):
         assert gap_lo == pytest.approx(e["gap_closed_form"], abs=1e-12)
 
 
+@pytest.mark.parametrize("source", [
+    [],
+    ["--fn", "t^2", "--kernel-suite", "2"],
+], ids=["neither", "both"])
+def test_means_needs_exactly_one_of_fn_and_kernel_suite(capsys, source):
+    assert run(["means", "--a", "0.5", "--b", "3", "--c", "1", "--d", "2", *source]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage:")
+    assert "--fn" in captured.err and "--kernel-suite" in captured.err
+
+
 def test_special_means_values(capsys):
     doc = run_json(capsys, ["special-means", "--a", "1", "--b", repr(math.e), "--p", "1"])
     result = doc["result"]
@@ -119,6 +131,14 @@ def test_prob_step_density(capsys):
     assert doc["result"]["median_lower"] == 0.0
     assert doc["result"]["median_upper"] == 0.0
     assert doc["result"]["expectation"] == 0.75
+
+
+def test_prob_density_defined_only_up_to_b(capsys):
+    # 0.3 + (0.9 - 0.3) rounds to 0.9000000000000001, where sqrt(0.9 - t) is undefined
+    doc = run_json(capsys, ["prob", "--density", "(1 + (2/3)*0.6^1.5)/0.6 - sqrt(0.9 - t)",
+                            "--a", "0.3", "--b", "0.9", "--x", "0.5", "--oracle"])
+    result = doc["result"]
+    assert result["cdf_lower"] <= result["oracle_cdf"] <= result["cdf_upper"]
 
 
 def test_divergence_worked_case(capsys):

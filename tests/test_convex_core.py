@@ -95,14 +95,9 @@ def test_undefined_sides():
 
 
 def test_endpoint_slopes_examples():
-    s = catalog.abs_shift(0.5, UNIT).endpoint_slopes()
-    assert (s.at_lo, s.at_hi) == (-1.0, 1.0)
-    s = catalog.shifted_square(0.0, UNIT).endpoint_slopes()
-    assert (s.at_lo, s.at_hi) == (0.0, 2.0)
-    s = catalog.neg_sqrt(UNIT).endpoint_slopes()
-    assert s.at_lo == -INF
-    assert s.at_hi == -0.5
-    assert not s.both_finite
+    assert catalog.abs_shift(0.5, UNIT).endpoint_slopes() == (-1.0, 1.0)
+    assert catalog.shifted_square(0.0, UNIT).endpoint_slopes() == (0.0, 2.0)
+    assert catalog.neg_sqrt(UNIT).endpoint_slopes() == (-INF, -0.5)
 
 
 def test_sampled_oracle_agrees_with_closed_form():

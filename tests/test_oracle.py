@@ -27,7 +27,6 @@ UNIT = Interval(0.0, 1.0)
 def test_closed_form_square():
     res = reference_integral(catalog.shifted_square(0.0, UNIT))
     assert res.value == pytest.approx(1.0 / 3.0, rel=1e-15)
-    assert res.est_error == 0.0
     assert res.method == CLOSED_FORM
 
 
@@ -56,7 +55,6 @@ def test_simpson_path_matches_closed_forms():
         closed = reference_integral(f)
         numeric = reference_integral(f, method=ADAPTIVE_SIMPSON)
         assert numeric.method == ADAPTIVE_SIMPSON
-        assert numeric.est_error >= 0.0
         assert numeric.value == pytest.approx(closed.value, abs=1e-11 * max(1.0, abs(closed.value)))
 
 
@@ -96,7 +94,7 @@ def test_brute_force_hh_cross_checks_kl_kernel():
 def test_adaptive_simpson_stops_at_rounding_noise():
     # values near 1e15 leave rounding noise far above tol in every panel; splitting
     # cannot shrink it, so the integrator must stop instead of splitting to the depth limit
-    value, _ = integrate_callable(lambda t: 1e12 * math.sqrt(t), 1.0, 1e6, 1e-10)
+    value = integrate_callable(lambda t: 1e12 * math.sqrt(t), 1.0, 1e6, 1e-10)
     assert value == pytest.approx(1e12 * (2.0 / 3.0) * (1e9 - 1.0), rel=1e-12)
 
 

@@ -156,8 +156,8 @@ def test_quadratic_form_matches_upper_bound():
     rng = random.Random(23)
     for _ in range(20):
         f = random_convex_case(rng, finite_slopes=True)
-        slopes = f.endpoint_slopes()
-        if slopes.at_hi == slopes.at_lo:
+        at_lo, at_hi = f.endpoint_slopes()
+        if at_hi == at_lo:
             continue
         for _ in range(5):
             x = f.domain.lo + f.domain.width * rng.random()

@@ -160,6 +160,17 @@ def test_black_box_density_matches_closed_form():
     assert enc.contains(0.25, slack=1e-6)
 
 
+def test_density_is_never_called_outside_its_support():
+    # ends with 3 decimals, as prob requests draw them; for some, a + (b - a) rounds above b
+    rng = random.Random(89)
+    for _ in range(300):
+        a = round(rng.uniform(0.0, 1.0), 3)
+        b = round(a + rng.uniform(0.5, 2.0), 3)
+        calls = []
+        model_from_density(lambda t: calls.append(t) or 1.0 / (b - a), a, b)
+        assert a <= min(calls) and max(calls) <= b, (a, b)
+
+
 def test_containment_fuzz():
     rng = random.Random(11)
     for _ in range(25):

@@ -304,7 +304,7 @@ def test_integrate_adaptive_containment_fuzz():
     rng = random.Random(71)
     for _ in range(50):
         f = random_convex_case(rng, finite_slopes=True)
-        assert f.endpoint_slopes().both_finite
+        assert all(map(math.isfinite, f.endpoint_slopes()))
         tol = 1e-7
         res = integrate_adaptive(f, tol)
         assert res.width <= tol
@@ -320,7 +320,8 @@ def test_integrate_adaptive_partition_is_valid():
     assert part.spans(f.domain)
     assert part.cells == res.cells
     assert part.tags == tuple(0.5 * (u + v) for u, v in zip(part.nodes, part.nodes[1:]))
-    assert len(set(part.widths)) > 1  # refined where the slope changes fastest
+    widths = {v - u for u, v in zip(part.nodes, part.nodes[1:])}
+    assert len(widths) > 1  # refined where the slope changes fastest
     assert res.estimate == riemann_sum(f, part)
     general = remainder_enclosure(f, part)
     assert res.remainder.lo == pytest.approx(general.lo, rel=1e-12)

@@ -52,3 +52,4 @@ def test_readme_quick_start():
     lo, hi = ast.literal_eval(printed[2])
     assert lo <= math.e - 1.0 <= hi
     assert hi - lo <= 1e-6
+    assert printed[3] == "OracleResult(value=0.3333333333333333, method='closed-form')"
