@@ -5,6 +5,13 @@ warnings}.  Numbers are serialized with 17 significant digits so
 round-trips are exact; infinities appear as the strings "inf"/"-inf"
 (JSON has no literal for them).
 
+Every option is declared once, in ``_COMMANDS``.  ``_fast_parse`` reads
+an argv in canonical form: ``--format`` before or after the subcommand,
+exact flag names as ``--flag=value`` or ``--flag value`` (a value not
+starting with ``-``), each at most once, every required flag given.
+argparse parses every other argv (``-h``, abbreviations, ``--``, unknown
+or repeated flags, bad values, ``--a -1e-3``) with its own messages.
+
 Exit codes: 0 success; 2 invalid input, an InvalidInputError (parse
 failure, non-convex or non-finite function, bad distribution, domain
 violations) or a ValueError; 3 numerical failure, a NumericalFailureError
@@ -15,12 +22,14 @@ division by zero).
 
 from __future__ import annotations
 
-import argparse
+import collections
 import functools
 import json
 import math
 import os
 import sys
+import types
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import divergence as div
 from . import probability as prob
@@ -34,7 +43,7 @@ from .errors import (
 )
 from .expressions import convex_function_from_expression, lower_value, parse_expression
 from .means import mean_comparison, special_means, verify_mean_inequalities
-from .oracle import reference_integral
+from .oracle import brute_force_hh, reference_integral
 from .pointwise import (
     classical_ostrowski_bound,
     hh_refinement,
@@ -49,35 +58,38 @@ EXIT_INVALID_INPUT = 2
 EXIT_NUMERICAL_FAILURE = 3
 
 
-def _scalar(x):
+def _scalar(x, quote=_quote):
+    """The text of a leaf; ``quote`` wraps strings and infinities (JSON),
+    ``str`` leaves them bare (CSV)."""
+    kind = type(x)
+    if kind is float:
+        text = format(x, ".17g")
+        return quote(text) if text[-1] == "f" else text  # "inf", "-inf"
+    if kind is str:
+        return quote(x)
     if x is None:
         return "null"
-    if isinstance(x, bool):
+    if kind is bool:
         return "true" if x else "false"
-    if isinstance(x, int):
+    if kind is int:
         return str(x)
-    if isinstance(x, float):
-        if math.isinf(x):
-            return '"inf"' if x > 0 else '"-inf"'
-        return format(x, ".17g")
     return json.dumps(x)
 
 
 def _to_json(value, indent=0):
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        rows = [f"{inner}{json.dumps(str(k))}: {_to_json(v, indent + 1)}"
-                for k, v in value.items()]
-        return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        rows = [f"{inner}{_to_json(v, indent + 1)}" for v in value]
-        return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
-    return _scalar(value)
+    kind = type(value)
+    if kind is dict:
+        rows = [f"{_quote(str(k))}: {_to_json(v, indent + 1)}" for k, v in value.items()]
+        brackets = "{}"
+    elif kind is list or kind is tuple:
+        rows = [_to_json(v, indent + 1) for v in value]
+        brackets = "[]"
+    else:
+        return _scalar(value)
+    if not rows:
+        return brackets
+    inner = "\n" + "  " * (indent + 1)
+    return brackets[0] + inner + ("," + inner).join(rows) + "\n" + "  " * indent + brackets[1]
 
 
 def _csv_cell(text: str) -> str:
@@ -90,27 +102,24 @@ def _to_csv(doc) -> str:
     rows = ["field,value"]
 
     def walk(prefix, value):
-        if isinstance(value, dict):
+        kind = type(value)
+        if kind is dict:
             for k, v in value.items():
                 walk(f"{prefix}.{k}" if prefix else str(k), v)
-        elif isinstance(value, (list, tuple)):
+        elif kind is list or kind is tuple:
             for i, v in enumerate(value):
                 walk(f"{prefix}.{i}", v)
         else:
-            text = _scalar(value)
-            if text.startswith('"') and text.endswith('"'):
-                text = json.loads(text)
-            rows.append(f"{_csv_cell(prefix)},{_csv_cell(text)}")
+            rows.append(f"{_csv_cell(prefix)},{_csv_cell(_scalar(value, str))}")
 
     walk("", doc)
     return "\n".join(rows)
 
 
-def _emit(doc, fmt: str):
-    if fmt == "csv":
-        sys.stdout.write(_to_csv(doc) + "\n")
-    else:
-        sys.stdout.write(_to_json(doc) + "\n")
+def _emit(command, parts, fmt: str):
+    doc = dict(zip(("command", "input", "result", "certificates", "warnings"),
+                   (command, *parts)))
+    sys.stdout.write((_to_csv(doc) if fmt == "csv" else _to_json(doc)) + "\n")
 
 
 def _build_convex_function(src: str, a: float, b: float):
@@ -126,6 +135,9 @@ def _parse_weights(text: str):
         raise InvalidDistributionError(f"cannot parse weights {text!r}") from exc
     return div.DiscreteDistribution(values)
 
+
+# Each _cmd_* handler returns the document's (input, result, certificates,
+# warnings); _emit adds the command.
 
 def _cmd_enclose(args):
     cf, warnings = _build_convex_function(args.fn, args.a, args.b)
@@ -153,16 +165,8 @@ def _cmd_enclose(args):
     }
     if args.oracle:
         result["oracle_gap"] = reference_integral(cf).value - cf.domain.width * cf(args.x)
-    return {
-        "command": "enclose",
-        "input": {"fn": args.fn, "a": args.a, "b": args.b, "x": args.x},
-        "result": result,
-        "certificates": {
-            "ostrowski_difference": [lower, upper],
-            "hh_mean_gap": [hh.lo, hh.hi],
-        },
-        "warnings": warnings,
-    }
+    certificates = {"ostrowski_difference": [lower, upper], "hh_mean_gap": [hh.lo, hh.hi]}
+    return {"fn": args.fn, "a": args.a, "b": args.b, "x": args.x}, result, certificates, warnings
 
 
 def _cmd_integrate(args):
@@ -180,70 +184,40 @@ def _cmd_integrate(args):
     }
     if args.oracle:
         result["oracle_value"] = reference_integral(cf).value
-    return {
-        "command": "integrate",
-        "input": {"fn": args.fn, "a": args.a, "b": args.b, "tol": args.tol},
-        "result": result,
-        "certificates": {"definite_integral": [bounds.lo, bounds.hi]},
-        "warnings": warnings,
-    }
+    return ({"fn": args.fn, "a": args.a, "b": args.b, "tol": args.tol}, result,
+            {"definite_integral": [bounds.lo, bounds.hi]}, warnings)
 
 
 def _cmd_means(args):
     if args.kernel_suite is not None:
         entries = verify_mean_inequalities(args.a, args.b, args.c, args.d,
                                            args.kernel_suite)
-        result = {
-            "entries": [
-                {
-                    "kernel": e.kernel,
-                    "lower": e.comparison.lower,
-                    "gap": [e.comparison.gap.lo, e.comparison.gap.hi],
-                    "upper": e.comparison.upper,
-                    "gap_closed_form": e.gap_closed_form,
-                }
-                for e in entries
-            ]
-        }
-        certificates = {
-            e.kernel: [e.comparison.lower, e.comparison.upper] for e in entries
-        }
+        result = {"entries": [
+            {"kernel": e.kernel, "lower": e.comparison.lower,
+             "gap": [e.comparison.gap.lo, e.comparison.gap.hi],
+             "upper": e.comparison.upper, "gap_closed_form": e.gap_closed_form}
+            for e in entries]}
+        certificates = {e.kernel: [e.comparison.lower, e.comparison.upper] for e in entries}
         doc_input = {"a": args.a, "b": args.b, "c": args.c, "d": args.d,
                      "kernel_suite_p": args.kernel_suite}
-        warnings = []
-    else:
-        cf, warnings = _build_convex_function(args.fn, args.a, args.b)
-        comparison = mean_comparison(cf, Interval(args.c, args.d))
-        result = {
-            "lower": comparison.lower,
-            "gap": [comparison.gap.lo, comparison.gap.hi],
-            "upper": comparison.upper,
-        }
-        certificates = {"mean_difference": [comparison.lower, comparison.upper]}
-        doc_input = {"fn": args.fn, "a": args.a, "b": args.b, "c": args.c, "d": args.d}
-    return {
-        "command": "means",
-        "input": doc_input,
-        "result": result,
-        "certificates": certificates,
-        "warnings": warnings,
+        return doc_input, result, certificates, []
+    cf, warnings = _build_convex_function(args.fn, args.a, args.b)
+    comparison = mean_comparison(cf, Interval(args.c, args.d))
+    result = {
+        "lower": comparison.lower,
+        "gap": [comparison.gap.lo, comparison.gap.hi],
+        "upper": comparison.upper,
     }
+    certificates = {"mean_difference": [comparison.lower, comparison.upper]}
+    doc_input = {"fn": args.fn, "a": args.a, "b": args.b, "c": args.c, "d": args.d}
+    return doc_input, result, certificates, warnings
 
 
 def _cmd_special_means(args):
     sm = special_means(args.a, args.b, args.p)
-    return {
-        "command": "special-means",
-        "input": {"a": args.a, "b": args.b, "p": args.p},
-        "result": {
-            "arithmetic": sm.arithmetic,
-            "logarithmic": sm.logarithmic,
-            "identric": sm.identric,
-            "p_logarithmic": sm.p_logarithmic,
-        },
-        "certificates": {},
-        "warnings": [],
-    }
+    result = {"arithmetic": sm.arithmetic, "logarithmic": sm.logarithmic,
+              "identric": sm.identric, "p_logarithmic": sm.p_logarithmic}
+    return {"a": args.a, "b": args.b, "p": args.p}, result, {}, []
 
 
 def _build_model(density: str, a: float, b: float):
@@ -279,22 +253,13 @@ def _cmd_prob(args):
     if args.x is not None:
         gap = prob.cdf_gap_enclosure(model, args.x)
         cdf = prob.cdf_enclosure(model, args.x)
-        result.update({
-            "gap_lower": gap.lo,
-            "gap_upper": gap.hi,
-            "cdf_lower": cdf.lo,
-            "cdf_upper": cdf.hi,
-        })
+        result.update({"gap_lower": gap.lo, "gap_upper": gap.hi,
+                       "cdf_lower": cdf.lo, "cdf_upper": cdf.hi})
         certificates["cdf_value"] = [cdf.lo, cdf.hi]
         if args.oracle:
             result["oracle_cdf"] = model.cdf(args.x)
-    return {
-        "command": "prob",
-        "input": {"density": args.density, "a": args.a, "b": args.b, "x": args.x},
-        "result": result,
-        "certificates": certificates,
-        "warnings": warnings,
-    }
+    doc_input = {"density": args.density, "a": args.a, "b": args.b, "x": args.x}
+    return doc_input, result, certificates, warnings
 
 
 def _cmd_divergence(args):
@@ -303,142 +268,177 @@ def _cmd_divergence(args):
     q = _parse_weights(args.q)
     triple = div.hh_sandwich(kernel, p, q)
     bounds = div.hh_gap_bounds(kernel, p, q)
-    result = {
-        "csiszar": 2.0 * triple.half_csiszar,
-        "lin_wong": triple.lin_wong,
-        "hh": triple.hh,
-        "gap_bounds": [bounds.lo, bounds.hi],
-    }
+    result = {"csiszar": 2.0 * triple.half_csiszar, "lin_wong": triple.lin_wong,
+              "hh": triple.hh, "gap_bounds": [bounds.lo, bounds.hi]}
     if args.oracle:
-        from .oracle import brute_force_hh
-
         result["oracle_hh"] = brute_force_hh(kernel, p, q)
-    return {
-        "command": "divergence",
-        "input": {"kernel": args.kernel, "p": args.p, "q": args.q},
-        "result": result,
-        "certificates": {"hh_minus_lin_wong": [bounds.lo, bounds.hi]},
-        "warnings": [],
-    }
+    return ({"kernel": args.kernel, "p": args.p, "q": args.q}, result,
+            {"hh_minus_lin_wong": [bounds.lo, bounds.hi]}, [])
 
 
-def _cmd_self_test(args):
-    seed = int(os.environ.get("CONVEX_ENCLOSE_SEED", "0"))
-    report = run_self_test(seed)
-    doc = {
-        "command": "self-test",
-        "input": {"seed": seed},
-        "result": report,
-        "certificates": {},
-        "warnings": [],
-    }
-    _emit(doc, args.format)
-    return EXIT_OK if report["ok"] else EXIT_NUMERICAL_FAILURE
+# One option of the command line.  ``convert`` is the callable applied to
+# its value (float, int or str), or bool for a flag that takes none;
+# ``group`` marks the members of a subcommand's required group, exactly one
+# of which must be given.
+_Option = collections.namedtuple(
+    "_Option", "flag convert required default group help metavar choices",
+    defaults=(str, False, None, False, None, None, None))
+
+_FORMAT = _Option("--format", default="json", choices=("json", "csv"))
+_GLOBAL_OPTIONS = (
+    _Option("--self-test", bool, default=False,
+            help="run the seeded fuzz self-test and exit "
+                 "(seed from CONVEX_ENCLOSE_SEED)"),
+    _FORMAT,
+)
+_A = _Option("--a", float, required=True)
+_B = _Option("--b", float, required=True)
+_FN_INTERVAL = (_Option("--fn", required=True, help="expression in t, e.g. 't^2'"), _A, _B)
+_ORACLE = _Option("--oracle", bool, default=False)
+
+# subcommand -> (help, handler, options); --format is accepted after each too
+_COMMANDS = {
+    "enclose": ("pointwise enclosure, HH refinement, baseline", _cmd_enclose, (
+        *_FN_INTERVAL, _Option("--x", float, required=True), _ORACLE)),
+    "integrate": ("adaptive certified integration", _cmd_integrate, (
+        *_FN_INTERVAL,
+        _Option("--tol", float, default=1e-6),
+        _Option("--max-cells", int, default=DEFAULT_MAX_CELLS,
+                help="cell budget; exit 3 once it is spent, or once the "
+                     "enclosure's convergence rate predicts it cannot reach --tol"),
+        _ORACLE)),
+    "means": ("integral-mean comparison over a subinterval", _cmd_means, (
+        _Option("--fn", group=True, help="expression in t"),
+        _Option("--kernel-suite", float, group=True, metavar="P",
+                help="run the t^P, 1/t, -ln t suite instead of --fn"),
+        _A, _B, _Option("--c", float, required=True), _Option("--d", float, required=True))),
+    "special-means": ("A, L, I, L_p of two positive numbers", _cmd_special_means, (
+        _A, _B, _Option("--p", float, required=True))),
+    "prob": ("CDF and median enclosures for monotone densities", _cmd_prob, (
+        _Option("--density", required=True,
+                help="'uniform', 'step:<split>,<low>', or an expression in t"),
+        _A, _B, _Option("--x", float), _ORACLE)),
+    "divergence": ("kernel divergences of two discrete distributions", _cmd_divergence, (
+        _Option("--kernel", required=True, help=f"one of {sorted(div.KERNELS)}"),
+        _Option("--p", required=True, help="comma-separated weights"),
+        _Option("--q", required=True, help="comma-separated weights"),
+        _ORACLE)),
+}
+# the options each position of argv accepts: before the subcommand (None)
+# and after it
+_FLAGS = {name: {o.flag: o for o in (_FORMAT, *options)}
+          for name, (_, _, options) in _COMMANDS.items()}
+_FLAGS[None] = {o.flag: o for o in _GLOBAL_OPTIONS}
 
 
 @functools.cache
-def _make_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first request and then reused
-    (parse_args leaves it unchanged): building it costs about twenty
-    times as much as parsing with it."""
-    parser = argparse.ArgumentParser(
-        prog="convex-enclose",
-        description="Certified two-sided bounds for convex functions",
-    )
-    parser.add_argument("--self-test", action="store_true",
-                        help="run the seeded fuzz self-test and exit "
-                             "(seed from CONVEX_ENCLOSE_SEED)")
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
-    sub = parser.add_subparsers(dest="command")
+def _make_parser():
+    """The argparse parser for every argv that ``_fast_parse`` declines,
+    built once from the option table (parse_args leaves it unchanged)."""
+    import argparse
 
-    def sub_parser(name, help_text):
+    def add(target, option):
+        if option.convert is bool:
+            target.add_argument(option.flag, action="store_true", help=option.help)
+        else:
+            target.add_argument(option.flag, type=option.convert, required=option.required,
+                                default=option.default, help=option.help,
+                                metavar=option.metavar, choices=option.choices)
+
+    parser = argparse.ArgumentParser(
+        prog="convex-enclose", description="Certified two-sided bounds for convex functions")
+    for option in _GLOBAL_OPTIONS:
+        add(parser, option)
+    sub = parser.add_subparsers(dest="command")
+    for name, (help_text, _, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         # accepted after the subcommand as well; SUPPRESS keeps the
         # top-level default from being clobbered
-        p.add_argument("--format", choices=("json", "csv"), default=argparse.SUPPRESS)
-        return p
-
-    def add_fn_interval(p):
-        p.add_argument("--fn", required=True, help="expression in t, e.g. 't^2'")
-        p.add_argument("--a", type=float, required=True)
-        p.add_argument("--b", type=float, required=True)
-
-    p = sub_parser("enclose", "pointwise enclosure, HH refinement, baseline")
-    add_fn_interval(p)
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--oracle", action="store_true")
-
-    p = sub_parser("integrate", "adaptive certified integration")
-    add_fn_interval(p)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--max-cells", type=int, default=DEFAULT_MAX_CELLS,
-                   help="cell budget; exit 3 once it is spent, or once the "
-                        "enclosure's convergence rate predicts it cannot reach --tol")
-    p.add_argument("--oracle", action="store_true")
-
-    p = sub_parser("means", "integral-mean comparison over a subinterval")
-    source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--fn", help="expression in t")
-    source.add_argument("--kernel-suite", type=float, default=None, metavar="P",
-                        help="run the t^P, 1/t, -ln t suite instead of --fn")
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--b", type=float, required=True)
-    p.add_argument("--c", type=float, required=True)
-    p.add_argument("--d", type=float, required=True)
-
-    p = sub_parser("special-means", "A, L, I, L_p of two positive numbers")
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--b", type=float, required=True)
-    p.add_argument("--p", type=float, required=True)
-
-    p = sub_parser("prob", "CDF and median enclosures for monotone densities")
-    p.add_argument("--density", required=True,
-                   help="'uniform', 'step:<split>,<low>', or an expression in t")
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--b", type=float, required=True)
-    p.add_argument("--x", type=float, default=None)
-    p.add_argument("--oracle", action="store_true")
-
-    p = sub_parser("divergence", "kernel divergences of two discrete distributions")
-    p.add_argument("--kernel", required=True,
-                   help=f"one of {sorted(div.KERNELS)}")
-    p.add_argument("--p", required=True, help="comma-separated weights")
-    p.add_argument("--q", required=True, help="comma-separated weights")
-    p.add_argument("--oracle", action="store_true")
-
+        add(p, _FORMAT._replace(default=argparse.SUPPRESS))
+        group = None
+        for option in options:
+            if option.group:
+                group = group or p.add_mutually_exclusive_group(required=True)
+                add(group, option)
+            else:
+                add(p, option)
     return parser
 
 
-_HANDLERS = {
-    "enclose": _cmd_enclose,
-    "integrate": _cmd_integrate,
-    "means": _cmd_means,
-    "special-means": _cmd_special_means,
-    "prob": _cmd_prob,
-    "divergence": _cmd_divergence,
-}
+def _fast_parse(argv):
+    """The namespace ``parse_args(argv)`` returns, for an argv in the
+    canonical form of the module docstring; None for any other argv."""
+    command, given = None, {}
+    tokens = iter(argv)
+    for token in tokens:
+        if not token.startswith("--"):
+            if command is not None or token not in _COMMANDS:
+                return None
+            command = token
+            continue
+        flag, eq, text = token.partition("=")
+        option = _FLAGS[command].get(flag)
+        if option is None or flag in given:
+            return None
+        if option.convert is bool:
+            if eq:
+                return None
+            given[flag] = True
+            continue
+        if not eq:
+            # argparse reads a separate value starting with - as an option
+            # unless it looks like -1 or -.5
+            text = next(tokens, "-")
+            if text.startswith("-"):
+                return None
+        try:
+            given[flag] = option.convert(text)
+        except (TypeError, ValueError):
+            return None
+        if option.choices is not None and given[flag] not in option.choices:
+            return None
+    if command is None:
+        return None
+    values, members, chosen = {"command": command}, 0, 0
+    for option in (*_GLOBAL_OPTIONS, *_COMMANDS[command][2]):
+        members += option.group
+        if option.flag in given:
+            chosen += option.group
+        elif option.required:
+            return None
+        values[option.flag[2:].replace("-", "_")] = given.get(option.flag, option.default)
+    if members and chosen != 1:
+        return None
+    return types.SimpleNamespace(**values)
 
 
 def run(argv=None) -> int:
-    parser = _make_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse exits on usage errors; report the code instead
-        return int(exc.code or 0)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _fast_parse(argv)
+    if args is None:
+        parser = _make_parser()
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:  # argparse exits on usage errors; report the code instead
+            return int(exc.code or 0)
+        if args.command is None and not args.self_test:
+            parser.print_usage(sys.stderr)
+            return EXIT_INVALID_INPUT
     if args.self_test:
-        return _cmd_self_test(args)
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        return EXIT_INVALID_INPUT
+        seed = int(os.environ.get("CONVEX_ENCLOSE_SEED", "0"))
+        report = run_self_test(seed)
+        _emit("self-test", ({"seed": seed}, report, {}, []), args.format)
+        return EXIT_OK if report["ok"] else EXIT_NUMERICAL_FAILURE
     try:
-        doc = _HANDLERS[args.command](args)
+        parts = _COMMANDS[args.command][1](args)
     except (NumericalFailureError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_FAILURE
     except (InvalidInputError, ValueError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
-    _emit(doc, args.format)
+    _emit(args.command, parts, args.format)
     return EXIT_OK
 
 

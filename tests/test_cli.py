@@ -1,14 +1,18 @@
 import contextlib
+import csv
+import importlib.util
 import io
+import itertools
 import json
 import math
 import re
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from convex_enclose import errors
+from convex_enclose import cli, errors
 from convex_enclose.cli import run
 from convex_enclose.divergence import KERNELS
 
@@ -458,6 +462,56 @@ def test_no_command_prints_usage(capsys):
     assert "usage" in capsys.readouterr().err
 
 
+_ENCLOSE = ["enclose", "--fn", "t^2", "--a", "0", "--b", "1", "--x", "0.5"]
+
+
+def _call(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv, code, stream, text", [
+    ([], 2, "err", "usage: convex-enclose [-h] [--self-test] [--format {json,csv}]"),
+    (["-h"], 0, "out", "Certified two-sided bounds for convex functions"),
+    (["enclose", "-h"], 0, "out", "usage: convex-enclose enclose [-h] [--format {json,csv}]"),
+    (["enc", *_ENCLOSE[1:]], 2, "err", "argument command: invalid choice: 'enc'"),
+    ([*_ENCLOSE[:7], "--", *_ENCLOSE[7:]], 2, "err",
+     "the following arguments are required: --x"),
+    ([*_ENCLOSE[:5], *_ENCLOSE[7:]], 2, "err", "the following arguments are required: --b"),
+    (["enclose", "--fn", "t^2", "--a", "-1e-3", "--b", "1", "--x", "0.5"], 2, "err",
+     "argument --a: expected one argument"),
+    (["enclose", "--fn", "t^2", "--a", "-.5e1", "--b", "1", "--x", "0.5"], 2, "err",
+     "argument --a: expected one argument"),
+    (["integrate", "--fn", "exp(t)", "--a", "0", "--b", "1", "--max-cells=1.5"], 2, "err",
+     "argument --max-cells: invalid int value: '1.5'"),
+])
+def test_usage_is_argparse_own(argv, code, stream, text):
+    """Help and usage errors: argparse's exit code, stream and message."""
+    got, out, err = _call(argv)
+    assert got == code
+    written, silent = (out, err) if stream == "out" else (err, out)
+    assert text in written
+    assert silent == ""
+
+
+@pytest.mark.parametrize("argv, same_as", [
+    ([*_ENCLOSE, "--ora"], [*_ENCLOSE, "--oracle"]),  # an abbreviation
+    ([*_ENCLOSE, "--x", "0.25"], [*_ENCLOSE[:7], "--x", "0.25"]),  # argparse keeps the last
+])
+def test_argv_that_argparse_reads_like_another(argv, same_as):
+    code, out, err = _call(argv)
+    assert (code, err) == (0, "")
+    assert out == _call(same_as)[1]
+
+
+def test_negative_value_forms(capsys):
+    """--a=-1e-3 and --a -0.5 are numbers; --a -1e-3 is an option (exit 2 above)."""
+    assert run_json(capsys, [*_ENCLOSE[:3], "--a=-1e-3", *_ENCLOSE[5:]])["input"]["a"] == -1e-3
+    assert run_json(capsys, [*_ENCLOSE[:3], "--a", "-0.5", *_ENCLOSE[5:]])["input"]["a"] == -0.5
+
+
 def test_self_test_flag(capsys, monkeypatch):
     monkeypatch.setenv("CONVEX_ENCLOSE_SEED", "1")
     code = run(["--self-test"])
@@ -532,3 +586,182 @@ def test_exit_code_contract_fuzz(argv):
     assert code in (0, 2, 3), (argv, err.getvalue())
     if code == 0:
         json.loads(out.getvalue(), parse_constant=_reject_constant)
+
+
+# Flags that take a float, where a negative value can be written two ways.
+_FLOAT_FLAGS = ("--a", "--b", "--c", "--d", "--x", "--tol")
+# mutations that take an argv out of the canonical form the fast path reads
+_DECLINED = ("abbreviate", "repeat", "unknown", "positional", "dashdash", "help",
+             "switch-value", "late-self-test")
+_MUTATIONS = ("none", "negative", "bad-value", "drop", "self-test") + _DECLINED
+
+
+@st.composite
+def _argv_variants(draw):
+    """(argv, expect): a _cli_requests() argv respelled and mutated.
+
+    Each flag is written as --flag=value or --flag value (a value that
+    starts with - only under the negative mutation); --format may come
+    before or after the subcommand (or both); one mutation may abbreviate,
+    repeat, add or drop a flag, insert a bare word, -- or -h, give --oracle
+    a value, put --self-test before or after the subcommand, make a float
+    negative, or give a flag a value its converter may reject.  expect is
+    "parse" where the fast path must parse whatever argparse accepts,
+    "decline" where it must decline, and None where only their agreement
+    is checked.
+    """
+    command, *tokens = draw(_cli_requests())
+    pairs, rest = [], iter(tokens)
+    for token in rest:
+        flag, eq, value = token.partition("=")
+        pairs.append([flag, value if eq else None if flag == "--oracle" else next(rest)])
+    before = []
+    placement = draw(st.sampled_from((None, "before", "after", "both")))
+    fmt = draw(st.sampled_from(("json", "csv", "xml")))
+    if placement in ("before", "both"):
+        before.append(["--format", fmt])
+    if placement in ("after", "both"):
+        pairs.insert(draw(st.integers(0, len(pairs))), ["--format", fmt])
+    mutation = draw(st.sampled_from(_MUTATIONS))
+    pair = draw(st.sampled_from(pairs))
+    if mutation == "abbreviate":
+        if len(pair[0]) > 3:
+            pair[0] = pair[0][:draw(st.integers(3, len(pair[0]) - 1))]
+        else:
+            mutation = "none"
+    elif mutation == "repeat":
+        pairs.append(list(pair))
+    elif mutation == "unknown":
+        pairs.insert(pairs.index(pair), ["--nope", draw(st.sampled_from((None, "1")))])
+    elif mutation == "negative" and pair[0] in _FLOAT_FLAGS:
+        pair[1] = draw(st.sampled_from(("-1e-3", "-.5e1", "-0.5", "-1", "-inf")))
+    elif mutation == "bad-value" and pair[1] is not None:
+        pair[1] = draw(st.sampled_from(("nope", "1.5", "", "1e400")))
+    elif mutation == "drop":
+        pairs.remove(pair)
+    elif mutation in ("positional", "dashdash", "help"):
+        word = {"positional": draw(st.sampled_from((command, "extra"))),
+                "dashdash": "--", "help": "-h"}[mutation]
+        pairs.insert(pairs.index(pair), [word, None])
+    elif mutation == "switch-value":
+        pairs = [p for p in pairs if p[0] != "--oracle"]
+        pairs.append(["--oracle", draw(st.sampled_from(("1", "")))])
+    elif mutation == "self-test":
+        before.insert(0, ["--self-test", None])
+    elif mutation == "late-self-test":
+        pairs.insert(pairs.index(pair), ["--self-test", None])
+    argv, separate_dash = [], False
+    for flag, value in before + [[command, None]] + pairs:
+        if value is None:
+            argv.append(flag)
+        elif draw(st.booleans()) or (value.startswith("-") and mutation != "negative"):
+            argv.append(f"{flag}={value}")
+        else:
+            argv += [flag, value]
+            separate_dash |= value.startswith("-")
+    flags = [flag for flag, _ in before + pairs]
+    if mutation in _DECLINED or len(set(flags)) < len(flags) or separate_dash:
+        return argv, "decline"
+    return argv, None if mutation == "drop" else "parse"
+
+
+def _argparse_vars(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli._make_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+_MEANS = ["means", "--a=0", "--b=1", "--c=0", "--d=1"]
+
+
+@settings(derandomize=True, deadline=None, max_examples=1000)
+@given(_argv_variants())
+@example((_MEANS, None))  # neither of the means group
+@example((_MEANS + ["--fn=t", "--kernel-suite=2"], None))  # both of it
+@example((["--self-test", "--format=csv", "enclose", "--fn=t", "--a=0", "--b=1", "--x=0"],
+          "parse"))
+def test_fast_parse_agrees_with_argparse(variant):
+    """The fast path declines, or returns the namespace argparse returns."""
+    argv, expect = variant
+    fast = cli._fast_parse(argv)
+    expected = _argparse_vars(argv)
+    if fast is not None:
+        assert expected is not None, argv
+        # repr tells -0.0 from 0.0 and matches nan with nan
+        assert repr(sorted(vars(fast).items())) == repr(sorted(expected.items())), argv
+    if expect == "parse":
+        assert (fast is None) == (expected is None), argv
+    elif expect == "decline":
+        assert fast is None, argv
+
+
+def _load_workloads():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_fast_parse_takes_every_benchmark_request():
+    """The benchmark's cli_mix traffic is all in --flag=value form."""
+    stream = _load_workloads().stream("cli_mix", 11)
+    argvs = [spec["argv"] for _, spec in itertools.islice(stream, 6000)]
+    assert [argv for argv in argvs if cli._fast_parse(argv) is None] == []
+
+
+_SPECIAL_FLOATS = st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                                   1e308, -1e308, 1.7976931348623157e308, math.inf, -math.inf))
+
+
+def _documents(text):
+    leaves = st.one_of(st.floats(allow_nan=False), _SPECIAL_FLOATS, text)
+    return st.recursive(leaves, lambda children: st.one_of(
+        st.lists(children, max_size=4), st.dictionaries(text, children, max_size=4)),
+        max_leaves=20)
+
+
+def _decoded(value):
+    """What reading a written document back gives: infinities as strings."""
+    if isinstance(value, dict):
+        return {k: _decoded(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_decoded(v) for v in value]
+    if isinstance(value, float) and math.isinf(value):
+        return "inf" if value > 0 else "-inf"
+    return value
+
+
+@settings(derandomize=True, max_examples=300)
+@given(_documents(st.text()))
+def test_json_writer_round_trips_every_float(doc):
+    """Every float comes back bit for bit (17 digits; integral values are
+    written without a point), and every string as it was."""
+    back = json.loads(cli._to_json(doc), parse_int=float)
+    assert repr(back) == repr(_decoded(doc))
+
+
+def _csv_rows(value, prefix=""):
+    if isinstance(value, dict):
+        return [row for k, v in value.items()
+                for row in _csv_rows(v, f"{prefix}.{k}" if prefix else k)]
+    if isinstance(value, list):
+        return [row for i, v in enumerate(value) for row in _csv_rows(v, f"{prefix}.{i}")]
+    return [[prefix, format(value, ".17g") if isinstance(value, float) else value]]
+
+
+# a reader ends a row at a bare carriage return, which the writer does not quote
+@settings(derandomize=True, max_examples=300)
+@given(_documents(st.text(st.characters(exclude_characters="\r\x00"))))
+def test_csv_writer_reads_back_cell_by_cell(doc):
+    rows = list(csv.reader(io.StringIO(cli._to_csv(doc) + "\n")))
+    assert rows == [["field", "value"]] + _csv_rows(doc)
+
+
+def test_csv_writer_quotes_commas_quotes_and_newlines():
+    doc = {"a,b": 'say "hi"', "text": "two\nlines", "plain": 0.1, "top": math.inf}
+    assert cli._to_csv(doc).splitlines() == [
+        "field,value", '"a,b","say ""hi"""', 'text,"two', 'lines"',
+        "plain,0.10000000000000001", "top,inf"]
