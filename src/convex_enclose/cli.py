@@ -93,7 +93,7 @@ def _to_json(value, indent=0):
 
 
 def _csv_cell(text: str) -> str:
-    if any(ch in text for ch in ',"\n'):
+    if any(ch in text for ch in ',"\n\r'):
         return '"' + text.replace('"', '""') + '"'
     return text
 

@@ -18,8 +18,12 @@ for error reporting; spans are ignored by structural equality.
 A parsed tree is lowered once into nested closures, so no evaluation
 walks the tree: ``lower_value`` gives t -> value, and ``_lower_jet`` gives
 t -> (value, f'-, f'+) with closed-form one-sided slopes, variable
-exponents included.  At an abs/max kink each side picks its branch;
-sqrt, ln and ^ produce signed infinities where the tangent is vertical.
+exponents included.  Constants and t get no closures of their own where
+their parent folds them: the parent binds a leaf's slots to locals and
+runs the generic rule's float operations unchanged, so a walk makes about
+one Python call per operator and every bit of its result is kept.  At an
+abs/max kink each side picks its branch; sqrt, ln and ^ produce signed
+infinities where the tangent is vertical.
 The fused walk serves both sides at once: it is the function's jet
 (``convex_core.Jet``), which the integrator calls once per point, and
 f'- and f'+ read it too.  Where only a side-specific check can decide, a
@@ -241,7 +245,9 @@ def _slope_factor(u: float, c: float, span) -> float:
 
 def lower_value(node) -> Callable[[float], float]:
     """Closure t -> value of the tree; raises DomainError outside a
-    function's math domain.  Children are evaluated first, left to right."""
+    function's math domain.  Children are evaluated first, left to right.
+    A constant operand of + - * and a variable-free exponent are folded
+    into their parent's closure; t lowers to the builtin float."""
     if isinstance(node, Num):
         value = node.value
         return lambda t: value
@@ -263,16 +269,44 @@ def lower_value(node) -> Callable[[float], float]:
             return lambda t: _ln(g(t), t)
         return lambda t: _sqrt(g(t), t)
     left, right = lower_value(node.left), lower_value(node.right)
+    if node.op == "^":
+        span, c = node.span, _fixed_exponent(node.right, right)
+        if c is None:
+            return lambda t: _pow_value(left(t), right(t), span)
+        return lambda t: _pow_value(left(t), c, span)
+    if node.op == "/":
+        return lambda t: _div(left(t), right(t), t)
+    if isinstance(node.right, Num):  # a constant operand is read from the closure
+        c = node.right.value
+        if node.op == "+":
+            return lambda t: left(t) + c
+        if node.op == "-":
+            return lambda t: left(t) - c
+        return lambda t: left(t) * c
+    if isinstance(node.left, Num):
+        c = node.left.value
+        if node.op == "+":
+            return lambda t: c + right(t)
+        if node.op == "-":
+            return lambda t: c - right(t)
+        return lambda t: c * right(t)
     if node.op == "+":
         return lambda t: left(t) + right(t)
     if node.op == "-":
         return lambda t: left(t) - right(t)
-    if node.op == "*":
-        return lambda t: left(t) * right(t)
-    if node.op == "/":
-        return lambda t: _div(left(t), right(t), t)
-    span = node.span
-    return lambda t: _pow_value(left(t), right(t), span)
+    return lambda t: left(t) * right(t)
+
+
+def _fixed_exponent(node, walk):
+    """The value of a variable-free exponent from its value walk, computed
+    once at lowering; None where the exponent varies, or where the walk
+    raises, which it then does on each call, so that the error names t."""
+    if _is_constant(node):
+        try:
+            return walk(0.0)
+        except DomainError:
+            pass
+    return None
 
 
 def _exp(u: float, t: float) -> float:
@@ -343,6 +377,16 @@ def _lower_jet(node, side: int):
     the fused walk returns, its value is lower_value's and each slot is
     what that side's one-sided walk gives; the other slot of a one-sided
     walk means nothing.
+
+    A constant or t is folded into its parent where the expressions the
+    program is fed put it: beside another leaf under + - *, left of *
+    (c*w, t*w), under exp or ln, or, in the fused walk, under sqrt or a
+    constant power.  The parent binds the leaf's slots, (c, 0.0, 0.0) or
+    (float(t), 1.0, 1.0), to locals and runs the generic rule's float
+    operations unchanged and in the same order.  No term is simplified
+    away (0.0 * w stays), because signed zeros and the NaN of 0 * inf must
+    match.  A variable-free exponent is evaluated once at lowering (see
+    _fixed_exponent).  Elsewhere a leaf keeps its own closure.
     """
     if isinstance(node, Num):
         triple = (node.value, 0.0, 0.0)
@@ -357,6 +401,9 @@ def _lower_jet(node, side: int):
             return -v, -dm, -dp
         return neg
     if isinstance(node, Call):
+        if isinstance(node.args[0], Var) and node.func in _JETS_OF_T and (
+                node.func != "sqrt" or not side):
+            return _JETS_OF_T[node.func]
         gs = [_lower_jet(a, side) for a in node.args]
         g = gs[0]
         if node.func == "max":
@@ -416,16 +463,29 @@ def _lower_jet(node, side: int):
             r = 0.5 / v
             return v, dm * r, dp * r
         return sqrt_
-    left = _lower_jet(node.left, side)
     if node.op == "^":
         span = node.span
         if _is_constant(node.right):
             # slope 0; the slope walk of sqrt(0) would raise where its value does not
             exponent = lower_value(node.right)
+            fixed = _fixed_exponent(node.right, exponent)
+            if isinstance(node.left, Var) and not side:
+                def power_of_t(t):  # power with u, dm, dp bound to float(t), 1.0, 1.0
+                    u = float(t)
+                    c = exponent(t) if fixed is None else fixed
+                    value = _pow_value(u, c, span)
+                    if c == 0.0 or u == 0.0:
+                        raise _SidesDiffer
+                    if c == 1.0:
+                        return value, 1.0, 1.0
+                    d = _slope_factor(u, c, span) * 1.0
+                    return value, d, d
+                return power_of_t
+            left = _lower_jet(node.left, side)
 
             def power(t):
                 u, dm, dp = left(t)
-                c = exponent(t)
+                c = exponent(t) if fixed is None else fixed
                 value = _pow_value(u, c, span)
                 if c == 0.0 or u == 0.0:
                     if not side:
@@ -437,7 +497,7 @@ def _lower_jet(node, side: int):
                 k = _slope_factor(u, c, span)
                 return value, k * dm, k * dp
             return power
-        right = _lower_jet(node.right, side)
+        left, right = _lower_jet(node.left, side), _lower_jet(node.right, side)
 
         def variable_power(t):
             u, um, up = left(t)
@@ -452,7 +512,10 @@ def _lower_jet(node, side: int):
             d = _power_slope(value, u, (um, up)[side - 1], c, (cm, cp)[side - 1], span)
             return value, d, d
         return variable_power
-    right = _lower_jet(node.right, side)
+    x, y = _leaf(node.left), _leaf(node.right)
+    if x and (y or node.op == "*") and node.op != "/":
+        return _fold_jet(node, x, y, side)
+    left, right = _lower_jet(node.left, side), _lower_jet(node.right, side)
     if node.op == "+":
         def add(t):
             u, um, up = left(t)
@@ -478,6 +541,79 @@ def _lower_jet(node, side: int):
         v, ww = _div(u, w, t), w * w
         return v, (um * w - u * wm) / ww, (up * w - u * wp) / ww
     return div
+
+
+# The jets of exp, ln and sqrt of t: the generic rules with u, dm, dp bound to
+# float(t), 1.0, 1.0, products with the slope 1.0 kept.  The jet of sqrt(t)
+# serves the fused walk only: at t = 0 it leaves each side to its own walk.
+def _exp_jet_of_t(t):
+    v = _exp(float(t), t)
+    d = v * 1.0
+    return v, d, d
+
+
+def _ln_jet_of_t(t):
+    u = float(t)
+    v, r = _ln(u, t), 1.0 / u
+    d = 1.0 * r
+    return v, d, d
+
+
+def _sqrt_jet_of_t(t):
+    u = float(t)
+    v = _sqrt(u, t)
+    if u == 0.0:
+        raise _SidesDiffer
+    d = 1.0 * (0.5 / v)
+    return v, d, d
+
+
+_JETS_OF_T = {"exp": _exp_jet_of_t, "ln": _ln_jet_of_t, "sqrt": _sqrt_jet_of_t}
+
+
+def _leaf(node):
+    """The slots (value, slope) of a constant, (None, 1.0) of t, whose value
+    is float(t), or None of any other node."""
+    if isinstance(node, Num):
+        return node.value, 0.0
+    return (None, 1.0) if isinstance(node, Var) else None
+
+
+def _fold_jet(node, x, y, side: int):
+    """_lower_jet of u + w, u - w or u * w where x and y, the _leaf slots of
+    u and w, are both set, or of u * w where only x is.  A leaf's slots are
+    locals, and the generic rule's float operations run unchanged and in the
+    same order."""
+    (a, da), op = x, node.op
+    if not y:
+        right = _lower_jet(node.right, side)
+
+        def mul_left_leaf(t):
+            u = float(t) if a is None else a
+            w, wm, wp = right(t)
+            return u * w, da * w + u * wm, da * w + u * wp
+        return mul_left_leaf
+    b, db = y
+    if op == "*":
+        def mul_leaves(t):
+            u = float(t) if a is None else a
+            w = float(t) if b is None else b
+            d = da * w + u * db
+            return u * w, d, d
+        return mul_leaves
+    d = da + db if op == "+" else da - db
+    if op == "+":
+        def add_leaves(t):
+            u = float(t) if a is None else a
+            w = float(t) if b is None else b
+            return u + w, d, d
+        return add_leaves
+
+    def sub_leaves(t):
+        u = float(t) if a is None else a
+        w = float(t) if b is None else b
+        return u - w, d, d
+    return sub_leaves
 
 
 # Convexity proof by composition rules, in the style of disciplined convex

@@ -752,9 +752,8 @@ def _csv_rows(value, prefix=""):
     return [[prefix, format(value, ".17g") if isinstance(value, float) else value]]
 
 
-# a reader ends a row at a bare carriage return, which the writer does not quote
 @settings(derandomize=True, max_examples=300)
-@given(_documents(st.text(st.characters(exclude_characters="\r\x00"))))
+@given(_documents(st.text(st.characters(exclude_characters="\x00"))))
 def test_csv_writer_reads_back_cell_by_cell(doc):
     rows = list(csv.reader(io.StringIO(cli._to_csv(doc) + "\n")))
     assert rows == [["field", "value"]] + _csv_rows(doc)
@@ -765,3 +764,14 @@ def test_csv_writer_quotes_commas_quotes_and_newlines():
     assert cli._to_csv(doc).splitlines() == [
         "field,value", '"a,b","say ""hi"""', 'text,"two', 'lines"',
         "plain,0.10000000000000001", "top,inf"]
+
+
+def test_csv_quotes_a_carriage_return(capsys):
+    # a reader ends an unquoted cell at a bare carriage return
+    code = run(["--format", "csv", "prob", "--density=2*t\r", "--a=0", "--b=1"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert 'input.density,"2*t\r"\n' in out
+    rows = list(csv.reader(io.StringIO(out)))
+    assert ["input.density", "2*t\r"] in rows
+    assert all(len(row) == 2 for row in rows)

@@ -392,6 +392,33 @@ def _outcome(func, *args):
     return float.hex(result)
 
 
+# Where the lowering binds a constant or t to locals (see lower_value and
+# _fold_jet), each input reaches a folded rule of the value walk, the jet or
+# both at a point where a simplified formula would differ: signed zeros, and
+# 0 * inf where t*1e200*1e200 overflows (at 1) or has the slope inf (at 0).
+# Inputs whose jet position is not folded guard the generic rule it keeps.
+_FOLD_EXAMPLES = [
+    # a constant 0 beside t, and beside t*1e200*1e200
+    ("0 + t", []), ("t + 0", []), ("0 - t", []), ("0*t", [-1.5]), ("t*0", [-1.5]),
+    ("0 + t*1e200*1e200", []), ("t*1e200*1e200 + 0", []), ("0 - t*1e200*1e200", []),
+    ("0*(t*1e200*1e200)", [1.0]), ("(t*1e200*1e200)*0", [1.0]),
+    # the slope terms of a constant: 0 * inf, 0.0 + -0.0 and 0.0 - 0.0
+    ("2*(t*1e200*1e200)", [1.0]), ("(t*1e200*1e200)*2", [1.0]), ("0*(1 - t)", [0.5]),
+    ("1 + -(0*t)", [1.5]), ("-(0*t) + 1", [1.5]), ("1 - 0*t", [1.5]),
+    # exp of t past overflow; ln, sqrt and t^c of t at -0.0 and 0.0
+    ("exp(t)", [709.0, 710.0]), ("ln(t)", []), ("sqrt(t)", []), ("t^2", []),
+    ("t^(-0.5)", []), ("t^1 + t^0", []),
+    # a constant exponent that raises: the error names t on each call
+    ("t^((2)/(0))", [1.0]), ("t^(ln(0))", []),
+]
+
+
+def _fold_examples(test):
+    for source, points in reversed(_FOLD_EXAMPLES):
+        test = example(source, points)(test)
+    return test
+
+
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(_SOURCES, st.lists(_POINTS, max_size=4))
 # the slope of t*sqrt(t) at 0 is 1*0 + 0*inf, a NaN that these rules must reject
@@ -405,6 +432,7 @@ def _outcome(func, *args):
 @example("(t+2)^(abs(t*1e200*1e200) - t*1e200*1e200)", [])
 @example("(abs(t))^(t+1)", [])  # the sides of the base differ at 0
 @example("(-abs(t) - 1)^(max(2, 2 + t))", [])  # base < 0: only f'+ sees c vary, and raises
+@_fold_examples
 def test_lowering_matches_tree_walk(source, points):
     tree = parse_expression(source)
     value = lower_value(tree)
@@ -428,6 +456,7 @@ def test_lowering_matches_tree_walk(source, points):
 @example("1e200*t*1e200 - 1e200*t*1e200", [])  # slopes inf - inf: a NaN the jet rejects
 @example("max(t*sqrt(t), 1)", [])
 @example("t^t", [0.5])
+@_fold_examples
 def test_jet_matches_the_three_oracles(source, points):
     cf = convex_function_from_expression(source, UNIT)[0]
     assert cf.interior_jet() is cf.jet.call
@@ -528,6 +557,37 @@ def test_smooth_slopes_come_from_the_fused_walk(lowered_sides):
         assert cf.dminus(t) == cf.dplus(t) == pytest.approx(want, rel=1e-15)
         assert cf.jet.call(t)[1:] == (cf.dminus(t), cf.dplus(t))
     assert lowered_sides == [0]
+
+
+def _python_calls(func, t: float) -> list:
+    """The names of the Python functions that func(t) calls, its own included."""
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+    sys.setprofile(profile)
+    try:
+        func(t)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+@pytest.mark.parametrize("source, jet_calls, value_calls", [
+    # a cli_mix expression of three terms, and two of the integrator's twins;
+    # with a closure for each constant and t they make 26/20, 6/3 and 4/2 calls
+    ("0.5*(t - 0.3)^2 + 0.7*exp(1.2*t) + 0.3*t*ln(t)", 16, 14),
+    ("t*ln(t)", 4, 3),
+    ("exp(t)", 3, 2),
+])
+def test_a_constant_or_t_costs_its_parent_no_call(source, jet_calls, value_calls):
+    # the jet's count includes its wrapper; exp, ln and ^ check their domain
+    # in a function of their own
+    cf = convex_function_from_expression(source, UNIT)[0]
+    for func, count in ((cf.jet.call, jet_calls), (cf.fn, value_calls)):
+        calls = _python_calls(func, 0.5)
+        assert len(calls) == count, calls
 
 
 @pytest.mark.parametrize("source, point, slopes, sides", [
