@@ -126,7 +126,7 @@ def hinge(center: float, interval: Interval) -> ConvexFunction:
         domain=interval,
         fn=lambda t: max(0.0, t - c),
         dminus=lambda t: 0.0 if t <= c else 1.0,
-        dplus=lambda t: 1.0 if t > c else (1.0 if t == c else 0.0),
+        dplus=lambda t: 1.0 if t >= c else 0.0,
         jet=lambda t: (max(0.0, t - c), 0.0 if t <= c else 1.0, 1.0 if t >= c else 0.0),
         antiderivative=lambda t: 0.5 * max(0.0, t - c) ** 2,
         kinks=(c,) if interval.lo < c < interval.hi else (),
@@ -194,8 +194,3 @@ def shifted_square(center: float, interval: Interval) -> ConvexFunction:
         name=f"(t - {c:g})^2",
     )
 
-
-def centered_kink(interval: Interval, k: float = 1.0) -> ConvexFunction:
-    """k * |t - midpoint|: the witness achieving equality in the sharp bounds."""
-    f = abs_shift(interval.midpoint, interval)
-    return f if k == 1.0 else f.scaled(k)

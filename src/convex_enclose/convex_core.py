@@ -80,6 +80,12 @@ class Interval:
     def encloses(self, other: "Interval") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
 
+    def grid(self, cells: int) -> list:
+        """The cells + 1 evenly spaced points from lo to hi; the last is hi
+        itself, as lo + (hi - lo) can round above hi."""
+        lo, width = self.lo, self.hi - self.lo
+        return [lo + width * i / cells for i in range(cells)] + [self.hi]
+
 
 def _one_sided_limit(g, t, span, limit, sign):
     """Limit of a monotone g(s) as s tends to t from the side of ``limit``.
@@ -206,9 +212,9 @@ class ConvexFunction:
 
     @property
     def slope_slack(self) -> float:
-        """Relative slack of :func:`require_slope_order` for this function's
-        slopes: closed-form slopes differ only by rounding, sampled ones are
-        estimates."""
+        """Relative slack of this function's slopes in :func:`require_slope_order`
+        and :func:`check_convexity`: closed-form slopes differ only by
+        rounding, sampled ones are estimates."""
         return 1e-9 if self.certified else 1e-6
 
     def endpoint_slopes(self) -> tuple:
@@ -276,14 +282,12 @@ def check_convexity(f: ConvexFunction) -> ConvexityReport:
     f'+(s) <= f'-(t) <= f'+(t) along the grid.  The tolerance is
     1e-9 relative to the sampled value range plus 8 ulp of the largest |f|
     on the grid, because floating-point midpoint tests on exactly convex
-    functions can show round-off violations; sampled derivative oracles
-    get a wider allowance for estimation noise.
+    functions can show round-off violations; the slopes' tolerance is
+    ``f.slope_slack`` relative to the largest finite slope on the grid.
     """
     lo, hi = f.domain.lo, f.domain.hi
     n = _CONVEXITY_SAMPLES
-    grid = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
-    grid[-1] = hi
-    grid = list(dict.fromkeys(grid))  # an interval of fewer than n floats repeats points
+    grid = list(dict.fromkeys(f.domain.grid(n - 1)))  # an interval of < n floats repeats points
     values = [f(t) for t in grid]
     for t, v in zip(grid, values):
         if not math.isfinite(v):
@@ -325,7 +329,7 @@ def check_convexity(f: ConvexFunction) -> ConvexityReport:
     lefts = [None] + [f.left_derivative(t) for t in grid[1:]]
     finite = [abs(d) for d in rights + lefts[1:] if d is not None and math.isfinite(d)]
     dscale = max([1.0] + finite)
-    deriv_tol = _CONVEXITY_REL_TOL * dscale * (1.0 if f.certified else 1e3)
+    deriv_tol = f.slope_slack * dscale
     for i in range(1, len(grid) - 1):
         # Interior points: left slope must not exceed right slope.
         record(lefts[i] - rights[i], (grid[i], grid[i]), deriv_tol)

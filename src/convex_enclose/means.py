@@ -132,19 +132,6 @@ class SpecialMeans:
     p_logarithmic: float
 
 
-def _logarithmic_mean(a: float, b: float) -> float:
-    return (b - a) / (math.log(b) - math.log(a))
-
-
-def _identric_mean(a: float, b: float) -> float:
-    # log-domain form of (1/e)(b^b/a^a)^(1/(b-a)), safe from overflow
-    return math.exp((b * math.log(b) - a * math.log(a)) / (b - a) - 1.0)
-
-
-def _p_logarithmic_mean(a: float, b: float, p: float) -> float:
-    return ((math.pow(b, p + 1.0) - math.pow(a, p + 1.0)) / ((p + 1.0) * (b - a))) ** (1.0 / p)
-
-
 def special_means(a: float, b: float, p: float) -> SpecialMeans:
     """Closed-form special means of two positive numbers a < b.
 
@@ -163,9 +150,11 @@ def special_means(a: float, b: float, p: float) -> SpecialMeans:
         raise DomainError("p-logarithmic mean excludes p in {-1, 0}")
     return SpecialMeans(
         arithmetic=0.5 * (a + b),
-        logarithmic=_logarithmic_mean(a, b),
-        identric=_identric_mean(a, b),
-        p_logarithmic=_p_logarithmic_mean(a, b, p),
+        logarithmic=(b - a) / (math.log(b) - math.log(a)),
+        # log-domain form of (1/e)(b^b/a^a)^(1/(b-a)), safe from overflow
+        identric=math.exp((b * math.log(b) - a * math.log(a)) / (b - a) - 1.0),
+        p_logarithmic=((math.pow(b, p + 1.0) - math.pow(a, p + 1.0))
+                       / ((p + 1.0) * (b - a))) ** (1.0 / p),
     )
 
 
@@ -187,17 +176,13 @@ def verify_mean_inequalities(a: float, b: float, c: float, d: float, p: float):
         raise DomainError("need [c, d] inside [a, b] inside the positive axis")
     if not math.isfinite(p):
         raise DomainError("the kernel suite needs a finite p")
-    if p == -1.0 or p == 0.0:
-        raise DomainError("p-logarithmic mean excludes p in {-1, 0}")
     full = Interval(a, b)
     sub = Interval(c, d)
+    outer, inner = special_means(a, b, p), special_means(c, d, p)
     kernels = [
-        (f"t^{p:g}", catalog.power(p, full),
-         _p_logarithmic_mean(a, b, p) ** p - _p_logarithmic_mean(c, d, p) ** p),
-        ("1/t", catalog.power(-1.0, full),
-         1.0 / _logarithmic_mean(a, b) - 1.0 / _logarithmic_mean(c, d)),
-        ("-ln(t)", catalog.neg_log(full),
-         math.log(_identric_mean(c, d)) - math.log(_identric_mean(a, b))),
+        (f"t^{p:g}", catalog.power(p, full), outer.p_logarithmic ** p - inner.p_logarithmic ** p),
+        ("1/t", catalog.power(-1.0, full), 1.0 / outer.logarithmic - 1.0 / inner.logarithmic),
+        ("-ln(t)", catalog.neg_log(full), math.log(inner.identric) - math.log(outer.identric)),
     ]
     entries = []
     for label, fn, closed in kernels:

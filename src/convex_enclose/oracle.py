@@ -1,6 +1,7 @@
 """Independent ground truth for containment and equality tests.
 
-Two paths: exact antiderivatives (closed form) and an adaptive Simpson
+Two paths: exact antiderivatives (closed form), taken whenever the
+function carries one unless Simpson is asked for, and an adaptive Simpson
 integrator with kink-aware splitting.  The Simpson path shares no code
 or formulas with the certified bound modules, so containment tests
 against it are non-circular.  Neither path returns an error estimate.
@@ -92,19 +93,16 @@ def reference_integral(f: ConvexFunction, interval: Optional[Interval] = None,
     Catalog functions carry exact antiderivatives and are evaluated in
     closed form (kink points split exactly); everything else goes through
     adaptive Simpson with tolerance ``tol``, default 1e-13 * (1 + |result|).
-    ``method`` can force either path.
+    ``method=ADAPTIVE_SIMPSON`` skips the antiderivative.
     """
     target = interval if interval is not None else f.domain
     if not f.domain.encloses(target):
         raise DomainError("integration interval must lie inside the function domain")
-    if method not in ("auto", CLOSED_FORM, ADAPTIVE_SIMPSON):
+    if method not in ("auto", ADAPTIVE_SIMPSON):
         raise ValueError(f"unknown oracle method {method!r}")
-    if method == CLOSED_FORM and f.antiderivative is None:
-        raise ValueError("no closed-form antiderivative available")
 
-    use_closed = f.antiderivative is not None and method != ADAPTIVE_SIMPSON
     pts = _breakpoints(target.lo, target.hi, f.kinks)
-    if use_closed:
+    if f.antiderivative is not None and method == "auto":
         anti = f.antiderivative
         total = math.fsum(anti(b) - anti(a) for a, b in zip(pts, pts[1:]))
         return OracleResult(value=total, method=CLOSED_FORM)

@@ -8,6 +8,10 @@ the pointwise convex bounds on F into computable enclosures of
 
 and hence of F(x) itself.  The one-sided limits of the density are F's
 one-sided derivatives, so a model is its CDF (and E(X)).
+
+Each factory checks the density on a grid that ends at b itself; the
+uniform, power and exponential densities share ``_smooth_model``, which
+makes the density both one-sided slopes of the CDF.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from .pointwise import Enclosure, ostrowski_lower, ostrowski_upper
 
 _NORMALIZATION_TOL = 1e-9
 _DENSITY_INTEGRAL_TOL = 1e-10
-_VALIDATION_GRID = 65
+_VALIDATION_CELLS = 64
 
 
 @dataclass(frozen=True)
@@ -34,11 +38,23 @@ class RandomVariableModel:
     ``cdf.left_derivative`` / ``cdf.right_derivative`` are the one-sided
     limits of the density (they differ only at jump points).  The density
     itself is not kept: each factory samples it on a grid once, to
-    validate it, before it builds the model.
+    validate it, before it builds the model, which checks that its CDF
+    runs from 0 to 1 and that E(X) lies in the support.
     """
 
     cdf: ConvexFunction = field(repr=False)
     expectation: float
+
+    def __post_init__(self):
+        a, b = self.support.lo, self.support.hi
+        f0 = self.cdf(a)
+        f1 = self.cdf(b)
+        if abs(f0) > _NORMALIZATION_TOL or abs(f1 - 1.0) > _NORMALIZATION_TOL:
+            raise InconsistentModelError(
+                f"cdf spans [{f0}, {f1}]; the density must integrate to 1"
+            )
+        if not a <= self.expectation <= b:
+            raise InconsistentModelError("expectation outside the support")
 
     @property
     def support(self) -> Interval:
@@ -47,9 +63,7 @@ class RandomVariableModel:
 
 def _check_density(density, sup: Interval) -> None:
     """The density must be finite, nonnegative and nondecreasing on a grid."""
-    a, b = sup.lo, sup.hi
-    grid = [a + (b - a) * i / (_VALIDATION_GRID - 1) for i in range(_VALIDATION_GRID)]
-    grid[-1] = b  # a + (b - a) can round above b, where the density may be undefined
+    grid = sup.grid(_VALIDATION_CELLS)
     values = [density(t) for t in grid]
     for t, v in zip(grid, values):
         if not math.isfinite(v):
@@ -64,33 +78,19 @@ def _check_density(density, sup: Interval) -> None:
             )
 
 
-def _validate(model: RandomVariableModel) -> RandomVariableModel:
-    a, b = model.support.lo, model.support.hi
-    f0 = model.cdf(a)
-    f1 = model.cdf(b)
-    if abs(f0) > _NORMALIZATION_TOL or abs(f1 - 1.0) > _NORMALIZATION_TOL:
-        raise InconsistentModelError(
-            f"cdf spans [{f0}, {f1}]; the density must integrate to 1"
-        )
-    if not a <= model.expectation <= b:
-        raise InconsistentModelError("expectation outside the support")
-    return model
+def _smooth_model(sup: Interval, density, cdf_fn, expectation: float) -> RandomVariableModel:
+    """The model of a continuous density in closed form: the density is
+    checked on the grid, then it is both one-sided slopes of the CDF."""
+    _check_density(density, sup)
+    cdf = ConvexFunction(domain=sup, fn=cdf_fn, dminus=density, dplus=density)
+    return RandomVariableModel(cdf=cdf, expectation=expectation)
 
 
 def uniform_model(a: float, b: float) -> RandomVariableModel:
     """Constant density on [a, b]."""
     sup = Interval(a, b)
     c = 1.0 / sup.width
-    density = lambda t: c
-    _check_density(density, sup)
-    cdf = ConvexFunction(
-        domain=sup,
-        fn=lambda x: (x - sup.lo) * c,
-        dminus=density,
-        dplus=density,
-        name="uniform cdf",
-    )
-    return _validate(RandomVariableModel(cdf=cdf, expectation=sup.midpoint))
+    return _smooth_model(sup, lambda t: c, lambda x: (x - sup.lo) * c, sup.midpoint)
 
 
 def power_density_model(k: float, a: float, b: float) -> RandomVariableModel:
@@ -102,34 +102,24 @@ def power_density_model(k: float, a: float, b: float) -> RandomVariableModel:
     if sup.lo < 0.0:
         raise DomainError("power density needs a >= 0")
     norm = (math.pow(sup.hi, k + 1.0) - math.pow(sup.lo, k + 1.0)) / (k + 1.0)
-    density = lambda t: math.pow(t, k) / norm
-    _check_density(density, sup)
-    cdf = ConvexFunction(
-        domain=sup,
-        fn=lambda x: (math.pow(x, k + 1.0) - math.pow(sup.lo, k + 1.0)) / ((k + 1.0) * norm),
-        dminus=density,
-        dplus=density,
-        name=f"t^{k:g} cdf",
+    return _smooth_model(
+        sup,
+        lambda t: math.pow(t, k) / norm,
+        lambda x: (math.pow(x, k + 1.0) - math.pow(sup.lo, k + 1.0)) / ((k + 1.0) * norm),
+        (math.pow(sup.hi, k + 2.0) - math.pow(sup.lo, k + 2.0)) / ((k + 2.0) * norm),
     )
-    expectation = (math.pow(sup.hi, k + 2.0) - math.pow(sup.lo, k + 2.0)) / ((k + 2.0) * norm)
-    return _validate(RandomVariableModel(cdf=cdf, expectation=expectation))
 
 
 def exponential_density_model(a: float, b: float) -> RandomVariableModel:
     """Density proportional to exp(t) on [a, b]."""
     sup = Interval(a, b)
     norm = math.exp(sup.hi) - math.exp(sup.lo)
-    density = lambda t: math.exp(t) / norm
-    _check_density(density, sup)
-    cdf = ConvexFunction(
-        domain=sup,
-        fn=lambda x: (math.exp(x) - math.exp(sup.lo)) / norm,
-        dminus=density,
-        dplus=density,
-        name="exp cdf",
+    return _smooth_model(
+        sup,
+        lambda t: math.exp(t) / norm,
+        lambda x: (math.exp(x) - math.exp(sup.lo)) / norm,
+        ((sup.hi - 1.0) * math.exp(sup.hi) - (sup.lo - 1.0) * math.exp(sup.lo)) / norm,
     )
-    expectation = ((sup.hi - 1.0) * math.exp(sup.hi) - (sup.lo - 1.0) * math.exp(sup.lo)) / norm
-    return _validate(RandomVariableModel(cdf=cdf, expectation=expectation))
 
 
 def step_density_model(a: float, b: float, split: float, low: float) -> RandomVariableModel:
@@ -160,10 +150,10 @@ def step_density_model(a: float, b: float, split: float, low: float) -> RandomVa
 
     cdf = ConvexFunction(
         domain=sup, fn=cdf_fn, dminus=lambda t: low if t <= split else high,
-        dplus=density, kinks=(split,), name="step cdf",
+        dplus=density, kinks=(split,),
     )
     expectation = 0.5 * low * (split**2 - sup.lo**2) + 0.5 * high * (sup.hi**2 - split**2)
-    return _validate(RandomVariableModel(cdf=cdf, expectation=expectation))
+    return RandomVariableModel(cdf=cdf, expectation=expectation)
 
 
 def model_from_density(fn, a: float, b: float) -> RandomVariableModel:
@@ -187,11 +177,11 @@ def model_from_density(fn, a: float, b: float) -> RandomVariableModel:
         domain=sup, fn=cdf_fn,
         dminus=lambda t: _one_sided_limit(fn, t, span, sup.lo, -1),
         dplus=lambda t: _one_sided_limit(fn, t, span, sup.hi, +1),
-        name="sampled cdf", certified=False,
+        certified=False,
     )
     expectation = integrate_callable(lambda t: t * fn(t), sup.lo, sup.hi,
                                      _DENSITY_INTEGRAL_TOL)
-    return _validate(RandomVariableModel(cdf=cdf, expectation=expectation))
+    return RandomVariableModel(cdf=cdf, expectation=expectation)
 
 
 def cdf_gap_enclosure(m: RandomVariableModel, x: float) -> Enclosure:

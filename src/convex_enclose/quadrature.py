@@ -79,9 +79,7 @@ class Partition:
         """n equal cells tagged at their midpoints."""
         if n < 1:
             raise PartitionError("need at least one cell")
-        a, b = interval.lo, interval.hi
-        nodes = [a + (b - a) * i / n for i in range(n + 1)]
-        nodes[-1] = b
+        nodes = interval.grid(n)
         tags = [0.5 * (u + v) for u, v in zip(nodes, nodes[1:])]
         return cls(tuple(nodes), tuple(tags))
 

@@ -3,12 +3,15 @@
 Each function restates a certified bound in a second closed form (grouped
 by node instead of by cell, or specialized to differentiable functions).
 The tests check that both forms agree, which pins the algebra of the
-bounds without putting the rewrites in the public API.
+bounds without putting the rewrites in the public API.  ``centered_kink``
+is the witness of the sharpness criteria: it attains equality in the
+sharp bounds.
 """
 
 import math
 
-from convex_enclose.convex_core import ConvexFunction
+from convex_enclose import catalog
+from convex_enclose.convex_core import ConvexFunction, Interval
 from convex_enclose.errors import (
     ConvexEncloseError,
     DomainError,
@@ -120,3 +123,9 @@ def quadratic_form_upper(f: ConvexFunction, x: float) -> float:
     spread = b_slope - a_slope
     x0 = (b * b_slope - a * a_slope) / spread
     return 0.5 * spread * ((x - x0) ** 2 - a_slope * b_slope * (b - a) ** 2 / spread**2)
+
+
+def centered_kink(interval: Interval, k: float = 1.0) -> ConvexFunction:
+    """k * |t - midpoint|: the witness achieving equality in the sharp bounds."""
+    f = catalog.abs_shift(interval.midpoint, interval)
+    return f if k == 1.0 else f.scaled(k)

@@ -46,7 +46,7 @@ from convex_enclose.selftest import (
     random_interval,
     random_partition,
 )
-from identities import differentiable_lower_form, remainder_upper_by_node
+from identities import centered_kink, differentiable_lower_form, remainder_upper_by_node
 
 UNIT = Interval(0.0, 1.0)
 
@@ -64,7 +64,7 @@ def random_kink_family(rng):
     a = rng.uniform(-3.0, 2.0)
     b = a + rng.uniform(0.4, 3.5)
     k = rng.uniform(0.1, 5.0)
-    return catalog.centered_kink(Interval(a, b), k), k
+    return centered_kink(Interval(a, b), k), k
 
 
 def test_criterion_1_pointwise_sharpness():

@@ -18,7 +18,7 @@ from convex_enclose.errors import DomainError, NonConvexError, UndefinedSideErro
 from convex_enclose.extreal import INF
 from convex_enclose.expressions import convex_function_from_expression
 from black_box import sampled_function
-from identities import NotDifferentiableError, two_sided_derivative
+from identities import NotDifferentiableError, centered_kink, two_sided_derivative
 
 UNIT = Interval(0.0, 1.0)
 
@@ -66,7 +66,7 @@ def test_eval_outside_domain():
 
 def test_right_derivative_examples():
     # kink witness k|t - (a+b)/2| has right slope k at the center
-    f = catalog.centered_kink(UNIT, k=1.0)
+    f = centered_kink(UNIT, k=1.0)
     assert f.right_derivative(0.5) == 1.0
     aff = catalog.affine(1.0, 3.0, UNIT)
     assert aff.right_derivative(0.7) == 3.0
@@ -311,7 +311,7 @@ _JET_CASES = [
     (catalog.affine(0.5, -2.0, Interval(-1.0, 1.0)), ()),
     (catalog.neg_sqrt(Interval(0.0, 2.0)), (0.0,)),
     (catalog.shifted_square(0.2, UNIT), (0.2,)),
-    (catalog.centered_kink(Interval(-1.0, 3.0)), (1.0,)),
+    (centered_kink(Interval(-1.0, 3.0)), (1.0,)),
 ]
 
 

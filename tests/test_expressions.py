@@ -432,6 +432,9 @@ def _fold_examples(test):
 @example("(t+2)^(abs(t*1e200*1e200) - t*1e200*1e200)", [])
 @example("(abs(t))^(t+1)", [])  # the sides of the base differ at 0
 @example("(-abs(t) - 1)^(max(2, 2 + t))", [])  # base < 0: only f'+ sees c vary, and raises
+# the slope factor c u^(c-1) overflows where u^c does not: a numerical failure
+@example("(((max(0, 0.5))*((t)^0.5))/(1e300))^(-1)", [3.0])
+@example("max(sqrt((abs(t))^(-1)), 1e300)", [1e-200])
 @_fold_examples
 def test_lowering_matches_tree_walk(source, points):
     tree = parse_expression(source)

@@ -65,10 +65,13 @@ def test_simpson_on_black_box_kink():
     assert res.value == pytest.approx(0.29, abs=1e-11)
 
 
-def test_forcing_closed_form_without_antiderivative():
-    f = sampled_function(lambda t: t * t, UNIT)
-    with pytest.raises(ValueError):
-        reference_integral(f, method=CLOSED_FORM)
+def test_oracle_methods_are_auto_and_simpson_only():
+    # the closed form is taken whenever an antiderivative exists; it is a
+    # result label, not a method a caller can force
+    for f in (catalog.shifted_square(0.0, UNIT), sampled_function(lambda t: t * t, UNIT)):
+        for method in (CLOSED_FORM, "simpson"):
+            with pytest.raises(ValueError, match="unknown oracle method"):
+                reference_integral(f, method=method)
 
 
 def test_brute_force_hh_matches_closed_chi_square():

@@ -24,6 +24,7 @@ from convex_enclose.selftest import random_convex_case
 from identities import (
     DegenerateSlopesError,
     NotDifferentiableError,
+    centered_kink,
     differentiable_lower,
     quadratic_form_upper,
 )
@@ -195,7 +196,7 @@ def test_sharpness_family():
         a = rng.uniform(-2.0, 1.0)
         b = a + rng.uniform(0.5, 3.0)
         k = rng.uniform(0.2, 4.0)
-        f = catalog.centered_kink(Interval(a, b), k)
+        f = centered_kink(Interval(a, b), k)
         x = f.domain.midpoint
         true = oracle_gap(f, x)
         lo = ostrowski_lower(f, x)

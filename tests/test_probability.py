@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from convex_enclose.convex_core import check_convexity
+from convex_enclose.convex_core import ConvexFunction, Interval, check_convexity
 from convex_enclose.errors import DomainError, InconsistentModelError
 from convex_enclose.extreal import INF
 from convex_enclose.oracle import reference_integral
@@ -17,6 +17,7 @@ from convex_enclose.probability import (
     step_density_model,
     uniform_model,
 )
+from convex_enclose.quadrature import Partition
 from convex_enclose.selftest import random_density_model
 
 
@@ -161,14 +162,29 @@ def test_black_box_density_matches_closed_form():
 
 
 def test_density_is_never_called_outside_its_support():
-    # ends with 3 decimals, as prob requests draw them; for some, a + (b - a) rounds above b
+    # ends with 3 decimals, as prob requests draw them; for some, a + (b - a) rounds above b.
+    # Every uniform grid comes from Interval.grid: the density check's, the
+    # convexity check's and Partition.uniform's; none may step past b.
     rng = random.Random(89)
+    rounds_above = 0
     for _ in range(300):
         a = round(rng.uniform(0.0, 1.0), 3)
         b = round(a + rng.uniform(0.5, 2.0), 3)
+        rounds_above += a + (b - a) > b
         calls = []
         model_from_density(lambda t: calls.append(t) or 1.0 / (b - a), a, b)
         assert a <= min(calls) and max(calls) <= b, (a, b)
+        sup = Interval(a, b)
+        for cells in (1, 64, 128):
+            grid = sup.grid(cells)
+            assert len(grid) == cells + 1 and grid[0] == a and grid[-1] == b, (a, b, cells)
+            assert Partition.uniform(sup, cells).nodes[-1] == b, (a, b, cells)
+        calls = []
+        record = lambda g: lambda t: calls.append(t) or g(t)
+        square = ConvexFunction(sup, fn=record(lambda t: t * t),
+                                dminus=record(lambda t: 2.0 * t), dplus=record(lambda t: 2.0 * t))
+        assert check_convexity(square).ok and a <= min(calls) and max(calls) <= b, (a, b)
+    assert rounds_above > 0
 
 
 def test_containment_fuzz():

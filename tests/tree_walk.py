@@ -9,7 +9,7 @@ raised exceptions included.
 
 import math
 
-from convex_enclose.errors import DomainError
+from convex_enclose.errors import DomainError, NumericalFailureError
 from convex_enclose.expressions import BinOp, Call, Neg, Num, Var, _pow_value
 from convex_enclose.extreal import INF, ensure_extended
 
@@ -108,7 +108,12 @@ def _value_and_slope(node, t: float, sign: int):
                 # vertical tangent of u^c at u = 0
                 ensure_extended(du)
                 return value, math.copysign(INF, c * du) if du != 0.0 else 0.0
-            return value, c * _pow_value(u, c - 1.0, node.span) * du
+            try:  # an overflowing slope factor is a numerical failure
+                factor = c * math.pow(u, c - 1.0)
+            except OverflowError as exc:
+                raise NumericalFailureError(
+                    f"the slope of {u} ^ {c} overflows near position {node.span[0]}") from exc
+            return value, factor * du
         u, du = _value_and_slope(node.left, t, sign)
         w, dw = _value_and_slope(node.right, t, sign)
         if node.op == "+":
