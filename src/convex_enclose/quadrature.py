@@ -10,18 +10,18 @@ The adaptive integrator uses it as an error indicator: starting from the
 domain ends and the known kinks, it bisects the cell of widest enclosure
 until the total width meets the tolerance.  Each new midpoint costs one
 call of the function's jet, which returns f and both one-sided slopes.
-Its cells are tuples that wait in a heap, widest first, until they are
-split or can never be split again.
+Each cell is one flat tuple that waits in a heap, widest first, until it
+is split or can never be split again.  A result's partition is built when read.
 
-Per-cell terms are summed in node order with math.fsum, so results are
-reproducible bit for bit.
+Per-cell terms are summed with math.fsum in whatever order the cells lie.
+fsum rounds correctly, so the bits do not depend on that order; only a sum
+that overflows midway does, and it is taken again in node order.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from array import array
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -67,14 +67,6 @@ class Partition:
         object.__setattr__(self, "tags", tags)
 
     @classmethod
-    def _validated(cls, nodes: tuple, tags: tuple) -> "Partition":
-        """A partition from float tuples that the caller has already checked."""
-        partition = object.__new__(cls)
-        object.__setattr__(partition, "nodes", nodes)
-        object.__setattr__(partition, "tags", tags)
-        return partition
-
-    @classmethod
     def uniform(cls, interval: Interval, n: int) -> "Partition":
         """n equal cells tagged at their midpoints."""
         if n < 1:
@@ -102,6 +94,14 @@ class QuadratureResult:
     remainder: Enclosure
     cells: int
     partition: Partition
+
+    def __getattr__(self, name):
+        # integrate_adaptive's results build their partition when it is first read
+        if name != "partition" or "_nodes" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        nodes = sorted(self.__dict__["_nodes"])
+        tags = [0.5 * (x0 + x1) for x0, x1 in zip(nodes, nodes[1:])]
+        return self.__dict__.setdefault("partition", Partition(nodes, tags))
 
     @property
     def integral_bounds(self) -> Enclosure:
@@ -187,15 +187,15 @@ def integrate_adaptive(f: ConvexFunction, tol: float,
     (f and both slopes, see ``ConvexFunction.interior_jet``) at each of the
     two new midpoints only: the children inherit the parent's endpoint
     slopes, and the parent's midpoint slopes become their inner endpoint
-    slopes.  A cell is one tuple, built when the cell is created,
-        (x0, x1, f'+(x0), f'-(x1), f'-(m), f'+(m), h f(m), lo, hi),
-    and waits in the heap as (-width, slot, cell).  The left child keeps
-    its parent's slot and the right child takes the next number, so ties
-    go to the older cell and cells are never compared.  Cells of no
-    positive width, and cells too narrow to bisect, go to a ``done`` list.  A
-    running sum of the cell widths only decides when to test; the test is
-    the returned result's own remainder width, summed cell by cell in node
-    order, so results are reproducible bit for bit.
+    slopes.  A cell is one flat tuple, built when the cell is created,
+        (-width, slot, x0, x1, f'+(x0), f'-(x1), f'-(m), f'+(m), h f(m), lo, hi),
+    and waits in the heap as it is.  The left child keeps its parent's slot
+    and the right child takes the next number, so ties go to the older cell
+    and no comparison reads past the slot.  Cells of no positive width, and
+    cells too narrow to bisect, go to a ``done`` list.  A running sum of the
+    cell widths only decides when to test; the test is the returned result's
+    own remainder width, summed over ``done`` and the heap as they lie; fsum
+    makes its bits independent of that order, so results are reproducible.
 
     A request that cannot succeed fails fast.  A smooth cell's width falls
     like h^3, so once the kinks are seeded the total width W(N) of N cells
@@ -249,7 +249,7 @@ def integrate_adaptive(f: ConvexFunction, tol: float,
     # noise) raises NonConvexError.  lo and hi are the remainder terms of
     # midpoint_rule, and a cell's width is hi - lo (INF for a NaN).
     heappop, heapreplace, heappush = heapq.heappop, heapq.heapreplace, heapq.heappush
-    heap = []  # (-width, slot, cell): the widest cell first, ties to the older slot
+    heap = []  # cells, (-width, slot, ...): the widest first, ties to the older slot
     done = []  # cells that are never split again
     running = 0.0  # sum of the finite cell widths; it triggers the stop test and predicts
     unbounded = 0  # cells of infinite width
@@ -274,19 +274,19 @@ def integrate_adaptive(f: ConvexFunction, tol: float,
             ensure_extended(dmm)
             ensure_extended(dpm)
             w = INF
-        cell = (x0, x1, dp0, dm1, dmm, dpm, h * v, lo_term, hi_term)
+        cell = (-w, i, x0, x1, dp0, dm1, dmm, dpm, h * v, lo_term, hi_term)
         if w == INF:
             unbounded += 1
         else:
             running += w
         if w > 0.0:
-            heappush(heap, (-w, i, cell))
+            heappush(heap, cell)
         else:
             done.append(cell)
 
     while True:
         if not unbounded and running <= tol:
-            result = _midpoint_result(done + [entry[2] for entry in heap])
+            result = _midpoint_result(done + heap, hi)
             if result.width <= tol:
                 return result
             running = result.width
@@ -299,12 +299,12 @@ def integrate_adaptive(f: ConvexFunction, tol: float,
                     and abs(predicted / previous - 1.0) <= _RATE_AGREEMENT):
                 break
             limit = min(2 * limit, max_cells)
-        neg_w, i, (x0, x1, dp0, dm1, dmm, dpm, _, _, _) = heap[0]
+        neg_w, i, x0, x1, dp0, dm1, dmm, dpm, _, _, _ = heap[0]
         m = 0.5 * (x0 + x1)
         ml = 0.5 * (x0 + m)
         mr = 0.5 * (m + x1)
         if not x0 < ml < m < mr < x1:
-            done.append(heappop(heap)[2])  # too narrow to bisect in floating point
+            done.append(heappop(heap))  # too narrow to bisect in floating point
             continue
         # the left child [x0, m]
         vl, dml, dpl = jet(ml)
@@ -321,7 +321,7 @@ def integrate_adaptive(f: ConvexFunction, tol: float,
             ensure_extended(dml)
             ensure_extended(dpl)
             wl = INF
-        left = (x0, m, dp0, dmm, dml, dpl, h * vl, lol, hil)
+        left = (-wl, i, x0, m, dp0, dmm, dml, dpl, h * vl, lol, hil)
         # the right child [m, x1]
         vr, dmr, dpr = jet(mr)
         if dpm > dmr:
@@ -337,7 +337,7 @@ def integrate_adaptive(f: ConvexFunction, tol: float,
             ensure_extended(dmr)
             ensure_extended(dpr)
             wr = INF
-        right = (m, x1, dpm, dm1, dmr, dpr, h * vr, lor, hir)
+        right = (-wr, count, m, x1, dpm, dm1, dmr, dpr, h * vr, lor, hir)
 
         if neg_w == -INF:
             unbounded -= 1
@@ -352,12 +352,12 @@ def integrate_adaptive(f: ConvexFunction, tol: float,
         else:
             running += wr
         if wl > 0.0:
-            heapreplace(heap, (-wl, i, left))
+            heapreplace(heap, left)
         else:
             heappop(heap)
             done.append(left)
         if wr > 0.0:
-            heappush(heap, (-wr, count, right))
+            heappush(heap, right)
         else:
             done.append(right)
         count += 1
@@ -366,35 +366,43 @@ def integrate_adaptive(f: ConvexFunction, tol: float,
     if heap and count < max_cells:
         note = (f"; stopped early, since max_cells = {max_cells} cells are predicted "
                 f"to leave a width of {predicted:.3e}")
-    done.extend(entry[2] for entry in heap)
-    del heap  # free the queue before the result's node arrays are built
-    best = _midpoint_result(done)
+    done.extend(heap)
+    del heap  # free the queue before the result's node list is built
+    best = _midpoint_result(done, hi)
     raise BudgetExceededError(
         f"enclosure width {best.width:.3e} > tol {tol:.3e} after {best.cells} cells{note}",
         best=best,
     )
 
 
-def _midpoint_result(cells: list) -> QuadratureResult:
-    """The midpoint rule on integrate_adaptive's cell tuples, summed in node order.
+def _midpoint_result(cells: list, b: float) -> QuadratureResult:
+    """The midpoint rule on integrate_adaptive's cells, which tile [a, b].
 
-    The cells tile the domain, so sorting them by x0 gives node order.  The
-    per-cell terms are those of midpoint_rule.  Convex slopes satisfy
+    The per-cell terms are those of midpoint_rule.  Convex slopes satisfy
     f'+(x0) <= f'-(m) <= f'+(m) <= f'-(x1) in every cell, and rounded
     subtraction, scaling and fsum are monotone, so remainder bounds out of
-    order prove that f is not convex.
+    order prove that f is not convex.  The result keeps the cells' left
+    ends and b, never the cells.
     """
-    cells.sort(key=itemgetter(0))
-    nodes = [cell[0] for cell in cells]
-    nodes.append(cells[-1][1])
-    lo = xsum(array("d", map(itemgetter(7), cells)))
-    hi = xsum(array("d", map(itemgetter(8), cells)))
+    lo = _column_sum(cells, 9)
+    hi = _column_sum(cells, 10)
     if lo > hi:
         raise NonConvexError(
             f"one-sided slopes out of order (remainder bounds [{lo!r}, {hi!r}]); "
             "the function is not convex"
         )
-    tags = tuple([0.5 * (x0 + x1) for x0, x1 in zip(nodes, nodes[1:])])
-    return QuadratureResult(estimate=xsum(array("d", map(itemgetter(6), cells))),
-                            remainder=Enclosure(lo, hi), cells=len(tags),
-                            partition=Partition._validated(tuple(nodes), tags))
+    nodes = [*map(itemgetter(2), cells), b]
+    result = object.__new__(QuadratureResult)  # see QuadratureResult.__getattr__
+    result.__dict__.update(estimate=_column_sum(cells, 8), remainder=Enclosure(lo, hi),
+                           cells=len(cells), _nodes=nodes)
+    return result
+
+
+def _column_sum(cells: list, k: int) -> float:
+    """xsum of field k of the cells as they lie, or in node order where fsum raises."""
+    try:
+        total = math.fsum(map(itemgetter(k), cells))
+    except (OverflowError, ValueError):  # only an overflow midway depends on the order
+        cells.sort(key=itemgetter(2))
+        return xsum([cell[k] for cell in cells])
+    return ensure_extended(total)

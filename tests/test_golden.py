@@ -31,6 +31,8 @@ REQUESTS = {
     "integrate_kink_oracle": (
         ["integrate", "--fn", "t*t+abs(t-0.3)", "--a", "0", "--b", "1", "--tol", "1e-6",
          "--oracle"], 0),
+    "integrate_smooth": (
+        ["integrate", "--fn", "1/(t + 1)", "--a", "0", "--b", "1", "--tol", "1e-8"], 0),
     "integrate_budget_exceeded": (
         ["integrate", "--fn", "t*t*t", "--a", "0", "--b", "2", "--tol", "1e-9",
          "--max-cells", "16"], 3),

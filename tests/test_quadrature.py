@@ -2,6 +2,8 @@ import dataclasses
 import hashlib
 import math
 import random
+import sys
+import threading
 import tracemalloc
 
 import pytest
@@ -22,6 +24,7 @@ from convex_enclose.oracle import reference_integral
 from convex_enclose.quadrature import (
     DEFAULT_MAX_CELLS,
     Partition,
+    _midpoint_result,
     integrate_adaptive,
     midpoint_rule,
     remainder_enclosure,
@@ -478,7 +481,7 @@ def test_integrate_adaptive_fails_fast(source, a, b, tol, max_cells, integral):
 ])
 def test_integrate_adaptive_retires_cells_too_narrow_to_bisect(width, cells, want):
     # cells leave the queue as too narrow to bisect, until none is left;
-    # the best result keeps the retired cells in node order
+    # the best result's partition holds the retired cells in node order
     domain = Interval(1.0, 1.0 + width)
     with pytest.raises(BudgetExceededError) as exc_info:
         integrate_adaptive(catalog.exponential(domain), 1e-300)
@@ -493,8 +496,8 @@ def test_integrate_adaptive_retires_cells_too_narrow_to_bisect(width, cells, wan
 
 def test_integrate_adaptive_memory_per_cell():
     # the traced peak covers the cells, the queue and the result; a cell of
-    # nine boxed floats fits in 512 B, so a wider cell, or copies of the
-    # cells, show here before they show in the RSS
+    # ten boxed floats and its slot fits in 512 B, so a wider cell, or copies
+    # of the cells, show here before they show in the RSS
     f = catalog.power(-2.0, Interval(0.05, 4.0))
     tracemalloc.start()
     try:
@@ -506,6 +509,87 @@ def test_integrate_adaptive_memory_per_cell():
         tracemalloc.stop()
     assert res.cells > 10000
     assert peak <= 512 * res.cells
+
+
+def test_integrate_adaptive_keeps_no_cells():
+    # a returned result keeps the cells' left ends, one float each, until its
+    # partition is read; the 11-field cell tuples (about 350 B each) are gone
+    f = catalog.power(-2.0, Interval(0.05, 4.0))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        res = integrate_adaptive(f, 1e-6)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert res.cells == 14399
+    assert kept <= 64 * res.cells
+
+
+def test_integrate_adaptive_estimate_is_the_riemann_sum_of_its_partition():
+    # the integrator sums its cells in whatever order they lie and builds the
+    # partition when it is read; riemann_sum walks that partition left to right
+    # through f.__call__, which the Jet contract makes equal to the jet's value
+    rng = random.Random(24)
+    cases = [(random_convex_case(rng, finite_slopes=True), 1e-7) for _ in range(8)]
+    for source, a, b in (("t*ln(t)", 0.5, 2.0), ("t^-1", 0.1, 3.0), ("1/(t + 1)", 0.0, 1.0),
+                         ("abs(t - 0.3) + t*ln(t)", 0.1, 1.0),
+                         ("0.5*(t - 0.3)^2 + 0.7*exp(1.2*t)", 0.0, 1.0)):
+        cases.append((convex_function_from_expression(source, Interval(a, b))[0], 1e-8))
+    results = [(f, integrate_adaptive(f, tol)) for f, tol in cases]
+    budget = catalog.exponential(UNIT)
+    results.append((budget, _budget_best(budget, 1e-9, 1024)))
+    assert results[-1][1].cells == 32
+    for f, res in results:
+        part = res.partition
+        assert part.cells == res.cells
+        assert part == Partition(part.nodes, part.tags)
+        assert float.hex(res.estimate) == float.hex(riemann_sum(f, part))
+
+
+def test_integrate_adaptive_partition_is_built_once_across_threads():
+    # threads that read a fresh result's partition at once all get one object
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            res = integrate_adaptive(catalog.exponential(UNIT), 1e-8)
+            seen = []
+            threads = [threading.Thread(target=lambda: seen.append(res.partition))
+                       for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+            assert len(seen) == 4
+            assert all(part is res.partition for part in seen)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _cells(*terms):
+    """integrate_adaptive cells on [0, 1] for (x0, x1, h f(m)), in the order given."""
+    return [(-0.0, slot, x0, x1, 0.0, 0.0, 0.0, 0.0, hv, 0.0, 0.0)
+            for slot, (x0, x1, hv) in enumerate(terms)]
+
+
+def test_midpoint_result_sums_again_in_node_order_on_overflow():
+    left, middle, right = (0.0, 0.25, -1e308), (0.25, 0.5, 1e308), (0.5, 1.0, 1e308)
+    # in the order given the partial sums overflow; in node order they do
+    # not, and node order is what the sum has always been taken in
+    cells = _cells(middle, right, left)
+    with pytest.raises(OverflowError):
+        math.fsum(cell[8] for cell in cells)
+    res = _midpoint_result(cells, 1.0)
+    assert res.estimate == 1e308
+    assert res.partition.nodes == (0.0, 0.25, 0.5, 1.0)
+    # a sum that overflows in node order too still raises
+    with pytest.raises(OverflowError):
+        _midpoint_result(_cells(middle, right, (0.0, 0.25, 1e308)), 1.0)
+    # one that overflows only in node order has a correctly rounded value
+    left, middle, right = (0.0, 0.25, 1e308), (0.25, 0.5, 1e308), (0.5, 1.0, -1e308)
+    assert _midpoint_result(_cells(right, left, middle), 1.0).estimate == 1e308
 
 
 def test_integrate_adaptive_max_cells():
