@@ -6,12 +6,13 @@ integral - sum is sandwiched cell by cell by the pointwise bounds, which
 yields computable two-sided certificates.  With midpoint tags the
 remainder is nonnegative and each cell's share of the certificate width,
 (1/8) h^2 [f'-(x_i+1) - f'+(x_i) - f'+(m_i) + f'-(m_i)], is known locally.
-The adaptive integrator uses it as an error indicator: starting from the
-domain ends and the known kinks, it bisects the cell of widest enclosure
-until the total width meets the tolerance.  Each new midpoint costs one
-call of the function's jet, which returns f and both one-sided slopes.
-Each cell is one flat tuple that waits in a heap, widest first, until it
-is split or can never be split again.  A result's partition is built when read.
+midpoint_rule and integrate_adaptive share one cell rule and one result
+type.  A cell costs one jet call (f and both one-sided slopes) at its
+midpoint, which must be strictly interior (PartitionError); slopes out of
+order raise NonConvexError.  The integrator bisects the widest cell, from
+the domain ends and the known kinks, until the total width meets the
+tolerance; a cell is one flat tuple in a heap until it is split or retired.
+A result's partition is built when it is first read.
 
 Per-cell terms are summed with math.fsum in whatever order the cells lie.
 fsum rounds correctly, so the bits do not depend on that order; only a sum
@@ -72,8 +73,7 @@ class Partition:
         if n < 1:
             raise PartitionError("need at least one cell")
         nodes = interval.grid(n)
-        tags = [0.5 * (u + v) for u, v in zip(nodes, nodes[1:])]
-        return cls(tuple(nodes), tuple(tags))
+        return cls(nodes, [0.5 * (u + v) for u, v in zip(nodes, nodes[1:])])
 
     @property
     def cells(self) -> int:
@@ -92,16 +92,20 @@ class QuadratureResult:
 
     estimate: float
     remainder: Enclosure
-    cells: int
-    partition: Partition
+    nodes: tuple  # the partition's nodes, in any order
 
-    def __getattr__(self, name):
-        # integrate_adaptive's results build their partition when it is first read
-        if name != "partition" or "_nodes" not in self.__dict__:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        nodes = sorted(self.__dict__["_nodes"])
-        tags = [0.5 * (x0 + x1) for x0, x1 in zip(nodes, nodes[1:])]
-        return self.__dict__.setdefault("partition", Partition(nodes, tags))
+    @property
+    def cells(self) -> int:
+        return len(self.nodes) - 1
+
+    @property
+    def partition(self) -> Partition:
+        """The midpoint partition; built when first read, once across threads."""
+        if "_partition" not in self.__dict__:
+            nodes = sorted(self.nodes)
+            tags = [0.5 * (x0 + x1) for x0, x1 in zip(nodes, nodes[1:])]
+            self.__dict__.setdefault("_partition", Partition(nodes, tags))
+        return self.__dict__["_partition"]
 
     @property
     def integral_bounds(self) -> Enclosure:
@@ -161,18 +165,14 @@ def midpoint_rule(f: ConvexFunction, n: int) -> QuadratureResult:
     The remainder is sandwiched by
         (1/8) sum [f'+(m_i) - f'-(m_i)] h_i^2   (always >= 0)
     and (1/8) sum [f'-(x_i+1) - f'+(x_i)] h_i^2,
-    both attained by kink functions, so the 1/8 cannot be improved.
+    both attained by kink functions, so the 1/8 cannot be improved.  The
+    cells are integrate_adaptive's, and so are the PartitionError and
+    NonConvexError they raise.
     """
-    partition = Partition.uniform(f.domain, n)
-    estimate = riemann_sum(f, partition)
-    lo_terms = []
-    hi_terms = []
-    for x0, x1, m in partition.iter_cells():
-        h2 = (x1 - x0) ** 2
-        lo_terms.append(0.125 * h2 * (f.right_derivative(m) - f.left_derivative(m)))
-        hi_terms.append(0.125 * h2 * (f.left_derivative(x1) - f.right_derivative(x0)))
-    remainder = Enclosure(xsum(lo_terms), xsum(hi_terms))
-    return QuadratureResult(estimate=estimate, remainder=remainder, cells=n, partition=partition)
+    nodes = Partition.uniform(f.domain, n).nodes
+    cells = _midpoint_cells(f, nodes, [*map(f.left_derivative, nodes[1:])],
+                            [*map(f.right_derivative, nodes[:-1])])
+    return _midpoint_result(cells, nodes[-1])
 
 
 def integrate_adaptive(f: ConvexFunction, tol: float,
@@ -180,9 +180,8 @@ def integrate_adaptive(f: ConvexFunction, tol: float,
     """Certified integration by global adaptive bisection of the midpoint rule.
 
     The first nodes are the domain ends and the interior ``f.kinks``.  Each
-    cell carries its midpoint-rule remainder enclosure
-        [(1/8) h^2 (f'+(m) - f'-(m)),  (1/8) h^2 (f'-(x1) - f'+(x0))],
-    and the cell whose enclosure is widest (ties: the one created first) is
+    cell carries its remainder enclosure under midpoint_rule, and the cell
+    whose enclosure is widest (ties: the one created first) is
     bisected until the total width is <= tol.  A split makes one jet call
     (f and both slopes, see ``ConvexFunction.interior_jet``) at each of the
     two new midpoints only: the children inherit the parent's endpoint
@@ -234,20 +233,10 @@ def integrate_adaptive(f: ConvexFunction, tol: float,
         stride = len(kinks) / max_cells
         kinks = [kinks[int((i + 1) * stride)] for i in range(max_cells - 1)]
     nodes = [lo, *kinks, hi]
-    lefts = [None, *(f.left_derivative(k) for k in kinks), at_hi]
-    rights = [at_lo, *(f.right_derivative(k) for k in kinks), None]
-    if any(not u < 0.5 * (u + v) < v for u, v in zip(nodes, nodes[1:])):
-        raise PartitionError("a cell is too narrow to have an interior midpoint")
-
-    # Every midpoint below is strictly interior, so the jet is called
-    # without the domain checks; a NaN is caught when the terms are summed.
+    cells = _midpoint_cells(f, nodes, [*map(f.left_derivative, kinks), at_hi],
+                            [at_lo, *map(f.right_derivative, kinks)])
     jet = f.interior_jet()
     slack = f.slope_slack
-
-    # Convexity orders the slopes of distinct points, f'+(x0) <= f'-(m)
-    # and f'+(m) <= f'-(x1); a violation beyond rounding (or estimation
-    # noise) raises NonConvexError.  lo and hi are the remainder terms of
-    # midpoint_rule, and a cell's width is hi - lo (INF for a NaN).
     heappop, heapreplace, heappush = heapq.heappop, heapq.heapreplace, heapq.heappush
     heap = []  # cells, (-width, slot, ...): the widest first, ties to the older slot
     done = []  # cells that are never split again
@@ -257,29 +246,12 @@ def integrate_adaptive(f: ConvexFunction, tol: float,
     # the next checkpoint (a power of two >= 16) or the budget, whichever is first
     limit = min(max(16, 1 << (count - 1).bit_length()), max_cells)
     predicted = INF  # the width predicted for max_cells cells at the last checkpoint
-    for i in range(count):
-        x0, x1, dp0, dm1 = nodes[i], nodes[i + 1], rights[i], lefts[i + 1]
-        m = 0.5 * (x0 + x1)
-        v, dmm, dpm = jet(m)
-        if dp0 > dmm:
-            require_slope_order(dp0, dmm, x0, m, slack)
-        if dpm > dm1:
-            require_slope_order(dpm, dm1, m, x1, slack)
-        h = x1 - x0
-        h2 = h * h
-        hi_term = 0.125 * h2 * (dm1 - dp0)
-        lo_term = 0.125 * h2 * (dpm - dmm)
-        w = hi_term - lo_term
-        if w != w:  # a NaN slope, or inf - inf after an overflow
-            ensure_extended(dmm)
-            ensure_extended(dpm)
-            w = INF
-        cell = (-w, i, x0, x1, dp0, dm1, dmm, dpm, h * v, lo_term, hi_term)
-        if w == INF:
+    for cell in cells:  # the seeds, in slot order; cell[0] is -width
+        if cell[0] == -INF:
             unbounded += 1
         else:
-            running += w
-        if w > 0.0:
+            running -= cell[0]
+        if cell[0] < 0.0:
             heappush(heap, cell)
         else:
             done.append(cell)
@@ -306,7 +278,7 @@ def integrate_adaptive(f: ConvexFunction, tol: float,
         if not x0 < ml < m < mr < x1:
             done.append(heappop(heap))  # too narrow to bisect in floating point
             continue
-        # the left child [x0, m]
+        # the left child [x0, m]: _midpoint_cells' rule, inlined in this hot loop
         vl, dml, dpl = jet(ml)
         if dp0 > dml:
             require_slope_order(dp0, dml, x0, ml, slack)
@@ -375,14 +347,44 @@ def integrate_adaptive(f: ConvexFunction, tol: float,
     )
 
 
-def _midpoint_result(cells: list, b: float) -> QuadratureResult:
-    """The midpoint rule on integrate_adaptive's cells, which tile [a, b].
+def _midpoint_cells(f: ConvexFunction, nodes, lefts, rights) -> list:
+    """The cells on nodes, in node order, from f'- at nodes[1:] and f'+ at nodes[:-1].
 
-    The per-cell terms are those of midpoint_rule.  Convex slopes satisfy
-    f'+(x0) <= f'-(m) <= f'+(m) <= f'-(x1) in every cell, and rounded
-    subtraction, scaling and fsum are monotone, so remainder bounds out of
-    order prove that f is not convex.  The result keeps the cells' left
-    ends and b, never the cells.
+    Each midpoint m must be strictly interior (PartitionError), so the jet
+    runs there without domain checks.  f'+(x0) > f'-(m) or f'+(m) > f'-(x1)
+    beyond rounding raises NonConvexError; a NaN width hi - lo becomes INF.
+    """
+    if any(not u < 0.5 * (u + v) < v for u, v in zip(nodes, nodes[1:])):
+        raise PartitionError("a cell is too narrow to have an interior midpoint")
+    jet = f.interior_jet()
+    slack = f.slope_slack
+    cells = []
+    for i, (x0, x1, dp0, dm1) in enumerate(zip(nodes, nodes[1:], rights, lefts)):
+        m = 0.5 * (x0 + x1)
+        v, dmm, dpm = jet(m)
+        if dp0 > dmm:
+            require_slope_order(dp0, dmm, x0, m, slack)
+        if dpm > dm1:
+            require_slope_order(dpm, dm1, m, x1, slack)
+        h = x1 - x0
+        h2 = h * h
+        hi_term = 0.125 * h2 * (dm1 - dp0)
+        lo_term = 0.125 * h2 * (dpm - dmm)
+        w = hi_term - lo_term
+        if w != w:  # a NaN slope, or inf - inf after an overflow
+            ensure_extended(dmm)
+            ensure_extended(dpm)
+            w = INF
+        cells.append((-w, i, x0, x1, dp0, dm1, dmm, dpm, h * v, lo_term, hi_term))
+    return cells
+
+
+def _midpoint_result(cells: list, b: float) -> QuadratureResult:
+    """The midpoint rule on cells of _midpoint_cells' form, which tile [a, b].
+
+    Convex slopes satisfy f'+(x0) <= f'-(m) <= f'+(m) <= f'-(x1) in every
+    cell, and rounded subtraction, scaling and fsum are monotone, so
+    remainder bounds out of order prove that f is not convex.
     """
     lo = _column_sum(cells, 9)
     hi = _column_sum(cells, 10)
@@ -391,11 +393,8 @@ def _midpoint_result(cells: list, b: float) -> QuadratureResult:
             f"one-sided slopes out of order (remainder bounds [{lo!r}, {hi!r}]); "
             "the function is not convex"
         )
-    nodes = [*map(itemgetter(2), cells), b]
-    result = object.__new__(QuadratureResult)  # see QuadratureResult.__getattr__
-    result.__dict__.update(estimate=_column_sum(cells, 8), remainder=Enclosure(lo, hi),
-                           cells=len(cells), _nodes=nodes)
-    return result
+    return QuadratureResult(_column_sum(cells, 8), Enclosure(lo, hi),
+                            (*map(itemgetter(2), cells), b))
 
 
 def _column_sum(cells: list, k: int) -> float:

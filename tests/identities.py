@@ -5,7 +5,9 @@ by node instead of by cell, or specialized to differentiable functions).
 The tests check that both forms agree, which pins the algebra of the
 bounds without putting the rewrites in the public API.  ``centered_kink``
 is the witness of the sharpness criteria: it attains equality in the
-sharp bounds.
+sharp bounds.  ``midpoint_rule_by_cell`` is the uniform midpoint rule as
+its own loop over f and the one-sided derivatives, the reference for the
+library's rule, which builds its cells as the adaptive integrator does.
 """
 
 import math
@@ -19,7 +21,8 @@ from convex_enclose.errors import (
     UnboundedSlopeError,
 )
 from convex_enclose.extreal import xsum
-from convex_enclose.quadrature import Partition, _require_spanning
+from convex_enclose.pointwise import Enclosure
+from convex_enclose.quadrature import Partition, _require_spanning, riemann_sum
 
 
 class DegenerateSlopesError(ConvexEncloseError):
@@ -129,3 +132,23 @@ def centered_kink(interval: Interval, k: float = 1.0) -> ConvexFunction:
     """k * |t - midpoint|: the witness achieving equality in the sharp bounds."""
     f = catalog.abs_shift(interval.midpoint, interval)
     return f if k == 1.0 else f.scaled(k)
+
+
+def midpoint_rule_by_cell(f: ConvexFunction, n: int):
+    """(estimate, remainder, partition) of the uniform midpoint rule on n cells.
+
+    The remainder is sandwiched by
+        (1/8) sum [f'+(m_i) - f'-(m_i)] h_i^2
+    and (1/8) sum [f'-(x_i+1) - f'+(x_i)] h_i^2,
+    each cell's terms read through f's one-sided derivatives and summed
+    left to right.
+    """
+    partition = Partition.uniform(f.domain, n)
+    estimate = riemann_sum(f, partition)
+    lo_terms = []
+    hi_terms = []
+    for x0, x1, m in partition.iter_cells():
+        h2 = (x1 - x0) ** 2
+        lo_terms.append(0.125 * h2 * (f.right_derivative(m) - f.left_derivative(m)))
+        hi_terms.append(0.125 * h2 * (f.left_derivative(x1) - f.right_derivative(x0)))
+    return estimate, Enclosure(xsum(lo_terms), xsum(hi_terms)), partition

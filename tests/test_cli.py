@@ -373,6 +373,20 @@ def test_exit_code_deep_expression(capsys, argv):
     assert "nests deeper than" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["enclose", "--fn", "t^2", "--a", "0", "--b", "1", "--x", "2"],
+    ["enclose", "--fn", "t^2", "--a", "0", "--b", "1", "--x=-1e-300"],
+    ["prob", "--density", "step:0.5", "--a", "0", "--b", "1"],
+    ["prob", "--density", "step:a,b", "--a", "0", "--b", "1"],
+    ["prob", "--density", "step:0.5,0.2,0.1", "--a", "0", "--b", "1"],
+], ids=["x-above-b", "x-below-a", "step-one-field", "step-not-numbers", "step-three-fields"])
+def test_exit_code_invalid_input_prints_no_document(capsys, argv):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invalid input: ")
+
+
 def test_exit_code_nan_step_level(capsys):
     assert run(["prob", "--density", "step:0.5,nan", "--a", "0", "--b", "1"]) == 2
     assert "density level must be nonnegative" in capsys.readouterr().err

@@ -31,7 +31,13 @@ from convex_enclose.quadrature import (
     riemann_sum,
 )
 from convex_enclose.selftest import random_convex_case, random_partition
-from identities import NotDifferentiableError, differentiable_lower_form, remainder_upper_by_node
+from black_box import sampled_function
+from identities import (
+    NotDifferentiableError,
+    differentiable_lower_form,
+    midpoint_rule_by_cell,
+    remainder_upper_by_node,
+)
 
 UNIT = Interval(0.0, 1.0)
 
@@ -170,6 +176,37 @@ def test_midpoint_rule_matches_general_enclosure():
                 assert got == want
             else:
                 assert got == pytest.approx(want, abs=1e-13 * max(1.0, abs(want)))
+
+
+def test_midpoint_rule_matches_its_cell_loop_bit_for_bit():
+    # midpoint_rule builds its cells as integrate_adaptive does, through the
+    # jet; the rule's own loop reads f and its one-sided derivatives
+    rng = random.Random(25)
+    cases = [(random_convex_case(rng), rng.randint(1, 16)) for _ in range(150)]
+    for source, a, b in (("t*ln(t)", 0.5, 2.0), ("abs(t - 0.3) + t*ln(t)", 0.1, 1.0),
+                         ("-sqrt(t)", 0.0, 1.0), ("t^t", 0.5, 2.0),
+                         ("0.5*(t - 0.3)^2 + 0.7*exp(1.2*t)", 0.0, 1.0)):
+        f = convex_function_from_expression(source, Interval(a, b))[0]
+        cases += [(f, n) for n in (1, 9, 64)]
+    unbounded = 0
+    for f, n in cases:
+        estimate, remainder, partition = midpoint_rule_by_cell(f, n)
+        want = tuple(float.hex(x) for x in (estimate, remainder.lo, remainder.hi,
+                                            *partition.nodes, *partition.tags))
+        res = midpoint_rule(f, n)
+        assert res.cells == n
+        assert _bits(res) == want
+        unbounded += remainder.hi == INF
+    assert unbounded > 3  # -sqrt(t) from 0, where f'+(0) = -inf
+
+
+def test_midpoint_rule_errors():
+    # the slopes of -t^2 fall, so they are out of order in every cell
+    with pytest.raises(NonConvexError):
+        midpoint_rule(sampled_function(lambda t: -t * t, UNIT), 4)
+    # one ulp: the cell's midpoint rounds to one of its ends
+    with pytest.raises(PartitionError):
+        midpoint_rule(catalog.exponential(Interval(1.0, math.nextafter(1.0, 2.0))), 1)
 
 
 def test_midpoint_remainder_nonnegative():
@@ -404,6 +441,29 @@ def test_integrate_adaptive_keeps_an_undefined_value():
     assert math.isnan(f.jet.call(10.0)[0]) and math.isnan(f.fn(10.0))
     with pytest.raises(ExtendedArithmeticError):
         integrate_adaptive(f, 1e-3)
+
+
+@pytest.mark.parametrize("a, b", [(-0.25, 0.75), (-0.75, 0.25)])
+def test_integrate_adaptive_child_of_undefined_width(a, b):
+    # the first split puts the kink at 0 on the left (or the right) child's
+    # midpoint, where both of its remainder terms overflow to inf: its width
+    # inf - inf is taken as INF, and its split ends the refinement
+    f = convex_function_from_expression("1.7e308*abs(t)", Interval(a, b))[0]
+    assert not f.kinks
+    res = integrate_adaptive(f, 1e-3)
+    assert res.cells == 3
+    assert 0.0 in res.partition.nodes
+    assert res.integral_bounds.contains(1.7e308 * (a * a + b * b) / 2)
+
+
+def test_integrate_adaptive_budget_with_a_cell_of_undefined_width():
+    # 0 is never a node, so some cell always straddles the kink with an
+    # infinite width
+    f = convex_function_from_expression("1.7e308*abs(t)", Interval(-0.5, 1.0))[0]
+    best = _budget_best(f, 1e-3, 64)
+    assert best.cells == 64
+    assert best.remainder.hi == INF
+    assert best.partition.spans(f.domain)
 
 
 def test_integrate_adaptive_floating_point_resolution():
