@@ -33,7 +33,7 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from . import divergence as div
 from . import probability as prob
-from .convex_core import Interval, require_convex, require_supporting_lines
+from .convex_core import Interval, require_convex
 from .errors import (
     DomainError,
     InvalidDistributionError,
@@ -45,6 +45,7 @@ from .expressions import convex_function_from_expression, lower_value, parse_exp
 from .means import mean_comparison, special_means, verify_mean_inequalities
 from .oracle import brute_force_hh, reference_integral
 from .pointwise import (
+    Enclosure,
     classical_ostrowski_bound,
     hh_refinement,
     ostrowski_lower,
@@ -140,14 +141,16 @@ def _parse_weights(text: str):
 # warnings); _emit adds the command.
 
 def _cmd_enclose(args):
-    cf, warnings = _build_convex_function(args.fn, args.a, args.b)
+    cf, warnings = convex_function_from_expression(args.fn, Interval(args.a, args.b))
     if not cf.domain.contains(args.x):
         raise DomainError(f"x={args.x} outside [{args.a}, {args.b}]")
-    require_supporting_lines(cf, (cf.domain.lo, args.x, cf.domain.midpoint, cf.domain.hi))
-    interior = cf.domain.strictly_contains(args.x)
-    lower = ostrowski_lower(cf, args.x) if interior else None
-    upper = ostrowski_upper(cf, args.x)
-    if not interior:
+    # the points the bounds read
+    require_convex(cf, (cf.domain.lo, args.x, cf.domain.midpoint, cf.domain.hi))
+    if cf.domain.strictly_contains(args.x):  # out of order only by rounding: exit 3
+        lower, upper = Enclosure(ostrowski_lower(cf, args.x),
+                                 ostrowski_upper(cf, args.x)).as_tuple()
+    else:
+        lower, upper = None, ostrowski_upper(cf, args.x)
         warnings.append("x at an endpoint: only the upper bound applies there")
     hh = hh_refinement(cf)
     try:

@@ -17,10 +17,9 @@ one-sided slopes at an interior point, so that the integrator pays one
 oracle call per point instead of three (see :class:`Jet`).
 
 Convexity itself is either proved (``proved_convex=True``: the expression
-frontend's composition rules) or falsified by sampling: ``require_convex``
-trusts a proof and samples everything else with ``check_convexity``.
-``require_supporting_lines`` checks the few points a bound consumes, for
-a non-convex dip between the samples or slopes out of order.
+frontend's composition rules) or falsified by sampling: ``require_convex``,
+the one gate, trusts a proof and evaluates nothing; only a function that
+is not proved is sampled, then checked at the few points a bound consumes.
 
 All objects are immutable and all oracles are pure, so everything here is
 safe for unrestricted concurrent use.
@@ -345,23 +344,6 @@ def check_convexity(f: ConvexFunction) -> ConvexityReport:
                            tol=mid_tol)
 
 
-def require_convex(f: ConvexFunction) -> ConvexityReport:
-    """Trust a function whose convexity was proved (``proved_convex``, set
-    by the expression frontend's composition rules) without evaluating it;
-    otherwise run check_convexity and raise NonConvexError on failure."""
-    if f.proved_convex:
-        return ConvexityReport(ok=True, worst_violation=0.0, witness=None, checks=0, tol=0.0,
-                               method="proved")
-    report = check_convexity(f)
-    if not report.ok:
-        s, t = report.witness
-        raise NonConvexError(
-            f"convexity violated by {report.worst_violation:.3e} at pair ({s!r}, {t!r})",
-            report=report,
-        )
-    return report
-
-
 def require_slope_order(d0, d1, x0, x1, slack):
     """NonConvexError when the slope d0 at x0 < x1 exceeds the slope d1 at
     x1 by more than slack * max(1, min(|d0|, |d1|)); an infinite slope out
@@ -373,18 +355,29 @@ def require_slope_order(d0, d1, x0, x1, slack):
         )
 
 
-def require_supporting_lines(f: ConvexFunction, points) -> None:
-    """Raise NonConvexError unless the support line at each point lies below
-    f at every other point (slack 1e-9 relative to the terms compared), and
-    f'+(p) <= f'-(q) for every pair p < q of the points (slack
-    ``f.slope_slack``, see :func:`require_slope_order`).
+def require_convex(f: ConvexFunction, points=()) -> ConvexityReport:
+    """Trust a function whose convexity was proved (``proved_convex``, set
+    by the expression frontend's composition rules) without evaluating it,
+    even at ``points``; otherwise raise NonConvexError unless it passes
+    check_convexity and, at the ``points`` a bound consumes, the support
+    line at each point lies below f at every other point (slack 1e-9
+    relative to the terms compared) and f'+(p) <= f'-(q) for every pair
+    p < q (slack ``f.slope_slack``, see :func:`require_slope_order`).
 
-    A bound that consumes f and its one-sided slopes at these points
-    trusts exactly this; it catches a non-convex dip that the sampled check
-    stepped over, and slopes whose disorder lies below the support lines'
-    slack but would put the bounds out of order.  The line towards larger
-    t takes f'+, towards smaller t f'-.
-    """
+    The points catch a non-convex dip that the sampled check stepped over,
+    and slopes out of order below the support lines' slack, which would
+    put the bounds out of order.  The line towards larger t takes f'+,
+    towards smaller t f'-."""
+    if f.proved_convex:
+        return ConvexityReport(ok=True, worst_violation=0.0, witness=None, checks=0, tol=0.0,
+                               method="proved")
+    report = check_convexity(f)
+    if not report.ok:
+        s, t = report.witness
+        raise NonConvexError(
+            f"convexity violated by {report.worst_violation:.3e} at pair ({s!r}, {t!r})",
+            report=report,
+        )
     points = sorted(set(points))
     values = [f(p) for p in points]
     lo, hi = f.domain.lo, f.domain.hi
@@ -402,3 +395,4 @@ def require_supporting_lines(f: ConvexFunction, points) -> None:
     for i, p in enumerate(points):
         for j in range(i + 1, len(points)):
             require_slope_order(rights[i], lefts[j], p, points[j], f.slope_slack)
+    return report

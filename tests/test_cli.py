@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,8 @@ from hypothesis import strategies as st
 
 from convex_enclose import cli, errors
 from convex_enclose.cli import run
+from convex_enclose.convex_core import ConvexFunction, Interval, require_slope_order
+from convex_enclose.expressions import convex_function_from_expression
 from convex_enclose.divergence import KERNELS
 
 
@@ -236,6 +239,71 @@ def test_exit_code_slopes_out_of_order_below_the_support_line_slack(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "invalid input: one-sided slopes out of order" in captured.err
+
+
+def _slopes_out_of_order(f, points):
+    """Whether f'+(p) > f'-(q) beyond f.slope_slack for some p < q."""
+    try:
+        for i, p in enumerate(points):
+            for q in points[i + 1:]:
+                require_slope_order(f.right_derivative(p), f.left_derivative(q), p, q,
+                                    f.slope_slack)
+    except errors.NonConvexError:
+        return True
+    return False
+
+
+def test_proved_slopes_out_of_order_by_rounding_still_enclose(capsys):
+    # Within about 1e-4 of 1e4, t^2 and its tangent there tie within
+    # rounding, so the float slopes of max jump between 2t and 2e4, out of
+    # order by up to 2.7e-4, above the slope order's slack of 2e-5.  The
+    # proved function gets no point check, and each certificate must still
+    # hold the exact difference of t^2: the slope read belongs to a branch
+    # whose line through (x, branch(x)) lies below f, and that branch is
+    # within rounding of f(x).  x runs over the tie zone, just right of a or
+    # mid-interval; the interval must be 5e-3 wide for max's `-` to be proved
+    src = "max(t*t, 20000.0*t - 100000000.0)"
+    cases = [(9999.949864, 10000.049863999999, 9999.999865)]
+    for k in range(101):
+        x = 9999.9999 + k * 5e-7
+        cases += [(x - 1e-9, x + 0.006, x), (x - 0.025, x + 0.025, x)]
+    out_of_order = 0
+    for a, b, x in cases:
+        f = convex_function_from_expression(src, Interval(a, b))[0]
+        assert f.proved_convex, (a, b, x)
+        out_of_order += _slopes_out_of_order(f, sorted({a, x, f.domain.midpoint, b}))
+        doc = run_json(capsys, ["enclose", "--fn", src, "--a", repr(a), "--b", repr(b),
+                                "--x", repr(x)])
+        A, B, X = Fraction(a), Fraction(b), Fraction(x)
+        exact = (B**3 - A**3) / 3 - (B - A) * X * X
+        lower, upper = doc["certificates"]["ostrowski_difference"]
+        assert lower <= exact <= upper, (a, b, x)
+    assert out_of_order >= 50  # inputs that the point check used to refuse
+
+
+def test_proved_bounds_out_of_order_by_rounding_exit_3(capsys, monkeypatch):
+    # an affine function whose f'+(x) exceeds f'-(b) by one ulp puts the
+    # Ostrowski lower bound above the upper: a numerical failure of a
+    # function proved convex, not invalid input, and never printed
+    x = 0.25
+    slope = {x: math.nextafter(1.0, 2.0)}
+    f = ConvexFunction(Interval(0.0, 1.0), fn=lambda t: t, dminus=lambda t: 1.0,
+                       dplus=lambda t: slope.get(t, 1.0), proved_convex=True)
+    monkeypatch.setattr(cli, "convex_function_from_expression", lambda src, domain: (f, []))
+    assert run(["enclose", "--fn", "t", "--a", "0", "--b", "1", "--x", str(x)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure: enclosure bounds out of order")
+
+
+def test_lower_bound_that_overflows_to_nan_exits_3(capsys):
+    # both terms of the lower bound overflow to inf, and inf - inf was
+    # printed as a bare nan, which is not JSON
+    argv = ["enclose", "--fn", "1e307*t*t", "--a", "0", "--b", "4.2", "--x", "2.1"]
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure: undefined extended-real result")
 
 
 def test_slopes_that_exist_on_one_side_only(capsys):

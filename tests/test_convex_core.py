@@ -12,7 +12,6 @@ from convex_enclose.convex_core import (
     Interval,
     check_convexity,
     require_convex,
-    require_supporting_lines,
 )
 from convex_enclose.errors import DomainError, NonConvexError, UndefinedSideError
 from convex_enclose.extreal import INF
@@ -212,7 +211,7 @@ def test_require_convex_on_black_box_affine():
     assert require_convex(f).method == "sampled"
 
 
-def _require_convex_counted(f):
+def _require_convex_counted(f, points=()):
     """require_convex's report on f, and the points where it evaluated f."""
     calls = []
 
@@ -224,13 +223,17 @@ def _require_convex_counted(f):
         raise AssertionError("a proved function needs no slopes")
 
     return require_convex(dataclasses.replace(f, fn=counted, dminus=refused,
-                                              dplus=refused)), calls
+                                              dplus=refused), points), calls
 
 
 def test_require_convex_trusts_a_proof_without_evaluating():
     square = convex_function_from_expression("t*t", UNIT)[0]
     assert square.proved_convex
     report, calls = _require_convex_counted(square)
+    assert calls == []
+    assert report.ok and report.checks == 0 and report.method == "proved"
+    # nor at the points a bound reads
+    report, calls = _require_convex_counted(square, (0.0, 0.3, 0.5, 1.0))
     assert calls == []
     assert report.ok and report.checks == 0 and report.method == "proved"
     # the sampled check stays pure sampling
@@ -249,7 +252,7 @@ def test_require_convex_proves_a_variable_power_without_evaluating():
 def test_supporting_lines_hold_for_convex_functions():
     for f in (catalog.shifted_square(0.0, UNIT), catalog.abs_shift(0.5, UNIT),
               catalog.neg_sqrt(UNIT)):  # f'+(0) = -inf
-        require_supporting_lines(f, (0.0, 0.5, 0.5, 1.0))
+        assert require_convex(f, (0.0, 0.5, 0.5, 1.0)).method == "sampled"
 
 
 def test_supporting_lines_catch_a_dip_between_samples():
@@ -258,7 +261,7 @@ def test_supporting_lines_catch_a_dip_between_samples():
     f = convex_function_from_expression("t*t-max(0,1e-3-abs(t-0.50413))", UNIT)[0]
     require_convex(f)  # the sampled check steps over the dip
     with pytest.raises(NonConvexError, match="support line"):
-        require_supporting_lines(f, (0.0, 0.50413, 0.5, 1.0))
+        require_convex(f, (0.0, 0.50413, 0.5, 1.0))
 
 
 def test_scaled_and_add_affine_compose_exactly():

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from convex_enclose import errors, expressions
-from convex_enclose.convex_core import Interval, check_convexity
+from convex_enclose.convex_core import Interval, require_convex
 from convex_enclose.errors import DomainError, ExpressionError
 from convex_enclose.expressions import (
     MAX_DEPTH,
@@ -694,22 +694,28 @@ _INTERVALS = st.one_of(
 
 @settings(derandomize=True, deadline=None, max_examples=400)
 @given(_grammar(st.one_of(_CONSTANTS, _CONVEX_ATOMS), _EXPONENT, variable_exponents=True),
-       _INTERVALS)
-@example("-(max(t, (2)*(t)))", (-1.0, 1.0))  # max of affine functions is convex, not affine
-@example("max(sqrt(0), abs(t), 2)", (0.0, 1.0))  # the slope of sqrt(0) is 0/0
-@example("max(sqrt(1e-3) - max(0.25, 1e300), -1e300 + t)", (0.0, 1.0))  # t is lost
-@example("exp(-(sqrt(t)) - 1000)", (0.0, 1.0))  # its slope at 0 is 0 * -inf
-@example("(t)/(1e-200)", (0.0, 1.0))  # its slope divides by 1e-400, which is 0
+       _INTERVALS, st.floats(0.0, 1.0))
+@example("-(max(t, (2)*(t)))", (-1.0, 1.0), 0.5)  # max of affine functions is convex, not affine
+@example("max(sqrt(0), abs(t), 2)", (0.0, 1.0), 0.25)  # the slope of sqrt(0) is 0/0
+@example("max(sqrt(1e-3) - max(0.25, 1e300), -1e300 + t)", (0.0, 1.0), 0.5)  # t is lost
+@example("exp(-(sqrt(t)) - 1000)", (0.0, 1.0), 0.0)  # its slope at 0 is 0 * -inf
+@example("(t)/(1e-200)", (0.0, 1.0), 0.75)  # its slope divides by 1e-400, which is 0
 # u^v = exp(v ln u) at the rule's edges
-@example("(t)^(t)", (0.0, 1.0))  # the base's range touches 0
-@example("(t)^(-(t))", (0.1, 2.0))  # not convex
-@example("(2-t)^(t)", (0.0, 1.5))  # a falling base
-@example("(1e-160)^(-1)", (0.0, 1.0))  # a constant whose slope walk overflows in u^(p-1)
-def test_proof_implies_sampled_check_passes(source, bounds):
-    """Soundness: every function the rules prove passes check_convexity,
-    whose grid values and slopes do not raise.  The intervals lie near 0:
-    on a narrow interval far from it the rounding noise of t*t exceeds
-    the check's own tolerance, a false alarm of the sampled check."""
+@example("(t)^(t)", (0.0, 1.0), 0.25)  # the base's range touches 0
+@example("(t)^(-(t))", (0.1, 2.0), 0.25)  # not convex
+@example("(2-t)^(t)", (0.0, 1.5), 1.0)  # a falling base
+@example("(1e-160)^(-1)", (0.0, 1.0), 0.5)  # a constant whose slope walk overflows in u^(p-1)
+def test_proof_implies_sampled_check_passes(source, bounds, fraction):
+    """Soundness: every function the rules prove passes the checks that
+    require_convex spares it, check_convexity and the support lines and
+    slope order at lo, an x drawn from the interval, the midpoint and hi,
+    whose values and slopes do not raise.  The intervals lie near 0: on a
+    narrow interval far from it the rounding noise of t*t exceeds the
+    sampled check's own tolerance, a false alarm of that check."""
     f = convex_function_from_expression(source, Interval(*bounds))[0]
     if f.proved_convex:
-        assert check_convexity(f).ok, (source, bounds)
+        lo, hi = f.domain.lo, f.domain.hi
+        x = min(hi, lo + fraction * (hi - lo))
+        report = require_convex(dataclasses.replace(f, proved_convex=False),
+                                (lo, x, f.domain.midpoint, hi))
+        assert report.ok and report.method == "sampled", (source, bounds)
