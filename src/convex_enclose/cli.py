@@ -41,7 +41,12 @@ from .errors import (
     NumericalFailureError,
     UnboundedSlopeError,
 )
-from .expressions import convex_function_from_expression, lower_value, parse_expression
+from .expressions import (
+    continuous_on,
+    convex_function_from_expression,
+    lower_value,
+    parse_expression,
+)
 from .means import mean_comparison, special_means, verify_mean_inequalities
 from .oracle import brute_force_hh, reference_integral
 from .pointwise import (
@@ -235,7 +240,8 @@ def _build_model(density: str, a: float, b: float):
                 f"bad step density {density!r}; expected step:<split>,<low>"
             ) from exc
     expr = parse_expression(density)
-    return prob.model_from_density(lower_value(expr), a, b)
+    # a density the rules range is continuous: its values are the CDF's slopes
+    return prob.model_from_density(lower_value(expr), a, b, continuous=continuous_on(expr, a, b))
 
 
 def _cmd_prob(args):

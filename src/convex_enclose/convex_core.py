@@ -14,7 +14,9 @@ every parsed expression) or one-sided limits estimated from samples
 
 A function may also carry a ``jet``, one call that returns f and both
 one-sided slopes at an interior point, so that the integrator pays one
-oracle call per point instead of three (see :class:`Jet`).
+oracle call per point instead of three, and a bound that reads both slopes
+one instead of two (see :class:`Jet` and ``ConvexFunction.interior_slopes``).
+The endpoint slopes are read once per function and kept.
 
 Convexity itself is either proved (``proved_convex=True``: the expression
 frontend's composition rules) or falsified by sampling: ``require_convex``,
@@ -193,6 +195,16 @@ class ConvexFunction:
             raise DomainError(f"t={t} outside domain [{self.domain.lo}, {self.domain.hi}]")
         return ensure_extended(self.dminus(t))
 
+    def interior_slopes(self, t: float) -> tuple:
+        """(f'-(t), f'+(t)) at an interior t from one call of the ``jet``
+        while it fuses this function's oracles, else from the two checked
+        oracles; a NaN slope raises as they raise it."""
+        jet = self.jet
+        if jet is not None and jet.fuses(self) and self.domain.strictly_contains(t):
+            _, dm, dp = jet.call(t)
+            return ensure_extended(dm), ensure_extended(dp)
+        return self.left_derivative(t), self.right_derivative(t)
+
     def interior_jet(self) -> Callable[[float], tuple]:
         """t -> (f(t), f'-(t), f'+(t)) for interior t, without domain checks.
 
@@ -218,9 +230,13 @@ class ConvexFunction:
 
     def endpoint_slopes(self) -> tuple:
         """(f'+(lo), f'-(hi)); either may be infinite (-inf at lo, +inf at
-        hi), and for a convex function the first is at most the second."""
-        return (self.right_derivative(self.domain.lo),
-                self.left_derivative(self.domain.hi))
+        hi), and for a convex function the first is at most the second.
+        Read on the first call and kept, once across threads; a
+        ``dataclasses.replace`` copy reads its own."""
+        if "_endpoint_slopes" not in self.__dict__:
+            self.__dict__.setdefault("_endpoint_slopes", (
+                self.right_derivative(self.domain.lo), self.left_derivative(self.domain.hi)))
+        return self.__dict__["_endpoint_slopes"]
 
     def scaled(self, k: float) -> "ConvexFunction":
         """k * f for k > 0 (preserves convexity and all oracles exactly)."""
@@ -269,6 +285,10 @@ class ConvexityReport:
     checks: int
     tol: float
     method: str = "sampled"
+
+
+_PROVED = ConvexityReport(ok=True, worst_violation=0.0, witness=None, checks=0, tol=0.0,
+                          method="proved")
 
 
 def check_convexity(f: ConvexFunction) -> ConvexityReport:
@@ -369,8 +389,7 @@ def require_convex(f: ConvexFunction, points=()) -> ConvexityReport:
     put the bounds out of order.  The line towards larger t takes f'+,
     towards smaller t f'-."""
     if f.proved_convex:
-        return ConvexityReport(ok=True, worst_violation=0.0, witness=None, checks=0, tol=0.0,
-                               method="proved")
+        return _PROVED
     report = check_convexity(f)
     if not report.ok:
         s, t = report.witness

@@ -639,6 +639,18 @@ def _proves_convex(node, interval: Interval) -> bool:
         return False
 
 
+def continuous_on(node, lo: float, hi: float) -> bool:
+    """True when the rules range the expression on [lo, hi], whatever its
+    curvature.  Then every node is finite and continuous there (no 0^u, no
+    divisor or ln argument that reaches 0), so each value is both one-sided
+    limits of the function at that point."""
+    try:
+        _shape(node, (lo, hi))
+    except (_Unproved, ArithmeticError, ValueError):
+        return False
+    return True
+
+
 def _out(lo: float, hi: float) -> tuple:
     lo, hi = math.nextafter(lo, -INF), math.nextafter(hi, INF)
     if not (math.isfinite(lo) and math.isfinite(hi)):

@@ -21,23 +21,31 @@ from .convex_core import ConvexFunction
 from .errors import (
     DomainError,
     InternalInconsistencyError,
+    NumericalFailureError,
     UnboundedSlopeError,
 )
 from .extreal import INF, ensure_extended
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Enclosure:
-    """Certified pair lo <= hi of extended reals bounding a scalar."""
+    """Certified pair lo <= hi of extended reals bounding a scalar.
+
+    A pair that holds no real number, lo = +inf or hi = -inf (a bound that
+    overflowed), raises NumericalFailureError.
+    """
 
     lo: float
     hi: float
 
-    def __post_init__(self):
-        lo = ensure_extended(self.lo)
-        hi = ensure_extended(self.hi)
+    def __init__(self, lo: float, hi: float):
+        lo = ensure_extended(lo)
+        hi = ensure_extended(hi)
         if lo > hi:
             raise InternalInconsistencyError(f"enclosure bounds out of order: [{lo}, {hi}]")
+        if lo == INF or hi == -INF:
+            raise NumericalFailureError(
+                f"enclosure [{lo}, {hi}] holds no real number: a bound overflowed")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
@@ -55,9 +63,10 @@ class Enclosure:
 
 
 def _interior_slopes(f: ConvexFunction, x: float):
-    """One-sided slopes at an interior point; finite for any real convex f."""
-    dm = f.left_derivative(x)
-    dp = f.right_derivative(x)
+    """One-sided slopes at an interior point, from one jet call where f has
+    a fused jet (see ``ConvexFunction.interior_slopes``); finite for any
+    real convex f."""
+    dm, dp = f.interior_slopes(x)
     if not (math.isfinite(dm) and math.isfinite(dp)):
         raise UnboundedSlopeError(
             f"infinite one-sided derivative at interior point t={x}; "

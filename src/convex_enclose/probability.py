@@ -10,8 +10,9 @@ and hence of F(x) itself.  The one-sided limits of the density are F's
 one-sided derivatives, so a model is its CDF (and E(X)).
 
 Each factory checks the density on a grid that ends at b itself; the
-uniform, power and exponential densities share ``_smooth_model``, which
-makes the density both one-sided slopes of the CDF.
+uniform, power and exponential densities, and a black-box density known
+to be continuous, share ``_smooth_model``, which makes the density both
+one-sided slopes of the CDF.
 """
 
 from __future__ import annotations
@@ -78,19 +79,20 @@ def _check_density(density, sup: Interval) -> None:
             )
 
 
-def _smooth_model(sup: Interval, density, cdf_fn, expectation: float) -> RandomVariableModel:
-    """The model of a continuous density in closed form: the density is
-    checked on the grid, then it is both one-sided slopes of the CDF."""
+def _smooth_model(sup: Interval, density, cdf_fn, expectation) -> RandomVariableModel:
+    """The model of a continuous density: the density is checked on the
+    grid, then it is both one-sided slopes of the CDF, and
+    ``expectation()`` gives E(X)."""
     _check_density(density, sup)
     cdf = ConvexFunction(domain=sup, fn=cdf_fn, dminus=density, dplus=density)
-    return RandomVariableModel(cdf=cdf, expectation=expectation)
+    return RandomVariableModel(cdf=cdf, expectation=expectation())
 
 
 def uniform_model(a: float, b: float) -> RandomVariableModel:
     """Constant density on [a, b]."""
     sup = Interval(a, b)
     c = 1.0 / sup.width
-    return _smooth_model(sup, lambda t: c, lambda x: (x - sup.lo) * c, sup.midpoint)
+    return _smooth_model(sup, lambda t: c, lambda x: (x - sup.lo) * c, lambda: sup.midpoint)
 
 
 def power_density_model(k: float, a: float, b: float) -> RandomVariableModel:
@@ -106,7 +108,7 @@ def power_density_model(k: float, a: float, b: float) -> RandomVariableModel:
         sup,
         lambda t: math.pow(t, k) / norm,
         lambda x: (math.pow(x, k + 1.0) - math.pow(sup.lo, k + 1.0)) / ((k + 1.0) * norm),
-        (math.pow(sup.hi, k + 2.0) - math.pow(sup.lo, k + 2.0)) / ((k + 2.0) * norm),
+        lambda: (math.pow(sup.hi, k + 2.0) - math.pow(sup.lo, k + 2.0)) / ((k + 2.0) * norm),
     )
 
 
@@ -118,7 +120,7 @@ def exponential_density_model(a: float, b: float) -> RandomVariableModel:
         sup,
         lambda t: math.exp(t) / norm,
         lambda x: (math.exp(x) - math.exp(sup.lo)) / norm,
-        ((sup.hi - 1.0) * math.exp(sup.hi) - (sup.lo - 1.0) * math.exp(sup.lo)) / norm,
+        lambda: ((sup.hi - 1.0) * math.exp(sup.hi) - (sup.lo - 1.0) * math.exp(sup.lo)) / norm,
     )
 
 
@@ -156,32 +158,38 @@ def step_density_model(a: float, b: float, split: float, low: float) -> RandomVa
     return RandomVariableModel(cdf=cdf, expectation=expectation)
 
 
-def model_from_density(fn, a: float, b: float) -> RandomVariableModel:
+def model_from_density(fn, a: float, b: float, *,
+                       continuous: bool = False) -> RandomVariableModel:
     """Build a model from a black-box density by numeric integration.
 
     The density is checked on the validation grid first; then the CDF and
     expectation come from the adaptive Simpson integrator at tolerance
-    1e-10, and the one-sided density limits, the CDF's slopes, are
-    estimated by ``_one_sided_limit`` (``certified=False``).
+    1e-10.  A density the caller knows to be ``continuous`` on [a, b] is
+    its own one-sided limits, so ``_smooth_model`` makes its values the
+    CDF's slopes; for any other density they are estimated by
+    ``_one_sided_limit`` (``certified=False``).
     """
     sup = Interval(a, b)
-    span = sup.width
-    _check_density(fn, sup)
 
     def cdf_fn(x):
         if x == sup.lo:
             return 0.0
         return integrate_callable(fn, sup.lo, x, _DENSITY_INTEGRAL_TOL)
 
+    def expectation():
+        return integrate_callable(lambda t: t * fn(t), sup.lo, sup.hi, _DENSITY_INTEGRAL_TOL)
+
+    if continuous:
+        return _smooth_model(sup, fn, cdf_fn, expectation)
+    _check_density(fn, sup)
+    span = sup.width
     cdf = ConvexFunction(
         domain=sup, fn=cdf_fn,
         dminus=lambda t: _one_sided_limit(fn, t, span, sup.lo, -1),
         dplus=lambda t: _one_sided_limit(fn, t, span, sup.hi, +1),
         certified=False,
     )
-    expectation = integrate_callable(lambda t: t * fn(t), sup.lo, sup.hi,
-                                     _DENSITY_INTEGRAL_TOL)
-    return RandomVariableModel(cdf=cdf, expectation=expectation)
+    return RandomVariableModel(cdf=cdf, expectation=expectation())
 
 
 def cdf_gap_enclosure(m: RandomVariableModel, x: float) -> Enclosure:

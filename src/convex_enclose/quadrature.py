@@ -9,9 +9,11 @@ remainder is nonnegative and each cell's share of the certificate width,
 midpoint_rule and integrate_adaptive share one cell rule and one result
 type.  A cell costs one jet call (f and both one-sided slopes) at its
 midpoint, which must be strictly interior (PartitionError); slopes out of
-order raise NonConvexError.  The integrator bisects the widest cell, from
-the domain ends and the known kinks, until the total width meets the
-tolerance; a cell is one flat tuple in a heap until it is split or retired.
+order raise NonConvexError.  midpoint_rule reads each interior node's two
+slopes with one more jet call where f has a fused jet.  The integrator
+bisects the widest cell, from the domain ends and the known kinks, until
+the total width meets the tolerance; a cell is one flat tuple in a heap
+until it is split or retired.
 A result's partition is built when it is first read.
 
 Per-cell terms are summed with math.fsum in whatever order the cells lie.
@@ -169,9 +171,14 @@ def midpoint_rule(f: ConvexFunction, n: int) -> QuadratureResult:
     cells are integrate_adaptive's, and so are the PartitionError and
     NonConvexError they raise.
     """
-    nodes = Partition.uniform(f.domain, n).nodes
-    cells = _midpoint_cells(f, nodes, [*map(f.left_derivative, nodes[1:])],
-                            [*map(f.right_derivative, nodes[:-1])])
+    if n < 1:
+        raise PartitionError("need at least one cell")
+    nodes = f.domain.grid(n)
+    _require_midpoints(nodes)
+    at_lo, at_hi = f.endpoint_slopes()
+    inner = [*map(f.interior_slopes, nodes[1:-1])]  # one jet call per node where f has one
+    cells = _midpoint_cells(f, nodes, [*(dm for dm, _ in inner), at_hi],
+                            [at_lo, *(dp for _, dp in inner)])
     return _midpoint_result(cells, nodes[-1])
 
 
@@ -233,6 +240,7 @@ def integrate_adaptive(f: ConvexFunction, tol: float,
         stride = len(kinks) / max_cells
         kinks = [kinks[int((i + 1) * stride)] for i in range(max_cells - 1)]
     nodes = [lo, *kinks, hi]
+    _require_midpoints(nodes)
     cells = _midpoint_cells(f, nodes, [*map(f.left_derivative, kinks), at_hi],
                             [at_lo, *map(f.right_derivative, kinks)])
     jet = f.interior_jet()
@@ -347,15 +355,20 @@ def integrate_adaptive(f: ConvexFunction, tol: float,
     )
 
 
+def _require_midpoints(nodes) -> None:
+    """PartitionError unless every cell's midpoint lies strictly inside it."""
+    if any(not u < 0.5 * (u + v) < v for u, v in zip(nodes, nodes[1:])):
+        raise PartitionError("a cell is too narrow to have an interior midpoint")
+
+
 def _midpoint_cells(f: ConvexFunction, nodes, lefts, rights) -> list:
     """The cells on nodes, in node order, from f'- at nodes[1:] and f'+ at nodes[:-1].
 
-    Each midpoint m must be strictly interior (PartitionError), so the jet
-    runs there without domain checks.  f'+(x0) > f'-(m) or f'+(m) > f'-(x1)
-    beyond rounding raises NonConvexError; a NaN width hi - lo becomes INF.
+    Each midpoint m is strictly interior (see _require_midpoints), so the
+    jet runs there without domain checks.  f'+(x0) > f'-(m) or f'+(m) >
+    f'-(x1) beyond rounding raises NonConvexError; a NaN width hi - lo
+    becomes INF.
     """
-    if any(not u < 0.5 * (u + v) < v for u, v in zip(nodes, nodes[1:])):
-        raise PartitionError("a cell is too narrow to have an interior midpoint")
     jet = f.interior_jet()
     slack = f.slope_slack
     cells = []

@@ -16,8 +16,13 @@ from hypothesis import strategies as st
 from convex_enclose import cli, errors
 from convex_enclose.cli import run
 from convex_enclose.convex_core import ConvexFunction, Interval, require_slope_order
-from convex_enclose.expressions import convex_function_from_expression
+from convex_enclose.expressions import (
+    continuous_on,
+    convex_function_from_expression,
+    parse_expression,
+)
 from convex_enclose.divergence import KERNELS
+from black_box import counting_copy
 
 
 def run_json(capsys, argv):
@@ -138,6 +143,30 @@ def test_prob_step_density(capsys):
     assert doc["result"]["median_lower"] == 0.0
     assert doc["result"]["median_upper"] == 0.0
     assert doc["result"]["expectation"] == 0.75
+
+
+def test_prob_ranged_density_is_its_own_cdf_slope(capsys):
+    # the rules range 2*t on [0, 1], so the CDF's slopes are the density's
+    # values and the median's lower bound is the formula's 1/12
+    assert cli._build_model("2*t", 0.0, 1.0).cdf.certified
+    doc = run_json(capsys, ["prob", "--density=2*t", "--a=0", "--b=1"])
+    assert doc["result"]["median_lower"] == pytest.approx(1.0 / 12.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("density, a, b, x", [
+    ("1-0^abs(t-0.9)", 0.0, 1.0, 0.9),
+    ("1+0^abs(t-0.5)", 0.1, 1.1, 0.5),
+])
+def test_prob_density_not_ranged_keeps_sampled_slopes(capsys, density, a, b, x):
+    # 0^u is 1 at u = 0 and 0 for u > 0: the density's value at x is not its
+    # one-sided limits there, which the sampled slopes take
+    assert not continuous_on(parse_expression(density), a, b)
+    assert not cli._build_model(density, a, b).cdf.certified
+    doc = run_json(capsys, ["prob", f"--density={density}", f"--a={a}", f"--b={b}",
+                            f"--x={x}"])
+    result = doc["result"]
+    assert result["cdf_lower"] == result["cdf_upper"]
+    assert result["median_lower"] == result["median_upper"]
 
 
 def test_prob_density_defined_only_up_to_b(capsys):
@@ -304,6 +333,35 @@ def test_lower_bound_that_overflows_to_nan_exits_3(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("numerical failure: undefined extended-real result")
+
+
+def test_lower_bound_that_overflows_to_inf_exits_3(capsys):
+    # (b - x)^2 f'+(x) overflows while (x - a)^2 f'-(x) does not, so the
+    # lower bound is inf although the difference, 1.498e308, is a float;
+    # [inf, inf] holds no real number
+    argv = ["enclose", "--fn", "9.1e306*t*t", "--a", "0", "--b", "4.2", "--x", "1.4"]
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure: enclosure [inf, inf] holds no real")
+
+
+def test_enclose_reads_each_point_once(capsys, monkeypatch):
+    # each oracle call of an expression is one fused walk: one jet at x and
+    # one at the midpoint, and the endpoint slopes once for the three
+    # bounds that read them; a proved function is not evaluated to check it
+    reads = []
+
+    def build(source, domain):
+        f, warnings = convex_function_from_expression(source, domain)
+        counted, calls = counting_copy(f)
+        reads.append(calls)
+        return counted, warnings
+
+    monkeypatch.setattr(cli, "convex_function_from_expression", build)
+    run_json(capsys, ["enclose", "--fn", "t*ln(t) + abs(t - 0.3)", "--a", "0.5", "--b", "2",
+                      "--x", "1.2"])
+    assert reads == [{"jet": 2, "dplus": 1, "dminus": 1}]
 
 
 def test_slopes_that_exist_on_one_side_only(capsys):

@@ -1,6 +1,8 @@
 import dataclasses
 import math
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -13,10 +15,15 @@ from convex_enclose.convex_core import (
     check_convexity,
     require_convex,
 )
-from convex_enclose.errors import DomainError, NonConvexError, UndefinedSideError
+from convex_enclose.errors import (
+    DomainError,
+    ExtendedArithmeticError,
+    NonConvexError,
+    UndefinedSideError,
+)
 from convex_enclose.extreal import INF
 from convex_enclose.expressions import convex_function_from_expression
-from black_box import sampled_function
+from black_box import counting_copy, sampled_function
 from identities import NotDifferentiableError, centered_kink, two_sided_derivative
 
 UNIT = Interval(0.0, 1.0)
@@ -97,6 +104,53 @@ def test_endpoint_slopes_examples():
     assert catalog.abs_shift(0.5, UNIT).endpoint_slopes() == (-1.0, 1.0)
     assert catalog.shifted_square(0.0, UNIT).endpoint_slopes() == (0.0, 2.0)
     assert catalog.neg_sqrt(UNIT).endpoint_slopes() == (-INF, -0.5)
+
+
+def test_endpoint_slopes_are_read_once_per_instance():
+    f, calls = counting_copy(catalog.exponential(UNIT))
+    assert f.endpoint_slopes() == f.endpoint_slopes() == (1.0, math.e)
+    assert calls == {"dplus": 1, "dminus": 1}
+    # a copy made with replace reads its own, which may differ
+    g = dataclasses.replace(f, domain=Interval(0.0, 2.0))
+    assert g.endpoint_slopes() == (1.0, math.exp(2.0))
+    assert calls == {"dplus": 2, "dminus": 2}
+    # threads that read a fresh function at once all get one pair
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            fresh = dataclasses.replace(f)
+            seen = []
+            threads = [threading.Thread(target=lambda: seen.append(fresh.endpoint_slopes()))
+                       for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+            assert len(seen) == 4
+            assert all(pair is fresh.endpoint_slopes() for pair in seen)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_interior_slopes_take_one_jet_call_where_the_jet_fuses():
+    f, calls = counting_copy(catalog.abs_shift(0.5, UNIT))
+    assert f.interior_slopes(0.5) == (-1.0, 1.0)
+    assert calls == {"jet": 1}
+    # without a jet, or with one that no longer fuses f's oracles, the two
+    # checked oracles
+    assert dataclasses.replace(f, jet=None).interior_slopes(0.5) == (-1.0, 1.0)
+    assert dataclasses.replace(f, dplus=lambda t: f.dplus(t)).interior_slopes(0.25) == (-1.0, -1.0)
+    assert calls == {"jet": 1, "dminus": 2, "dplus": 2}
+    # an end is no interior point, and a NaN slope raises on either path
+    with pytest.raises(UndefinedSideError):
+        f.interior_slopes(0.0)
+    nan = ConvexFunction(UNIT, fn=abs, dminus=lambda t: math.nan, dplus=lambda t: 0.0,
+                         jet=lambda t: (0.0, math.nan, 0.0))
+    for g in (nan, dataclasses.replace(nan, jet=None)):
+        with pytest.raises(ExtendedArithmeticError):
+            g.interior_slopes(0.5)
 
 
 def test_sampled_oracle_agrees_with_closed_form():
@@ -239,6 +293,12 @@ def test_require_convex_trusts_a_proof_without_evaluating():
     # the sampled check stays pure sampling
     assert check_convexity(square).method == "sampled"
     assert check_convexity(square).checks > 0
+
+
+def test_require_convex_shares_one_report_for_every_proof():
+    square = convex_function_from_expression("t*t", UNIT)[0]
+    exp = convex_function_from_expression("exp(t)", Interval(-1.0, 2.0))[0]
+    assert require_convex(square) is require_convex(exp, (0.0, 1.0))
 
 
 def test_require_convex_proves_a_variable_power_without_evaluating():

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from convex_enclose import errors, expressions
-from convex_enclose.convex_core import Interval, require_convex
+from convex_enclose.convex_core import Interval, _one_sided_limit, require_convex
 from convex_enclose.errors import DomainError, ExpressionError
 from convex_enclose.expressions import (
     MAX_DEPTH,
@@ -21,6 +21,7 @@ from convex_enclose.expressions import (
     Var,
     _lower_jet,
     _proves_convex,
+    continuous_on,
     convex_function_from_expression,
     lower_value,
     parse_expression,
@@ -719,3 +720,37 @@ def test_proof_implies_sampled_check_passes(source, bounds, fraction):
         report = require_convex(dataclasses.replace(f, proved_convex=False),
                                 (lo, x, f.domain.midpoint, hi))
         assert report.ok and report.method == "sampled", (source, bounds)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(_grammar(st.one_of(_CONSTANTS, st.just("t"), _CONVEX_ATOMS), _EXPONENT,
+                variable_exponents=True),
+       _INTERVALS, st.integers(1, 63))
+@example("(0)^(abs(t))", (-1.0, 1.0), 32)  # 1 at 0 and 0 elsewhere: not ranged
+@example("(1)-((0)^(abs((t)-(0.5))))", (0.0, 1.0), 32)
+@example("((t)^(0))+(sqrt(t))", (0.0, 1.0), 1)  # ranged: t^0 is 1 at t = 0 too
+@example("((2)*(t))-((1)/(t))", (0.5, 2.0), 63)
+@example("(exp(t))*(3)", (-3.0, -0.5), 16)
+@example("max(t, 2)", (0.5625, 3.0625), 38)
+def test_a_ranged_expression_is_its_own_one_sided_limits(source, bounds, k):
+    """What continuous_on claims, which lets a density take its values as
+    its CDF's slopes: where the rules range an expression on [lo, hi], its
+    value at a point is its limit from either side within [lo, hi], up to
+    the slack of sampled slopes.  The points are k/64 of the way, and the
+    limit's first step is 2^-20 of the width: from farther off, two steps
+    onto a flat piece of a max stop it early (the left limit of max(t, 2)
+    at 2.046875 would read 2), and 40 halvings of a step of 2^-20 do not reach
+    a vertical tangent's limit at a point within 2^-60 of it."""
+    node = parse_expression(source)
+    lo, hi = bounds
+    if continuous_on(node, lo, hi):
+        fn = lower_value(node)
+        t = lo + k / 64 * (hi - lo)
+        if lo < t < hi:
+            value = fn(t)
+            assert math.isfinite(value), (source, bounds, t)
+            for limit, sign in ((lo, -1), (hi, 1)):
+                estimate = _one_sided_limit(fn, t, (hi - lo) * 2.0**-16, limit, sign)
+                assert abs(estimate - value) <= 1e-6 * max(1.0, abs(value)), (source, bounds, t)
+    else:
+        assert not _proves_convex(node, Interval(lo, hi))

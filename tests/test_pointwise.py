@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -8,6 +9,7 @@ from convex_enclose.convex_core import Interval
 from convex_enclose.errors import (
     DomainError,
     InternalInconsistencyError,
+    NumericalFailureError,
     UnboundedSlopeError,
 )
 from convex_enclose.extreal import INF
@@ -45,6 +47,26 @@ def test_enclosure_invariants():
     assert Enclosure(0.0, INF).width == INF
     with pytest.raises(InternalInconsistencyError):
         Enclosure(2.0, 1.0)
+
+
+def test_enclosure_of_no_real_number_is_a_numerical_failure():
+    # a bound that overflowed: [inf, inf] or [-inf, -inf] holds no real number
+    for lo, hi in ((INF, INF), (-INF, -INF)):
+        with pytest.raises(NumericalFailureError, match="holds no real number"):
+            Enclosure(lo, hi)
+    assert Enclosure(-INF, INF).width == INF
+    assert Enclosure(-INF, 0.0).as_tuple() == (-INF, 0.0)
+
+
+def test_enclosure_is_an_immutable_value():
+    e = Enclosure(1, hi=2.5)
+    assert type(e.lo) is float
+    assert e == Enclosure(1.0, 2.5) and hash(e) == hash(Enclosure(1.0, 2.5))
+    assert e != Enclosure(1.0, 3.0) and e != (1.0, 2.5)
+    assert repr(e) == "Enclosure(lo=1.0, hi=2.5)"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        e.lo = 0.0
+    assert not hasattr(e, "__dict__")
 
 
 def test_lower_bound_examples():

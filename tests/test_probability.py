@@ -161,6 +161,23 @@ def test_black_box_density_matches_closed_form():
     assert enc.contains(0.25, slack=1e-6)
 
 
+def test_continuous_density_is_checked_once_before_integrating():
+    calls = []
+
+    def falling(t):
+        calls.append(t)
+        return 2.0 - 2.0 * t
+
+    with pytest.raises(InconsistentModelError):
+        model_from_density(falling, 0.0, 1.0, continuous=True)
+    assert len(calls) == 65  # the validation grid, and no integration
+    m = model_from_density(lambda t: 2.0 * t, 0.0, 1.0, continuous=True)
+    assert m.cdf.certified
+    assert m.cdf.endpoint_slopes() == (0.0, 2.0)
+    assert (m.cdf.left_derivative(0.25), m.cdf.right_derivative(0.25)) == (0.5, 0.5)
+    assert median_point_probability(m).contains(0.25)
+
+
 def test_density_is_never_called_outside_its_support():
     # ends with 3 decimals, as prob requests draw them; for some, a + (b - a) rounds above b.
     # Every uniform grid comes from Interval.grid: the density check's, the

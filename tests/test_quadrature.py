@@ -31,7 +31,7 @@ from convex_enclose.quadrature import (
     riemann_sum,
 )
 from convex_enclose.selftest import random_convex_case, random_partition
-from black_box import sampled_function
+from black_box import counting_copy, sampled_function
 from identities import (
     NotDifferentiableError,
     differentiable_lower_form,
@@ -207,6 +207,20 @@ def test_midpoint_rule_errors():
     # one ulp: the cell's midpoint rounds to one of its ends
     with pytest.raises(PartitionError):
         midpoint_rule(catalog.exponential(Interval(1.0, math.nextafter(1.0, 2.0))), 1)
+
+
+def test_midpoint_rule_reads_each_node_once():
+    # n midpoint jets, one jet for both slopes at each of the n - 1 interior
+    # nodes, and the two endpoint slopes
+    for f in (catalog.exponential(UNIT),
+              convex_function_from_expression("abs(t - 0.63) + t*ln(t)", Interval(0.4, 1.1))[0]):
+        for n in (1, 2, 64):
+            g, calls = counting_copy(f)
+            assert midpoint_rule(g, n) == midpoint_rule(dataclasses.replace(f, jet=None), n)
+            assert calls == {"jet": 2 * n - 1, "dplus": 1, "dminus": 1}
+    # nodes that repeat the ends are refused before any slope is read there
+    with pytest.raises(PartitionError):
+        midpoint_rule(catalog.exponential(Interval(1.0, math.nextafter(1.0, 2.0))), 3)
 
 
 def test_midpoint_remainder_nonnegative():
