@@ -147,8 +147,14 @@ class ConvexFunction:
     slopes estimated from samples, which get a wider slack.
 
     ``antiderivative``, when present, must be exact on the whole domain
-    (kinks included); only the reference oracle consumes it.  ``kinks``
-    lists interior points where the two one-sided derivatives differ.
+    (kinks included); the reference oracle and ``divergence.hh_divergence``
+    consume it.  ``kinks`` lists interior points where the two one-sided
+    derivatives differ.  Three readers use them: the adaptive integrator
+    seeds its cells at them, the reference oracle splits its rule there,
+    and ``divergence.hh_gap_bounds`` reads the slope jump only there for
+    its lower bound.  A kink left out only loosens that lower bound, which
+    stays valid; the integrator then needs more cells and the oracle
+    loses accuracy.
     ``proved_convex`` marks a function whose convexity on the domain was
     proved, so that :func:`require_convex` need not sample it.
 

@@ -10,8 +10,11 @@ induces
 
 and the chain  lin_wong <= hh <= csiszar / 2  holds.  The gap hh - lin_wong
 is itself enclosed two-sidedly: the lower bound collects the kernel's kink
-jumps at the mixture ratios (zero for differentiable kernels), the upper
-bound its slope increase across each cell between 1 and the raw ratio.
+jumps at the mixture ratios (zero for differentiable kernels), so it reads
+the slopes at a mixture ratio only where that is one of the kernel's
+declared ``kinks``; the upper bound collects its slope increase across each
+cell between 1 and the raw ratio, one slope read per atom.  Each sum is one
+pass over the two weight tuples.
 
 KERNELS holds the named kernels, catalog functions on POSITIVE_AXIS.  A
 custom kernel is any ConvexFunction whose domain holds 1 and every q_i/p_i;
@@ -47,10 +50,10 @@ class DiscreteDistribution:
     weights: tuple
 
     def __post_init__(self):
-        w = tuple(float(x) for x in self.weights)
+        w = tuple(map(float, self.weights))
         if not w:
             raise InvalidDistributionError("empty weight vector")
-        if any(not math.isfinite(x) or x <= 0.0 for x in w):
+        if not all(map(math.isfinite, w)) or min(w) <= 0.0:
             raise InvalidDistributionError("weights must be finite and strictly positive")
         total = math.fsum(w)
         if abs(total - 1.0) > _WEIGHT_SUM_TOL:
@@ -97,14 +100,32 @@ def csiszar_divergence(kernel: ConvexFunction, p: DiscreteDistribution,
                        q: DiscreteDistribution) -> float:
     """sum p_i f(q_i / p_i)."""
     _require_same_length(p, q)
-    return math.fsum(pi * kernel.fn(qi / pi) for pi, qi in zip(p, q))
+    fn = kernel.fn
+    return math.fsum([pi * fn(qi / pi) for pi, qi in zip(p.weights, q.weights)])
 
 
 def lin_wong_divergence(kernel: ConvexFunction, p: DiscreteDistribution,
                         q: DiscreteDistribution) -> float:
     """The kernel divergence of p against the even mixture (p + q)/2."""
     _require_same_length(p, q)
-    return math.fsum(pi * kernel.fn((pi + qi) / (2.0 * pi)) for pi, qi in zip(p, q))
+    fn = kernel.fn
+    return math.fsum([pi * fn((pi + qi) / (2.0 * pi)) for pi, qi in zip(p.weights, q.weights)])
+
+
+def _mean_by_quadrature(kernel: ConvexFunction, r: float) -> float:
+    """The kernel's mean between 1 and r, from certified quadrature (see
+    hh_divergence)."""
+    if r == 1.0:
+        return 0.0
+    lo, hi = (1.0, r) if r > 1.0 else (r, 1.0)
+    f_lo, f_hi = kernel.fn(lo), kernel.fn(hi)
+    spread = 0.5 * (f_lo + f_hi) - kernel.fn(0.5 * (lo + hi))
+    tol = (hi - lo) * max(_INNER_SHARE * spread,
+                          _INNER_FLOOR * max(1.0, abs(f_lo), abs(f_hi)))
+    result = integrate_adaptive(replace(kernel, domain=Interval(lo, hi)), tol=tol)
+    integral = result.estimate + 0.5 * (result.remainder.lo + result.remainder.hi)
+    signed = integral if r > 1.0 else -integral
+    return signed / (r - 1.0)
 
 
 def hh_divergence(kernel: ConvexFunction, p: DiscreteDistribution,
@@ -112,33 +133,21 @@ def hh_divergence(kernel: ConvexFunction, p: DiscreteDistribution,
     """sum p_i * (integral mean of the kernel between 1 and q_i/p_i).
 
     Atoms with q_i = p_i contribute their limit 0 (the inner mean tends
-    to f(1) = 0).  Inner integrals use the kernel's antiderivative when
-    available, else the midpoint of a certified quadrature enclosure whose
-    width on [lo, hi], between 1 and q_i/p_i, is at most (hi - lo) times
-    5e-10 of the kernel's Hermite-Hadamard spread (f(lo) + f(hi))/2 -
-    f((lo + hi)/2), floor 1e-15 max(1, |f(lo)|, |f(hi)|): about 50,000
-    cells for a smooth kernel, whatever q_i/p_i is.
+    to f(1) = 0).  Inner integrals use the kernel's antiderivative F when
+    available, as (F(r) - F(1))/(r - 1), else the midpoint of a certified
+    quadrature enclosure whose width on [lo, hi], between 1 and q_i/p_i,
+    is at most (hi - lo) times 5e-10 of the kernel's Hermite-Hadamard
+    spread (f(lo) + f(hi))/2 - f((lo + hi)/2), floor 1e-15 max(1, |f(lo)|,
+    |f(hi)|): about 50,000 cells for a smooth kernel, whatever q_i/p_i is.
     """
     _require_same_length(p, q)
     anti = kernel.antiderivative
-    at_one = None if anti is None else anti(1.0)
-
-    def mean_from_one(r):
-        if r == 1.0:
-            return 0.0
-        if anti is not None:
-            return (anti(r) - at_one) / (r - 1.0)
-        lo, hi = (1.0, r) if r > 1.0 else (r, 1.0)
-        f_lo, f_hi = kernel.fn(lo), kernel.fn(hi)
-        spread = 0.5 * (f_lo + f_hi) - kernel.fn(0.5 * (lo + hi))
-        tol = (hi - lo) * max(_INNER_SHARE * spread,
-                              _INNER_FLOOR * max(1.0, abs(f_lo), abs(f_hi)))
-        result = integrate_adaptive(replace(kernel, domain=Interval(lo, hi)), tol=tol)
-        integral = result.estimate + 0.5 * (result.remainder.lo + result.remainder.hi)
-        signed = integral if r > 1.0 else -integral
-        return signed / (r - 1.0)
-
-    return math.fsum(pi * mean_from_one(qi / pi) for pi, qi in zip(p, q))
+    if anti is None:
+        return math.fsum([pi * _mean_by_quadrature(kernel, qi / pi)
+                          for pi, qi in zip(p.weights, q.weights)])
+    at_one = anti(1.0)
+    return math.fsum([0.0 if (r := qi / pi) == 1.0 else pi * ((anti(r) - at_one) / (r - 1.0))
+                      for pi, qi in zip(p.weights, q.weights)])
 
 
 @dataclass(frozen=True)
@@ -189,20 +198,21 @@ def hh_gap_bounds(kernel: ConvexFunction, p: DiscreteDistribution,
     upper = (1/8) sum [f'-(x1) - f'+(x0)] |q_i - p_i|  on the cell [x0, x1],
             that is [1, r_i] when q_i >= p_i and [r_i, 1] when q_i < p_i.
 
-    The lower bound is >= 0 and vanishes for differentiable kernels.
+    The lower bound is >= 0 and vanishes for differentiable kernels.  Its
+    terms are zero off the kernel's kinks, so the slopes at m_i are read
+    only where m_i is one of ``kernel.kinks``: one slope read per atom
+    otherwise.  A kink left out of ``kinks`` only loosens the lower bound.
     """
     _require_same_length(p, q)
     dminus, dplus = kernel.dminus, kernel.dplus
     d_minus_one = dminus(1.0)
     d_plus_one = dplus(1.0)
-    lo_terms = []
-    hi_terms = []
-    for pi, qi in zip(p, q):
-        mid = (pi + qi) / (2.0 * pi)
-        lo_terms.append((dplus(mid) - dminus(mid)) * abs(qi - pi))
-        r = qi / pi
-        if qi >= pi:
-            hi_terms.append((dminus(r) - d_plus_one) * (qi - pi))
-        else:
-            hi_terms.append((d_minus_one - dplus(r)) * (pi - qi))
+    pw, qw = p.weights, q.weights
+    hi_terms = [(dminus(qi / pi) - d_plus_one) * (qi - pi) if qi >= pi
+                else (d_minus_one - dplus(qi / pi)) * (pi - qi)
+                for pi, qi in zip(pw, qw)]
+    kinks = kernel.kinks
+    lo_terms = [] if not kinks else [
+        (dplus(m) - dminus(m)) * abs(qi - pi) for pi, qi in zip(pw, qw)
+        if (m := (pi + qi) / (2.0 * pi)) in kinks]
     return Enclosure(0.125 * xsum(lo_terms), 0.125 * xsum(hi_terms))

@@ -56,12 +56,15 @@ def _integral_enclosure(f: ConvexFunction, interval: Interval, tol: float) -> En
     integrator runs to ``tol`` (its best result when the cell budget runs
     out, still certified, only wider).  An infinite endpoint slope leaves
     the Hermite-Hadamard bracket  h f(mid) <= integral <= h (f(lo) + f(hi))/2.
+    On f's own domain f itself is integrated, so its endpoint slopes, kept
+    after their first read, are not read again.
     """
     if f.antiderivative is not None:
         value = reference_integral(f, interval).value
         return Enclosure(value, value)
+    g = f if interval == f.domain else replace(f, domain=interval)
     try:
-        result = integrate_adaptive(replace(f, domain=interval), tol, max_cells=_MAX_CELLS)
+        result = integrate_adaptive(g, tol, max_cells=_MAX_CELLS)
     except BudgetExceededError as exc:
         result = exc.best
     except UnboundedSlopeError:

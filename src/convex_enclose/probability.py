@@ -29,6 +29,10 @@ from .pointwise import Enclosure, ostrowski_lower, ostrowski_upper
 _NORMALIZATION_TOL = 1e-9
 _DENSITY_INTEGRAL_TOL = 1e-10
 _VALIDATION_CELLS = 64
+# A sampled CDF slope is checked against the density this share of the
+# support beside its point, within this relative slack.
+_BESIDE = 2.0**-30
+_BESIDE_REL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -167,7 +171,10 @@ def model_from_density(fn, a: float, b: float, *,
     1e-10.  A density the caller knows to be ``continuous`` on [a, b] is
     its own one-sided limits, so ``_smooth_model`` makes its values the
     CDF's slopes; for any other density they are estimated by
-    ``_one_sided_limit`` (``certified=False``).
+    ``_one_sided_limit`` (``certified=False``), and an estimate that
+    disagrees with the density 2^-30 of the support beside its point is
+    taken again from there, which catches a rise that starts farther from
+    the point than that, not a closer one.
     """
     sup = Interval(a, b)
 
@@ -183,10 +190,21 @@ def model_from_density(fn, a: float, b: float, *,
         return _smooth_model(sup, fn, cdf_fn, expectation)
     _check_density(fn, sup)
     span = sup.width
+
+    def slope(t, limit, sign):
+        # the limit's first probes can both sit on a flat stretch short of
+        # a rise next to t and agree; the density right beside t then
+        # disagrees, and the limit is taken again from there
+        v = _one_sided_limit(fn, t, span, limit, sign)
+        s = t + sign * min(_BESIDE * span, abs(limit - t))
+        if s != t and abs(fn(s) - v) > _BESIDE_REL * max(1.0, abs(v)):
+            v = _one_sided_limit(fn, t, 16.0 * abs(s - t), limit, sign)
+        return v
+
     cdf = ConvexFunction(
         domain=sup, fn=cdf_fn,
-        dminus=lambda t: _one_sided_limit(fn, t, span, sup.lo, -1),
-        dplus=lambda t: _one_sided_limit(fn, t, span, sup.hi, +1),
+        dminus=lambda t: slope(t, sup.lo, -1),
+        dplus=lambda t: slope(t, sup.hi, +1),
         certified=False,
     )
     return RandomVariableModel(cdf=cdf, expectation=expectation())

@@ -8,12 +8,18 @@ is the witness of the sharpness criteria: it attains equality in the
 sharp bounds.  ``midpoint_rule_by_cell`` is the uniform midpoint rule as
 its own loop over f and the one-sided derivatives, the reference for the
 library's rule, which builds its cells as the adaptive integrator does.
+The ``*_by_atom`` functions are the divergences and the gap bounds as one
+loop step per atom that reads every slope the formulas name, the mixture
+ratios' included: the references for the library's passes over the weight
+tuples, which read a mixture ratio's slopes only at a declared kink.
 """
 
 import math
+from dataclasses import replace
 
 from convex_enclose import catalog
 from convex_enclose.convex_core import ConvexFunction, Interval
+from convex_enclose.divergence import _INNER_FLOOR, _INNER_SHARE
 from convex_enclose.errors import (
     ConvexEncloseError,
     DomainError,
@@ -22,7 +28,12 @@ from convex_enclose.errors import (
 )
 from convex_enclose.extreal import xsum
 from convex_enclose.pointwise import Enclosure
-from convex_enclose.quadrature import Partition, _require_spanning, riemann_sum
+from convex_enclose.quadrature import (
+    Partition,
+    _require_spanning,
+    integrate_adaptive,
+    riemann_sum,
+)
 
 
 class DegenerateSlopesError(ConvexEncloseError):
@@ -152,3 +163,62 @@ def midpoint_rule_by_cell(f: ConvexFunction, n: int):
         lo_terms.append(0.125 * h2 * (f.right_derivative(m) - f.left_derivative(m)))
         hi_terms.append(0.125 * h2 * (f.left_derivative(x1) - f.right_derivative(x0)))
     return estimate, Enclosure(xsum(lo_terms), xsum(hi_terms)), partition
+
+
+def csiszar_by_atom(kernel: ConvexFunction, p, q) -> float:
+    """sum p_i f(q_i / p_i), one kernel call per atom."""
+    return math.fsum(pi * kernel.fn(qi / pi) for pi, qi in zip(p, q))
+
+
+def lin_wong_by_atom(kernel: ConvexFunction, p, q) -> float:
+    """sum p_i f((p_i + q_i) / (2 p_i)), one kernel call per atom."""
+    return math.fsum(pi * kernel.fn((pi + qi) / (2.0 * pi)) for pi, qi in zip(p, q))
+
+
+def hh_by_atom(kernel: ConvexFunction, p, q) -> float:
+    """sum p_i * (mean of the kernel between 1 and q_i/p_i), each mean from
+    the antiderivative or, without one, from certified quadrature."""
+    anti = kernel.antiderivative
+    at_one = None if anti is None else anti(1.0)
+
+    def mean_from_one(r):
+        if r == 1.0:
+            return 0.0
+        if anti is not None:
+            return (anti(r) - at_one) / (r - 1.0)
+        lo, hi = (1.0, r) if r > 1.0 else (r, 1.0)
+        f_lo, f_hi = kernel.fn(lo), kernel.fn(hi)
+        spread = 0.5 * (f_lo + f_hi) - kernel.fn(0.5 * (lo + hi))
+        tol = (hi - lo) * max(_INNER_SHARE * spread,
+                              _INNER_FLOOR * max(1.0, abs(f_lo), abs(f_hi)))
+        result = integrate_adaptive(replace(kernel, domain=Interval(lo, hi)), tol=tol)
+        integral = result.estimate + 0.5 * (result.remainder.lo + result.remainder.hi)
+        signed = integral if r > 1.0 else -integral
+        return signed / (r - 1.0)
+
+    return math.fsum(pi * mean_from_one(qi / pi) for pi, qi in zip(p, q))
+
+
+def sandwich_by_atom(kernel: ConvexFunction, p, q) -> tuple:
+    """(lin_wong, hh, csiszar / 2) from the per-atom loops."""
+    return (lin_wong_by_atom(kernel, p, q), hh_by_atom(kernel, p, q),
+            0.5 * csiszar_by_atom(kernel, p, q))
+
+
+def gap_bounds_by_atom(kernel: ConvexFunction, p, q) -> Enclosure:
+    """The enclosure of hh - lin_wong with both slopes read at every
+    mixture ratio m_i, differentiable there or not."""
+    dminus, dplus = kernel.dminus, kernel.dplus
+    d_minus_one = dminus(1.0)
+    d_plus_one = dplus(1.0)
+    lo_terms = []
+    hi_terms = []
+    for pi, qi in zip(p, q):
+        mid = (pi + qi) / (2.0 * pi)
+        lo_terms.append((dplus(mid) - dminus(mid)) * abs(qi - pi))
+        r = qi / pi
+        if qi >= pi:
+            hi_terms.append((dminus(r) - d_plus_one) * (qi - pi))
+        else:
+            hi_terms.append((d_minus_one - dplus(r)) * (pi - qi))
+    return Enclosure(0.125 * xsum(lo_terms), 0.125 * xsum(hi_terms))

@@ -169,6 +169,29 @@ def test_prob_density_not_ranged_keeps_sampled_slopes(capsys, density, a, b, x):
     assert result["median_lower"] == result["median_upper"]
 
 
+@pytest.mark.parametrize("scale, kink, norm", [
+    (100, "0.95", "1.125"),
+    (1000, "0.95", "2.25"),
+    (100, "0.97", "1.045"),
+])
+def test_prob_sampled_slope_next_to_a_flat_stretch(capsys, scale, kink, norm):
+    # the density is flat up to the kink and rises after it; + 0*t keeps it
+    # from being ranged, so its CDF's slopes are sampled, and the left limit
+    # at x = 0.975 starts with two probes on the flat stretch
+    density = f"(1 + {scale}*max(0, t - {kink}) + 0*t)/{norm}"
+    assert not cli._build_model(density, 0.0, 1.0).cdf.certified
+    x, k, n = Fraction("0.975"), Fraction(kink), Fraction(norm)
+    exact = float((x + scale * (x - k) ** 2 / 2) / n)  # F(x)
+    code = run(["prob", f"--density={density}", "--a=0", "--b=1", "--x=0.975"])
+    out = capsys.readouterr().out
+    if code == 3:
+        assert out == ""
+        return
+    assert code == 0, out
+    lo, hi = json.loads(out)["certificates"]["cdf_value"]
+    assert lo <= exact <= hi
+
+
 def test_prob_density_defined_only_up_to_b(capsys):
     # 0.3 + (0.9 - 0.3) rounds to 0.9000000000000001, where sqrt(0.9 - t) is undefined
     doc = run_json(capsys, ["prob", "--density", "(1 + (2/3)*0.6^1.5)/0.6 - sqrt(0.9 - t)",

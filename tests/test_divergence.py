@@ -23,7 +23,13 @@ from convex_enclose.errors import (
 )
 from convex_enclose.quadrature import integrate_adaptive
 from convex_enclose.selftest import random_distribution
-from black_box import sampled_function
+from black_box import counting_copy, sampled_function
+from identities import (
+    csiszar_by_atom,
+    gap_bounds_by_atom,
+    lin_wong_by_atom,
+    sandwich_by_atom,
+)
 
 P = DiscreteDistribution((0.5, 0.5))
 Q = DiscreteDistribution((0.25, 0.75))
@@ -39,6 +45,25 @@ def test_distribution_validation():
         DiscreteDistribution((1.0, 0.0))
     with pytest.raises(InvalidDistributionError):
         DiscreteDistribution((1.5, -0.5))
+
+
+@pytest.mark.parametrize("weights, error, message", [
+    ((), InvalidDistributionError, "empty weight vector"),
+    ((math.nan, 0.5, 0.5), InvalidDistributionError, "weights must be finite and strictly positive"),
+    ((0.5, 0.5, math.nan), InvalidDistributionError, "weights must be finite and strictly positive"),
+    ((0.5, -1.0, math.nan), InvalidDistributionError, "weights must be finite and strictly positive"),
+    ((math.inf, 0.5), InvalidDistributionError, "weights must be finite and strictly positive"),
+    ((0.5, -math.inf, 0.5), InvalidDistributionError, "weights must be finite and strictly positive"),
+    ((0.0, 1.0), InvalidDistributionError, "weights must be finite and strictly positive"),
+    ((1.5, -0.5), InvalidDistributionError, "weights must be finite and strictly positive"),
+    (("x", 1.0), ValueError, "could not convert string to float: 'x'"),
+    ((0.5, 0.6), InvalidDistributionError, "weights sum to 1.1, not 1"),
+])
+def test_distribution_errors_keep_their_class_and_message(weights, error, message):
+    with pytest.raises(error) as exc_info:
+        DiscreteDistribution(weights)
+    assert type(exc_info.value) is error
+    assert str(exc_info.value) == message
 
 
 def test_alphabet_mismatch():
@@ -137,6 +162,14 @@ def test_sandwich_rejects_values_beyond_the_float_range(kernel, tiny):
     with pytest.raises(NumericalFailureError, match="exceeds the float range") as exc_info:
         hh_sandwich(kernel_by_name(kernel), p, q)
     assert not isinstance(exc_info.value, InternalInconsistencyError)
+
+
+@pytest.mark.parametrize("name", ["chi2", "kl"])
+def test_gap_bounds_enclose_an_overflowed_ratio_by_zero_and_inf(name):
+    # q_1 / p_1 and m_1 overflow, and the slopes there are inf; the kernel
+    # is differentiable, so no slope at m_1 is read and [0, inf] encloses
+    p, q = DiscreteDistribution((1e-310, 1.0)), DiscreteDistribution((0.5, 0.5))
+    assert hh_gap_bounds(kernel_by_name(name), p, q).as_tuple() == (0.0, math.inf)
 
 
 def test_gap_bounds_worked_cases():
@@ -239,3 +272,119 @@ def test_sandwich_and_gap_fuzz():
             bounds = hh_gap_bounds(kernel, p, q)
             assert bounds.lo >= 0.0
             assert bounds.contains(gap, slack=slack)
+
+
+def _hex(values):
+    return [v.hex() for v in values]
+
+
+def _assert_matches_per_atom_loops(kernel, p, q):
+    triple = hh_sandwich(kernel, p, q)
+    got = (triple.lin_wong, triple.hh, triple.half_csiszar)
+    assert _hex(got) == _hex(sandwich_by_atom(kernel, p, q))
+    assert _hex(hh_gap_bounds(kernel, p, q).as_tuple()) == _hex(
+        gap_bounds_by_atom(kernel, p, q).as_tuple())
+
+
+@pytest.mark.parametrize("name", sorted(divergence.KERNELS))
+def test_passes_match_the_per_atom_loops_bit_for_bit(name):
+    kernel = kernel_by_name(name)
+    rng = random.Random(f"passes:{name}")
+    for size in (2, 3, 5, 8, 16, 33, 64):
+        p, q = random_distribution(rng, size), random_distribution(rng, size)
+        _assert_matches_per_atom_loops(kernel, p, q)
+        _assert_matches_per_atom_loops(kernel, p, p)  # every m_i and r_i is 1
+    # atoms with p_i = q_i among others
+    p = DiscreteDistribution((0.25, 0.25, 0.5))
+    _assert_matches_per_atom_loops(kernel, p, DiscreteDistribution((0.25, 0.375, 0.375)))
+
+
+def test_passes_match_the_per_atom_loops_without_an_antiderivative():
+    kernel = replace(kernel_by_name("kl"), antiderivative=None)
+    rng = random.Random(29)
+    for size in (2, 3):
+        p, q = random_distribution(rng, size), random_distribution(rng, size)
+        _assert_matches_per_atom_loops(kernel, p, q)
+
+
+def test_mixture_ratios_at_a_kink_match_the_per_atom_loops():
+    # m_i = (0.25 + 0.375) / 0.5 = 1.25 exactly, the kink of shifted_abs
+    p = DiscreteDistribution((0.25, 0.25, 0.5))
+    q = DiscreteDistribution((0.375, 0.375, 0.25))
+    shifted_abs = kernel_by_name("shifted_abs")
+    _assert_matches_per_atom_loops(shifted_abs, p, q)
+    assert hh_gap_bounds(shifted_abs, p, q).lo == 0.0625
+    # tv's kink is 1, the mixture ratio of an atom with p_i = q_i
+    _assert_matches_per_atom_loops(kernel_by_name("tv"), p, DiscreteDistribution((0.25, 0.5, 0.25)))
+
+
+def test_sampled_kernel_reads_its_upper_slopes_as_the_per_atom_loop():
+    # a sampled kernel declares no kinks: its lower bound is 0, where the
+    # loop's slope estimates at the mixture ratios leave noise of 1e-9
+    sampled = sampled_function(lambda t: (t - 1.0) ** 2, Interval(0.1, 10.0))
+    rng = random.Random(31)
+    for size in (2, 5, 9):
+        p, q = random_distribution(rng, size), random_distribution(rng, size)
+        assert csiszar_divergence(sampled, p, q).hex() == csiszar_by_atom(sampled, p, q).hex()
+        assert lin_wong_divergence(sampled, p, q).hex() == lin_wong_by_atom(sampled, p, q).hex()
+        got, want = hh_gap_bounds(sampled, p, q), gap_bounds_by_atom(sampled, p, q)
+        assert got.hi.hex() == want.hi.hex()
+        assert got.lo == 0.0
+        assert want.lo == pytest.approx(0.0, abs=1e-7)
+
+
+def _logged(kernel):
+    """kernel whose slope oracles record where they are read."""
+    points = []
+
+    def logged(oracle):
+        def read(t):
+            points.append(t)
+            return oracle(t)
+        return read
+    return replace(kernel, dminus=logged(kernel.dminus), dplus=logged(kernel.dplus)), points
+
+
+@pytest.mark.parametrize("name", ["chi2", "kl", "reverse_kl"])
+def test_gap_bounds_read_one_slope_per_atom_without_kinks(name):
+    kernel, points = _logged(kernel_by_name(name))
+    counted, calls = counting_copy(kernel)
+    p, q = random_distribution(random.Random(37), 12), random_distribution(random.Random(41), 12)
+    hh_gap_bounds(counted, p, q)
+    assert calls["dminus"] + calls["dplus"] == len(p) + 2
+    assert calls["fn"] == 0
+    # f'-(1), f'+(1) and one slope at each r_i, none at an m_i
+    assert sorted(points) == sorted([1.0, 1.0, *(qi / pi for pi, qi in zip(p, q))])
+
+
+def test_gap_bounds_read_tv_slopes_at_a_mixture_ratio_only_at_its_kink():
+    kernel, points = _logged(kernel_by_name("tv"))
+    counted, calls = counting_copy(kernel)
+    p = DiscreteDistribution((0.25, 0.25, 0.5))
+    q = DiscreteDistribution((0.25, 0.375, 0.375))  # m_i = 1 for the first atom only
+    hh_gap_bounds(counted, p, q)
+    # f'-(1), f'+(1), one slope per atom at r_i, and both slopes at m_1 = 1
+    assert calls["dminus"] + calls["dplus"] == 2 + 3 + 2
+    assert sorted(points) == sorted([1.0, 1.0, 1.0, 1.5, 0.75, 1.0, 1.0])
+
+
+def test_an_undeclared_kink_only_loosens_the_lower_bound():
+    tv = kernel_by_name("tv")
+    hidden = replace(tv, kinks=())
+    rng = random.Random(43)
+    cases = [(DiscreteDistribution((0.25, 0.25, 0.5)), DiscreteDistribution((0.25, 0.375, 0.375)))]
+    cases += [(random_distribution(rng, 6), random_distribution(rng, 6)) for _ in range(10)]
+    for p, q in cases:
+        enc = hh_gap_bounds(hidden, p, q)
+        assert enc.lo == 0.0
+        assert enc.hi == hh_gap_bounds(tv, p, q).hi
+        gap = hh_divergence(hidden, p, q) - lin_wong_divergence(hidden, p, q)
+        assert enc.contains(gap, slack=1e-15)
+    # shifted_abs has a jump at m_i = 1.25 for these atoms: the bound drops to 0
+    p = DiscreteDistribution((0.25, 0.25, 0.5))
+    q = DiscreteDistribution((0.375, 0.375, 0.25))
+    shifted_abs = kernel_by_name("shifted_abs")
+    enc = hh_gap_bounds(replace(shifted_abs, kinks=()), p, q)
+    gap = hh_divergence(shifted_abs, p, q) - lin_wong_divergence(shifted_abs, p, q)
+    assert enc.lo == 0.0 < hh_gap_bounds(shifted_abs, p, q).lo
+    assert enc.contains(gap, slack=1e-15)
