@@ -6,15 +6,15 @@ integral - sum is sandwiched cell by cell by the pointwise bounds, which
 yields computable two-sided certificates.  With midpoint tags the
 remainder is nonnegative and each cell's share of the certificate width,
 (1/8) h^2 [f'-(x_i+1) - f'+(x_i) - f'+(m_i) + f'-(m_i)], is known locally.
-midpoint_rule and integrate_adaptive share one cell rule and one result
-type.  A cell costs one jet call (f and both one-sided slopes) at its
-midpoint, which must be strictly interior (PartitionError); slopes out of
-order raise NonConvexError.  midpoint_rule reads each interior node's two
-slopes with one more jet call where f has a fused jet.  The integrator
-bisects the widest cell, from the domain ends and the known kinks, until
-the total width meets the tolerance; a cell is one flat tuple in a heap
-until it is split or retired.
-A result's partition is built when it is first read.
+midpoint_rule builds such cells with one jet call (f and both one-sided
+slopes) at each midpoint, which must be strictly interior (PartitionError),
+and one at each interior node where f has a fused jet.  integrate_adaptive
+bisects trapezoid cells instead, with one jet call per split, from the
+domain ends and the known kinks until the total width meets the tolerance:
+by the counterpart to Hermite-Hadamard, a trapezoid cell's remainder lies
+in [-(1/8) h^2 [f'-(x_i+1) - f'+(x_i)], 0], the midpoint cell's width
+where f'-(m_i) = f'+(m_i).  Slopes out of order raise NonConvexError.
+A cell is one flat tuple, and a result's partition is built when read.
 
 Per-cell terms are summed with math.fsum in whatever order the cells lie.
 fsum rounds correctly, so the bits do not depend on that order; only a sum
@@ -102,7 +102,10 @@ class QuadratureResult:
 
     @property
     def partition(self) -> Partition:
-        """The midpoint partition; built when first read, once across threads."""
+        """The nodes tagged at their midpoints; built when first read, once
+        across threads.  midpoint_rule's estimate is this partition's
+        Riemann sum; integrate_adaptive's is the trapezoid sum on the same
+        nodes."""
         if "_partition" not in self.__dict__:
             nodes = sorted(self.nodes)
             tags = [0.5 * (x0 + x1) for x0, x1 in zip(nodes, nodes[1:])]
@@ -111,8 +114,9 @@ class QuadratureResult:
 
     @property
     def integral_bounds(self) -> Enclosure:
-        return Enclosure(self.estimate + self.remainder.lo,
-                         self.estimate + self.remainder.hi)
+        lo, hi = self.remainder.lo, self.remainder.hi  # an infinite end stays infinite
+        return Enclosure(lo if lo == -INF else self.estimate + lo,
+                         hi if hi == INF else self.estimate + hi)
 
     @property
     def width(self) -> float:
@@ -167,9 +171,7 @@ def midpoint_rule(f: ConvexFunction, n: int) -> QuadratureResult:
     The remainder is sandwiched by
         (1/8) sum [f'+(m_i) - f'-(m_i)] h_i^2   (always >= 0)
     and (1/8) sum [f'-(x_i+1) - f'+(x_i)] h_i^2,
-    both attained by kink functions, so the 1/8 cannot be improved.  The
-    cells are integrate_adaptive's, and so are the PartitionError and
-    NonConvexError they raise.
+    both attained by kink functions, so the 1/8 cannot be improved.
     """
     if n < 1:
         raise PartitionError("need at least one cell")
@@ -179,29 +181,32 @@ def midpoint_rule(f: ConvexFunction, n: int) -> QuadratureResult:
     inner = [*map(f.interior_slopes, nodes[1:-1])]  # one jet call per node where f has one
     cells = _midpoint_cells(f, nodes, [*(dm for dm, _ in inner), at_hi],
                             [at_lo, *(dp for _, dp in inner)])
-    return _midpoint_result(cells, nodes[-1])
+    return _result(cells, nodes[-1], 9, 10)
 
 
 def integrate_adaptive(f: ConvexFunction, tol: float,
                        max_cells: int = DEFAULT_MAX_CELLS) -> QuadratureResult:
-    """Certified integration by global adaptive bisection of the midpoint rule.
+    """Certified integration by global adaptive bisection of trapezoid cells.
 
-    The first nodes are the domain ends and the interior ``f.kinks``.  Each
-    cell carries its remainder enclosure under midpoint_rule, and the cell
-    whose enclosure is widest (ties: the one created first) is
+    The first nodes are the domain ends and the interior ``f.kinks``.  A
+    cell [x0, x1] of length h holds f(x0), f(x1), s0 = f'+(x0) and
+    s1 = f'-(x1); by the counterpart to Hermite-Hadamard its integral lies
+    in [T - W, T], with T = h (f(x0)/2 + f(x1)/2) and W = (1/8) h^2 (s1 - s0).
+    The cell whose width W is largest (ties: the one created first) is
     bisected until the total width is <= tol.  A split makes one jet call
-    (f and both slopes, see ``ConvexFunction.interior_jet``) at each of the
-    two new midpoints only: the children inherit the parent's endpoint
-    slopes, and the parent's midpoint slopes become their inner endpoint
-    slopes.  A cell is one flat tuple, built when the cell is created,
-        (-width, slot, x0, x1, f'+(x0), f'-(x1), f'-(m), f'+(m), h f(m), lo, hi),
+    (f and both slopes, see ``ConvexFunction.interior_jet``) at the
+    midpoint m, whose value and slopes both children take, so f is
+    evaluated once at every node.  A cell is one flat tuple, built when
+    the cell is created,
+        (-W, slot, x0, x1, f(x0), f(x1), s0, s1, T),
     and waits in the heap as it is.  The left child keeps its parent's slot
     and the right child takes the next number, so ties go to the older cell
     and no comparison reads past the slot.  Cells of no positive width, and
-    cells too narrow to bisect, go to a ``done`` list.  A running sum of the
-    cell widths only decides when to test; the test is the returned result's
-    own remainder width, summed over ``done`` and the heap as they lie; fsum
-    makes its bits independent of that order, so results are reproducible.
+    cells too narrow to bisect twice, go to a ``done`` list.  A running sum
+    of the cell widths only decides when to test; the test is the returned
+    result's own remainder width, summed over ``done`` and the heap as they
+    lie; fsum makes its bits independent of that order, so results are
+    reproducible.
 
     A request that cannot succeed fails fast.  A smooth cell's width falls
     like h^3, so once the kinks are seeded the total width W(N) of N cells
@@ -214,16 +219,16 @@ def integrate_adaptive(f: ConvexFunction, tol: float,
     A checkpoint only ever raises: a request it lets through ends with the
     same result, bit for bit, as without it.
 
-    The returned result satisfies
-        integral in [estimate + remainder.lo, estimate + remainder.hi]
-    on a (generally non-uniform) midpoint partition.  Requires finite
+    The result's estimate is the trapezoid sum and its remainder is
+    [-(sum of W), 0] (-inf with an infinite width).  Requires finite
     endpoint slopes (otherwise the width never becomes finite).  Raises
     DomainError when max_cells < 1, NonConvexError when the slopes it
-    reads are out of order, and BudgetExceededError carrying the best
-    result when max_cells cells, or the floating-point resolution, are
-    exhausted, or when a checkpoint predicts that max_cells cells cannot
-    reach tol.  With more kinks than fit in max_cells cells, an evenly
-    strided subset of them seeds the partition.
+    reads are out of order or a cell of width 0 is not affine, and
+    BudgetExceededError carrying the best result when max_cells cells, or
+    the floating-point resolution, are exhausted, or when a checkpoint
+    predicts that max_cells cells cannot reach tol.  With more kinks than
+    fit in max_cells cells, an evenly strided subset of them seeds the
+    partition.
     """
     if not tol > 0.0:
         raise DomainError("tolerance must be positive")
@@ -241,8 +246,9 @@ def integrate_adaptive(f: ConvexFunction, tol: float,
         kinks = [kinks[int((i + 1) * stride)] for i in range(max_cells - 1)]
     nodes = [lo, *kinks, hi]
     _require_midpoints(nodes)
-    cells = _midpoint_cells(f, nodes, [*map(f.left_derivative, kinks), at_hi],
-                            [at_lo, *map(f.right_derivative, kinks)])
+    values = [*map(f, nodes)]
+    seeds = zip(nodes, nodes[1:], values, values[1:], [at_lo, *map(f.right_derivative, kinks)],
+                [*map(f.left_derivative, kinks), at_hi])
     jet = f.interior_jet()
     slack = f.slope_slack
     heappop, heapreplace, heappush = heapq.heappop, heapq.heapreplace, heapq.heappush
@@ -254,19 +260,24 @@ def integrate_adaptive(f: ConvexFunction, tol: float,
     # the next checkpoint (a power of two >= 16) or the budget, whichever is first
     limit = min(max(16, 1 << (count - 1).bit_length()), max_cells)
     predicted = INF  # the width predicted for max_cells cells at the last checkpoint
-    for cell in cells:  # the seeds, in slot order; cell[0] is -width
-        if cell[0] == -INF:
+    for i, (x0, x1, v0, v1, s0, s1) in enumerate(seeds):  # in slot order
+        h = x1 - x0
+        w = 0.125 * (h * h) * (s1 - s0)
+        w = INF if w != w else w  # inf - inf
+        cell = (-w, i, x0, x1, v0, v1, s0, s1, h * (0.5 * v0 + 0.5 * v1))
+        if w == INF:
             unbounded += 1
         else:
-            running -= cell[0]
-        if cell[0] < 0.0:
+            running += w
+        if w > 0.0:
             heappush(heap, cell)
         else:
+            _require_affine(cell, slack)
             done.append(cell)
 
     while True:
         if not unbounded and running <= tol:
-            result = _midpoint_result(done + heap, hi)
+            result = _result(done + heap, hi, 0)
             if result.width <= tol:
                 return result
             running = result.width
@@ -279,45 +290,30 @@ def integrate_adaptive(f: ConvexFunction, tol: float,
                     and abs(predicted / previous - 1.0) <= _RATE_AGREEMENT):
                 break
             limit = min(2 * limit, max_cells)
-        neg_w, i, x0, x1, dp0, dm1, dmm, dpm, _, _, _ = heap[0]
+        neg_w, i, x0, x1, v0, v1, s0, s1, _ = heap[0]
         m = 0.5 * (x0 + x1)
-        ml = 0.5 * (x0 + m)
-        mr = 0.5 * (m + x1)
-        if not x0 < ml < m < mr < x1:
+        if not x0 < 0.5 * (x0 + m) < m < 0.5 * (m + x1) < x1:
             done.append(heappop(heap))  # too narrow to bisect in floating point
             continue
-        # the left child [x0, m]: _midpoint_cells' rule, inlined in this hot loop
-        vl, dml, dpl = jet(ml)
-        if dp0 > dml:
-            require_slope_order(dp0, dml, x0, ml, slack)
-        if dpl > dmm:
-            require_slope_order(dpl, dmm, ml, m, slack)
+        vm, dmm, dpm = jet(m)
+        if s0 > dmm:
+            require_slope_order(s0, dmm, x0, m, slack)
+        if dmm > dpm:
+            require_slope_order(dmm, dpm, m, m, slack)
+        if dpm > s1:
+            require_slope_order(dpm, s1, m, x1, slack)
         h = m - x0
-        h2 = h * h
-        hil = 0.125 * h2 * (dmm - dp0)
-        lol = 0.125 * h2 * (dpl - dml)
-        wl = hil - lol
-        if wl != wl:
-            ensure_extended(dml)
-            ensure_extended(dpl)
+        wl = 0.125 * (h * h) * (dmm - s0)
+        if wl != wl:  # a NaN slope, or inf - inf after an overflow
+            ensure_extended(dmm)
             wl = INF
-        left = (-wl, i, x0, m, dp0, dmm, dml, dpl, h * vl, lol, hil)
-        # the right child [m, x1]
-        vr, dmr, dpr = jet(mr)
-        if dpm > dmr:
-            require_slope_order(dpm, dmr, m, mr, slack)
-        if dpr > dm1:
-            require_slope_order(dpr, dm1, mr, x1, slack)
+        left = (-wl, i, x0, m, v0, vm, s0, dmm, h * (0.5 * v0 + 0.5 * vm))
         h = x1 - m
-        h2 = h * h
-        hir = 0.125 * h2 * (dm1 - dpm)
-        lor = 0.125 * h2 * (dpr - dmr)
-        wr = hir - lor
+        wr = 0.125 * (h * h) * (s1 - dpm)
         if wr != wr:
-            ensure_extended(dmr)
-            ensure_extended(dpr)
+            ensure_extended(dpm)
             wr = INF
-        right = (-wr, count, m, x1, dpm, dm1, dmr, dpr, h * vr, lor, hir)
+        right = (-wr, count, m, x1, vm, v1, dpm, s1, h * (0.5 * vm + 0.5 * v1))
 
         if neg_w == -INF:
             unbounded -= 1
@@ -334,11 +330,13 @@ def integrate_adaptive(f: ConvexFunction, tol: float,
         if wl > 0.0:
             heapreplace(heap, left)
         else:
+            _require_affine(left, slack)
             heappop(heap)
             done.append(left)
         if wr > 0.0:
             heappush(heap, right)
         else:
+            _require_affine(right, slack)
             done.append(right)
         count += 1
 
@@ -348,7 +346,7 @@ def integrate_adaptive(f: ConvexFunction, tol: float,
                 f"to leave a width of {predicted:.3e}")
     done.extend(heap)
     del heap  # free the queue before the result's node list is built
-    best = _midpoint_result(done, hi)
+    best = _result(done, hi, 0)
     raise BudgetExceededError(
         f"enclosure width {best.width:.3e} > tol {tol:.3e} after {best.cells} cells{note}",
         best=best,
@@ -362,7 +360,9 @@ def _require_midpoints(nodes) -> None:
 
 
 def _midpoint_cells(f: ConvexFunction, nodes, lefts, rights) -> list:
-    """The cells on nodes, in node order, from f'- at nodes[1:] and f'+ at nodes[:-1].
+    """midpoint_rule's cells on nodes, in node order, from f'- at nodes[1:]
+    and f'+ at nodes[:-1], as (-width, slot, x0, x1, f'+(x0), f'-(x1),
+    f'-(m), f'+(m), h f(m), lo, hi).
 
     Each midpoint m is strictly interior (see _require_midpoints), so the
     jet runs there without domain checks.  f'+(x0) > f'-(m) or f'+(m) >
@@ -392,15 +392,16 @@ def _midpoint_cells(f: ConvexFunction, nodes, lefts, rights) -> list:
     return cells
 
 
-def _midpoint_result(cells: list, b: float) -> QuadratureResult:
-    """The midpoint rule on cells of _midpoint_cells' form, which tile [a, b].
-
-    Convex slopes satisfy f'+(x0) <= f'-(m) <= f'+(m) <= f'-(x1) in every
-    cell, and rounded subtraction, scaling and fsum are monotone, so
-    remainder bounds out of order prove that f is not convex.
+def _result(cells: list, b: float, lo_field: int,
+            hi_field: int | None = None) -> QuadratureResult:
+    """The result on cells that tile [a, b], with x0 in field 2, the estimate's
+    term in field 8, remainder.lo's in lo_field and remainder.hi's in
+    hi_field (0 without one).  Convex slopes are in order in every cell,
+    and rounded subtraction, scaling and fsum are monotone, so remainder
+    bounds out of order prove that f is not convex.
     """
-    lo = _column_sum(cells, 9)
-    hi = _column_sum(cells, 10)
+    lo = _column_sum(cells, lo_field)
+    hi = 0.0 if hi_field is None else _column_sum(cells, hi_field)
     if lo > hi:
         raise NonConvexError(
             f"one-sided slopes out of order (remainder bounds [{lo!r}, {hi!r}]); "
@@ -408,6 +409,23 @@ def _midpoint_result(cells: list, b: float) -> QuadratureResult:
         )
     return QuadratureResult(_column_sum(cells, 8), Enclosure(lo, hi),
                             (*map(itemgetter(2), cells), b))
+
+
+def _require_affine(cell: tuple, slack: float) -> None:
+    """NonConvexError unless a trapezoid cell of no positive width is affine
+    as far as its values tell: unless h^2 underflowed (s0 < s1),
+    f(x1) - f(x0) = s0 h within slack of the values and of s0 h.  (Slopes
+    out of order make the remainder's ends out of order; see _result.)"""
+    _, _, x0, x1, v0, v1, s0, s1, _ = cell
+    if s0 < s1:
+        return
+    h = x1 - x0
+    if abs(v1 - v0 - s0 * h) > slack * max(abs(v0), abs(v1), h * max(1.0, abs(s0))):
+        raise NonConvexError(
+            f"one-sided slopes out of order with the values: f'+({x0!r}) = {s0!r} and "
+            f"f'-({x1!r}) = {s1!r}, but the chord's slope is {(v1 - v0) / h!r}; "
+            "the function is not convex"
+        )
 
 
 def _column_sum(cells: list, k: int) -> float:

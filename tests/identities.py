@@ -7,30 +7,41 @@ bounds without putting the rewrites in the public API.  ``centered_kink``
 is the witness of the sharpness criteria: it attains equality in the
 sharp bounds.  ``midpoint_rule_by_cell`` is the uniform midpoint rule as
 its own loop over f and the one-sided derivatives, the reference for the
-library's rule, which builds its cells as the adaptive integrator does.
+library's rule.  ``integrate_by_midpoint_cells`` is the adaptive integrator
+on midpoint cells, two jet calls per split: the reference for the
+library's trapezoid cells, which must build the same cells with the same
+widths wherever no kink lies on a cell's midpoint.
 The ``*_by_atom`` functions are the divergences and the gap bounds as one
 loop step per atom that reads every slope the formulas name, the mixture
 ratios' included: the references for the library's passes over the weight
 tuples, which read a mixture ratio's slopes only at a declared kink.
 """
 
+import heapq
 import math
 from dataclasses import replace
 
 from convex_enclose import catalog
-from convex_enclose.convex_core import ConvexFunction, Interval
+from convex_enclose.convex_core import ConvexFunction, Interval, require_slope_order
 from convex_enclose.divergence import _INNER_FLOOR, _INNER_SHARE
 from convex_enclose.errors import (
+    BudgetExceededError,
     ConvexEncloseError,
     DomainError,
     InvalidInputError,
     UnboundedSlopeError,
 )
-from convex_enclose.extreal import xsum
+from convex_enclose.extreal import INF, ensure_extended, xsum
 from convex_enclose.pointwise import Enclosure
 from convex_enclose.quadrature import (
+    _RATE_AGREEMENT,
+    _STOP_MARGIN,
+    DEFAULT_MAX_CELLS,
     Partition,
+    _midpoint_cells,
+    _require_midpoints,
     _require_spanning,
+    _result,
     integrate_adaptive,
     riemann_sum,
 )
@@ -165,6 +176,97 @@ def midpoint_rule_by_cell(f: ConvexFunction, n: int):
     return estimate, Enclosure(xsum(lo_terms), xsum(hi_terms)), partition
 
 
+def integrate_by_midpoint_cells(f: ConvexFunction, tol: float,
+                                max_cells: int = DEFAULT_MAX_CELLS):
+    """integrate_adaptive on midpoint cells: the same seeds, heap order, tie
+    rule, checkpoints and retire rule, each cell evaluated at its midpoint,
+    so a split makes two jet calls.  Returns the result or raises
+    BudgetExceededError with the best one, as integrate_adaptive does."""
+    at_lo, at_hi = f.endpoint_slopes()
+    if not (math.isfinite(at_lo) and math.isfinite(at_hi)):
+        raise UnboundedSlopeError("infinite endpoint slope")
+    lo, hi = f.domain.lo, f.domain.hi
+    kinks = sorted({float(k) for k in f.kinks if lo < k < hi})
+    if len(kinks) >= max_cells:
+        stride = len(kinks) / max_cells
+        kinks = [kinks[int((i + 1) * stride)] for i in range(max_cells - 1)]
+    nodes = [lo, *kinks, hi]
+    _require_midpoints(nodes)
+    cells = _midpoint_cells(f, nodes, [*map(f.left_derivative, kinks), at_hi],
+                            [at_lo, *map(f.right_derivative, kinks)])
+    jet, slack = f.interior_jet(), f.slope_slack
+    heap, done = [], []
+    running, unbounded, count = 0.0, 0, len(nodes) - 1
+    limit = min(max(16, 1 << (count - 1).bit_length()), max_cells)
+    predicted = INF
+    for cell in cells:
+        if cell[0] == -INF:
+            unbounded += 1
+        else:
+            running -= cell[0]
+        if cell[0] < 0.0:
+            heapq.heappush(heap, cell)
+        else:
+            done.append(cell)
+
+    def child(slot, x0, x1, dp0, dm1):
+        m = 0.5 * (x0 + x1)
+        v, dmm, dpm = jet(m)
+        if dp0 > dmm:
+            require_slope_order(dp0, dmm, x0, m, slack)
+        if dpm > dm1:
+            require_slope_order(dpm, dm1, m, x1, slack)
+        h = x1 - x0
+        h2 = h * h
+        hi_term = 0.125 * h2 * (dm1 - dp0)
+        lo_term = 0.125 * h2 * (dpm - dmm)
+        w = hi_term - lo_term
+        if w != w:
+            ensure_extended(dmm)
+            ensure_extended(dpm)
+            w = INF
+        return (-w, slot, x0, x1, dp0, dm1, dmm, dpm, h * v, lo_term, hi_term)
+
+    while True:
+        if not unbounded and running <= tol:
+            result = _result(done + heap, hi, 9, 10)
+            if result.width <= tol:
+                return result
+            running = result.width
+        if count >= limit or not heap:
+            if count >= max_cells or not heap:
+                break
+            previous = predicted
+            predicted = INF if unbounded else running * (count / max_cells) ** 2
+            if (predicted > _STOP_MARGIN * tol
+                    and abs(predicted / previous - 1.0) <= _RATE_AGREEMENT):
+                break
+            limit = min(2 * limit, max_cells)
+        neg_w, i, x0, x1, dp0, dm1, dmm, dpm = heap[0][:8]
+        m = 0.5 * (x0 + x1)
+        if not x0 < 0.5 * (x0 + m) < m < 0.5 * (m + x1) < x1:
+            done.append(heapq.heappop(heap))
+            continue
+        heapq.heappop(heap)
+        if neg_w == -INF:
+            unbounded -= 1
+        else:
+            running += neg_w
+        for cell in (child(i, x0, m, dp0, dmm), child(count, m, x1, dpm, dm1)):
+            if cell[0] == -INF:
+                unbounded += 1
+            else:
+                running -= cell[0]
+            if cell[0] < 0.0:
+                heapq.heappush(heap, cell)
+            else:
+                done.append(cell)
+        count += 1
+    done.extend(heap)
+    best = _result(done, hi, 9, 10)
+    raise BudgetExceededError(f"enclosure width {best.width:.3e} > tol {tol:.3e}", best=best)
+
+
 def csiszar_by_atom(kernel: ConvexFunction, p, q) -> float:
     """sum p_i f(q_i / p_i), one kernel call per atom."""
     return math.fsum(pi * kernel.fn(qi / pi) for pi, qi in zip(p, q))
@@ -192,7 +294,7 @@ def hh_by_atom(kernel: ConvexFunction, p, q) -> float:
         tol = (hi - lo) * max(_INNER_SHARE * spread,
                               _INNER_FLOOR * max(1.0, abs(f_lo), abs(f_hi)))
         result = integrate_adaptive(replace(kernel, domain=Interval(lo, hi)), tol=tol)
-        integral = result.estimate + 0.5 * (result.remainder.lo + result.remainder.hi)
+        integral = result.estimate + (2.0 / 3.0) * result.remainder.lo
         signed = integral if r > 1.0 else -integral
         return signed / (r - 1.0)
 

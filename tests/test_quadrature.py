@@ -7,6 +7,8 @@ import threading
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convex_enclose import catalog
 from convex_enclose.convex_core import ConvexFunction, Interval
@@ -24,7 +26,7 @@ from convex_enclose.oracle import reference_integral
 from convex_enclose.quadrature import (
     DEFAULT_MAX_CELLS,
     Partition,
-    _midpoint_result,
+    _result,
     integrate_adaptive,
     midpoint_rule,
     remainder_enclosure,
@@ -35,6 +37,7 @@ from black_box import counting_copy, sampled_function
 from identities import (
     NotDifferentiableError,
     differentiable_lower_form,
+    integrate_by_midpoint_cells,
     midpoint_rule_by_cell,
     remainder_upper_by_node,
 )
@@ -301,6 +304,12 @@ def test_integrate_adaptive_errors():
                                 dplus=lambda t: 2.0 * t + 2.0)
     with pytest.raises(NonConvexError, match="out of order"):
         integrate_adaptive(not_convex, 1e-6)
+    # the slopes fall from 1 to -1, though f(1) - f(0) keeps to the first:
+    # the only cell has a negative width
+    falling = ConvexFunction(domain=UNIT, fn=lambda t: t, dminus=lambda t: 1.0 - 2.0 * t,
+                             dplus=lambda t: 1.0 - 2.0 * t)
+    with pytest.raises(NonConvexError, match="out of order"):
+        integrate_adaptive(falling, 1e-6)
 
 
 def _counted(f):
@@ -376,10 +385,11 @@ def test_integrate_adaptive_partition_is_valid():
     assert part.tags == tuple(0.5 * (u + v) for u, v in zip(part.nodes, part.nodes[1:]))
     widths = {v - u for u, v in zip(part.nodes, part.nodes[1:])}
     assert len(widths) > 1  # refined where the slope changes fastest
-    assert res.estimate == riemann_sum(f, part)
+    assert res.estimate == _trapezoid_sum(f, part.nodes)
+    # a trapezoid cell's width is the upper remainder term of its midpoint cell
     general = remainder_enclosure(f, part)
-    assert res.remainder.lo == pytest.approx(general.lo, rel=1e-12)
-    assert res.remainder.hi == pytest.approx(general.hi, rel=1e-12)
+    assert res.remainder.hi == 0.0
+    assert res.remainder.lo == pytest.approx(-general.hi, rel=1e-12)
 
 
 def test_integrate_adaptive_seeds_kinks():
@@ -396,15 +406,16 @@ def test_integrate_adaptive_seeds_kinks():
 
 
 def test_integrate_adaptive_reuses_slopes():
-    # every cell is evaluated once at its midpoint (f and both slopes); the
-    # only other slopes are the two endpoint ones and both sides of each kink
+    # f once at every node: once at each seed node and once (with both
+    # slopes) at each split's midpoint; the only other slopes are the two
+    # endpoint ones and both sides of each kink
     for f in (catalog.exponential(UNIT), catalog.abs_shift(0.3, UNIT).scaled(2.0),
-              catalog.t_log_t(Interval(0.5, 2.0))):
+              catalog.t_log_t(Interval(0.5, 2.0)), _ramps([0.2, 0.45, 0.7], UNIT)):
         g, calls = _counted(f)
         res = integrate_adaptive(g, 1e-8)
         seeded = len(f.kinks) + 1
-        assert calls["fn"] == 2 * res.cells - seeded
-        assert calls["slope"] == 2 * calls["fn"] + 2 + 2 * len(f.kinks)
+        assert calls["fn"] == res.cells + 1
+        assert calls["slope"] == 2 * (res.cells - seeded) + 2 + 2 * len(f.kinks)
 
 
 def test_integrate_adaptive_calls_the_jet_once_per_new_midpoint():
@@ -416,9 +427,16 @@ def test_integrate_adaptive_calls_the_jet_once_per_new_midpoint():
         g = dataclasses.replace(f, jet=lambda t: calls.append(t) or jet(t))
         res = integrate_adaptive(g, 1e-6)
         seeded = len(f.kinks) + 1
-        assert len(calls) == len(set(calls)) == 2 * res.cells - seeded
-        assert set(res.partition.tags) <= set(calls)
+        assert len(calls) == len(set(calls)) == res.cells - seeded
+        assert set(calls) == set(res.partition.nodes[1:-1]) - set(f.kinks)
         assert res == integrate_adaptive(dataclasses.replace(f, jet=None), 1e-6)
+        # f once at each seed node, and the slopes of the seeds from the oracles
+        g, counts = counting_copy(f)
+        assert integrate_adaptive(g, 1e-6) == res
+        kinks = len(f.kinks)
+        assert [counts[k] for k in ("jet", "fn", "dminus", "dplus")] == \
+            [res.cells - seeded, seeded + 1, 1 + kinks, 1 + kinks]
+        assert set(counts) <= {"jet", "fn", "dminus", "dplus"}
 
 
 def test_integrate_adaptive_reads_replaced_oracles():
@@ -476,7 +494,7 @@ def test_integrate_adaptive_budget_with_a_cell_of_undefined_width():
     f = convex_function_from_expression("1.7e308*abs(t)", Interval(-0.5, 1.0))[0]
     best = _budget_best(f, 1e-3, 64)
     assert best.cells == 64
-    assert best.remainder.hi == INF
+    assert best.remainder.lo == -INF
     assert best.partition.spans(f.domain)
 
 
@@ -550,8 +568,8 @@ def test_integrate_adaptive_fails_fast(source, a, b, tol, max_cells, integral):
 # so every cell retires before the checkpoint of 32 cells could stop the
 # request (wider domains stop there)
 @pytest.mark.parametrize("width, cells, want", [
-    (2.0**-47, 16, ("0x1.5bf0a8b14577fp-46", "0x0.0p+0", "0x1.6000000000000p-151")),
-    (2.0**-48, 8, ("0x1.5bf0a8b145774p-47", "0x0.0p+0", "0x1.6000000000000p-152")),
+    (2.0**-47, 16, ("0x1.5bf0a8b14577fp-46", "-0x1.6000000000000p-151", "0x0.0p+0")),
+    (2.0**-48, 8, ("0x1.5bf0a8b145774p-47", "-0x1.6000000000000p-152", "0x0.0p+0")),
 ])
 def test_integrate_adaptive_retires_cells_too_narrow_to_bisect(width, cells, want):
     # cells leave the queue as too narrow to bisect, until none is left;
@@ -570,7 +588,7 @@ def test_integrate_adaptive_retires_cells_too_narrow_to_bisect(width, cells, wan
 
 def test_integrate_adaptive_memory_per_cell():
     # the traced peak covers the cells, the queue and the result; a cell of
-    # ten boxed floats and its slot fits in 512 B, so a wider cell, or copies
+    # eight boxed floats and its slot fits in 512 B, so a wider cell, or copies
     # of the cells, show here before they show in the RSS
     f = catalog.power(-2.0, Interval(0.05, 4.0))
     tracemalloc.start()
@@ -587,7 +605,7 @@ def test_integrate_adaptive_memory_per_cell():
 
 def test_integrate_adaptive_keeps_no_cells():
     # a returned result keeps the cells' left ends, one float each, until its
-    # partition is read; the 11-field cell tuples (about 350 B each) are gone
+    # partition is read; the 9-field cell tuples (about 300 B each) are gone
     f = catalog.power(-2.0, Interval(0.05, 4.0))
     tracemalloc.start()
     try:
@@ -600,10 +618,16 @@ def test_integrate_adaptive_keeps_no_cells():
     assert kept <= 64 * res.cells
 
 
-def test_integrate_adaptive_estimate_is_the_riemann_sum_of_its_partition():
+def _trapezoid_sum(f, nodes):
+    """fsum of h (f(x0)/2 + f(x1)/2) over the cells, through f.__call__."""
+    return math.fsum((x1 - x0) * (0.5 * f(x0) + 0.5 * f(x1)) for x0, x1 in zip(nodes, nodes[1:]))
+
+
+def test_integrate_adaptive_estimate_is_the_trapezoid_sum_of_its_nodes():
     # the integrator sums its cells in whatever order they lie and builds the
-    # partition when it is read; riemann_sum walks that partition left to right
-    # through f.__call__, which the Jet contract makes equal to the jet's value
+    # partition when it is read; the trapezoid sum walks its nodes left to
+    # right through f.__call__, which the Jet contract makes equal to the
+    # jet's value
     rng = random.Random(24)
     cases = [(random_convex_case(rng, finite_slopes=True), 1e-7) for _ in range(8)]
     for source, a, b in (("t*ln(t)", 0.5, 2.0), ("t^-1", 0.1, 3.0), ("1/(t + 1)", 0.0, 1.0),
@@ -618,7 +642,13 @@ def test_integrate_adaptive_estimate_is_the_riemann_sum_of_its_partition():
         part = res.partition
         assert part.cells == res.cells
         assert part == Partition(part.nodes, part.tags)
-        assert float.hex(res.estimate) == float.hex(riemann_sum(f, part))
+        assert float.hex(res.estimate) == float.hex(_trapezoid_sum(f, part.nodes))
+        # the width sums (1/8) h^2 (f'-(x1) - f'+(x0)) over the same cells
+        widths = (0.125 * ((x1 - x0) * (x1 - x0))
+                  * (f.left_derivative(x1) - f.right_derivative(x0))
+                  for x0, x1 in zip(part.nodes, part.nodes[1:]))
+        assert float.hex(res.width) == float.hex(math.fsum(widths))
+        assert res.remainder.hi == 0.0
 
 
 def test_integrate_adaptive_partition_is_built_once_across_threads():
@@ -643,7 +673,7 @@ def test_integrate_adaptive_partition_is_built_once_across_threads():
 
 
 def _cells(*terms):
-    """integrate_adaptive cells on [0, 1] for (x0, x1, h f(m)), in the order given."""
+    """midpoint_rule cells on [0, 1] for (x0, x1, h f(m)), in the order given."""
     return [(-0.0, slot, x0, x1, 0.0, 0.0, 0.0, 0.0, hv, 0.0, 0.0)
             for slot, (x0, x1, hv) in enumerate(terms)]
 
@@ -655,15 +685,15 @@ def test_midpoint_result_sums_again_in_node_order_on_overflow():
     cells = _cells(middle, right, left)
     with pytest.raises(OverflowError):
         math.fsum(cell[8] for cell in cells)
-    res = _midpoint_result(cells, 1.0)
+    res = _result(cells, 1.0, 9, 10)
     assert res.estimate == 1e308
     assert res.partition.nodes == (0.0, 0.25, 0.5, 1.0)
     # a sum that overflows in node order too still raises
     with pytest.raises(OverflowError):
-        _midpoint_result(_cells(middle, right, (0.0, 0.25, 1e308)), 1.0)
+        _result(_cells(middle, right, (0.0, 0.25, 1e308)), 1.0, 9, 10)
     # one that overflows only in node order has a correctly rounded value
     left, middle, right = (0.0, 0.25, 1e308), (0.25, 0.5, 1e308), (0.5, 1.0, -1e308)
-    assert _midpoint_result(_cells(right, left, middle), 1.0).estimate == 1e308
+    assert _result(_cells(right, left, middle), 1.0, 9, 10).estimate == 1e308
 
 
 def test_integrate_adaptive_max_cells():
@@ -718,32 +748,32 @@ def _budget_best(f, tol, max_cells):
 # summation fails here
 _PINNED = [
     (lambda: (catalog.exponential(Interval(-0.5, 0.5)), 1e-8, None),
-     ("0x1.0acd00f014329p+0", "0x0.0p+0", "0x1.5774a41756270p-27", 3784, "9b4f07d2895b0c95")),
+     ("0x1.0acd011b02c72p+0", "-0x1.5774a41756270p-27", "0x0.0p+0", 3784, "9b4f07d2895b0c95")),
     (lambda: (catalog.t_log_t(Interval(0.5, 2.0)), 1e-8, None),
-     ("0x1.1224e5c09ba0ep-1", "0x0.0p+0", "0x1.5780cac423354p-27", 6645, "74a35f1c00ddc0dc")),
+     ("0x1.1224e6167bd39p-1", "-0x1.5780cac423354p-27", "0x0.0p+0", 6645, "74a35f1c00ddc0dc")),
     (lambda: (catalog.power(-2.0, Interval(0.3, 0.55)), 1e-7, None),
-     ("0x1.83e0f7aee645dp+0", "0x0.0p+0", "0x1.ad7bbc17c761fp-24", 2183, "17bdef169823d607")),
+     ("0x1.83e0f95c6200bp+0", "-0x1.ad7bbc17c761fp-24", "0x0.0p+0", 2183, "17bdef169823d607")),
     (lambda: (_catalog_sum(catalog.abs_shift(0.63, Interval(0.4, 1.1)),
                            catalog.t_log_t(Interval(0.4, 1.1))), 1e-8, None),
-     ("0x1.5fa9192574346p-8", "0x0.0p+0", "0x1.575674c2740b2p-27", 2687, "26c41f0c855d684c")),
+     ("0x1.5fa9441042c74p-8", "-0x1.575674c2740b2p-27", "0x0.0p+0", 2687, "26c41f0c855d684c")),
     (lambda: (convex_function_from_expression(
         "abs(t - 0.63) + t*ln(t)", Interval(0.4, 1.1))[0], 1e-8, None),
-     ("0x1.5fa9191fb50c4p-8", "0x0.0p+0", "0x1.576d89107464dp-27", 2694, "05a8024696a8933a")),
+     ("0x1.5fa94414ca834p-8", "-0x1.576d89107464dp-27", "0x0.0p+0", 2694, "05a8024696a8933a")),
     (lambda: (convex_function_from_expression("-sqrt(t)", Interval(0.05, 0.5))[0], 1e-7, None),
-     ("-0x1.d374127469b61p-3", "0x0.0p+0", "0x1.ac07a72d811cfp-24", 567, "ad5a7d67c2c5d052")),
+     ("-0x1.d37405142e2b1p-3", "-0x1.ac07a72d811cfp-24", "0x0.0p+0", 567, "ad5a7d67c2c5d052")),
     # 1024 or 1000 cells would leave about 2e-7 > 4 tol: both stop at the
     # checkpoint of 32 cells
     (lambda: (catalog.exponential(UNIT), 1e-9, 1024),
-     ("0x1.b7dcbc6794cd7p+0", "0x0.0p+0", "0x1.b7e151628aed2p-13", 32, "a06f6819222126f5")),
+     ("0x1.b7ea7b5fcbf11p+0", "-0x1.b7e151628aed2p-13", "0x0.0p+0", 32, "a06f6819222126f5")),
     (lambda: (catalog.shifted_square(0.2, UNIT), 1e-9, 1000),
-     ("0x1.62d1eb851eb86p-3", "0x0.0p+0", "0x1.0000000000000p-12", 32, "a06f6819222126f5")),
+     ("0x1.6351eb851eb86p-3", "-0x1.0000000000000p-12", "0x0.0p+0", 32, "a06f6819222126f5")),
     # the same requests at tol 1e-7, within 4 tol of their prediction, run to
     # the budget; cells of one size have equal widths in the second, so the
     # tie rule shapes its partition
     (lambda: (catalog.exponential(UNIT), 1e-7, 1024),
-     ("0x1.b7e1503d4a0ccp+0", "0x0.0p+0", "0x1.b7e151628aed2p-23", 1024, "8742ae7d82e8c8df")),
+     ("0x1.b7e153ad0cae6p+0", "-0x1.b7e151628aed2p-23", "0x0.0p+0", 1024, "8742ae7d82e8c8df")),
     (lambda: (catalog.shifted_square(0.2, UNIT), 1e-7, 1000),
-     ("0x1.62fc8a051eb86p-3", "0x0.0p+0", "0x1.2400000000000p-22", 1000, "d03dc24446a4b157")),
+     ("0x1.62fcae851eb86p-3", "-0x1.2400000000000p-22", "0x0.0p+0", 1000, "d03dc24446a4b157")),
 ]
 
 
@@ -756,3 +786,79 @@ def test_integrate_adaptive_is_pinned_bit_for_bit(case, want):
         digest.update(float.hex(x).encode())
     assert (float.hex(res.estimate), float.hex(res.remainder.lo), float.hex(res.remainder.hi),
             res.cells, digest.hexdigest()[:16]) == want
+
+
+def _outcome(integrate, f, tol, max_cells=DEFAULT_MAX_CELLS):
+    """(ok or budget, sorted nodes, float.hex of the width) of one request."""
+    try:
+        res, outcome = integrate(f, tol, max_cells), "ok"
+    except BudgetExceededError as exc:
+        res, outcome = exc.best, "budget"
+    return outcome, sorted(res.nodes), float.hex(res.width)
+
+
+def test_integrate_adaptive_builds_the_midpoint_cells_on_the_catalog():
+    # a trapezoid cell's width is its midpoint cell's, float for float,
+    # wherever f'-(m) = f'+(m): so the heap, the stop test and the
+    # checkpoints see the same numbers, on smooth catalog functions and on
+    # kinked ones, whose kinks are seeded, at budgets that succeed and at
+    # budgets the checkpoints stop
+    rng = random.Random(29)
+    outcomes = []
+    for _ in range(90):
+        f = random_convex_case(rng, finite_slopes=True)
+        scale = max(1.0, abs(f(f.domain.lo)), abs(f(f.domain.hi))) * f.domain.width
+        tol = scale * 10.0 ** rng.uniform(-8.0, -5.0)
+        max_cells = rng.choice((DEFAULT_MAX_CELLS, 1000, 64))
+        got = _outcome(integrate_adaptive, f, tol, max_cells)
+        assert got == _outcome(integrate_by_midpoint_cells, f, tol, max_cells)
+        outcomes.append((got[0], bool(f.kinks)))
+    assert {("ok", True), ("ok", False), ("budget", False)} <= set(outcomes)
+
+
+_SMOOTH_TERMS = ("{c}*(t - {k})^2", "{c}*exp({e}*t)", "{c}*t*ln(t)", "{c}/t", "-{c}*sqrt(t)",
+                 "{c}*t^4", "{c}*t^t")
+
+
+@st.composite
+def _smooth_requests(draw):
+    """A sum of one to three smooth convex terms on a positive interval, and a tol."""
+    a = round(draw(st.floats(0.3, 1.5)), 3)
+    b = round(a + draw(st.floats(0.3, 1.5)), 3)
+    terms = [draw(st.sampled_from(_SMOOTH_TERMS)).format(
+        c=round(draw(st.floats(0.2, 2.0)), 3), k=round(draw(st.floats(a, b)), 3),
+        e=round(draw(st.floats(0.1, 1.2)), 3)) for _ in range(draw(st.integers(1, 3)))]
+    f = convex_function_from_expression(" + ".join(terms), Interval(a, b))[0]
+    return f, (b - a) * 10.0 ** draw(st.floats(-8.0, -5.0))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(_smooth_requests())
+def test_integrate_adaptive_builds_the_midpoint_cells_on_expressions(request):
+    f, tol = request
+    assert _outcome(integrate_adaptive, f, tol) == _outcome(integrate_by_midpoint_cells, f, tol)
+
+
+def test_integrate_adaptive_kink_on_a_midpoint_costs_one_split():
+    # the kink of abs(t - 0.769), not declared, lies on the midpoint of the
+    # cell [0.766, 0.772]: the midpoint cell's lower term there equals its
+    # upper one, so it has width 0, while the trapezoid cell has the width
+    # of its end slopes and is split once more, at the kink
+    f = convex_function_from_expression("abs(t - 0.769)", Interval(0.658, 1.426))[0]
+    assert not f.kinks
+    res = integrate_adaptive(f, 1.4e-8)
+    assert (res.cells, res.width) == (9, 0.0)
+    midpoint = integrate_by_midpoint_cells(f, 1.4e-8)
+    assert (midpoint.cells, midpoint.width) == (8, 0.0)
+    assert sorted(res.nodes) == sorted([*midpoint.nodes, 0.769])
+    assert res.integral_bounds.contains((0.111**2 + 0.657**2) / 2, slack=1e-15)
+
+
+def test_integrate_adaptive_overflow_leaves_the_lower_end_infinite():
+    # on [354.5, 709] both h (f(x0)/2 + f(x1)/2) and the width overflow, so
+    # the estimate is inf and the remainder [-inf, 0]: the integral's lower
+    # end is -inf, not the undefined inf - inf
+    best = _budget_best(catalog.exponential(Interval(0.0, 709.0)), 1e-3, 2)
+    assert best.cells == 2
+    assert (best.estimate, best.remainder.lo, best.remainder.hi) == (INF, -INF, 0.0)
+    assert best.integral_bounds.as_tuple() == (-INF, INF)
