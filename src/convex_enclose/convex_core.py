@@ -83,9 +83,12 @@ class Interval:
 
     def grid(self, cells: int) -> list:
         """The cells + 1 evenly spaced points from lo to hi; the last is hi
-        itself, as lo + (hi - lo) can round above hi."""
+        itself, as lo + (hi - lo) can round above hi.  Where width * cells
+        overflows, width * i is scaled by a power of two, which is exact."""
         lo, width = self.lo, self.hi - self.lo
-        return [lo + width * i / cells for i in range(cells)] + [self.hi]
+        up = 2.0 ** cells.bit_length() if math.isinf(width * cells) else 1.0
+        width /= up
+        return [lo + width * i / cells * up for i in range(cells)] + [self.hi]
 
 
 def _one_sided_limit(g, t, span, limit, sign):
@@ -297,6 +300,12 @@ _PROVED = ConvexityReport(ok=True, worst_violation=0.0, witness=None, checks=0, 
                           method="proved")
 
 
+def _midpoint(s: float, t: float) -> float:
+    """(s + t) / 2, halved before the sum only where the sum overflows."""
+    m = 0.5 * (s + t)
+    return 0.5 * s + 0.5 * t if math.isinf(m) else m
+
+
 def check_convexity(f: ConvexFunction) -> ConvexityReport:
     """Sampled falsification of convexity.
 
@@ -339,7 +348,7 @@ def check_convexity(f: ConvexFunction) -> ConvexityReport:
     for step in (1, 2):
         for i in range(len(grid) - step):
             s, t = grid[i], grid[i + step]
-            violation = f(0.5 * (s + t)) - 0.5 * (values[i] + values[i + step])
+            violation = f(_midpoint(s, t)) - 0.5 * (values[i] + values[i + step])
             record(violation, (s, t), mid_tol)
     rng = random.Random(0)
     for _ in range(n):
@@ -347,7 +356,7 @@ def check_convexity(f: ConvexFunction) -> ConvexityReport:
         t = rng.uniform(lo, hi)
         if s != t:
             s, t = min(s, t), max(s, t)
-            violation = f(0.5 * (s + t)) - 0.5 * (f(s) + f(t))
+            violation = f(_midpoint(s, t)) - 0.5 * (f(s) + f(t))
             record(violation, (s, t), mid_tol)
 
     rights = [f.right_derivative(t) for t in grid[:-1]]

@@ -17,8 +17,9 @@ cell between 1 and the raw ratio, one slope read per atom.  Each sum is one
 pass over the two weight tuples.
 
 KERNELS holds the named kernels, catalog functions on POSITIVE_AXIS.  A
-custom kernel is any ConvexFunction whose domain holds 1 and every q_i/p_i;
-without an antiderivative its per-atom means come from certified quadrature.
+custom kernel is any ConvexFunction whose domain holds 1 and every q_i/p_i
+(DomainError otherwise); without an antiderivative its per-atom means come
+from certified quadrature.
 
 Counting measure on a finite alphabet only; zero weights are rejected
 because q_i/p_i and the per-atom mean degenerate there.
@@ -32,7 +33,12 @@ from dataclasses import dataclass, replace
 
 from . import catalog
 from .convex_core import ConvexFunction, Interval
-from .errors import InternalInconsistencyError, InvalidDistributionError, NumericalFailureError
+from .errors import (
+    DomainError,
+    InternalInconsistencyError,
+    InvalidDistributionError,
+    NumericalFailureError,
+)
 from .extreal import xsum
 from .pointwise import Enclosure
 from .quadrature import integrate_adaptive
@@ -67,11 +73,21 @@ class DiscreteDistribution:
         return iter(self.weights)
 
 
-def _require_same_length(p: DiscreteDistribution, q: DiscreteDistribution):
+def _require_compatible(kernel: ConvexFunction, p: DiscreteDistribution,
+                        q: DiscreteDistribution):
+    """InvalidDistributionError unless p and q share an alphabet; DomainError
+    unless the kernel's domain holds 1 and every q_i/p_i (POSITIVE_AXIS holds
+    every ratio of positive weights, so a kernel there is not checked)."""
     if len(p) != len(q):
         raise InvalidDistributionError(
             f"distributions live on different alphabets ({len(p)} vs {len(q)})"
         )
+    domain = kernel.domain
+    if domain != POSITIVE_AXIS:
+        ratios = [1.0, *(qi / pi for pi, qi in zip(p.weights, q.weights))]
+        if not (domain.lo <= min(ratios) and max(ratios) <= domain.hi):
+            raise DomainError(f"kernel {kernel.name!r} on [{domain.lo}, {domain.hi}] must hold 1 "
+                              f"and every q_i/p_i, here {min(ratios)!r} to {max(ratios)!r}")
 
 
 POSITIVE_AXIS = Interval(math.ulp(0.0), sys.float_info.max)
@@ -99,7 +115,7 @@ def kernel_by_name(name: str) -> ConvexFunction:
 def csiszar_divergence(kernel: ConvexFunction, p: DiscreteDistribution,
                        q: DiscreteDistribution) -> float:
     """sum p_i f(q_i / p_i)."""
-    _require_same_length(p, q)
+    _require_compatible(kernel, p, q)
     fn = kernel.fn
     return math.fsum([pi * fn(qi / pi) for pi, qi in zip(p.weights, q.weights)])
 
@@ -107,7 +123,7 @@ def csiszar_divergence(kernel: ConvexFunction, p: DiscreteDistribution,
 def lin_wong_divergence(kernel: ConvexFunction, p: DiscreteDistribution,
                         q: DiscreteDistribution) -> float:
     """The kernel divergence of p against the even mixture (p + q)/2."""
-    _require_same_length(p, q)
+    _require_compatible(kernel, p, q)
     fn = kernel.fn
     return math.fsum([pi * fn((pi + qi) / (2.0 * pi)) for pi, qi in zip(p.weights, q.weights)])
 
@@ -146,7 +162,7 @@ def hh_divergence(kernel: ConvexFunction, p: DiscreteDistribution,
     of 2-4 atoms (kl, chi2 and reverse_kl): at most 1,087 cells per atom
     and a relative error of at most 8.6e-14 against the closed form.
     """
-    _require_same_length(p, q)
+    _require_compatible(kernel, p, q)
     anti = kernel.antiderivative
     if anti is None:
         return math.fsum([pi * _mean_by_quadrature(kernel, qi / pi)
@@ -167,13 +183,14 @@ def hh_sandwich(kernel: ConvexFunction, p: DiscreteDistribution,
                 q: DiscreteDistribution) -> HHSandwich:
     """The ordered triple  lin_wong <= hh <= csiszar / 2  (asserted).
 
-    Raises ValueError when the kernel does not vanish at 1.  All three are
-    finite for strictly positive p and q, so a value that is not finite
-    exceeded the float range and raises NumericalFailureError.  A
-    violation beyond numerical slack means the kernel is not convex and
+    Raises DomainError when the kernel's domain does not hold 1 and every
+    q_i/p_i, and ValueError when the kernel does not vanish at 1.  All
+    three are finite for strictly positive p and q, so a value that is
+    not finite exceeded the float range and raises NumericalFailureError.
+    A violation beyond numerical slack means the kernel is not convex and
     raises InternalInconsistencyError.
     """
-    if abs(kernel.fn(1.0)) > 1e-12:
+    if kernel.domain.contains(1.0) and abs(kernel.fn(1.0)) > 1e-12:
         raise ValueError(f"kernel {kernel.name!r} must vanish at 1")
     lw = lin_wong_divergence(kernel, p, q)
     hh = hh_divergence(kernel, p, q)
@@ -208,8 +225,10 @@ def hh_gap_bounds(kernel: ConvexFunction, p: DiscreteDistribution,
     terms are zero off the kernel's kinks, so the slopes at m_i are read
     only where m_i is one of ``kernel.kinks``: one slope read per atom
     otherwise.  A kink left out of ``kinks`` only loosens the lower bound.
+    Raises DomainError when the kernel's domain does not hold 1 and every
+    q_i/p_i.
     """
-    _require_same_length(p, q)
+    _require_compatible(kernel, p, q)
     dminus, dplus = kernel.dminus, kernel.dplus
     d_minus_one = dminus(1.0)
     d_plus_one = dplus(1.0)

@@ -121,9 +121,9 @@ def brute_force_hh(kernel, p, q) -> float:
     tolerance 1e-12, ignoring the kernel's closed form, so this validates
     the divergence module's closed-form sums.
     """
-    from .divergence import _require_same_length
+    from .divergence import _require_compatible
 
-    _require_same_length(p, q)
+    _require_compatible(kernel, p, q)
     terms = []
     for pi, qi in zip(p.weights, q.weights):
         r = qi / pi

@@ -1,20 +1,17 @@
 """Composite quadrature with certified remainder enclosures.
 
 A tagged partition a = x0 < ... < xn = b with tags xi_i in [x_i, x_i+1]
-defines the Riemann sum  sum h_i f(xi_i).  For convex f the remainder
-integral - sum is sandwiched cell by cell by the pointwise bounds, which
-yields computable two-sided certificates.  With midpoint tags the
-remainder is nonnegative and each cell's share of the certificate width,
-(1/8) h^2 [f'-(x_i+1) - f'+(x_i) - f'+(m_i) + f'-(m_i)], is known locally.
-midpoint_rule builds such cells with one jet call (f and both one-sided
-slopes) at each midpoint, which must be strictly interior (PartitionError),
-and one at each interior node where f has a fused jet.  integrate_adaptive
-bisects trapezoid cells instead, with one jet call per split, from the
-domain ends and the known kinks until the total width meets the tolerance:
-by the counterpart to Hermite-Hadamard, a trapezoid cell's remainder lies
-in [-(1/8) h^2 [f'-(x_i+1) - f'+(x_i)], 0], the midpoint cell's width
-where f'-(m_i) = f'+(m_i).  Slopes out of order raise NonConvexError.
-A cell is one flat tuple, and a result's partition is built when read.
+defines the Riemann sum  sum h_i f(xi_i).  For convex f the pointwise
+bounds sandwich each cell's share of the remainder  integral - sum  by
+one-sided slopes at its tag and its ends.  One pass, the tagged rule, takes
+the sum and both bounds: remainder_enclosure runs it on any tagged
+partition, midpoint_rule on n uniform cells tagged at their midpoints.
+integrate_adaptive bisects trapezoid cells, one flat tuple each, with one
+jet call (f and both one-sided slopes) per split: by the counterpart to
+Hermite-Hadamard, a trapezoid cell's remainder lies in
+[-(1/8) h^2 [f'-(x_i+1) - f'+(x_i)], 0], the midpoint cell's width where
+f'-(m_i) = f'+(m_i).  Slopes or remainder ends out of order raise
+NonConvexError.
 
 Per-cell terms are summed with math.fsum in whatever order the cells lie.
 fsum rounds correctly, so the bits do not depend on that order; only a sum
@@ -26,7 +23,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import itemgetter, lt
 
 from .convex_core import ConvexFunction, Interval, require_slope_order
 from .errors import (
@@ -69,21 +66,6 @@ class Partition:
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "tags", tags)
 
-    @classmethod
-    def uniform(cls, interval: Interval, n: int) -> "Partition":
-        """n equal cells tagged at their midpoints."""
-        if n < 1:
-            raise PartitionError("need at least one cell")
-        nodes = interval.grid(n)
-        return cls(nodes, [0.5 * (u + v) for u, v in zip(nodes, nodes[1:])])
-
-    @property
-    def cells(self) -> int:
-        return len(self.tags)
-
-    def iter_cells(self):
-        return zip(self.nodes, self.nodes[1:], self.tags)
-
     def spans(self, interval: Interval) -> bool:
         return self.nodes[0] == interval.lo and self.nodes[-1] == interval.hi
 
@@ -99,18 +81,6 @@ class QuadratureResult:
     @property
     def cells(self) -> int:
         return len(self.nodes) - 1
-
-    @property
-    def partition(self) -> Partition:
-        """The nodes tagged at their midpoints; built when first read, once
-        across threads.  midpoint_rule's estimate is this partition's
-        Riemann sum; integrate_adaptive's is the trapezoid sum on the same
-        nodes."""
-        if "_partition" not in self.__dict__:
-            nodes = sorted(self.nodes)
-            tags = [0.5 * (x0 + x1) for x0, x1 in zip(nodes, nodes[1:])]
-            self.__dict__.setdefault("_partition", Partition(nodes, tags))
-        return self.__dict__["_partition"]
 
     @property
     def integral_bounds(self) -> Enclosure:
@@ -134,7 +104,8 @@ def _require_spanning(f: ConvexFunction, partition: Partition):
 def riemann_sum(f: ConvexFunction, partition: Partition) -> float:
     """sum of h_i * f(tag_i) over the cells, left to right."""
     _require_spanning(f, partition)
-    return xsum((x1 - x0) * f(xi) for x0, x1, xi in partition.iter_cells())
+    nodes = partition.nodes
+    return xsum((x1 - x0) * f(xi) for x0, x1, xi in zip(nodes, nodes[1:], partition.tags))
 
 
 def remainder_enclosure(f: ConvexFunction, partition: Partition) -> Enclosure:
@@ -143,45 +114,30 @@ def remainder_enclosure(f: ConvexFunction, partition: Partition) -> Enclosure:
     Lower: (1/2) sum (x_i+1 - xi_i)^2 f'+(xi_i) - (xi_i - x_i)^2 f'-(xi_i)
     Upper: the same with the slopes moved to the cell endpoints.
     A side whose squared weight is zero (tag on a cell endpoint) is never
-    evaluated, so tags at the domain ends stay well defined.  Infinite
-    endpoint slopes propagate to the corresponding bound.
+    used, so tags at the domain ends stay well defined.  Infinite endpoint
+    slopes propagate to the corresponding bound.  A tag on its cell's float
+    midpoint weighs as the exact midpoint.  Raises NonConvexError when the
+    slopes are out of order, or the bounds are.
     """
     _require_spanning(f, partition)
-    lo_terms = []
-    hi_terms = []
-    for x0, x1, xi in partition.iter_cells():
-        wr = (x1 - xi) ** 2
-        wl = (xi - x0) ** 2
-        cell_lo = 0.0
-        cell_hi = 0.0
-        if wr > 0.0:
-            cell_lo += wr * f.right_derivative(xi)
-            cell_hi += wr * f.left_derivative(x1)
-        if wl > 0.0:
-            cell_lo -= wl * f.left_derivative(xi)
-            cell_hi -= wl * f.right_derivative(x0)
-        lo_terms.append(cell_lo)
-        hi_terms.append(cell_hi)
-    return Enclosure(0.5 * xsum(lo_terms), 0.5 * xsum(hi_terms))
+    return _tagged_rule(f, partition.nodes, partition.tags)[1]
 
 
 def midpoint_rule(f: ConvexFunction, n: int) -> QuadratureResult:
     """Uniform midpoint rule with a certified remainder enclosure.
 
-    The remainder is sandwiched by
+    remainder_enclosure's tagged rule on n equal cells tagged at their
+    midpoints m_i, with 2n - 1 jet calls, where its bounds become
         (1/8) sum [f'+(m_i) - f'-(m_i)] h_i^2   (always >= 0)
     and (1/8) sum [f'-(x_i+1) - f'+(x_i)] h_i^2,
     both attained by kink functions, so the 1/8 cannot be improved.
+    Raises PartitionError when a cell has no interior float midpoint.
     """
     if n < 1:
         raise PartitionError("need at least one cell")
     nodes = f.domain.grid(n)
-    _require_midpoints(nodes)
-    at_lo, at_hi = f.endpoint_slopes()
-    inner = [*map(f.interior_slopes, nodes[1:-1])]  # one jet call per node where f has one
-    cells = _midpoint_cells(f, nodes, [*(dm for dm, _ in inner), at_hi],
-                            [at_lo, *(dp for _, dp in inner)])
-    return _result(cells, nodes[-1], 9, 10)
+    estimate, remainder = _tagged_rule(f, nodes, _midpoints(nodes))
+    return QuadratureResult(estimate, remainder, tuple(nodes))
 
 
 def integrate_adaptive(f: ConvexFunction, tol: float,
@@ -194,19 +150,15 @@ def integrate_adaptive(f: ConvexFunction, tol: float,
     in [T - W, T], with T = h (f(x0)/2 + f(x1)/2) and W = (1/8) h^2 (s1 - s0).
     The cell whose width W is largest (ties: the one created first) is
     bisected until the total width is <= tol.  A split makes one jet call
-    (f and both slopes, see ``ConvexFunction.interior_jet``) at the
-    midpoint m, whose value and slopes both children take, so f is
-    evaluated once at every node.  A cell is one flat tuple, built when
-    the cell is created,
-        (-W, slot, x0, x1, f(x0), f(x1), s0, s1, T),
-    and waits in the heap as it is.  The left child keeps its parent's slot
-    and the right child takes the next number, so ties go to the older cell
-    and no comparison reads past the slot.  Cells of no positive width, and
-    cells too narrow to bisect twice, go to a ``done`` list.  A running sum
-    of the cell widths only decides when to test; the test is the returned
-    result's own remainder width, summed over ``done`` and the heap as they
-    lie; fsum makes its bits independent of that order, so results are
-    reproducible.
+    (see ``ConvexFunction.interior_jet``) at the midpoint m, whose value
+    and slopes both children take, so f is evaluated once at every node.
+    A cell waits in the heap as the tuple (-W, slot, x0, x1, f(x0), f(x1),
+    s0, s1, T).  The left child keeps its parent's slot and the right child
+    takes the next number, so ties go to the older cell and no comparison
+    reads past the slot.  Cells of no positive width, and cells too narrow
+    to bisect twice, go to a ``done`` list.  A running sum of the widths
+    only decides when to test the result's own width, summed over ``done``
+    and the heap as they lie.
 
     A request that cannot succeed fails fast.  A smooth cell's width falls
     like h^3, so once the kinks are seeded the total width W(N) of N cells
@@ -245,7 +197,7 @@ def integrate_adaptive(f: ConvexFunction, tol: float,
         stride = len(kinks) / max_cells
         kinks = [kinks[int((i + 1) * stride)] for i in range(max_cells - 1)]
     nodes = [lo, *kinks, hi]
-    _require_midpoints(nodes)
+    _midpoints(nodes)
     values = [*map(f, nodes)]
     seeds = zip(nodes, nodes[1:], values, values[1:], [at_lo, *map(f.right_derivative, kinks)],
                 [*map(f.left_derivative, kinks), at_hi])
@@ -277,7 +229,7 @@ def integrate_adaptive(f: ConvexFunction, tol: float,
 
     while True:
         if not unbounded and running <= tol:
-            result = _result(done + heap, hi, 0)
+            result = _result(done + heap, hi)
             if result.width <= tol:
                 return result
             running = result.width
@@ -346,76 +298,91 @@ def integrate_adaptive(f: ConvexFunction, tol: float,
                 f"to leave a width of {predicted:.3e}")
     done.extend(heap)
     del heap  # free the queue before the result's node list is built
-    best = _result(done, hi, 0)
+    best = _result(done, hi)
     raise BudgetExceededError(
         f"enclosure width {best.width:.3e} > tol {tol:.3e} after {best.cells} cells{note}",
         best=best,
     )
 
 
-def _require_midpoints(nodes) -> None:
-    """PartitionError unless every cell's midpoint lies strictly inside it."""
-    if any(not u < 0.5 * (u + v) < v for u, v in zip(nodes, nodes[1:])):
+def _midpoints(nodes) -> list:
+    """The cells' float midpoints; PartitionError unless every one lies
+    strictly inside its cell."""
+    uppers = nodes[1:]
+    mids = [0.5 * (u + v) for u, v in zip(nodes, uppers)]
+    if not (all(map(lt, nodes, mids)) and all(map(lt, mids, uppers))):
         raise PartitionError("a cell is too narrow to have an interior midpoint")
+    return mids
 
 
-def _midpoint_cells(f: ConvexFunction, nodes, lefts, rights) -> list:
-    """midpoint_rule's cells on nodes, in node order, from f'- at nodes[1:]
-    and f'+ at nodes[:-1], as (-width, slot, x0, x1, f'+(x0), f'-(x1),
-    f'-(m), f'+(m), h f(m), lo, hi).
-
-    Each midpoint m is strictly interior (see _require_midpoints), so the
-    jet runs there without domain checks.  f'+(x0) > f'-(m) or f'+(m) >
-    f'-(x1) beyond rounding raises NonConvexError; a NaN width hi - lo
-    becomes INF.
-    """
+def _tagged_rule(f: ConvexFunction, nodes, tags) -> tuple:
+    """(Riemann sum, remainder enclosure) of remainder_enclosure's rule on
+    nodes spanning f's domain, in one pass: the endpoint slopes, one read
+    of each interior node's slopes and one jet call at each interior tag
+    (f at a tag on a domain end, whose inner slope is an endpoint slope)."""
+    lo, hi = f.domain.lo, f.domain.hi
+    at_lo, at_hi = f.endpoint_slopes()
+    inner = [*map(f.interior_slopes, nodes[1:-1])]
+    rights = [at_lo, *(dp for _, dp in inner)]  # f'+ at nodes[:-1]
+    lefts = [*(dm for dm, _ in inner), at_hi]  # f'- at nodes[1:]
     jet = f.interior_jet()
     slack = f.slope_slack
-    cells = []
-    for i, (x0, x1, dp0, dm1) in enumerate(zip(nodes, nodes[1:], rights, lefts)):
-        m = 0.5 * (x0 + x1)
-        v, dmm, dpm = jet(m)
-        if dp0 > dmm:
-            require_slope_order(dp0, dmm, x0, m, slack)
-        if dpm > dm1:
-            require_slope_order(dpm, dm1, m, x1, slack)
-        h = x1 - x0
-        h2 = h * h
-        hi_term = 0.125 * h2 * (dm1 - dp0)
-        lo_term = 0.125 * h2 * (dpm - dmm)
-        w = hi_term - lo_term
-        if w != w:  # a NaN slope, or inf - inf after an overflow
-            ensure_extended(dmm)
-            ensure_extended(dpm)
-            w = INF
-        cells.append((-w, i, x0, x1, dp0, dm1, dmm, dpm, h * v, lo_term, hi_term))
-    return cells
+    terms = []
+    lo_terms = []
+    hi_terms = []
+    add_term, add_lo, add_hi = terms.append, lo_terms.append, hi_terms.append
+    for x0, x1, xi, dp0, dm1 in zip(nodes, nodes[1:], tags, rights, lefts):
+        if lo < xi < hi:
+            v, dm, dp = jet(xi)
+            if dm > dp:
+                require_slope_order(dm, dp, xi, xi, slack)
+        else:
+            v = f(xi)
+            dm = dp = at_lo if xi == lo else at_hi
+        add_term((x1 - x0) * v)
+        mid = xi == 0.5 * (x0 + x1)  # the float midpoint weighs as the exact one
+        wr = (0.5 * (x1 - x0) if mid else x1 - xi) ** 2
+        wl = wr if mid else (xi - x0) ** 2
+        cell_lo = 0.0
+        cell_hi = 0.0
+        if wr > 0.0:
+            if dp > dm1:
+                require_slope_order(dp, dm1, xi, x1, slack)
+            cell_lo += wr * dp
+            cell_hi += wr * dm1
+        if wl > 0.0:
+            if dp0 > dm:
+                require_slope_order(dp0, dm, x0, xi, slack)
+            cell_lo -= wl * dm
+            cell_hi -= wl * dp0
+        add_lo(cell_lo)
+        add_hi(cell_hi)
+    return xsum(terms), _ordered(0.5 * xsum(lo_terms), 0.5 * xsum(hi_terms))
 
 
-def _result(cells: list, b: float, lo_field: int,
-            hi_field: int | None = None) -> QuadratureResult:
-    """The result on cells that tile [a, b], with x0 in field 2, the estimate's
-    term in field 8, remainder.lo's in lo_field and remainder.hi's in
-    hi_field (0 without one).  Convex slopes are in order in every cell,
-    and rounded subtraction, scaling and fsum are monotone, so remainder
-    bounds out of order prove that f is not convex.
-    """
-    lo = _column_sum(cells, lo_field)
-    hi = 0.0 if hi_field is None else _column_sum(cells, hi_field)
+def _ordered(lo: float, hi: float) -> Enclosure:
+    """[lo, hi].  Convex slopes are in order in every cell, and rounded
+    arithmetic and fsum are monotone, so ends out of order prove f not convex."""
     if lo > hi:
         raise NonConvexError(
             f"one-sided slopes out of order (remainder bounds [{lo!r}, {hi!r}]); "
             "the function is not convex"
         )
-    return QuadratureResult(_column_sum(cells, 8), Enclosure(lo, hi),
-                            (*map(itemgetter(2), cells), b))
+    return Enclosure(lo, hi)
+
+
+def _result(cells: list, b: float) -> QuadratureResult:
+    """The result on trapezoid cells that tile [a, b], with -width in field
+    0, x0 in field 2 and the estimate's term in field 8."""
+    remainder = _ordered(_column_sum(cells, 0), 0.0)
+    return QuadratureResult(_column_sum(cells, 8), remainder, (*map(itemgetter(2), cells), b))
 
 
 def _require_affine(cell: tuple, slack: float) -> None:
     """NonConvexError unless a trapezoid cell of no positive width is affine
     as far as its values tell: unless h^2 underflowed (s0 < s1),
     f(x1) - f(x0) = s0 h within slack of the values and of s0 h.  (Slopes
-    out of order make the remainder's ends out of order; see _result.)"""
+    out of order make the remainder's ends out of order; see _ordered.)"""
     _, _, x0, x1, v0, v1, s0, s1, _ = cell
     if s0 < s1:
         return

@@ -7,7 +7,7 @@ bounds without putting the rewrites in the public API.  ``centered_kink``
 is the witness of the sharpness criteria: it attains equality in the
 sharp bounds.  ``midpoint_rule_by_cell`` is the uniform midpoint rule as
 its own loop over f and the one-sided derivatives, the reference for the
-library's rule.  ``integrate_by_midpoint_cells`` is the adaptive integrator
+library's rule, which runs the tagged rule's one pass.  ``integrate_by_midpoint_cells`` is the adaptive integrator
 on midpoint cells, two jet calls per split: the reference for the
 library's trapezoid cells, which must build the same cells with the same
 widths wherever no kink lies on a cell's midpoint.
@@ -38,10 +38,10 @@ from convex_enclose.quadrature import (
     _STOP_MARGIN,
     DEFAULT_MAX_CELLS,
     Partition,
-    _midpoint_cells,
-    _require_midpoints,
+    QuadratureResult,
+    _column_sum,
+    _midpoints,
     _require_spanning,
-    _result,
     integrate_adaptive,
     riemann_sum,
 )
@@ -116,7 +116,7 @@ def differentiable_lower_form(f: ConvexFunction, partition: Partition) -> float:
     _require_spanning(f, partition)
     return xsum(
         (0.5 * (x0 + x1) - xi) * (x1 - x0) * two_sided_derivative(f, xi)
-        for x0, x1, xi in partition.iter_cells()
+        for x0, x1, xi in zip(partition.nodes, partition.nodes[1:], partition.tags)
     )
 
 
@@ -159,21 +159,52 @@ def centered_kink(interval: Interval, k: float = 1.0) -> ConvexFunction:
 def midpoint_rule_by_cell(f: ConvexFunction, n: int):
     """(estimate, remainder, partition) of the uniform midpoint rule on n cells.
 
-    The remainder is sandwiched by
-        (1/8) sum [f'+(m_i) - f'-(m_i)] h_i^2
-    and (1/8) sum [f'-(x_i+1) - f'+(x_i)] h_i^2,
+    The remainder is sandwiched by the tagged rule's bounds at m_i, whose
+    weights (x_i+1 - m_i)^2 and (m_i - x_i)^2 are both w_i = (h_i / 2)^2,
+        (1/2) sum w_i f'+(m_i) - w_i f'-(m_i)
+    and (1/2) sum w_i f'-(x_i+1) - w_i f'+(x_i),
     each cell's terms read through f's one-sided derivatives and summed
     left to right.
     """
-    partition = Partition.uniform(f.domain, n)
+    nodes = f.domain.grid(n)
+    partition = Partition(nodes, _midpoints(nodes))
     estimate = riemann_sum(f, partition)
     lo_terms = []
     hi_terms = []
-    for x0, x1, m in partition.iter_cells():
-        h2 = (x1 - x0) ** 2
-        lo_terms.append(0.125 * h2 * (f.right_derivative(m) - f.left_derivative(m)))
-        hi_terms.append(0.125 * h2 * (f.left_derivative(x1) - f.right_derivative(x0)))
-    return estimate, Enclosure(xsum(lo_terms), xsum(hi_terms)), partition
+    for x0, x1, m in zip(nodes, nodes[1:], partition.tags):
+        w = (0.5 * (x1 - x0)) ** 2
+        lo_terms.append(w * f.right_derivative(m) - w * f.left_derivative(m))
+        hi_terms.append(w * f.left_derivative(x1) - w * f.right_derivative(x0))
+    return estimate, Enclosure(0.5 * xsum(lo_terms), 0.5 * xsum(hi_terms)), partition
+
+
+def _midpoint_cell(f: ConvexFunction, slot, x0, x1, dp0, dm1) -> tuple:
+    """The midpoint cell (-width, slot, x0, x1, f'+(x0), f'-(x1), f'-(m),
+    f'+(m), h f(m), lo, hi) from one jet call at m; a NaN width becomes INF."""
+    m = 0.5 * (x0 + x1)
+    v, dmm, dpm = f.interior_jet()(m)
+    slack = f.slope_slack
+    if dp0 > dmm:
+        require_slope_order(dp0, dmm, x0, m, slack)
+    if dpm > dm1:
+        require_slope_order(dpm, dm1, m, x1, slack)
+    h = x1 - x0
+    h2 = h * h
+    hi_term = 0.125 * h2 * (dm1 - dp0)
+    lo_term = 0.125 * h2 * (dpm - dmm)
+    w = hi_term - lo_term
+    if w != w:
+        ensure_extended(dmm)
+        ensure_extended(dpm)
+        w = INF
+    return (-w, slot, x0, x1, dp0, dm1, dmm, dpm, h * v, lo_term, hi_term)
+
+
+def _midpoint_result(cells: list, b: float) -> QuadratureResult:
+    """The result on midpoint cells that tile [a, b]."""
+    lo, hi = _column_sum(cells, 9), _column_sum(cells, 10)
+    return QuadratureResult(_column_sum(cells, 8), Enclosure(lo, hi),
+                            (*(cell[2] for cell in cells), b))
 
 
 def integrate_by_midpoint_cells(f: ConvexFunction, tol: float,
@@ -191,10 +222,10 @@ def integrate_by_midpoint_cells(f: ConvexFunction, tol: float,
         stride = len(kinks) / max_cells
         kinks = [kinks[int((i + 1) * stride)] for i in range(max_cells - 1)]
     nodes = [lo, *kinks, hi]
-    _require_midpoints(nodes)
-    cells = _midpoint_cells(f, nodes, [*map(f.left_derivative, kinks), at_hi],
-                            [at_lo, *map(f.right_derivative, kinks)])
-    jet, slack = f.interior_jet(), f.slope_slack
+    _midpoints(nodes)
+    cells = [_midpoint_cell(f, i, x0, x1, dp0, dm1) for i, (x0, x1, dp0, dm1) in enumerate(
+        zip(nodes, nodes[1:], [at_lo, *map(f.right_derivative, kinks)],
+            [*map(f.left_derivative, kinks), at_hi]))]
     heap, done = [], []
     running, unbounded, count = 0.0, 0, len(nodes) - 1
     limit = min(max(16, 1 << (count - 1).bit_length()), max_cells)
@@ -209,27 +240,9 @@ def integrate_by_midpoint_cells(f: ConvexFunction, tol: float,
         else:
             done.append(cell)
 
-    def child(slot, x0, x1, dp0, dm1):
-        m = 0.5 * (x0 + x1)
-        v, dmm, dpm = jet(m)
-        if dp0 > dmm:
-            require_slope_order(dp0, dmm, x0, m, slack)
-        if dpm > dm1:
-            require_slope_order(dpm, dm1, m, x1, slack)
-        h = x1 - x0
-        h2 = h * h
-        hi_term = 0.125 * h2 * (dm1 - dp0)
-        lo_term = 0.125 * h2 * (dpm - dmm)
-        w = hi_term - lo_term
-        if w != w:
-            ensure_extended(dmm)
-            ensure_extended(dpm)
-            w = INF
-        return (-w, slot, x0, x1, dp0, dm1, dmm, dpm, h * v, lo_term, hi_term)
-
     while True:
         if not unbounded and running <= tol:
-            result = _result(done + heap, hi, 9, 10)
+            result = _midpoint_result(done + heap, hi)
             if result.width <= tol:
                 return result
             running = result.width
@@ -252,7 +265,8 @@ def integrate_by_midpoint_cells(f: ConvexFunction, tol: float,
             unbounded -= 1
         else:
             running += neg_w
-        for cell in (child(i, x0, m, dp0, dmm), child(count, m, x1, dpm, dm1)):
+        for cell in (_midpoint_cell(f, i, x0, m, dp0, dmm),
+                     _midpoint_cell(f, count, m, x1, dpm, dm1)):
             if cell[0] == -INF:
                 unbounded += 1
             else:
@@ -263,7 +277,7 @@ def integrate_by_midpoint_cells(f: ConvexFunction, tol: float,
                 done.append(cell)
         count += 1
     done.extend(heap)
-    best = _result(done, hi, 9, 10)
+    best = _midpoint_result(done, hi)
     raise BudgetExceededError(f"enclosure width {best.width:.3e} > tol {tol:.3e}", best=best)
 
 

@@ -446,6 +446,14 @@ def test_exit_code_interval_too_wide_for_floats(capsys, argv):
     assert "is too wide for float arithmetic" in capsys.readouterr().err
 
 
+def test_a_wide_interval_is_sampled_inside_its_domain(capsys):
+    # the convexity check's grid on [0, 1e308] stays finite: what it finds
+    # is that t*ln(t + 1) overflows, not a point outside the domain
+    assert run(["enclose", "--fn", "t*ln(t+1)/1000", "--a", "0", "--b", "1e308", "--x", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "is not finite" in err and "outside domain" not in err
+
+
 def test_exit_code_parse_error(capsys):
     assert run(["enclose", "--fn", "t +", "--a", "0", "--b", "1", "--x", "0.5"]) == 2
     assert run(["enclose", "--fn", "q^2", "--a", "0", "--b", "1", "--x", "0.5"]) == 2

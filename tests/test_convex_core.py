@@ -200,6 +200,37 @@ def test_slope_monotonicity_across_catalog():
             assert f.left_derivative(t) <= f.right_derivative(t)
 
 
+@pytest.mark.parametrize("interval", [Interval(0.0, 1e308), Interval(-1e308, 5e307)])
+@pytest.mark.parametrize("cells", [1, 3, 63, 64, 127, 128])
+def test_grid_of_a_wide_interval_stays_finite(interval, cells):
+    # width * i overflows: every point is finite, inside and increasing, and
+    # is the product an unbounded exponent would give, as on the same grid
+    # scaled down by a power of two
+    grid = interval.grid(cells)
+    assert len(grid) == cells + 1 and (grid[0], grid[-1]) == (interval.lo, interval.hi)
+    assert all(u < v for u, v in zip(grid, grid[1:]))
+    assert all(math.isfinite(t) and interval.contains(t) for t in grid)
+    down = Interval(interval.lo / 1024, interval.hi / 1024).grid(cells)
+    assert grid == [t * 1024 for t in down]
+
+
+def test_grid_keeps_its_bits_where_the_product_is_finite():
+    rng = random.Random(30)
+    for _ in range(300):
+        lo = rng.uniform(-1e3, 1e3) * 10.0 ** rng.randint(-300, 300)
+        interval = Interval(lo, lo + abs(lo) * rng.uniform(0.01, 3.0) + 1e-300)
+        cells = rng.randint(1, 300)
+        width = interval.hi - interval.lo
+        want = [interval.lo + width * i / cells for i in range(cells)] + [interval.hi]
+        assert [*map(float.hex, interval.grid(cells))] == [*map(float.hex, want)]
+
+
+def test_check_convexity_on_a_wide_interval():
+    # the grid and the pairs' midpoints stay inside [0, 1e308]
+    assert check_convexity(catalog.affine(0.0, 1e-10, Interval(0.0, 1e308))).ok
+    assert check_convexity(catalog.affine(0.0, 1e-10, Interval(-1e308, 5e307))).ok
+
+
 def test_check_convexity_passes_convex():
     assert check_convexity(catalog.shifted_square(0.0, UNIT)).ok
     assert check_convexity(catalog.abs_shift(0.0, Interval(-1.0, 1.0))).ok

@@ -17,10 +17,13 @@ from convex_enclose.divergence import (
     lin_wong_divergence,
 )
 from convex_enclose.errors import (
+    DomainError,
     InternalInconsistencyError,
     InvalidDistributionError,
     NumericalFailureError,
 )
+from convex_enclose.expressions import convex_function_from_expression
+from convex_enclose.oracle import brute_force_hh
 from convex_enclose.quadrature import integrate_adaptive
 from convex_enclose.selftest import random_distribution
 from black_box import counting_copy, sampled_function
@@ -69,6 +72,23 @@ def test_distribution_errors_keep_their_class_and_message(weights, error, messag
 def test_alphabet_mismatch():
     with pytest.raises(InvalidDistributionError):
         csiszar_divergence(kernel_by_name("chi2"), P, DiscreteDistribution((0.2, 0.3, 0.5)))
+
+
+def test_custom_kernel_must_hold_one_and_every_ratio():
+    # on [0.5, 2] the kernel is (t - 1)^2; below 0.5 its formula is not
+    # convex, and q_1/p_1 = 0.1 lies there
+    kernel = convex_function_from_expression("(t-1)^2 - 3*max(0, 0.5-t)", Interval(0.5, 2.0))[0]
+    p, q = DiscreteDistribution((0.5, 0.5)), DiscreteDistribution((0.05, 0.95))
+    for divergence_fn in (hh_gap_bounds, hh_sandwich, csiszar_divergence, lin_wong_divergence,
+                          hh_divergence, brute_force_hh):
+        with pytest.raises(DomainError, match="must hold 1 and every q_i/p_i"):
+            divergence_fn(kernel, p, q)
+    # a domain that holds every ratio but not 1
+    with pytest.raises(DomainError, match="here 0.1 to 1.9"):
+        hh_gap_bounds(replace(kernel_by_name("chi2"), domain=Interval(0.05, 0.9)), p, q)
+    # where it holds them, the kernel is chi2's (t - 1)^2
+    assert hh_gap_bounds(kernel, P, Q) == hh_gap_bounds(kernel_by_name("chi2"), P, Q)
+    assert hh_sandwich(kernel, P, Q).lin_wong == hh_sandwich(kernel_by_name("chi2"), P, Q).lin_wong
 
 
 def test_kernel_registry():

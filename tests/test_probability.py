@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from convex_enclose import catalog
 from convex_enclose.convex_core import ConvexFunction, Interval, check_convexity
 from convex_enclose.errors import DomainError, InconsistentModelError
 from convex_enclose.extreal import INF
@@ -17,7 +18,7 @@ from convex_enclose.probability import (
     step_density_model,
     uniform_model,
 )
-from convex_enclose.quadrature import Partition
+from convex_enclose.quadrature import midpoint_rule
 from convex_enclose.selftest import random_density_model
 
 
@@ -181,7 +182,7 @@ def test_continuous_density_is_checked_once_before_integrating():
 def test_density_is_never_called_outside_its_support():
     # ends with 3 decimals, as prob requests draw them; for some, a + (b - a) rounds above b.
     # Every uniform grid comes from Interval.grid: the density check's, the
-    # convexity check's and Partition.uniform's; none may step past b.
+    # convexity check's and midpoint_rule's; none may step past b.
     rng = random.Random(89)
     rounds_above = 0
     for _ in range(300):
@@ -195,7 +196,7 @@ def test_density_is_never_called_outside_its_support():
         for cells in (1, 64, 128):
             grid = sup.grid(cells)
             assert len(grid) == cells + 1 and grid[0] == a and grid[-1] == b, (a, b, cells)
-            assert Partition.uniform(sup, cells).nodes[-1] == b, (a, b, cells)
+            assert midpoint_rule(catalog.exponential(sup), cells).nodes[-1] == b, (a, b, cells)
         calls = []
         record = lambda g: lambda t: calls.append(t) or g(t)
         square = ConvexFunction(sup, fn=record(lambda t: t * t),
