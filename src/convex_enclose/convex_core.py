@@ -18,10 +18,12 @@ oracle call per point instead of three, and a bound that reads both slopes
 one instead of two (see :class:`Jet` and ``ConvexFunction.interior_slopes``).
 The endpoint slopes are read once per function and kept.
 
-Convexity itself is either proved (``proved_convex=True``: the expression
-frontend's composition rules) or falsified by sampling: ``require_convex``,
-the one gate, trusts a proof and evaluates nothing; only a function that
-is not proved is sampled, then checked at the few points a bound consumes.
+Convexity itself is decided before any bound reads f: a function may carry
+a verdict (``convexity``, a :class:`ConvexityReport`), which the expression
+frontend gives by composition rules or, where they fail, by a second-order
+interval walk.  ``require_convex``, the one gate, trusts a proof and
+raises on a disproof without evaluating anything; only a function without
+a verdict is sampled, then checked at the few points a bound consumes.
 
 All objects are immutable and all oracles are pure, so everything here is
 safe for unrestricted concurrent use.
@@ -158,8 +160,9 @@ class ConvexFunction:
     its lower bound.  A kink left out only loosens that lower bound, which
     stays valid; the integrator then needs more cells and the oracle
     loses accuracy.
-    ``proved_convex`` marks a function whose convexity on the domain was
-    proved, so that :func:`require_convex` need not sample it.
+    ``convexity`` is a verdict on the function's convexity on the domain,
+    a :class:`ConvexityReport` that proves (``ok``) or disproves it, so that
+    :func:`require_convex` need not sample it; None leaves it to sampling.
 
     ``jet`` is an optional :class:`Jet`; a bare callable given here fuses
     the ``fn``, ``dminus`` and ``dplus`` given with it.  It is used only
@@ -176,7 +179,7 @@ class ConvexFunction:
     kinks: tuple = ()
     name: str = ""
     certified: bool = True
-    proved_convex: bool = False
+    convexity: Optional[ConvexityReport] = None
     jet: Optional[Jet] = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -285,8 +288,11 @@ class ConvexFunction:
 
 @dataclass(frozen=True)
 class ConvexityReport:
-    """Outcome of a convexity check: "sampled" falsification, or "proved"
-    by composition rules (no checks run)."""
+    """Outcome of a convexity check: "sampled" falsification, "proved" by
+    composition rules (no checks run), or decided by the second-order
+    "walk" (``checks`` counts its interval walks and slope joins; a
+    disproof's ``witness`` is the piece and its f'' range (s, t, lo, hi),
+    and its ``worst_violation`` is -hi)."""
 
     ok: bool
     worst_violation: float
@@ -294,10 +300,6 @@ class ConvexityReport:
     checks: int
     tol: float
     method: str = "sampled"
-
-
-_PROVED = ConvexityReport(ok=True, worst_violation=0.0, witness=None, checks=0, tol=0.0,
-                          method="proved")
 
 
 def _midpoint(s: float, t: float) -> float:
@@ -391,9 +393,11 @@ def require_slope_order(d0, d1, x0, x1, slack):
 
 
 def require_convex(f: ConvexFunction, points=()) -> ConvexityReport:
-    """Trust a function whose convexity was proved (``proved_convex``, set
-    by the expression frontend's composition rules) without evaluating it,
-    even at ``points``; otherwise raise NonConvexError unless it passes
+    """Act on a function's verdict (``convexity``, set by the expression
+    frontend's composition rules or its second-order walk) without
+    evaluating it, even at ``points``: return a proof's report, or raise
+    NonConvexError naming a disproof's piece and f'' range.  Without a
+    verdict, raise NonConvexError unless f passes
     check_convexity and, at the ``points`` a bound consumes, the support
     line at each point lies below f at every other point (slack 1e-9
     relative to the terms compared) and f'+(p) <= f'-(q) for every pair
@@ -403,8 +407,13 @@ def require_convex(f: ConvexFunction, points=()) -> ConvexityReport:
     and slopes out of order below the support lines' slack, which would
     put the bounds out of order.  The line towards larger t takes f'+,
     towards smaller t f'-."""
-    if f.proved_convex:
-        return _PROVED
+    verdict = f.convexity
+    if verdict is not None:
+        if verdict.ok:
+            return verdict
+        s, t, low, high = verdict.witness
+        raise NonConvexError(f"convexity disproved: f'' lies in [{low:.3e}, {high:.3e}] "
+                             f"on [{s!r}, {t!r}]", report=verdict)
     report = check_convexity(f)
     if not report.ok:
         s, t = report.witness

@@ -33,7 +33,9 @@ nest at most MAX_DEPTH levels (parentheses and operator chains count),
 far from Python's recursion limit.
 
 ``_proves_convex`` tries to prove a tree convex on an interval by
-composition rules; what it cannot prove is left to the sampled check.
+composition rules; what it cannot prove, ``_walk`` tries to prove or
+disprove from interval ranges of f'' on pieces of the interval; what
+stays undecided is left to the sampled check.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .convex_core import ConvexFunction, Interval
+from .convex_core import ConvexFunction, ConvexityReport, Interval
 from .errors import DomainError, ExpressionError, NumericalFailureError
 from .extreal import INF, ensure_extended
 
@@ -538,8 +540,8 @@ def _lower_jet(node, side: int):
     def div(t):
         u, um, up = left(t)
         w, wm, wp = right(t)
-        v, ww = _div(u, w, t), w * w
-        return v, (um * w - u * wm) / ww, (up * w - u * wp) / ww
+        v = _div(u, w, t)
+        return v, (um - v * wm) / w, (up - v * wp) / w
     return div
 
 
@@ -627,6 +629,13 @@ _CONSTANT, _AFFINE, _CONVEX, _CONCAVE = range(4)  # `c and _CONVEX` keeps 0 cons
 _FLIPPED = (_CONSTANT, _AFFINE, _CONCAVE, _CONVEX)
 
 
+_PROVED = ConvexityReport(ok=True, worst_violation=0.0, witness=None, checks=0, tol=0.0,
+                          method="proved")
+# The walk's exact ranges, which _imul and _isum pass through unrounded; made
+# at run time, so that no literal range of the rules is one of them
+_ZERO, _ONE, _TWO = [(x, x) for x in (0.0, 1.0, 2.0)]
+
+
 class _Unproved(Exception):
     """The rules cannot prove the node's curvature."""
 
@@ -653,20 +662,38 @@ def continuous_on(node, lo: float, hi: float) -> bool:
 
 def _out(lo: float, hi: float) -> tuple:
     lo, hi = math.nextafter(lo, -INF), math.nextafter(hi, INF)
-    if not (math.isfinite(lo) and math.isfinite(hi)):
+    if not (lo > -INF and hi < INF):  # NaN fails too
         raise _Unproved
     return lo, hi
 
 
+def _ineg(x) -> tuple:
+    return -x[1], -x[0]
+
+
+def _isum(x, y, x_varies: bool = False, y_varies: bool = False) -> tuple:
+    """x + y; _Unproved where the float sum can lose a term said to vary,
+    as one that varies by less than a millionth of the sum."""
+    if y is _ZERO or x is _ZERO:
+        return x if y is _ZERO else y
+    r = _out(x[0] + y[0], x[1] + y[1])
+    least = 1e-6 * max(-r[0], r[1])
+    if (x_varies and x[1] - x[0] < least) or (y_varies and y[1] - y[0] < least):
+        raise _Unproved
+    return r
+
+
 def _imul(x, y) -> tuple:
+    if x is _ZERO or y is _ZERO:
+        return _ZERO
+    if x is _ONE or y is _ONE:
+        return y if x is _ONE else x
     products = (x[0] * y[0], x[0] * y[1], x[1] * y[0], x[1] * y[1])
     return _out(min(products), max(products))
 
 
 def _idiv(x, y) -> tuple:
-    # the slope of a quotient divides by the divisor squared: keep that in range too
-    squares = (y[0] * y[0], y[1] * y[1])
-    if y[0] <= 0.0 <= y[1] or min(squares) == 0.0 or max(squares) == INF:
+    if y[0] <= 0.0 <= y[1]:
         raise _Unproved
     quotients = (x[0] / y[0], x[0] / y[1], x[1] / y[0], x[1] / y[1])
     return _out(min(quotients), max(quotients))
@@ -696,22 +723,18 @@ def _shape(node, iv: tuple) -> tuple:
     if isinstance(node, Var):
         return _AFFINE, iv
     if isinstance(node, Neg):
-        c, (lo, hi) = _shape(node.operand, iv)
-        return _FLIPPED[c], (-hi, -lo)
+        c, r = _shape(node.operand, iv)
+        return _FLIPPED[c], _ineg(r)
     if isinstance(node, Call):
         return _call_shape(node, iv)
     if node.op in "+-":
         c, x = _shape(node.left, iv)
         d, y = _shape(node.right, iv)
         if node.op == "-":
-            d, y = _FLIPPED[d], (-y[1], -y[0])
-        r = _out(x[0] + y[0], x[1] + y[1])
-        # the float sum can lose a term that varies by less than a millionth of it
-        if {c, d} == {_CONVEX, _CONCAVE} or any(
-                e != _CONSTANT and z[1] - z[0] < 1e-6 * max(-r[0], r[1])
-                for e, z in ((c, x), (d, y))):
+            d, y = _FLIPPED[d], _ineg(y)
+        if {c, d} == {_CONVEX, _CONCAVE}:
             raise _Unproved
-        return max(c, d), r
+        return max(c, d), _isum(x, y, c != _CONSTANT, d != _CONSTANT)
     if node.op == "^":
         return _power_shape(node, iv)
     return _product_shape(node, iv)
@@ -805,6 +828,131 @@ def _product_shape(node, iv: tuple) -> tuple:
     return (curvature if coefficient[0] > 0.0 else _FLIPPED[curvature]), value_range
 
 
+# The second-order walk (Fourer, Maheshwari, Neumaier, Orban and Schichl,
+# "Convexity and concavity detection in computational graphs", 2010) decides
+# what the rules leave open.  Each node gets ranges of f, f' and f'' over a
+# piece of the interval, from the ranges of its children by the chain,
+# product and quotient rules (interval derivatives as in Moore, Kearfott and
+# Cloud, 2009), rounded outward as _shape rounds.  Finite ranges make the
+# expression twice continuously differentiable on the closed piece, so
+# f'' >= 0 there makes it convex on the piece and f'' < 0 makes it strictly
+# concave.  abs of an argument whose sign the piece leaves open splits the
+# piece, and so does an f'' range that holds 0 inside; max, a variable
+# exponent or a range that is not finite leave the whole walk undecided.
+# At most 16 walks of the tree: an undecided walk then costs about a quarter
+# of the sampled check that follows it, and the walk still proves
+# 1/(t*t+1) on [1, 3], which takes 9
+_WALK_CAP = 16
+
+
+class _Split(Exception):
+    """The piece is too wide to decide: walk its halves."""
+
+
+def _chain(u, g, g1, g2) -> tuple:
+    """(f, f', f'') of g(u) from u's and the ranges of g, g' and g'' over u's
+    values: g'(u) u' and g''(u) u'^2 + g'(u) u''."""
+    _, d1, d2 = u
+    return g, _imul(g1, d1), _isum(_imul(g2, d1 if d1 is _ONE else _ipow(d1, _TWO)),
+                                   _imul(g1, d2))
+
+
+def _power_curves(u, p) -> tuple:
+    """Ranges of u^p, p u^(p-1) and p (p-1) u^(p-2) for a constant p.  A
+    multiple of 1/2 keeps exact exponents, so that an even one needs no
+    sign of u and (t - c)^2 and sqrt(t) = t^(1/2) cost no wider ranges."""
+    if p[0] == p[1] and abs(p[0]) <= 2.0**50 and p[0] * 2.0 % 1.0 == 0.0:
+        q1, q2 = (p[0] - 1.0,) * 2, (p[0] - 2.0,) * 2
+    else:
+        q1, q2 = _out(p[0] - 1.0, p[1] - 1.0), _out(p[0] - 2.0, p[1] - 2.0)
+    g1 = _imul(p, u if q1 == _ONE else _ipow(u, q1))
+    g2 = _imul(_imul(p, q1), u if q2 == _ONE else _ipow(u, q2))
+    return _ipow(u, p), g1, g2
+
+
+def _curves(node, iv: tuple) -> tuple:
+    """Ranges (f, f', f'') of a node over the piece iv."""
+    if isinstance(node, Num):
+        return _shape(node, iv)[1], _ZERO, _ZERO
+    if isinstance(node, Var):
+        return iv, _ONE, _ZERO
+    if isinstance(node, Neg):
+        return tuple(map(_ineg, _curves(node.operand, iv)))
+    if isinstance(node, Call):
+        if node.func == "max":
+            raise _Unproved
+        u = _curves(node.args[0], iv)
+        lo, hi = u[0]
+        if node.func == "abs":
+            if lo >= 0.0 or hi <= 0.0:
+                return u if lo >= 0.0 else tuple(map(_ineg, u))
+            raise _Split
+        if node.func == "exp":
+            g = _out(math.exp(lo), math.exp(hi))
+            return _chain(u, g, g, g)
+        if node.func == "sqrt":
+            return _chain(u, *_power_curves(u[0], (0.5, 0.5)))
+        g1 = _idiv(_ONE, u[0])  # ln, for u > 0
+        return _chain(u, _out(math.log(lo), math.log(hi)), g1, _ineg(_ipow(g1, _TWO)))
+    if node.op == "^":
+        if not _is_constant(node.right):
+            raise _Unproved
+        u = _curves(node.left, iv)
+        return _chain(u, *_power_curves(u[0], _shape(node.right, iv)[1]))
+    (f, f1, f2), (g, g1, g2) = _curves(node.left, iv), _curves(node.right, iv)
+    if node.op in "+-":
+        if node.op == "-":
+            g, g1, g2 = _ineg(g), _ineg(g1), _ineg(g2)
+        return (_isum(f, g, not _is_constant(node.left), not _is_constant(node.right)),
+                _isum(f1, g1), _isum(f2, g2))
+    if node.op == "*":
+        return (_imul(f, g), _isum(_imul(f1, g), _imul(f, g1)),
+                _isum(_isum(_imul(f2, g), _imul(_TWO, _imul(f1, g1))), _imul(f, g2)))
+    v = _idiv(f, g)  # v' = (f' - v g') / g and v'' = (f'' - 2 v' g' - v g'') / g
+    v1 = _idiv(_isum(f1, _ineg(_imul(v, g1))), g)
+    return v, v1, _idiv(_isum(f2, _ineg(_isum(_imul(_TWO, _imul(v1, g1)), _imul(v, g2)))), g)
+
+
+def _walk(node, interval: Interval, jet):
+    """The walk's verdict as a ConvexityReport of method "walk", or None
+    where it stays undecided.  Pieces are walked left to right, halving
+    each undecided one, at most _WALK_CAP walks in all.  A proof needs
+    f'' >= 0 on every piece and f'-(x) <= f'+(x) from the jet at every
+    join x; a disproof is one piece where f'' < 0, whose report's witness
+    is the piece and its f'' range (lo, hi, f''_lo, f''_hi)."""
+    pieces, joins, walks = [(interval.lo, interval.hi)], [], 0
+    while pieces:
+        if walks == _WALK_CAP:
+            return None
+        lo, hi = piece = pieces.pop()
+        walks += 1
+        try:
+            low, high = _curves(node, piece)[2]
+        except _Split:
+            low, high = -INF, INF
+        except (_Unproved, ArithmeticError, ValueError):
+            return None
+        if high < 0.0:
+            return ConvexityReport(ok=False, worst_violation=-high, witness=(lo, hi, low, high),
+                                   checks=walks, tol=0.0, method="walk")
+        if low >= 0.0:
+            joins.append(hi)
+            continue
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return None
+        pieces += [(mid, hi), (lo, mid)]
+    for x in joins[:-1]:
+        try:
+            _, dm, dp = jet(x)
+        except (DomainError, NumericalFailureError):
+            return None
+        if not dm <= dp:
+            return None
+    return ConvexityReport(ok=True, worst_violation=0.0, witness=None,
+                           checks=walks + len(joins) - 1, tol=0.0, method="walk")
+
+
 def convex_function_from_expression(source: str, interval: Interval):
     """Lower a source string onto an interval; the source is the label.
 
@@ -815,15 +963,17 @@ def convex_function_from_expression(source: str, interval: Interval):
     _oracles), so that the jet gives all three bit for bit as they do.
     The slopes raise ExtendedArithmeticError where they are an undefined
     form (inf - inf, 0 * inf).  All three are pure functions of t.
-    ``proved_convex`` records whether the composition rules prove the
-    expression convex on the interval; the function is not evaluated here,
-    and convex_core.require_convex samples what is not proved.
+    ``convexity`` is the verdict on the interval: the one "proved" report
+    where the composition rules prove the expression convex, else the
+    second-order walk's report, or None where the walk stays undecided.
+    The function is evaluated here only at the walk's joins, by its jet;
+    convex_core.require_convex acts on the verdict and samples what has none.
     """
     expr = parse_expression(source)
     fn, dminus, dplus, jet = _oracles(expr)
+    convexity = _PROVED if _proves_convex(expr, interval) else _walk(expr, interval, jet)
     return ConvexFunction(domain=interval, fn=fn, dminus=dminus, dplus=dplus, jet=jet,
-                          name=source, certified=True,
-                          proved_convex=_proves_convex(expr, interval)), []
+                          name=source, certified=True, convexity=convexity), []
 
 
 def _oracles(expr) -> tuple:

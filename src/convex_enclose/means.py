@@ -99,10 +99,9 @@ def mean_comparison(f: ConvexFunction, sub: Interval) -> MeanComparison:
     if at_lo == -INF or at_hi == INF:
         upper = INF
     else:
-        upper = (
-            at_hi * ((b - d) ** 2 + (b - d) * (b - c) + (b - c) ** 2)
-            - at_lo * ((d - a) ** 2 + (d - a) * (c - a) + (c - a) ** 2)
-        ) / (6.0 * (b - a))
+        bd, bc, da, ca = b - d, b - c, d - a, c - a
+        upper = (at_hi * (bd * bd + bd * bc + bc * bc)
+                 - at_lo * (da * da + da * ca + ca * ca)) / (6.0 * (b - a))
     if upper == INF:  # the sub-interval's own Hermite-Hadamard width instead
         estimate = 0.5 * (fc + fd) - f(0.5 * (c + d))
     else:

@@ -84,22 +84,25 @@ def ostrowski_lower(f: ConvexFunction, x: float) -> float:
         raise DomainError("the lower bound requires a strictly interior x")
     a, b = f.domain.lo, f.domain.hi
     dm, dp = _interior_slopes(f, x)
-    return 0.5 * ((b - x) ** 2 * dp - (x - a) ** 2 * dm)
+    right, left = b - x, x - a
+    return ensure_extended(0.5 * (right * right * dp - left * left * dm))
 
 
 def ostrowski_upper(f: ConvexFunction, x: float) -> float:
     """Upper bound for the Ostrowski difference, valid on the closed interval.
 
     Returns (1/2) * [(b-x)^2 f'-(b) - (x-a)^2 f'+(a)], or +inf when an
-    endpoint slope is infinite (the bound then holds trivially).
+    endpoint slope is infinite (the bound then holds trivially).  Like the
+    lower and classical bounds, it raises ExtendedArithmeticError where a
+    square overflows into an undefined form (inf - inf, 0 * inf).
     """
     if not f.domain.contains(x):
         raise DomainError(f"x={x} outside domain")
     at_lo, at_hi = f.endpoint_slopes()
     if at_lo == -INF or at_hi == INF:
         return INF
-    a, b = f.domain.lo, f.domain.hi
-    return 0.5 * ((b - x) ** 2 * at_hi - (x - a) ** 2 * at_lo)
+    right, left = f.domain.hi - x, x - f.domain.lo
+    return ensure_extended(0.5 * (right * right * at_hi - left * left * at_lo))
 
 
 def ostrowski_enclosure(f: ConvexFunction, x: float) -> Enclosure:
@@ -139,5 +142,5 @@ def classical_ostrowski_bound(f: ConvexFunction, x: float) -> float:
         raise UnboundedSlopeError("classical bound needs finite endpoint slopes")
     a, b = f.domain.lo, f.domain.hi
     m = max(abs(at_lo), abs(at_hi))
-    centered = x - f.domain.midpoint
-    return (0.25 + centered**2 / (b - a) ** 2) * (b - a) * m
+    centered, width = x - f.domain.midpoint, b - a
+    return ensure_extended((0.25 + centered * centered / (width * width)) * width * m)

@@ -160,9 +160,11 @@ def integrate_adaptive(f: ConvexFunction, tol: float,
     only decides when to test the result's own width, summed over ``done``
     and the heap as they lie.
 
-    A request that cannot succeed fails fast.  A smooth cell's width falls
-    like h^3, so once the kinks are seeded the total width W(N) of N cells
-    falls like N^-2.  At each checkpoint, a power of two N >= 16 below
+    A request that cannot succeed fails fast.  A cell of length h has a
+    finite width only if h * h is finite, h < 2^512, so a domain longer
+    than max_cells * 2^512 raises before the first split.  A smooth cell's
+    width falls like h^3, so once the kinks are seeded the total width W(N)
+    of N cells falls like N^-2.  At each checkpoint, a power of two N >= 16 below
     max_cells, while no cell has an infinite width, W(N) predicts
     P(N) = W(N) (N / max_cells)^2 for the full budget.  When P(N) exceeds
     4 tol (``_STOP_MARGIN``) and agrees with P(N/2) within 10%
@@ -227,6 +229,12 @@ def integrate_adaptive(f: ConvexFunction, tol: float,
             _require_affine(cell, slack)
             done.append(cell)
 
+    if (hi - lo) / 2.0**512 > max_cells:  # h * h overflows unless h < 2^512
+        best = _result(done + heap, hi)
+        raise BudgetExceededError(
+            f"enclosure width {best.width:.3e} > tol {tol:.3e} after {best.cells} cells; "
+            f"a finite width needs cells narrower than 2^512, more than max_cells = {max_cells}",
+            best=best)
     while True:
         if not unbounded and running <= tol:
             result = _result(done + heap, hi)
@@ -341,8 +349,9 @@ def _tagged_rule(f: ConvexFunction, nodes, tags) -> tuple:
             dm = dp = at_lo if xi == lo else at_hi
         add_term((x1 - x0) * v)
         mid = xi == 0.5 * (x0 + x1)  # the float midpoint weighs as the exact one
-        wr = (0.5 * (x1 - x0) if mid else x1 - xi) ** 2
-        wl = wr if mid else (xi - x0) ** 2
+        right = 0.5 * (x1 - x0) if mid else x1 - xi
+        left = right if mid else xi - x0
+        wr, wl = right * right, left * left
         cell_lo = 0.0
         cell_hi = 0.0
         if wr > 0.0:

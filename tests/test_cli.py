@@ -13,10 +13,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from convex_enclose import cli, errors
+from convex_enclose import cli, convex_core, errors
 from convex_enclose.cli import run
 from convex_enclose.convex_core import ConvexFunction, Interval, require_slope_order
 from convex_enclose.expressions import (
+    _PROVED,
     continuous_on,
     convex_function_from_expression,
     parse_expression,
@@ -322,7 +323,7 @@ def test_proved_slopes_out_of_order_by_rounding_still_enclose(capsys):
     out_of_order = 0
     for a, b, x in cases:
         f = convex_function_from_expression(src, Interval(a, b))[0]
-        assert f.proved_convex, (a, b, x)
+        assert f.convexity.method == "proved", (a, b, x)
         out_of_order += _slopes_out_of_order(f, sorted({a, x, f.domain.midpoint, b}))
         doc = run_json(capsys, ["enclose", "--fn", src, "--a", repr(a), "--b", repr(b),
                                 "--x", repr(x)])
@@ -340,7 +341,7 @@ def test_proved_bounds_out_of_order_by_rounding_exit_3(capsys, monkeypatch):
     x = 0.25
     slope = {x: math.nextafter(1.0, 2.0)}
     f = ConvexFunction(Interval(0.0, 1.0), fn=lambda t: t, dminus=lambda t: 1.0,
-                       dplus=lambda t: slope.get(t, 1.0), proved_convex=True)
+                       dplus=lambda t: slope.get(t, 1.0), convexity=_PROVED)
     monkeypatch.setattr(cli, "convex_function_from_expression", lambda src, domain: (f, []))
     assert run(["enclose", "--fn", "t", "--a", "0", "--b", "1", "--x", str(x)]) == 3
     captured = capsys.readouterr()
@@ -367,6 +368,53 @@ def test_lower_bound_that_overflows_to_inf_exits_3(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("numerical failure: enclosure [inf, inf] holds no real")
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    # the slope of t/1e155 is 1e-155; the quotient rule divided by w^2 = inf
+    # and read 0, so the support line at x lay above f(0): "not convex"
+    (["enclose", "--fn", "t/1e155", "--a", "0", "--b", "1e154", "--x", "5e153"], 0, ""),
+    # proved now, and the exact difference, about 2.2e311, overflows
+    (["enclose", "--fn", "exp(t/1e307)", "--a", "0", "--b", "1e308", "--x", "1"], 3,
+     "numerical failure: enclosure [inf, inf]"),
+    # (b - x) ** 2 raised "(34, 'Numerical result out of range')"
+    (["enclose", "--fn", "t*1e-10*ln(t*1e-300+1)", "--a", "0", "--b", "1e308", "--x", "1"], 3,
+     "numerical failure: enclosure [inf, inf]"),
+    # (x - a) * (x - a) * f'+(a) is inf * 0 in the upper bound at x = b, and the
+    # classical bound divides inf by inf: neither NaN is printed
+    (["enclose", "--fn", "max(0, t - 1)", "--a", "0", "--b", "2e154", "--x", "2e154"], 3,
+     "numerical failure: undefined extended-real result"),
+    (["enclose", "--fn", "abs(t)", "--a", "0", "--b", "2.6815615859885194e+154", "--x", "0"], 3,
+     "numerical failure: undefined extended-real result"),
+])
+def test_squares_at_the_ends_of_the_float_range(capsys, argv, code, err):
+    assert run(argv) == code
+    captured = capsys.readouterr()
+    assert captured.err.startswith(err)
+    if code == 0:
+        json.loads(captured.out, parse_constant=_reject_constant)
+
+
+# The benchmark's non-convex requests; all but the kinked one are smooth
+_CONCAVE = ("ln(t)", "sqrt(t)", "-t^2", "-exp(t)", "t^0.5", "-abs(t - 1.5)")
+
+
+@pytest.mark.parametrize("command", ["enclose", "integrate"])
+@pytest.mark.parametrize("source", _CONCAVE)
+def test_concave_requests_exit_2_and_smooth_ones_sample_nothing(capsys, monkeypatch, source,
+                                                                 command):
+    argv = [command, f"--fn={source}", "--a", "1", "--b", "2"] + (
+        ["--x", "1.5"] if command == "enclose" else [])
+    if source != "-abs(t - 1.5)":
+        def refused(f):
+            raise AssertionError("the walk disproves a smooth concave function")
+        monkeypatch.setattr(convex_core, "check_convexity", refused)
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    if source != "-abs(t - 1.5)":
+        assert captured.err.startswith("invalid input: convexity disproved: f'' lies in [")
+        assert captured.err.endswith("] on [1.0, 2.0]\n")
 
 
 def test_enclose_reads_each_point_once(capsys, monkeypatch):

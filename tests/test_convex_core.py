@@ -313,7 +313,7 @@ def _require_convex_counted(f, points=()):
 
 def test_require_convex_trusts_a_proof_without_evaluating():
     square = convex_function_from_expression("t*t", UNIT)[0]
-    assert square.proved_convex
+    assert square.convexity.method == "proved"
     report, calls = _require_convex_counted(square)
     assert calls == []
     assert report.ok and report.checks == 0 and report.method == "proved"

@@ -664,7 +664,7 @@ def test_prover_proves_benchmark_expressions(source):
 ])
 def test_prover_proves_golden_inputs(source, lo, hi):
     f = convex_function_from_expression(source, Interval(lo, hi))[0]
-    assert f.proved_convex
+    assert f.convexity.method == "proved"
 
 
 @pytest.mark.parametrize("source, lo, hi", [
@@ -682,8 +682,10 @@ def test_prover_proves_golden_inputs(source, lo, hi):
     ("max(1e300 - 1e300, -1e300 + t)", 0.0, 1.0),  # t is lost in rounding
 ])
 def test_prover_leaves_unprovable_expressions_to_sampling(source, lo, hi):
+    # the rules prove none of them; the second-order walk may decide some
     f = convex_function_from_expression(source, Interval(lo, hi))[0]
-    assert not f.proved_convex
+    assert not _proves_convex(parse_expression(source), f.domain)
+    assert f.convexity is None or f.convexity.method == "walk"
 
 
 _CONVEX_ATOMS = st.sampled_from(("t", "(t)*(t)", "exp(t)", "-(sqrt(t))", "-(ln(t))", "abs(t)",
@@ -700,7 +702,7 @@ _INTERVALS = st.one_of(
 @example("max(sqrt(0), abs(t), 2)", (0.0, 1.0), 0.25)  # the slope of sqrt(0) is 0/0
 @example("max(sqrt(1e-3) - max(0.25, 1e300), -1e300 + t)", (0.0, 1.0), 0.5)  # t is lost
 @example("exp(-(sqrt(t)) - 1000)", (0.0, 1.0), 0.0)  # its slope at 0 is 0 * -inf
-@example("(t)/(1e-200)", (0.0, 1.0), 0.75)  # its slope divides by 1e-400, which is 0
+@example("(t)/(1e-200)", (0.0, 1.0), 0.75)  # a divisor whose square, 1e-400, is 0
 # u^v = exp(v ln u) at the rule's edges
 @example("(t)^(t)", (0.0, 1.0), 0.25)  # the base's range touches 0
 @example("(t)^(-(t))", (0.1, 2.0), 0.25)  # not convex
@@ -714,12 +716,151 @@ def test_proof_implies_sampled_check_passes(source, bounds, fraction):
     narrow interval far from it the rounding noise of t*t exceeds the
     sampled check's own tolerance, a false alarm of that check."""
     f = convex_function_from_expression(source, Interval(*bounds))[0]
-    if f.proved_convex:
+    if f.convexity is not None and f.convexity.ok:
         lo, hi = f.domain.lo, f.domain.hi
         x = min(hi, lo + fraction * (hi - lo))
-        report = require_convex(dataclasses.replace(f, proved_convex=False),
+        report = require_convex(dataclasses.replace(f, convexity=None),
                                 (lo, x, f.domain.midpoint, hi))
         assert report.ok and report.method == "sampled", (source, bounds)
+
+
+def test_quotient_slope_needs_no_square_of_the_divisor():
+    # (u' - v w') / w: the square 1e400 of the old rule overflowed and read 0
+    f = convex_function_from_expression("t/1e200", UNIT)[0]
+    assert f.dminus(0.5) == f.dplus(0.5) == 1e-200
+    assert f.jet.call(0.5) == (0.5 / 1e200, 1e-200, 1e-200)
+    assert f.convexity.method == "proved"
+
+
+@pytest.mark.parametrize("source, lo, hi", [
+    ("t*exp(t)", 0.0, 1.0), ("exp(t)/(1+t)", 0.0, 1.0), ("t*ln(t+1)", 0.0, 3.0),
+    ("t*sqrt(t)", 0.1, 1.0), ("1/(t*t+1)", 1.0, 3.0),
+    ("t*exp(t) + abs(t)", -1.0, 1.0),  # pieces joined at the kink 0, slopes in order
+])
+def test_walk_proves_what_the_rules_miss(source, lo, hi):
+    node, interval = parse_expression(source), Interval(lo, hi)
+    assert not _proves_convex(node, interval)
+    f = convex_function_from_expression(source, interval)[0]
+    assert f.convexity.ok and f.convexity.method == "walk"
+    calls = []
+    counted = dataclasses.replace(f, fn=lambda t: calls.append(t) or f.fn(t))
+    assert require_convex(counted, (lo, 0.5 * (lo + hi), hi)) is f.convexity
+    assert calls == []  # a proof is not evaluated, not even at the points
+
+
+@pytest.mark.parametrize("source, lo, hi, kink", [
+    ("-abs(t - 1.5)", 1.0, 2.0, 1.5),
+    ("t*t-max(0,1e-3-abs(t-0.50413))", 0.0, 1.0, 0.50413),  # a dip between the samples
+    ("-abs(t)", -1.0, 1.0, 0.0), ("t*t - abs(t)", -1.0, 1.0, 0.0),
+    ("t*exp(t) - abs(t)", -1.0, 1.0, 0.0),
+])
+def test_walk_never_proves_a_concave_kink(source, lo, hi, kink):
+    f = convex_function_from_expression(source, Interval(lo, hi))[0]
+    assert f.convexity is None
+    with pytest.raises(errors.NonConvexError):
+        require_convex(f, (lo, kink, 0.5 * (lo + hi), hi))
+
+
+@pytest.mark.parametrize("source", ["-abs(t)", "t*t - abs(t)", "t*exp(t) - abs(t)"])
+def test_walk_joins_need_slopes_in_order(source):
+    # each piece of [-1, 1] is convex, and the slopes at the join 0 fall from
+    # f'-(0) to f'+(0) = f'-(0) - 2: a jet that put them in order would prove it
+    node, interval = parse_expression(source), Interval(-1.0, 1.0)
+    jet = expressions._oracles(node)[3]
+    assert jet(0.0)[1] - jet(0.0)[2] == 2.0
+    assert expressions._walk(node, interval, jet) is None
+    level = expressions._walk(node, interval, lambda t: (0.0, 1.0, 1.0))
+    assert level.ok and level.method == "walk"
+
+
+@pytest.mark.parametrize("source, lo, hi", [
+    ("exp(-t)*t", 2.0, 5.0),  # f'' = (t - 2) exp(-t) vanishes at 2
+    ("ln(1+exp(t))", -3.0, 3.0),
+])
+def test_undecided_walk_stops_at_the_cap(monkeypatch, source, lo, hi):
+    node = parse_expression(source)
+    curves, walks = expressions._curves, []
+
+    def counted(n, iv):
+        if n is node:
+            walks.append(iv)
+        return curves(n, iv)
+
+    monkeypatch.setattr(expressions, "_curves", counted)
+    f = convex_function_from_expression(source, Interval(lo, hi))[0]
+    assert len(walks) <= expressions._WALK_CAP
+    assert f.convexity is None or f.convexity.ok
+
+
+def _smooth_grammar(leaves):
+    """Expressions without max or variable exponents, which the walk can decide."""
+    def extend(inner):
+        return st.one_of(
+            st.builds("({}){}({})".format, inner, st.sampled_from("+-*/"), inner),
+            st.builds("-({})".format, inner),
+            st.builds("({})^{}".format, inner, st.sampled_from(_EXPONENTS)),
+            st.builds("{}({})".format, st.sampled_from(("abs", "ln", "exp", "sqrt")), inner),
+        )
+    return st.recursive(leaves, extend, max_leaves=6)
+
+
+def _mp_value(mp, node, t):
+    """The tree at t in mpmath's working precision."""
+    if isinstance(node, Num):
+        return mp.mpf(node.value)
+    if isinstance(node, Var):
+        return t
+    if isinstance(node, Neg):
+        return -_mp_value(mp, node.operand, t)
+    if isinstance(node, Call):
+        u = _mp_value(mp, node.args[0], t)
+        return {"abs": abs, "ln": mp.log, "exp": mp.exp, "sqrt": mp.sqrt}[node.func](u)
+    u, w = _mp_value(mp, node.left, t), _mp_value(mp, node.right, t)
+    if node.op == "^":
+        return mp.power(u, w)
+    return {"+": operator.add, "-": operator.sub, "*": operator.mul,
+            "/": operator.truediv}[node.op](u, w)
+
+
+# concave and shifted leaves beside the convex ones, so that products and
+# quotients give the walk proofs as well as disproofs to check
+_WALK_LEAVES = st.one_of(_CONSTANTS, _CONVEX_ATOMS,
+                         st.sampled_from(("sqrt(t)", "ln(t)", "exp(-(t))", "(t)+(1)")))
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(_smooth_grammar(_WALK_LEAVES), _INTERVALS, st.floats(0.0, 1.0))
+@example("(t)*(exp(t))", (0.0, 1.0), 0.5)
+@example("(exp(t))/((1)+(t))", (0.0, 1.0), 0.25)
+@example("(1)/(((t)*(t))+(1))", (1.0, 3.0), 0.75)
+@example("-(abs((t)-(1.5)))", (1.0, 2.0), 0.5)
+@example("-(exp(t))", (1.0, 2.0), 0.5)
+@example("(t)^0.5", (1.0, 2.0), 0.5)
+def test_walk_verdicts_hold(source, bounds, fraction):
+    """Soundness both ways.  A walk proof passes the checks it spares,
+    check_convexity and the support lines and slope order at lo, a drawn x,
+    the midpoint and hi, on a copy without the verdict.  A walk disproof's
+    piece has a 50-digit second difference below 0 at its middle."""
+    mpmath = pytest.importorskip("mpmath")
+    f = convex_function_from_expression(source, Interval(*bounds))[0]
+    verdict = f.convexity
+    if verdict is None or verdict.method != "walk":
+        return
+    lo, hi = f.domain.lo, f.domain.hi
+    if verdict.ok:
+        x = min(hi, lo + fraction * (hi - lo))
+        report = require_convex(dataclasses.replace(f, convexity=None),
+                                (lo, x, f.domain.midpoint, hi))
+        assert report.ok and report.method == "sampled", (source, bounds)
+        return
+    s, t, low, high = verdict.witness
+    assert lo <= s < t <= hi and low <= high < 0.0, (source, bounds)
+    node = parse_expression(source)
+    with mpmath.workdps(50):
+        m, h = (mpmath.mpf(s) + t) / 2, (mpmath.mpf(t) - s) / 4
+        second = (_mp_value(mpmath, node, m - h) - 2 * _mp_value(mpmath, node, m)
+                  + _mp_value(mpmath, node, m + h))
+    assert second < 0, (source, bounds, verdict.witness)
 
 
 @settings(derandomize=True, deadline=None, max_examples=400)

@@ -124,7 +124,8 @@ def _value_and_slope(node, t: float, sign: int):
             return u * w, du * w + u * dw
         if w == 0.0:
             raise DomainError(f"division by zero at t={t}")
-        return u / w, (du * w - u * dw) / (w * w)
+        v = u / w
+        return v, (du - v * dw) / w
     # Call
     if node.func == "max":
         v, dv = _value_and_slope(node.args[0], t, sign)
