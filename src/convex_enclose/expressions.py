@@ -631,9 +631,7 @@ _FLIPPED = (_CONSTANT, _AFFINE, _CONCAVE, _CONVEX)
 
 _PROVED = ConvexityReport(ok=True, worst_violation=0.0, witness=None, checks=0, tol=0.0,
                           method="proved")
-# The walk's exact ranges, which _imul and _isum pass through unrounded; made
-# at run time, so that no literal range of the rules is one of them
-_ZERO, _ONE, _TWO = [(x, x) for x in (0.0, 1.0, 2.0)]
+_ZERO, _ONE, _TWO = (0.0, 0.0), (1.0, 1.0), (2.0, 2.0)
 
 
 class _Unproved(Exception):
@@ -674,8 +672,6 @@ def _ineg(x) -> tuple:
 def _isum(x, y, x_varies: bool = False, y_varies: bool = False) -> tuple:
     """x + y; _Unproved where the float sum can lose a term said to vary,
     as one that varies by less than a millionth of the sum."""
-    if y is _ZERO or x is _ZERO:
-        return x if y is _ZERO else y
     r = _out(x[0] + y[0], x[1] + y[1])
     least = 1e-6 * max(-r[0], r[1])
     if (x_varies and x[1] - x[0] < least) or (y_varies and y[1] - y[0] < least):
@@ -684,10 +680,6 @@ def _isum(x, y, x_varies: bool = False, y_varies: bool = False) -> tuple:
 
 
 def _imul(x, y) -> tuple:
-    if x is _ZERO or y is _ZERO:
-        return _ZERO
-    if x is _ONE or y is _ONE:
-        return y if x is _ONE else x
     products = (x[0] * y[0], x[0] * y[1], x[1] * y[0], x[1] * y[1])
     return _out(min(products), max(products))
 
@@ -815,6 +807,7 @@ def _product_shape(node, iv: tuple) -> tuple:
     if len(atoms) == 1 and not below:
         curvature = c
     elif len(atoms) == 1 and c == _AFFINE:  # 1/u, with u clear of 0
+        _idiv(_idiv(_ONE, r), r)  # the slope -u'/u^2 must not overflow
         curvature = _CONVEX if r[0] > 0.0 else _CONCAVE
     elif any(a[3] for a in atoms):
         raise _Unproved
@@ -849,12 +842,29 @@ class _Split(Exception):
     """The piece is too wide to decide: walk its halves."""
 
 
+def _wmul(x, y) -> tuple:
+    """_imul, passing an exact 0 or 1 (the slopes of t and of constants)
+    through unrounded."""
+    if x == _ZERO or y == _ZERO:
+        return _ZERO
+    if x == _ONE or y == _ONE:
+        return y if x == _ONE else x
+    return _imul(x, y)
+
+
+def _wsum(x, y) -> tuple:
+    """_isum, passing the other term through where one is an exact 0."""
+    if x == _ZERO or y == _ZERO:
+        return y if x == _ZERO else x
+    return _isum(x, y)
+
+
 def _chain(u, g, g1, g2) -> tuple:
     """(f, f', f'') of g(u) from u's and the ranges of g, g' and g'' over u's
     values: g'(u) u' and g''(u) u'^2 + g'(u) u''."""
     _, d1, d2 = u
-    return g, _imul(g1, d1), _isum(_imul(g2, d1 if d1 is _ONE else _ipow(d1, _TWO)),
-                                   _imul(g1, d2))
+    return g, _wmul(g1, d1), _wsum(_wmul(g2, d1 if d1 == _ONE else _ipow(d1, _TWO)),
+                                   _wmul(g1, d2))
 
 
 def _power_curves(u, p) -> tuple:
@@ -865,8 +875,8 @@ def _power_curves(u, p) -> tuple:
         q1, q2 = (p[0] - 1.0,) * 2, (p[0] - 2.0,) * 2
     else:
         q1, q2 = _out(p[0] - 1.0, p[1] - 1.0), _out(p[0] - 2.0, p[1] - 2.0)
-    g1 = _imul(p, u if q1 == _ONE else _ipow(u, q1))
-    g2 = _imul(_imul(p, q1), u if q2 == _ONE else _ipow(u, q2))
+    g1 = _wmul(p, u if q1 == _ONE else _ipow(u, q1))
+    g2 = _wmul(_wmul(p, q1), u if q2 == _ONE else _ipow(u, q2))
     return _ipow(u, p), g1, g2
 
 
@@ -904,13 +914,13 @@ def _curves(node, iv: tuple) -> tuple:
         if node.op == "-":
             g, g1, g2 = _ineg(g), _ineg(g1), _ineg(g2)
         return (_isum(f, g, not _is_constant(node.left), not _is_constant(node.right)),
-                _isum(f1, g1), _isum(f2, g2))
+                _wsum(f1, g1), _wsum(f2, g2))
     if node.op == "*":
-        return (_imul(f, g), _isum(_imul(f1, g), _imul(f, g1)),
-                _isum(_isum(_imul(f2, g), _imul(_TWO, _imul(f1, g1))), _imul(f, g2)))
+        return (_wmul(f, g), _wsum(_wmul(f1, g), _wmul(f, g1)),
+                _wsum(_wsum(_wmul(f2, g), _wmul(_TWO, _wmul(f1, g1))), _wmul(f, g2)))
     v = _idiv(f, g)  # v' = (f' - v g') / g and v'' = (f'' - 2 v' g' - v g'') / g
-    v1 = _idiv(_isum(f1, _ineg(_imul(v, g1))), g)
-    return v, v1, _idiv(_isum(f2, _ineg(_isum(_imul(_TWO, _imul(v1, g1)), _imul(v, g2)))), g)
+    v1 = _idiv(_wsum(f1, _ineg(_wmul(v, g1))), g)
+    return v, v1, _idiv(_wsum(f2, _ineg(_wsum(_wmul(_TWO, _wmul(v1, g1)), _wmul(v, g2)))), g)
 
 
 def _walk(node, interval: Interval, jet):

@@ -93,8 +93,8 @@ def ostrowski_upper(f: ConvexFunction, x: float) -> float:
 
     Returns (1/2) * [(b-x)^2 f'-(b) - (x-a)^2 f'+(a)], or +inf when an
     endpoint slope is infinite (the bound then holds trivially).  Like the
-    lower and classical bounds, it raises ExtendedArithmeticError where a
-    square overflows into an undefined form (inf - inf, 0 * inf).
+    lower bound, it raises ExtendedArithmeticError where a square overflows
+    into an undefined form (inf - inf, 0 * inf).
     """
     if not f.domain.contains(x):
         raise DomainError(f"x={x} outside domain")
@@ -142,5 +142,5 @@ def classical_ostrowski_bound(f: ConvexFunction, x: float) -> float:
         raise UnboundedSlopeError("classical bound needs finite endpoint slopes")
     a, b = f.domain.lo, f.domain.hi
     m = max(abs(at_lo), abs(at_hi))
-    centered, width = x - f.domain.midpoint, b - a
-    return ensure_extended((0.25 + centered * centered / (width * width)) * width * m)
+    centered = x - f.domain.midpoint
+    return (0.25 + centered**2 / (b - a) ** 2) * (b - a) * m

@@ -374,18 +374,25 @@ def test_lower_bound_that_overflows_to_inf_exits_3(capsys):
     # the slope of t/1e155 is 1e-155; the quotient rule divided by w^2 = inf
     # and read 0, so the support line at x lay above f(0): "not convex"
     (["enclose", "--fn", "t/1e155", "--a", "0", "--b", "1e154", "--x", "5e153"], 0, ""),
+    # the slope -t^-2 reads -inf at a, so the rules leave 1/t to the sampled
+    # check there, as they leave t^(-1); the quotient rule that divided by w^2
+    # read 1e-200 squared as 0 and exited 3
+    (["enclose", "--fn=1/t", "--a=1e-200", "--b=1", "--x=0.5"], 0, ""),
     # proved now, and the exact difference, about 2.2e311, overflows
     (["enclose", "--fn", "exp(t/1e307)", "--a", "0", "--b", "1e308", "--x", "1"], 3,
      "numerical failure: enclosure [inf, inf]"),
     # (b - x) ** 2 raised "(34, 'Numerical result out of range')"
     (["enclose", "--fn", "t*1e-10*ln(t*1e-300+1)", "--a", "0", "--b", "1e308", "--x", "1"], 3,
      "numerical failure: enclosure [inf, inf]"),
-    # (x - a) * (x - a) * f'+(a) is inf * 0 in the upper bound at x = b, and the
-    # classical bound divides inf by inf: neither NaN is printed
+    # (x - a) * (x - a) * f'+(a) is inf * 0 in the upper bound at x = b: no NaN
+    # is printed
     (["enclose", "--fn", "max(0, t - 1)", "--a", "0", "--b", "2e154", "--x", "2e154"], 3,
      "numerical failure: undefined extended-real result"),
-    (["enclose", "--fn", "abs(t)", "--a", "0", "--b", "2.6815615859885194e+154", "--x", "0"], 3,
-     "numerical failure: undefined extended-real result"),
+    # the classical baseline's (b - a) ** 2 overflows; as (b - a) * (b - a) it
+    # read (x - m)^2 / (b - a)^2 as 1e308 / inf = 0 and printed a baseline of
+    # 5e153, below |f(b) - mean| = 1e154
+    (["enclose", "--fn", "abs(t - 1e150)", "--a", "0", "--b", "2e154", "--x", "2e154"], 3,
+     "numerical failure: "),
 ])
 def test_squares_at_the_ends_of_the_float_range(capsys, argv, code, err):
     assert run(argv) == code
