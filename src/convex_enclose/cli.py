@@ -240,8 +240,13 @@ def _build_model(density: str, a: float, b: float):
                 f"bad step density {density!r}; expected step:<split>,<low>"
             ) from exc
     expr = parse_expression(density)
+    fn = lower_value(expr)
+    if not continuous_on(expr, a, b):
+        prob.check_density(fn, Interval(a, b))  # what the grid shows is named first
+        raise DomainError(f"density {density!r} is not proved continuous on [{a!r}, {b!r}]; "
+                          "give a jump as step:<split>,<low>")
     # a density the rules range is continuous: its values are the CDF's slopes
-    return prob.model_from_density(lower_value(expr), a, b, continuous=continuous_on(expr, a, b))
+    return prob.model_from_density(fn, a, b)
 
 
 def _cmd_prob(args):

@@ -8,9 +8,11 @@ interior point, with
 and possibly infinite slopes at the endpoints: f'+(lo) may be -inf and
 f'-(hi) may be +inf.  Every bound in this package consumes functions
 through this interface, and every function carries both slope oracles.
-They are either closed form (``certified=True``: the catalog module and
-every parsed expression) or one-sided limits estimated from samples
-(``certified=False``: the CDF of a black-box density).
+They are either closed form (``certified=True``: the catalog module, every
+parsed expression, and the CDF of a density model, whose slopes are the
+density's values) or estimated from samples (``certified=False``), which
+only a library caller supplies: the command line certifies nothing from
+estimated slopes.
 
 A function may also carry a ``jet``, one call that returns f and both
 one-sided slopes at an interior point, so that the integrator pays one
@@ -39,9 +41,6 @@ from typing import Callable, Optional
 from .errors import DomainError, NonConvexError, UndefinedSideError
 from .extreal import ensure_extended
 
-_MAX_HALVINGS = 40
-_CONVERGENCE_ABS = 1e-9
-_NOISE_FLOOR_REL = 1e-6
 _CONVEXITY_SAMPLES = 129
 _CONVEXITY_REL_TOL = 1e-9
 
@@ -93,41 +92,6 @@ class Interval:
         return [lo + width * i / cells * up for i in range(cells)] + [self.hi]
 
 
-def _one_sided_limit(g, t, span, limit, sign):
-    """Limit of a monotone g(s) as s tends to t from the side of ``limit``.
-
-    g is a difference quotient (f(s) - f(t)) / (s - t) of a convex f, or a
-    monotone density.  Steps are halved from span/16, capped at
-    max(1, |t|) so that a huge domain is still probed near t, and stop
-    when successive values stabilize, when their differences start
-    growing again after nearly stabilizing (the floating-point noise
-    floor), or after 40 halvings.  Divergent sequences (a vertical
-    tangent) run the full 40 halvings and return a value of large
-    magnitude.
-    """
-    h = min(span / 16.0, max(1.0, abs(t)), abs(limit - t))
-    prev = None
-    prev_d = None
-    for _ in range(_MAX_HALVINGS + 1):
-        s = t + sign * h
-        if (sign > 0 and s > limit) or (sign < 0 and s < limit):
-            s = limit
-        if s == t:
-            break
-        v = g(s)
-        if prev is not None:
-            d = abs(v - prev)
-            scale = max(1.0, abs(v))
-            if d <= _CONVERGENCE_ABS * scale:
-                return v
-            if prev_d is not None and d > prev_d and prev_d <= _NOISE_FLOOR_REL * scale:
-                return prev
-            prev_d = d
-        prev = v
-        h *= 0.5
-    return prev
-
-
 @dataclass(frozen=True)
 class Jet:
     """A fused oracle t -> (f(t), f'-(t), f'+(t)) for interior t, and the
@@ -149,7 +113,9 @@ class ConvexFunction:
 
     ``dminus`` and ``dplus`` give f'-(t) and f'+(t); both are required.
     ``certified`` marks closed-form slopes; ``certified=False`` marks
-    slopes estimated from samples, which get a wider slack.
+    slopes estimated from samples, which get a wider slack.  Estimated
+    slopes are for library callers only: every function that the command
+    line builds has closed-form slopes.
 
     ``antiderivative``, when present, must be exact on the whole domain
     (kinks included); the reference oracle and ``divergence.hh_divergence``

@@ -621,12 +621,13 @@ def _fold_jet(node, x, y, side: int):
 # Convexity proof by composition rules, in the style of disciplined convex
 # programming (Grant, Boyd and Ye, 2006).  Each node gets a curvature and an
 # enclosure of its values over the interval, rounded outward one ulp per
-# inexact operation so that it holds the float evaluation too.  A node
-# outside the rules, a range that is not finite or a divisor whose range
-# holds 0 leaves the expression unproved, for the sampled check to judge
-# with its own messages.
-_CONSTANT, _AFFINE, _CONVEX, _CONCAVE = range(4)  # `c and _CONVEX` keeps 0 constant
-_FLIPPED = (_CONSTANT, _AFFINE, _CONCAVE, _CONVEX)
+# inexact operation so that it holds the float evaluation too.  Only a range
+# stops the pass (_Unproved): one that is not finite, a divisor range that
+# holds 0, ln of a range that reaches 0, sqrt or a fractional power of a
+# range below 0, or a variable exponent over a base that reaches 0.  A node
+# outside the curvature rules is _UNKNOWN, and so is every node above it.
+_CONSTANT, _AFFINE, _CONVEX, _CONCAVE, _UNKNOWN = range(5)  # `c and _CONVEX` keeps 0 constant
+_FLIPPED = (_CONSTANT, _AFFINE, _CONCAVE, _CONVEX, _UNKNOWN)
 
 
 _PROVED = ConvexityReport(ok=True, worst_violation=0.0, witness=None, checks=0, tol=0.0,
@@ -635,13 +636,13 @@ _ZERO, _ONE, _TWO = (0.0, 0.0), (1.0, 1.0), (2.0, 2.0)
 
 
 class _Unproved(Exception):
-    """The rules cannot prove the node's curvature."""
+    """The pass cannot range the node, or the walk cannot decide it."""
 
 
 def _proves_convex(node, interval: Interval) -> bool:
     """True when the rules prove the expression convex on the interval."""
     try:
-        return _shape(node, (interval.lo, interval.hi))[0] != _CONCAVE
+        return _shape(node, (interval.lo, interval.hi))[0] <= _CONVEX
     except (_Unproved, ArithmeticError, ValueError):
         return False
 
@@ -649,8 +650,8 @@ def _proves_convex(node, interval: Interval) -> bool:
 def continuous_on(node, lo: float, hi: float) -> bool:
     """True when the rules range the expression on [lo, hi], whatever its
     curvature.  Then every node is finite and continuous there (no 0^u, no
-    divisor or ln argument that reaches 0), so each value is both one-sided
-    limits of the function at that point."""
+    divisor or ln argument that reaches 0, no sqrt of a negative value), so
+    each value is both one-sided limits of the function at that point."""
     try:
         _shape(node, (lo, hi))
     except (_Unproved, ArithmeticError, ValueError):
@@ -658,25 +659,33 @@ def continuous_on(node, lo: float, hi: float) -> bool:
     return True
 
 
-def _out(lo: float, hi: float) -> tuple:
+def _out(lo: float, hi: float, floor: float = -INF) -> tuple:
     lo, hi = math.nextafter(lo, -INF), math.nextafter(hi, INF)
     if not (lo > -INF and hi < INF):  # NaN fails too
         raise _Unproved
-    return lo, hi
+    return (lo if lo > floor else floor), hi  # a floor that the values keep
 
 
 def _ineg(x) -> tuple:
     return -x[1], -x[0]
 
 
-def _isum(x, y, x_varies: bool = False, y_varies: bool = False) -> tuple:
-    """x + y; _Unproved where the float sum can lose a term said to vary,
-    as one that varies by less than a millionth of the sum."""
-    r = _out(x[0] + y[0], x[1] + y[1])
-    least = 1e-6 * max(-r[0], r[1])
-    if (x_varies and x[1] - x[0] < least) or (y_varies and y[1] - y[0] < least):
-        raise _Unproved
-    return r
+def _isum(x, y) -> tuple:
+    """x + y, each end moved one float outward only where the float sum is
+    inexact.  The error of a float sum is itself a float, which math.fsum
+    gives exactly; next to the ends of the float range it may overflow,
+    which leaves the node unranged."""
+    lo, hi = x[0] + y[0], x[1] + y[1]
+    out = _out(lo, hi)
+    return (out[0] if math.fsum((x[0], y[0], -lo)) else lo,
+            out[1] if math.fsum((x[1], y[1], -hi)) else hi)
+
+
+def _loses(x, y, total, x_varies: bool, y_varies: bool) -> bool:
+    """True where the float sum x + y, of range ``total``, can lose a term
+    said to vary, as one that varies by less than a millionth of the sum."""
+    least = 1e-6 * max(-total[0], total[1])
+    return (x_varies and x[1] - x[0] < least) or (y_varies and y[1] - y[0] < least)
 
 
 def _imul(x, y) -> tuple:
@@ -696,14 +705,16 @@ def _is_even(p) -> bool:
 
 
 def _ipow(u, p) -> tuple:
-    """Range of u^p for u >= 0, where u^p is monotone in u and in p, so
-    that the corners bound it; or of |u|^p for an even p."""
+    """Range of u^p for u >= 0, where u^p >= 0 is monotone in u and in p,
+    so that the corners bound it; of |u|^p for an even p; or, for an odd
+    p, of u^p, monotone in u where p > 0 or u < 0."""
     if u[0] < 0.0:
-        if not _is_even(p):
+        if _is_even(p):
+            u = (max(0.0, -u[1]), max(-u[0], u[1]))
+        elif not (p[0] == p[1] and p[0] % 2.0 == 1.0 and (p[0] > 0.0 or u[1] < 0.0)):
             raise _Unproved
-        u = (max(0.0, -u[1]), max(-u[0], u[1]))
     corners = [math.pow(x, y) for x in u for y in p]
-    return _out(min(corners), max(corners))
+    return _out(min(corners), max(corners), 0.0 if u[0] >= 0.0 else -INF)
 
 
 def _shape(node, iv: tuple) -> tuple:
@@ -724,9 +735,10 @@ def _shape(node, iv: tuple) -> tuple:
         d, y = _shape(node.right, iv)
         if node.op == "-":
             d, y = _FLIPPED[d], _ineg(y)
-        if {c, d} == {_CONVEX, _CONCAVE}:
-            raise _Unproved
-        return max(c, d), _isum(x, y, c != _CONSTANT, d != _CONSTANT)
+        r = _isum(x, y)
+        if {c, d} == {_CONVEX, _CONCAVE} or _loses(x, y, r, c != _CONSTANT, d != _CONSTANT):
+            return _UNKNOWN, r
+        return max(c, d), r
     if node.op == "^":
         return _power_shape(node, iv)
     return _product_shape(node, iv)
@@ -737,25 +749,19 @@ def _call_shape(node, iv: tuple) -> tuple:
     shapes = [_shape(a, iv) for a in node.args]
     c, (lo, hi) = shapes[0]
     if node.func == "max":
-        if any(d == _CONCAVE for d, _ in shapes):
-            raise _Unproved
-        return (max(d for d, _ in shapes) and _CONVEX), (max(r[0] for _, r in shapes),
-                                                         max(r[1] for _, r in shapes))
+        c = max(d for d, _ in shapes)
+        return (_UNKNOWN if c > _CONVEX else c and _CONVEX), (max(r[0] for _, r in shapes),
+                                                               max(r[1] for _, r in shapes))
     if node.func == "abs":
-        if c > _AFFINE:
-            raise _Unproved
-        return (c and _CONVEX), (max(0.0, lo, -hi), max(-lo, hi))
-    if node.func == "exp":
-        # an underflow to 0 would turn an infinite slope of the argument into 0 * inf
-        if c == _CONCAVE or math.exp(lo) == 0.0:
-            raise _Unproved
-        return (c and _CONVEX), _out(math.exp(lo), math.exp(hi))
-    # ln needs u > 0, sqrt u >= 0; sqrt of a constant 0 has the slope 0/0
-    positive = node.func == "ln" or c == _CONSTANT
-    if c == _CONVEX or not (lo > 0.0 or (lo == 0.0 and not positive)):
-        raise _Unproved
-    g = math.log if node.func == "ln" else math.sqrt
-    return (c and _CONCAVE), _out(g(lo), g(hi))
+        return (_UNKNOWN if c > _AFFINE else c and _CONVEX), (max(0.0, lo, -hi), max(-lo, hi))
+    if node.func == "exp":  # an underflow to 0 would turn an infinite slope of u into 0 * inf
+        r = _out(math.exp(lo), math.exp(hi))
+        return (_UNKNOWN if c > _CONVEX or math.exp(lo) == 0.0 else c and _CONVEX), r
+    # math.log raises ValueError where u reaches 0, math.sqrt where u < 0;
+    # sqrt of a constant 0 has the slope 0/0
+    g, floor = (math.log, -INF) if node.func == "ln" else (math.sqrt, 0.0)
+    unknown = c in (_CONVEX, _UNKNOWN) or (c == _CONSTANT and lo == 0.0)
+    return (_UNKNOWN if unknown else c and _CONCAVE), _out(g(lo), g(hi), floor)
 
 
 def _power_shape(node, iv: tuple) -> tuple:
@@ -764,8 +770,13 @@ def _power_shape(node, iv: tuple) -> tuple:
     c, u = _shape(node.left, iv)
     d, p = _shape(node.right, iv)
     value_range = _ipow(u, p)
+    if d != _CONSTANT and u[0] <= 0.0:  # 0^v jumps where v reaches 0
+        raise _Unproved
     if d == _CONSTANT and u[0] > 0.0:
-        _ipow(u, (p[0] - 1.0, p[1] - 1.0))  # the slope p u^(p-1) must not overflow
+        try:
+            _ipow(u, (p[0] - 1.0, p[1] - 1.0))  # the slope p u^(p-1) must not overflow
+        except (_Unproved, ArithmeticError):
+            return _UNKNOWN, value_range
     if d == _CONSTANT and c == _AFFINE:
         if (p[0] >= 1.0 and u[0] >= 0.0) or _is_even(p) or (p[1] <= 0.0 and u[0] > 0.0):
             return _CONVEX, value_range
@@ -776,7 +787,7 @@ def _power_shape(node, iv: tuple) -> tuple:
     if u[0] > 0.0:
         c, r = _shape(Call("exp", (BinOp("*", node.right, Call("ln", (node.left,))),)), iv)
         return c, (max(r[0], value_range[0]), min(r[1], value_range[1]))
-    raise _Unproved
+    return _UNKNOWN, value_range
 
 
 def _factors(node, below: bool = False) -> list:
@@ -800,24 +811,23 @@ def _product_shape(node, iv: tuple) -> tuple:
             atoms.append((factor, c, r, below))
     if not atoms:
         return _CONSTANT, value_range
-    if coefficient[0] <= 0.0 <= coefficient[1]:
-        raise _Unproved
     u, c, r, below = atoms[0]
     nodes = [a[0] for a in atoms]
-    if len(atoms) == 1 and not below:
+    if coefficient[0] <= 0.0 <= coefficient[1]:
+        curvature = _UNKNOWN
+    elif len(atoms) == 1 and not below:
         curvature = c
-    elif len(atoms) == 1 and c == _AFFINE:  # 1/u, with u clear of 0
-        _idiv(_idiv(_ONE, r), r)  # the slope -u'/u^2 must not overflow
-        curvature = _CONVEX if r[0] > 0.0 else _CONCAVE
+    elif len(atoms) == 1 and c == _AFFINE and math.isfinite(1.0 / (m := min(map(abs, r))) / m):
+        curvature = _CONVEX if r[0] > 0.0 else _CONCAVE  # 1/u, whose slope -u'/u^2 is finite
     elif any(a[3] for a in atoms):
-        raise _Unproved
+        curvature = _UNKNOWN
     elif c == _AFFINE and nodes == [u] * len(nodes) and (len(nodes) % 2 == 0 or r[0] >= 0.0):
         curvature = _CONVEX  # u^k
     elif len(nodes) == 2 and any(a[1] == _AFFINE and Call("ln", (a[0],)) in nodes
                                  for a in atoms):
         curvature = _CONVEX  # u ln u, where ln has made sure that u > 0
     else:
-        raise _Unproved
+        curvature = _UNKNOWN
     return (curvature if coefficient[0] > 0.0 else _FLIPPED[curvature]), value_range
 
 
@@ -913,8 +923,10 @@ def _curves(node, iv: tuple) -> tuple:
     if node.op in "+-":
         if node.op == "-":
             g, g1, g2 = _ineg(g), _ineg(g1), _ineg(g2)
-        return (_isum(f, g, not _is_constant(node.left), not _is_constant(node.right)),
-                _wsum(f1, g1), _wsum(f2, g2))
+        v = _isum(f, g)
+        if _loses(f, g, v, not _is_constant(node.left), not _is_constant(node.right)):
+            raise _Unproved
+        return v, _wsum(f1, g1), _wsum(f2, g2)
     if node.op == "*":
         return (_wmul(f, g), _wsum(_wmul(f1, g), _wmul(f, g1)),
                 _wsum(_wsum(_wmul(f2, g), _wmul(_TWO, _wmul(f1, g1))), _wmul(f, g2)))

@@ -100,8 +100,8 @@ def mean_comparison(f: ConvexFunction, sub: Interval) -> MeanComparison:
         upper = INF
     else:
         bd, bc, da, ca = b - d, b - c, d - a, c - a
-        upper = (at_hi * (bd * bd + bd * bc + bc * bc)
-                 - at_lo * (da * da + da * ca + ca * ca)) / (6.0 * (b - a))
+        hd, hc, ld, lc = at_hi * bd, at_hi * bc, at_lo * da, at_lo * ca  # slopes first
+        upper = (bd * hd + bd * hc + bc * hc - (da * ld + da * lc + ca * lc)) / (6.0 * (b - a))
     if upper == INF:  # the sub-interval's own Hermite-Hadamard width instead
         estimate = 0.5 * (fc + fd) - f(0.5 * (c + d))
     else:

@@ -85,7 +85,7 @@ def ostrowski_lower(f: ConvexFunction, x: float) -> float:
     a, b = f.domain.lo, f.domain.hi
     dm, dp = _interior_slopes(f, x)
     right, left = b - x, x - a
-    return ensure_extended(0.5 * (right * right * dp - left * left * dm))
+    return ensure_extended(0.5 * (right * (right * dp) - left * (left * dm)))
 
 
 def ostrowski_upper(f: ConvexFunction, x: float) -> float:
@@ -93,8 +93,8 @@ def ostrowski_upper(f: ConvexFunction, x: float) -> float:
 
     Returns (1/2) * [(b-x)^2 f'-(b) - (x-a)^2 f'+(a)], or +inf when an
     endpoint slope is infinite (the bound then holds trivially).  Like the
-    lower bound, it raises ExtendedArithmeticError where a square overflows
-    into an undefined form (inf - inf, 0 * inf).
+    lower bound, it multiplies by the slope before it squares, and raises
+    ExtendedArithmeticError where a term overflows into inf - inf or 0 * inf.
     """
     if not f.domain.contains(x):
         raise DomainError(f"x={x} outside domain")
@@ -102,7 +102,7 @@ def ostrowski_upper(f: ConvexFunction, x: float) -> float:
     if at_lo == -INF or at_hi == INF:
         return INF
     right, left = f.domain.hi - x, x - f.domain.lo
-    return ensure_extended(0.5 * (right * right * at_hi - left * left * at_lo))
+    return ensure_extended(0.5 * (right * (right * at_hi) - left * (left * at_lo)))
 
 
 def ostrowski_enclosure(f: ConvexFunction, x: float) -> Enclosure:
@@ -142,5 +142,5 @@ def classical_ostrowski_bound(f: ConvexFunction, x: float) -> float:
         raise UnboundedSlopeError("classical bound needs finite endpoint slopes")
     a, b = f.domain.lo, f.domain.hi
     m = max(abs(at_lo), abs(at_hi))
-    centered = x - f.domain.midpoint
-    return (0.25 + centered**2 / (b - a) ** 2) * (b - a) * m
+    ratio = (x - f.domain.midpoint) / (b - a)  # at most 1/2, so its square is finite
+    return (0.25 + ratio * ratio) * (b - a) * m

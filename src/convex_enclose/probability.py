@@ -10,9 +10,10 @@ and hence of F(x) itself.  The one-sided limits of the density are F's
 one-sided derivatives, so a model is its CDF (and E(X)).
 
 Each factory checks the density on a grid that ends at b itself; the
-uniform, power and exponential densities, and a black-box density known
-to be continuous, share ``_smooth_model``, which makes the density both
-one-sided slopes of the CDF.
+uniform, power and exponential densities, and a black-box density, share
+``_smooth_model``, which makes the density both one-sided slopes of the
+CDF.  That holds only for a density continuous on [a, b], the precondition
+of ``model_from_density``; a jump is given as a step density instead.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .convex_core import ConvexFunction, Interval, _one_sided_limit
+from .convex_core import ConvexFunction, Interval
 from .errors import DomainError, InconsistentModelError
 from .extreal import INF
 from .oracle import integrate_callable
@@ -29,10 +30,6 @@ from .pointwise import Enclosure, ostrowski_lower, ostrowski_upper
 _NORMALIZATION_TOL = 1e-9
 _DENSITY_INTEGRAL_TOL = 1e-10
 _VALIDATION_CELLS = 64
-# A sampled CDF slope is checked against the density this share of the
-# support beside its point, within this relative slack.
-_BESIDE = 2.0**-30
-_BESIDE_REL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -66,7 +63,7 @@ class RandomVariableModel:
         return self.cdf.domain
 
 
-def _check_density(density, sup: Interval) -> None:
+def check_density(density, sup: Interval) -> None:
     """The density must be finite, nonnegative and nondecreasing on a grid."""
     grid = sup.grid(_VALIDATION_CELLS)
     values = [density(t) for t in grid]
@@ -87,7 +84,7 @@ def _smooth_model(sup: Interval, density, cdf_fn, expectation) -> RandomVariable
     """The model of a continuous density: the density is checked on the
     grid, then it is both one-sided slopes of the CDF, and
     ``expectation()`` gives E(X)."""
-    _check_density(density, sup)
+    check_density(density, sup)
     cdf = ConvexFunction(domain=sup, fn=cdf_fn, dminus=density, dplus=density)
     return RandomVariableModel(cdf=cdf, expectation=expectation())
 
@@ -147,7 +144,7 @@ def step_density_model(a: float, b: float, split: float, low: float) -> RandomVa
             f"normalization forces a decreasing step ({low} -> {high})"
         )
     density = lambda t: low if t < split else high
-    _check_density(density, sup)
+    check_density(density, sup)
 
     def cdf_fn(x):
         if x <= split:
@@ -162,52 +159,20 @@ def step_density_model(a: float, b: float, split: float, low: float) -> RandomVa
     return RandomVariableModel(cdf=cdf, expectation=expectation)
 
 
-def model_from_density(fn, a: float, b: float, *,
-                       continuous: bool = False) -> RandomVariableModel:
-    """Build a model from a black-box density by numeric integration.
+def model_from_density(fn, a: float, b: float) -> RandomVariableModel:
+    """Build a model from a black-box density that is continuous on [a, b].
 
-    The density is checked on the validation grid first; then the CDF and
-    expectation come from the adaptive Simpson integrator at tolerance
-    1e-10.  A density the caller knows to be ``continuous`` on [a, b] is
-    its own one-sided limits, so ``_smooth_model`` makes its values the
-    CDF's slopes; for any other density they are estimated by
-    ``_one_sided_limit`` (``certified=False``), and an estimate that
-    disagrees with the density 2^-30 of the support beside its point is
-    taken again from there, which catches a rise that starts farther from
-    the point than that, not a closer one.
+    Continuity is the caller's precondition: it makes the density its own
+    one-sided limits, so ``_smooth_model`` checks it on the validation grid
+    and makes its values the CDF's slopes.  The CDF and expectation come
+    from the adaptive Simpson integrator at tolerance 1e-10.
     """
     sup = Interval(a, b)
-
-    def cdf_fn(x):
-        if x == sup.lo:
-            return 0.0
-        return integrate_callable(fn, sup.lo, x, _DENSITY_INTEGRAL_TOL)
-
-    def expectation():
-        return integrate_callable(lambda t: t * fn(t), sup.lo, sup.hi, _DENSITY_INTEGRAL_TOL)
-
-    if continuous:
-        return _smooth_model(sup, fn, cdf_fn, expectation)
-    _check_density(fn, sup)
-    span = sup.width
-
-    def slope(t, limit, sign):
-        # the limit's first probes can both sit on a flat stretch short of
-        # a rise next to t and agree; the density right beside t then
-        # disagrees, and the limit is taken again from there
-        v = _one_sided_limit(fn, t, span, limit, sign)
-        s = t + sign * min(_BESIDE * span, abs(limit - t))
-        if s != t and abs(fn(s) - v) > _BESIDE_REL * max(1.0, abs(v)):
-            v = _one_sided_limit(fn, t, 16.0 * abs(s - t), limit, sign)
-        return v
-
-    cdf = ConvexFunction(
-        domain=sup, fn=cdf_fn,
-        dminus=lambda t: slope(t, sup.lo, -1),
-        dplus=lambda t: slope(t, sup.hi, +1),
-        certified=False,
+    return _smooth_model(
+        sup, fn,
+        lambda x: 0.0 if x == sup.lo else integrate_callable(fn, sup.lo, x, _DENSITY_INTEGRAL_TOL),
+        lambda: integrate_callable(lambda t: t * fn(t), sup.lo, sup.hi, _DENSITY_INTEGRAL_TOL),
     )
-    return RandomVariableModel(cdf=cdf, expectation=expectation())
 
 
 def cdf_gap_enclosure(m: RandomVariableModel, x: float) -> Enclosure:

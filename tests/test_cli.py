@@ -160,14 +160,13 @@ def test_prob_ranged_density_is_its_own_cdf_slope(capsys):
 ])
 def test_prob_density_not_ranged_keeps_sampled_slopes(capsys, density, a, b, x):
     # 0^u is 1 at u = 0 and 0 for u > 0: the density's value at x is not its
-    # one-sided limits there, which the sampled slopes take
+    # one-sided limits there, so it cannot be the CDF's slope, and no slope
+    # is estimated instead; a jump is given as a step density
     assert not continuous_on(parse_expression(density), a, b)
-    assert not cli._build_model(density, a, b).cdf.certified
-    doc = run_json(capsys, ["prob", f"--density={density}", f"--a={a}", f"--b={b}",
-                            f"--x={x}"])
-    result = doc["result"]
-    assert result["cdf_lower"] == result["cdf_upper"]
-    assert result["median_lower"] == result["median_upper"]
+    assert run(["prob", f"--density={density}", f"--a={a}", f"--b={b}", f"--x={x}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not proved continuous" in captured.err and "step:<split>,<low>" in captured.err
 
 
 @pytest.mark.parametrize("scale, kink, norm", [
@@ -176,11 +175,11 @@ def test_prob_density_not_ranged_keeps_sampled_slopes(capsys, density, a, b, x):
     (100, "0.97", "1.045"),
 ])
 def test_prob_sampled_slope_next_to_a_flat_stretch(capsys, scale, kink, norm):
-    # the density is flat up to the kink and rises after it; + 0*t keeps it
-    # from being ranged, so its CDF's slopes are sampled, and the left limit
-    # at x = 0.975 starts with two probes on the flat stretch
+    # the density is flat up to the kink and rises after it; + 0*t leaves its
+    # curvature unknown but not its range, so the density is its CDF's slope,
+    # and the certificate at x = 0.975, just past the flat stretch, holds F(x)
     density = f"(1 + {scale}*max(0, t - {kink}) + 0*t)/{norm}"
-    assert not cli._build_model(density, 0.0, 1.0).cdf.certified
+    assert cli._build_model(density, 0.0, 1.0).cdf.certified
     x, k, n = Fraction("0.975"), Fraction(kink), Fraction(norm)
     exact = float((x + scale * (x - k) ** 2 / 2) / n)  # F(x)
     code = run(["prob", f"--density={density}", "--a=0", "--b=1", "--x=0.975"])
@@ -381,18 +380,15 @@ def test_lower_bound_that_overflows_to_inf_exits_3(capsys):
     # proved now, and the exact difference, about 2.2e311, overflows
     (["enclose", "--fn", "exp(t/1e307)", "--a", "0", "--b", "1e308", "--x", "1"], 3,
      "numerical failure: enclosure [inf, inf]"),
-    # (b - x) ** 2 raised "(34, 'Numerical result out of range')"
-    (["enclose", "--fn", "t*1e-10*ln(t*1e-300+1)", "--a", "0", "--b", "1e308", "--x", "1"], 3,
-     "numerical failure: enclosure [inf, inf]"),
-    # (x - a) * (x - a) * f'+(a) is inf * 0 in the upper bound at x = b: no NaN
-    # is printed
-    (["enclose", "--fn", "max(0, t - 1)", "--a", "0", "--b", "2e154", "--x", "2e154"], 3,
-     "numerical failure: undefined extended-real result"),
-    # the classical baseline's (b - a) ** 2 overflows; as (b - a) * (b - a) it
-    # read (x - m)^2 / (b - a)^2 as 1e308 / inf = 0 and printed a baseline of
-    # 5e153, below |f(b) - mean| = 1e154
-    (["enclose", "--fn", "abs(t - 1e150)", "--a", "0", "--b", "2e154", "--x", "2e154"], 3,
-     "numerical failure: "),
+    # (b - x)^2 overflows, but (b - x) * ((b - x) * f'+(x)) is 5e305
+    (["enclose", "--fn", "t*1e-10*ln(t*1e-300+1)", "--a", "0", "--b", "1e308", "--x", "1"], 0,
+     ""),
+    # at x = b, (x - a)^2 overflows and f'+(a) is 0: (x - a) * ((x - a) * 0)
+    # is the upper bound 0, not inf * 0
+    (["enclose", "--fn", "max(0, t - 1)", "--a", "0", "--b", "2e154", "--x", "2e154"], 0, ""),
+    # (b - a)^2 overflows; the classical baseline squares (x - m)/(b - a)
+    # instead, and reads 1e154 = |f(b) - mean|, not 5e153
+    (["enclose", "--fn", "abs(t - 1e150)", "--a", "0", "--b", "2e154", "--x", "2e154"], 0, ""),
 ])
 def test_squares_at_the_ends_of_the_float_range(capsys, argv, code, err):
     assert run(argv) == code
@@ -400,6 +396,17 @@ def test_squares_at_the_ends_of_the_float_range(capsys, argv, code, err):
     assert captured.err.startswith(err)
     if code == 0:
         json.loads(captured.out, parse_constant=_reject_constant)
+
+
+def test_bounds_multiply_by_the_slope_before_squaring(capsys):
+    # (b - x)^2 = 1e614 overflows, (b - x) * f'+(x) = 1 does not: the lower
+    # bound is (1/2) (b - x)^2 f'+(x), about 5e306
+    doc = run_json(capsys, ["enclose", "--fn", "exp(t/1e307)", "--a", "0", "--b", "1e307",
+                            "--x", "1"])
+    assert doc["result"]["lower"] == pytest.approx(5e306, rel=1e-12)
+    doc = run_json(capsys, ["enclose", "--fn", "abs(t - 1e150)", "--a", "0", "--b", "2e154",
+                            "--x", "2e154"])
+    assert doc["result"]["classical_bound"] >= 1e154  # |f(b) - mean|
 
 
 # The benchmark's non-convex requests; all but the kinked one are smooth
@@ -610,10 +617,12 @@ def test_exit_code_overflow_in_bound_formula(capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
-def test_exit_code_division_by_zero_in_baseline(capsys):
-    # (b - a)^2 underflows to 0 in the classical baseline
-    assert run(["enclose", "--fn", "t^2", "--a", "0", "--b", "1e-300", "--x", "5e-301"]) == 3
-    assert "numerical failure" in capsys.readouterr().err
+def test_baseline_squares_its_ratio_on_a_tiny_interval(capsys):
+    # (b - a)^2 underflows to 0, so the classical baseline squares the ratio
+    # (x - m)/(b - a) instead of dividing by that square
+    doc = run_json(capsys, ["enclose", "--fn", "t^2", "--a", "0", "--b", "1e-300",
+                            "--x", "5e-301"])
+    assert doc["result"]["classical_bound"] == 0.0  # (1/4) (b - a) 2b underflows to 0
 
 
 def test_exit_code_undefined_slope(capsys):

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from convex_enclose import errors, expressions
-from convex_enclose.convex_core import Interval, _one_sided_limit, require_convex
+from convex_enclose.convex_core import Interval, require_convex
 from convex_enclose.errors import DomainError, ExpressionError
 from convex_enclose.expressions import (
     MAX_DEPTH,
@@ -27,7 +27,7 @@ from convex_enclose.expressions import (
     parse_expression,
 )
 from convex_enclose.extreal import INF, ensure_extended
-from black_box import sampled_function
+from black_box import one_sided_limit, sampled_function
 import tree_walk
 
 UNIT = Interval(0.0, 1.0)
@@ -709,6 +709,7 @@ _INTERVALS = st.one_of(
 @example("(t)^(-(t))", (0.1, 2.0), 0.25)  # not convex
 @example("(2-t)^(t)", (0.0, 1.5), 1.0)  # a falling base
 @example("(1e-160)^(-1)", (0.0, 1.0), 0.5)  # a constant whose slope walk overflows in u^(p-1)
+@example("-(sqrt((t)-(1)))", (1.0, 2.0), 0.5)  # proved: t - 1 is exactly [0, 1], not below 0
 def test_proof_implies_sampled_check_passes(source, bounds, fraction):
     """Soundness: every function the rules prove passes the checks that
     require_convex spares it, check_convexity and the support lines and
@@ -737,6 +738,7 @@ def test_quotient_slope_needs_no_square_of_the_divisor():
     ("t*exp(t)", 0.0, 1.0), ("exp(t)/(1+t)", 0.0, 1.0), ("t*ln(t+1)", 0.0, 3.0),
     ("t*sqrt(t)", 0.1, 1.0), ("1/(t*t+1)", 1.0, 3.0),
     ("t*exp(t) + abs(t)", -1.0, 1.0),  # pieces joined at the kink 0, slopes in order
+    ("abs(t - 0.5) + t*exp(t)", 0.0, 1.0),  # t - 0.5 is exact, so its sign fixes at the kink
 ])
 def test_walk_proves_what_the_rules_miss(source, lo, hi):
     node, interval = parse_expression(source), Interval(lo, hi)
@@ -779,18 +781,31 @@ def test_walk_joins_need_slopes_in_order(source):
     ("ln(1+exp(t))", -3.0, 3.0),
 ])
 def test_undecided_walk_stops_at_the_cap(monkeypatch, source, lo, hi):
-    node = parse_expression(source)
-    curves, walks = expressions._curves, []
+    f, walks = _counted_walks(monkeypatch, source, lo, hi)
+    assert len(walks) == expressions._WALK_CAP
+    assert f.convexity is None
+
+
+def test_walk_fixes_the_sign_at_a_kink(monkeypatch):
+    # t - 1.5 on [1.5, 2] is exactly [0, 0.5], not rounded outward past 0, so
+    # the walk splits [1, 2] once at the kink; the falling slopes at the join
+    # still leave -abs(t - 1.5) to the sampled check, as before after 16 walks
+    f, walks = _counted_walks(monkeypatch, "-abs(t - 1.5)", 1.0, 2.0)
+    assert walks == [(1.0, 2.0), (1.0, 1.5), (1.5, 2.0)]
+    assert f.convexity is None
+
+
+def _counted_walks(monkeypatch, source, lo, hi):
+    """(function, the pieces walked) of the source on [lo, hi]."""
+    node, curves, walks = parse_expression(source), expressions._curves, []
 
     def counted(n, iv):
-        if n is node:
+        if n == node:  # the build parses its own tree
             walks.append(iv)
         return curves(n, iv)
 
     monkeypatch.setattr(expressions, "_curves", counted)
-    f = convex_function_from_expression(source, Interval(lo, hi))[0]
-    assert len(walks) <= expressions._WALK_CAP
-    assert f.convexity is None or f.convexity.ok
+    return convex_function_from_expression(source, Interval(lo, hi))[0], walks
 
 
 def _smooth_grammar(leaves):
@@ -814,8 +829,10 @@ def _mp_value(mp, node, t):
     if isinstance(node, Neg):
         return -_mp_value(mp, node.operand, t)
     if isinstance(node, Call):
-        u = _mp_value(mp, node.args[0], t)
-        return {"abs": abs, "ln": mp.log, "exp": mp.exp, "sqrt": mp.sqrt}[node.func](u)
+        args = [_mp_value(mp, a, t) for a in node.args]
+        if node.func == "max":
+            return max(args)
+        return {"abs": abs, "ln": mp.log, "exp": mp.exp, "sqrt": mp.sqrt}[node.func](args[0])
     u, w = _mp_value(mp, node.left, t), _mp_value(mp, node.right, t)
     if node.op == "^":
         return mp.power(u, w)
@@ -892,7 +909,32 @@ def test_a_ranged_expression_is_its_own_one_sided_limits(source, bounds, k):
             value = fn(t)
             assert math.isfinite(value), (source, bounds, t)
             for limit, sign in ((lo, -1), (hi, 1)):
-                estimate = _one_sided_limit(fn, t, (hi - lo) * 2.0**-16, limit, sign)
+                estimate = one_sided_limit(fn, t, (hi - lo) * 2.0**-16, limit, sign)
                 assert abs(estimate - value) <= 1e-6 * max(1.0, abs(value)), (source, bounds, t)
     else:
         assert not _proves_convex(node, Interval(lo, hi))
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(_grammar(st.one_of(_CONSTANTS, st.just("t"), _CONVEX_ATOMS), _EXPONENT,
+                variable_exponents=True),
+       _INTERVALS, st.integers(0, 63))
+@example("sqrt(0.9 - t)", (0.3, 0.9), 0)  # 0.9 - 0.9 is exactly 0, and sqrt needs no less
+@example("t - 1.5", (1.5, 2.0), 32)  # exactly [0, 0.5]
+def test_a_range_holds_the_float_and_the_exact_values(source, bounds, k):
+    """Where the pass ranges an expression on [lo, hi], the range holds its
+    float value, lower_value's, at k/64 of the way and at hi itself, and
+    its 50-digit value there: each inexact operation is rounded outward,
+    each exact one is not."""
+    mpmath = pytest.importorskip("mpmath")
+    node = parse_expression(source)
+    lo, hi = bounds
+    try:
+        low, high = expressions._shape(node, (lo, hi))[1]
+    except (expressions._Unproved, ArithmeticError, ValueError):
+        return
+    fn = lower_value(node)
+    for t in (min(hi, lo + k / 64 * (hi - lo)), hi):
+        assert low <= fn(t) <= high, (source, bounds, t)
+        with mpmath.workdps(50):
+            assert low <= _mp_value(mpmath, node, mpmath.mpf(t)) <= high, (source, bounds, t)

@@ -154,10 +154,10 @@ def test_cdf_is_convex_for_all_families():
 
 def test_black_box_density_matches_closed_form():
     m = model_from_density(lambda t: 2.0 * t, 0.0, 1.0)
-    assert not m.cdf.certified
+    assert m.cdf.certified  # a continuous density is its own CDF slope
     assert m.expectation == pytest.approx(2.0 / 3.0, abs=1e-8)
     assert m.cdf(0.5) == pytest.approx(0.25, abs=1e-8)
-    assert m.cdf.right_derivative(0.5) == pytest.approx(1.0, abs=1e-6)
+    assert m.cdf.right_derivative(0.5) == 1.0
     enc = cdf_enclosure(m, 0.5)
     assert enc.contains(0.25, slack=1e-6)
 
@@ -170,9 +170,9 @@ def test_continuous_density_is_checked_once_before_integrating():
         return 2.0 - 2.0 * t
 
     with pytest.raises(InconsistentModelError):
-        model_from_density(falling, 0.0, 1.0, continuous=True)
+        model_from_density(falling, 0.0, 1.0)
     assert len(calls) == 65  # the validation grid, and no integration
-    m = model_from_density(lambda t: 2.0 * t, 0.0, 1.0, continuous=True)
+    m = model_from_density(lambda t: 2.0 * t, 0.0, 1.0)
     assert m.cdf.certified
     assert m.cdf.endpoint_slopes() == (0.0, 2.0)
     assert (m.cdf.left_derivative(0.25), m.cdf.right_derivative(0.25)) == (0.5, 0.5)
