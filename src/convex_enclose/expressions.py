@@ -621,7 +621,8 @@ def _fold_jet(node, x, y, side: int):
 # Convexity proof by composition rules, in the style of disciplined convex
 # programming (Grant, Boyd and Ye, 2006).  Each node gets a curvature and an
 # enclosure of its values over the interval, rounded outward one ulp per
-# inexact operation so that it holds the float evaluation too.  Only a range
+# operation that can be inexact (x + 0, x * 1, x * 0, u^1 and 1^p stay
+# exact), so that it holds the float evaluation too.  Only a range
 # stops the pass (_Unproved): one that is not finite, a divisor range that
 # holds 0, ln of a range that reaches 0, sqrt or a fractional power of a
 # range below 0, or a variable exponent over a base that reaches 0.  A node
@@ -671,14 +672,16 @@ def _ineg(x) -> tuple:
 
 
 def _isum(x, y) -> tuple:
-    """x + y, each end moved one float outward only where the float sum is
-    inexact.  The error of a float sum is itself a float, which math.fsum
-    gives exactly; next to the ends of the float range it may overflow,
-    which leaves the node unranged."""
+    """x + y, or the one term where the other is the point 0, each end moved
+    one float outward only where the float sum rounded it inward: its error
+    is a float, which math.fsum gives exactly.  So a narrower term never
+    widens the sum; an overflow near the float range's ends leaves it unranged."""
+    if x == _ZERO or y == _ZERO:
+        return y if x == _ZERO else x
     lo, hi = x[0] + y[0], x[1] + y[1]
     out = _out(lo, hi)
-    return (out[0] if math.fsum((x[0], y[0], -lo)) else lo,
-            out[1] if math.fsum((x[1], y[1], -hi)) else hi)
+    return (out[0] if math.fsum((x[0], y[0], -lo)) < 0.0 else lo,
+            out[1] if math.fsum((x[1], y[1], -hi)) > 0.0 else hi)
 
 
 def _loses(x, y, total, x_varies: bool, y_varies: bool) -> bool:
@@ -689,6 +692,11 @@ def _loses(x, y, total, x_varies: bool, y_varies: bool) -> bool:
 
 
 def _imul(x, y) -> tuple:
+    """x * y, exact where a factor is the point 0 or 1, else rounded one float outward."""
+    if x == _ONE or y == _ONE:
+        return y if x == _ONE else x
+    if x == _ZERO or y == _ZERO:
+        return _ZERO
     products = (x[0] * y[0], x[0] * y[1], x[1] * y[0], x[1] * y[1])
     return _out(min(products), max(products))
 
@@ -705,9 +713,11 @@ def _is_even(p) -> bool:
 
 
 def _ipow(u, p) -> tuple:
-    """Range of u^p for u >= 0, where u^p >= 0 is monotone in u and in p,
-    so that the corners bound it; of |u|^p for an even p; or, for an odd
-    p, of u^p, monotone in u where p > 0 or u < 0."""
+    """Range of u^p: u where p or u is the point 1; for u >= 0, where u^p >= 0
+    is monotone in u and in p, the corners moved one float outward; of |u|^p
+    for an even p; or, for an odd p, of u^p, monotone in u where p > 0 or u < 0."""
+    if p == _ONE or u == _ONE:
+        return u
     if u[0] < 0.0:
         if _is_even(p):
             u = (max(0.0, -u[1]), max(-u[0], u[1]))
@@ -774,7 +784,7 @@ def _power_shape(node, iv: tuple) -> tuple:
         raise _Unproved
     if d == _CONSTANT and u[0] > 0.0:
         try:
-            _ipow(u, (p[0] - 1.0, p[1] - 1.0))  # the slope p u^(p-1) must not overflow
+            _ipow(u, _isum(p, (-1.0, -1.0)))  # the slope p u^(p-1) must not overflow
         except (_Unproved, ArithmeticError):
             return _UNKNOWN, value_range
     if d == _CONSTANT and c == _AFFINE:
@@ -799,8 +809,10 @@ def _factors(node, below: bool = False) -> list:
 
 def _product_shape(node, iv: tuple) -> tuple:
     """A nonzero constant coefficient times one factor of any curvature, or
-    times an atom of affine u: u*...*u (u^k), u*ln(u) or 1/u."""
-    coefficient, value_range, atoms = (1.0, 1.0), (1.0, 1.0), []
+    times an atom of affine u: u*ln(u) or 1/u.  k >= 2 equal factors and no
+    divisor are the one factor u^k, shaped by _power_shape, but ranged in
+    the factors' float order (_ipow's range can miss u*u*u*u by an ulp)."""
+    coefficient, value_range, atoms = _ONE, _ONE, []
     for factor, below in _factors(node):
         c, r = _shape(factor, iv)
         combine = _idiv if below else _imul
@@ -812,19 +824,20 @@ def _product_shape(node, iv: tuple) -> tuple:
     if not atoms:
         return _CONSTANT, value_range
     u, c, r, below = atoms[0]
-    nodes = [a[0] for a in atoms]
+    nodes, divisor = [a[0] for a in atoms], any(a[3] for a in atoms)
+    if len(nodes) > 1 and nodes == [u] * len(nodes) and not divisor:
+        c, r = _power_shape(BinOp("^", u, Num(float(len(nodes)))), iv)
+        atoms = [(u, c, r, False)]
+        if r[0] >= 0.0 <= coefficient[0]:  # then the float product is >= 0 too
+            value_range = (max(value_range[0], 0.0), value_range[1])
     if coefficient[0] <= 0.0 <= coefficient[1]:
         curvature = _UNKNOWN
     elif len(atoms) == 1 and not below:
         curvature = c
     elif len(atoms) == 1 and c == _AFFINE and math.isfinite(1.0 / (m := min(map(abs, r))) / m):
         curvature = _CONVEX if r[0] > 0.0 else _CONCAVE  # 1/u, whose slope -u'/u^2 is finite
-    elif any(a[3] for a in atoms):
-        curvature = _UNKNOWN
-    elif c == _AFFINE and nodes == [u] * len(nodes) and (len(nodes) % 2 == 0 or r[0] >= 0.0):
-        curvature = _CONVEX  # u^k
-    elif len(nodes) == 2 and any(a[1] == _AFFINE and Call("ln", (a[0],)) in nodes
-                                 for a in atoms):
+    elif len(nodes) == 2 and not divisor and any(
+            a[1] == _AFFINE and Call("ln", (a[0],)) in nodes for a in atoms):
         curvature = _CONVEX  # u ln u, where ln has made sure that u > 0
     else:
         curvature = _UNKNOWN
@@ -836,7 +849,8 @@ def _product_shape(node, iv: tuple) -> tuple:
 # what the rules leave open.  Each node gets ranges of f, f' and f'' over a
 # piece of the interval, from the ranges of its children by the chain,
 # product and quotient rules (interval derivatives as in Moore, Kearfott and
-# Cloud, 2009), rounded outward as _shape rounds.  Finite ranges make the
+# Cloud, 2009), on _shape's own interval operations, which keep the exact
+# slopes 0 and 1 of constants and t exact.  Finite ranges make the
 # expression twice continuously differentiable on the closed piece, so
 # f'' >= 0 there makes it convex on the piece and f'' < 0 makes it strictly
 # concave.  abs of an argument whose sign the piece leaves open splits the
@@ -852,42 +866,19 @@ class _Split(Exception):
     """The piece is too wide to decide: walk its halves."""
 
 
-def _wmul(x, y) -> tuple:
-    """_imul, passing an exact 0 or 1 (the slopes of t and of constants)
-    through unrounded."""
-    if x == _ZERO or y == _ZERO:
-        return _ZERO
-    if x == _ONE or y == _ONE:
-        return y if x == _ONE else x
-    return _imul(x, y)
-
-
-def _wsum(x, y) -> tuple:
-    """_isum, passing the other term through where one is an exact 0."""
-    if x == _ZERO or y == _ZERO:
-        return y if x == _ZERO else x
-    return _isum(x, y)
-
-
 def _chain(u, g, g1, g2) -> tuple:
     """(f, f', f'') of g(u) from u's and the ranges of g, g' and g'' over u's
     values: g'(u) u' and g''(u) u'^2 + g'(u) u''."""
     _, d1, d2 = u
-    return g, _wmul(g1, d1), _wsum(_wmul(g2, d1 if d1 == _ONE else _ipow(d1, _TWO)),
-                                   _wmul(g1, d2))
+    return g, _imul(g1, d1), _isum(_imul(g2, _ipow(d1, _TWO)), _imul(g1, d2))
 
 
 def _power_curves(u, p) -> tuple:
-    """Ranges of u^p, p u^(p-1) and p (p-1) u^(p-2) for a constant p.  A
-    multiple of 1/2 keeps exact exponents, so that an even one needs no
-    sign of u and (t - c)^2 and sqrt(t) = t^(1/2) cost no wider ranges."""
-    if p[0] == p[1] and abs(p[0]) <= 2.0**50 and p[0] * 2.0 % 1.0 == 0.0:
-        q1, q2 = (p[0] - 1.0,) * 2, (p[0] - 2.0,) * 2
-    else:
-        q1, q2 = _out(p[0] - 1.0, p[1] - 1.0), _out(p[0] - 2.0, p[1] - 2.0)
-    g1 = _wmul(p, u if q1 == _ONE else _ipow(u, q1))
-    g2 = _wmul(_wmul(p, q1), u if q2 == _ONE else _ipow(u, q2))
-    return _ipow(u, p), g1, g2
+    """Ranges of u^p, p u^(p-1) and p (p-1) u^(p-2) for a constant p, with
+    p - 1 and p - 2 exact wherever their float sums are: an even one needs
+    no sign of u, and (t - c)^2 and sqrt(t) = t^(1/2) cost no wider ranges."""
+    q1, q2 = _isum(p, (-1.0, -1.0)), _isum(p, (-2.0, -2.0))
+    return _ipow(u, p), _imul(p, _ipow(u, q1)), _imul(_imul(p, q1), _ipow(u, q2))
 
 
 def _curves(node, iv: tuple) -> tuple:
@@ -926,13 +917,13 @@ def _curves(node, iv: tuple) -> tuple:
         v = _isum(f, g)
         if _loses(f, g, v, not _is_constant(node.left), not _is_constant(node.right)):
             raise _Unproved
-        return v, _wsum(f1, g1), _wsum(f2, g2)
+        return v, _isum(f1, g1), _isum(f2, g2)
     if node.op == "*":
-        return (_wmul(f, g), _wsum(_wmul(f1, g), _wmul(f, g1)),
-                _wsum(_wsum(_wmul(f2, g), _wmul(_TWO, _wmul(f1, g1))), _wmul(f, g2)))
+        return (_imul(f, g), _isum(_imul(f1, g), _imul(f, g1)),
+                _isum(_isum(_imul(f2, g), _imul(_TWO, _imul(f1, g1))), _imul(f, g2)))
     v = _idiv(f, g)  # v' = (f' - v g') / g and v'' = (f'' - 2 v' g' - v g'') / g
-    v1 = _idiv(_wsum(f1, _ineg(_wmul(v, g1))), g)
-    return v, v1, _idiv(_wsum(f2, _ineg(_wsum(_wmul(_TWO, _wmul(v1, g1)), _wmul(v, g2)))), g)
+    v1 = _idiv(_isum(f1, _ineg(_imul(v, g1))), g)
+    return v, v1, _idiv(_isum(f2, _ineg(_isum(_imul(_TWO, _imul(v1, g1)), _imul(v, g2)))), g)
 
 
 def _walk(node, interval: Interval, jet):

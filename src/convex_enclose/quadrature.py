@@ -351,19 +351,18 @@ def _tagged_rule(f: ConvexFunction, nodes, tags) -> tuple:
         mid = xi == 0.5 * (x0 + x1)  # the float midpoint weighs as the exact one
         right = 0.5 * (x1 - x0) if mid else x1 - xi
         left = right if mid else xi - x0
-        wr, wl = right * right, left * left
         cell_lo = 0.0
         cell_hi = 0.0
-        if wr > 0.0:
+        if right > 0.0:  # slope first: right * right can overflow where the term does not
             if dp > dm1:
                 require_slope_order(dp, dm1, xi, x1, slack)
-            cell_lo += wr * dp
-            cell_hi += wr * dm1
-        if wl > 0.0:
+            cell_lo += right * (right * dp)
+            cell_hi += right * (right * dm1)
+        if left > 0.0:
             if dp0 > dm:
                 require_slope_order(dp0, dm, x0, xi, slack)
-            cell_lo -= wl * dm
-            cell_hi -= wl * dp0
+            cell_lo -= left * (left * dm)
+            cell_hi -= left * (left * dp0)
         add_lo(cell_lo)
         add_hi(cell_hi)
     return xsum(terms), _ordered(0.5 * xsum(lo_terms), 0.5 * xsum(hi_terms))

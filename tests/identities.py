@@ -160,11 +160,11 @@ def midpoint_rule_by_cell(f: ConvexFunction, n: int):
     """(estimate, remainder, partition) of the uniform midpoint rule on n cells.
 
     The remainder is sandwiched by the tagged rule's bounds at m_i, whose
-    weights (x_i+1 - m_i)^2 and (m_i - x_i)^2 are both w_i = (h_i / 2)^2,
-        (1/2) sum w_i f'+(m_i) - w_i f'-(m_i)
-    and (1/2) sum w_i f'-(x_i+1) - w_i f'+(x_i),
-    each cell's terms read through f's one-sided derivatives and summed
-    left to right.
+    weights (x_i+1 - m_i)^2 and (m_i - x_i)^2 are both (h_i / 2)^2,
+        (1/2) sum (h_i/2) ((h_i/2) f'+(m_i)) - (h_i/2) ((h_i/2) f'-(m_i))
+    and (1/2) sum (h_i/2) ((h_i/2) f'-(x_i+1)) - (h_i/2) ((h_i/2) f'+(x_i)),
+    each slope multiplied by h_i/2 before the second factor, each cell's
+    terms read through f's one-sided derivatives and summed left to right.
     """
     nodes = f.domain.grid(n)
     partition = Partition(nodes, _midpoints(nodes))
@@ -172,9 +172,9 @@ def midpoint_rule_by_cell(f: ConvexFunction, n: int):
     lo_terms = []
     hi_terms = []
     for x0, x1, m in zip(nodes, nodes[1:], partition.tags):
-        w = (0.5 * (x1 - x0)) ** 2
-        lo_terms.append(w * f.right_derivative(m) - w * f.left_derivative(m))
-        hi_terms.append(w * f.left_derivative(x1) - w * f.right_derivative(x0))
+        h = 0.5 * (x1 - x0)
+        lo_terms.append(h * (h * f.right_derivative(m)) - h * (h * f.left_derivative(m)))
+        hi_terms.append(h * (h * f.left_derivative(x1)) - h * (h * f.right_derivative(x0)))
     return estimate, Enclosure(0.5 * xsum(lo_terms), 0.5 * xsum(hi_terms)), partition
 
 

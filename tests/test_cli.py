@@ -154,6 +154,16 @@ def test_prob_ranged_density_is_its_own_cdf_slope(capsys):
     assert doc["result"]["median_lower"] == pytest.approx(1.0 / 12.0, rel=1e-14)
 
 
+def test_prob_square_as_a_product_certifies_as_the_power(capsys):
+    # t*t on [0, 1] is ranged as t^2, whose floor 0 holds sqrt's argument,
+    # so the product certifies what the power does
+    argv = ["prob", "--a", "0", "--b", "1", "--x", "0.5"]
+    product = run_json(capsys, [*argv, "--density=2*sqrt(t*t)"])
+    power = run_json(capsys, [*argv, "--density=2*sqrt(t^2)"])
+    assert product["result"] == power["result"]
+    assert product["certificates"] == power["certificates"]
+
+
 @pytest.mark.parametrize("density, a, b, x", [
     ("1-0^abs(t-0.9)", 0.0, 1.0, 0.9),
     ("1+0^abs(t-0.5)", 0.1, 1.1, 0.5),

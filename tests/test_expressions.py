@@ -679,6 +679,7 @@ def test_prover_proves_golden_inputs(source, lo, hi):
     ("t^t", 0.0, 2.0), ("t^(t*t)", 0.5, 2.0),
     ("t^(-1)", 1e-200, 1.0), ("1/t", 1e-200, 1.0),  # their slope -t^-2 overflows
     ("t*t*t", -1.0, 1.0), ("max(t, 2*t - 1) * -1", 0.0, 1.0), ("sqrt(0) + t", 0.0, 1.0),
+    ("2/t*ln(t)", 1.0, 2.0),  # u ln u needs both factors above the line
     ("max(1e300 - 1e300, -1e300 + t)", 0.0, 1.0),  # t is lost in rounding
 ])
 def test_prover_leaves_unprovable_expressions_to_sampling(source, lo, hi):
@@ -921,6 +922,10 @@ def test_a_ranged_expression_is_its_own_one_sided_limits(source, bounds, k):
        _INTERVALS, st.integers(0, 63))
 @example("sqrt(0.9 - t)", (0.3, 0.9), 0)  # 0.9 - 0.9 is exactly 0, and sqrt needs no less
 @example("t - 1.5", (1.5, 2.0), 32)  # exactly [0, 0.5]
+@example("sqrt(t*t)", (0.0, 1.0), 0)  # t*t is ranged as t^2, not below 0
+@example("(t - 1)*(t - 1)", (0.0, 2.0), 32)  # (t - 1)^2 on [-1, 1] is [0, 1]
+# t*t*t*t rounds three times: at hi its float exceeds t^4's range by an ulp
+@example("t*t*t*t", (0.4704264069528702, 0.6915027211611547), 0)
 def test_a_range_holds_the_float_and_the_exact_values(source, bounds, k):
     """Where the pass ranges an expression on [lo, hi], the range holds its
     float value, lower_value's, at k/64 of the way and at hi itself, and

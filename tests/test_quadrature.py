@@ -127,14 +127,14 @@ def test_remainder_enclosure_with_infinite_endpoint_slope():
 
 def test_remainder_enclosure_keeps_its_bits():
     # acceptance criterion 4's 500 partitions with random tags: float.hex of
-    # both ends, as the loop of four checked slope reads per cell gave them
+    # both ends, each weight multiplied by the slope before it squares
     rng = random.Random(2027)
     digest = hashlib.sha256()
     for _ in range(500):
         f = random_convex_case(rng)
         enc = remainder_enclosure(f, random_partition(rng, f.domain, max_cells=32))
         digest.update(f"{enc.lo.hex()} {enc.hi.hex()};".encode())
-    assert digest.hexdigest()[:16] == "242bd05f87012db4"
+    assert digest.hexdigest()[:16] == "352ddeadda752191"
 
 
 def test_remainder_enclosure_reads_each_tag_and_node_once():
@@ -557,10 +557,21 @@ def test_integrate_adaptive_budget_with_a_cell_of_undefined_width():
 
 
 def test_midpoint_rule_weights_that_overflow_are_not_a_bare_overflow():
-    # (h/2) ** 2 raised OverflowError; (h/2) * (h/2) is inf, and inf - inf
-    # in the remainder is an undefined extended-real form
+    # (h/2) ** 2 raised OverflowError; (h/2) * ((h/2) * 1e-10) is inf, and
+    # inf - inf in the remainder is an undefined extended-real form
     with pytest.raises(ExtendedArithmeticError):
         midpoint_rule(catalog.affine(0.0, 1e-10, Interval(0.0, 1e308)), 4)
+
+
+def test_tagged_rule_multiplies_by_the_slope_before_it_squares():
+    # (1e200)^2 overflows, but 1e200 * (1e200 * 1e-300) is 1e100: the
+    # remainder of an affine function is exactly 0, and inf - inf is no bound
+    f = catalog.affine(0.0, 1e-300, Interval(0.0, 4e200))
+    remainder = remainder_enclosure(f, Partition((0.0, 2e200, 4e200), (1e200, 3e200)))
+    assert (remainder.lo, remainder.hi) == (0.0, 0.0)
+    res = midpoint_rule(f, 2)
+    assert (res.remainder.lo, res.remainder.hi) == (0.0, 0.0)
+    assert res.estimate == pytest.approx(8e100, rel=1e-15)
 
 
 def test_integrate_adaptive_floating_point_resolution():
